@@ -39,18 +39,26 @@ let injections p = Array.to_list p.injections
    its entry is already consumed, so it cannot double-fire.  The
    returned entry index is the identity {!Report.Injected} carries and
    the fuzz oracle's <= 1-hit-per-entry assertion checks. *)
+let at_site (i : injection) ~domain ~step ~claim =
+  (match i.domain with None -> true | Some d -> d = domain)
+  && i.step = step && i.claim = claim
+
 let fire p ~domain ~step ~claim =
   let found = ref None in
   Array.iteri
-    (fun k (i : injection) ->
+    (fun k i ->
       if
         !found = None
-        && (match i.domain with None -> true | Some d -> d = domain)
-        && i.step = step && i.claim = claim
+        && at_site i ~domain ~step ~claim
         && Atomic.compare_and_set p.armed.(k) true false
       then found := Some (k, i.action))
     p.injections;
   !found
+
+let armed p ~domain ~step ~claim =
+  Array.exists2
+    (fun i a -> at_site i ~domain ~step ~claim && Atomic.get a)
+    p.injections p.armed
 
 let reset p = Array.iter (fun a -> Atomic.set a true) p.armed
 

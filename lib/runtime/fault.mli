@@ -65,6 +65,10 @@ val fire : plan -> domain:int -> step:int -> claim:int -> (int * action) option
     a wildcard site re-reached after the domain count halves cannot
     double-count). *)
 
+val armed : plan -> domain:int -> step:int -> claim:int -> bool
+(** Whether a still-armed injection matches the site: what {!fire}
+    would consume there, queried without consuming it. *)
+
 val reset : plan -> unit
 (** Re-arm every injection (for reusing one plan across runs). *)
 

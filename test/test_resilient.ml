@@ -176,8 +176,21 @@ let test_stall_timed_out_then_retried () =
 (* Non-idempotent nests: attempt-level retry only                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Every element is accumulated by exactly one iteration: the nest is
+   not idempotent (no tile-level recovery), yet race-free, so its
+   parallel buffer is deterministic on any number of cores.
+   [diag_accumulate] cannot serve here: its anti-diagonal sums are shared
+   by tiles of different domains, a genuine write race once domains run
+   truly in parallel. *)
+let private_accumulate () =
+  let open Loopir.Dsl in
+  let i = var 0 and j = var 1 in
+  nest ~name:"private_accumulate"
+    [ doall "i" 1 16; doall "j" 1 16 ]
+    [ accumulate "A" [ i; j ]; read "B" [ i; j ] ]
+
 let test_accumulate_retries_whole_attempt () =
-  let nest = Programs.diag_accumulate ~n:16 () in
+  let nest = private_accumulate () in
   let report, buffer = run nest ~nprocs:4 ~plan:"crash" in
   checkb "accumulating tiles are not idempotent" false report.Report.tile_retry;
   checkb "completed" true report.Report.completed;

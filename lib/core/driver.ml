@@ -73,63 +73,16 @@ let policy_name = function
    schedulers grab chunks from. *)
 let lex_points nest = Array.of_list (Scheduling.cyclic nest ~nprocs:1).(0)
 
-(* The kernel path: time the specialized strided loops over the tile
-   boxes, but keep the interpreter's instrumented pass (same iteration
-   sets, so the footprints transfer) for the report. *)
-let execute_kernels ~config ~sched a =
-  let nest = a.nest in
-  let per_tile = Cost.misses_per_tile a.cost sched.Codegen.tile in
-  let tiles_per_proc =
-    Intmath.Int_math.ceil_div (Codegen.num_tiles sched) a.nprocs
-  in
-  let predicted = per_tile * tiles_per_proc in
-  let compiled = Runtime.Exec.compile ~bigarray:config.bigarray nest in
-  let plan = Runtime.Kernel.plan compiled in
-  let boxes = Runtime.Kernel.boxes_of_schedule sched in
-  let work = Runtime.Exec.static_of_assignment (Scheduling.of_schedule sched) in
-  let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
-  let trace = trace_of config in
-  let raw =
-    Runtime.Pool.with_pool a.nprocs (fun pool ->
-        let wall, seconds, iterations =
-          Runtime.Kernel.time ~trace pool plan ~boxes ~steps
-            ~repeats:config.repeats
-        in
-        let inst =
-          Runtime.Exec.measure pool compiled work ~steps
-            ~mode:config.footprint
-        in
-        Array.iteri
-          (fun p f ->
-            Runtime.Trace.add trace p Runtime.Trace.Elements_touched f)
-          inst.Runtime.Exec.footprints;
-        {
-          Runtime.Measure.wall_seconds = wall;
-          seconds;
-          iterations;
-          footprints = inst.Runtime.Exec.footprints;
-          exact_footprints = inst.Runtime.Exec.exact;
-          distinct_total = inst.Runtime.Exec.distinct_total;
-          checksum = inst.Runtime.Exec.checksum;
-        })
-  in
-  Runtime.Measure.report ~name:nest.Nest.name
-    ~policy:
-      (Printf.sprintf "compile-time tiles + %s kernel"
-         (Runtime.Kernel.shape plan))
-    ~steps ~repeats:config.repeats
-    ~total_elements:(Runtime.Exec.total_elements compiled)
-    ~predicted_per_domain:predicted raw
+let dynamic nest chunk =
+  Runtime.Exec.Dynamic { points = lex_points nest; chunk }
 
 let execute ?(config = default_exec_config) ?tile a =
   let nest = a.nest in
   let sched = schedule ?tile a in
-  let kernel_capable =
-    config.kernels && config.policy = Tiled
-    && match sched.Codegen.tile with Tile.Rect _ -> true | Tile.Pped _ -> false
+  let trace = trace_of config in
+  let rect =
+    match sched.Codegen.tile with Tile.Rect _ -> true | Tile.Pped _ -> false
   in
-  if kernel_capable then execute_kernels ~config ~sched a
-  else
   let work, predicted =
     match config.policy with
     | Tiled ->
@@ -138,20 +91,23 @@ let execute ?(config = default_exec_config) ?tile a =
           Intmath.Int_math.ceil_div (Codegen.num_tiles sched) a.nprocs
         in
         let work =
-          match config.trace with
-          | Some tr when Runtime.Trace.enabled tr ->
-              (* A traced run keeps the tile-granular work list so each
-                 tile gets its own span; the untraced path stays on the
-                 flattened static assignment (identical iteration order,
-                 no per-tile dispatch). *)
-              let p = Runtime.Resilient.tiles_of_schedule sched in
-              Runtime.Exec.Tiled
-                {
-                  tiles = p.Runtime.Resilient.tiles;
-                  owners = p.Runtime.Resilient.owners;
-                }
-          | Some _ | None ->
-              Runtime.Exec.static_of_assignment (Scheduling.of_schedule sched)
+          if rect then
+            Runtime.Exec.of_boxes (Runtime.Kernel.boxes_of_schedule sched)
+          else if Runtime.Trace.enabled trace then
+            (* Grouping parallelepiped points by tile costs about twice
+               the per-domain lists, so only a traced run - which spans
+               every tile - pays for it. *)
+            let p = Runtime.Resilient.tiles_of_schedule sched in
+            Runtime.Exec.Tiled
+              {
+                tiles =
+                  Array.map
+                    (fun pts -> Runtime.Exec.Points pts)
+                    p.Runtime.Resilient.tiles;
+                owners = p.Runtime.Resilient.owners;
+                steal = false;
+              }
+          else Runtime.Exec.static_of_assignment (Scheduling.of_schedule sched)
         in
         (work, Some (per_tile * tiles_per_proc))
     | Work_steal chunk ->
@@ -159,35 +115,34 @@ let execute ?(config = default_exec_config) ?tile a =
             (Scheduling.of_schedule sched)
             ~chunk,
           None )
-    | Cyclic ->
-        (Runtime.Exec.Dynamic
-           { points = lex_points nest; chunk = (fun ~remaining:_ -> 1) },
-         None)
+    | Cyclic -> (dynamic nest (fun ~remaining:_ -> 1), None)
     | Block_cyclic chunk ->
         if chunk < 1 then invalid_arg "Driver.execute: chunk < 1";
-        (Runtime.Exec.Dynamic
-           { points = lex_points nest; chunk = (fun ~remaining:_ -> chunk) },
-         None)
+        (dynamic nest (fun ~remaining:_ -> chunk), None)
     | Guided ->
-        (Runtime.Exec.Dynamic
-           {
-             points = lex_points nest;
-             chunk =
-               (fun ~remaining ->
-                 Intmath.Int_math.ceil_div remaining a.nprocs);
-           },
-         None)
+        ( dynamic nest (fun ~remaining ->
+              Intmath.Int_math.ceil_div remaining a.nprocs),
+          None )
   in
   let compiled = Runtime.Exec.compile ~bigarray:config.bigarray nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
+  (* Kernels run the box tiles of a rectangular tiled schedule; the
+     instrumented pass stays on the interpreter over the same tiles. *)
+  let box, policy =
+    if config.kernels && config.policy = Tiled && rect then
+      let plan = Runtime.Kernel.plan compiled in
+      ( Runtime.Kernel.run_box plan,
+        Printf.sprintf "compile-time tiles + %s kernel"
+          (Runtime.Kernel.shape plan) )
+    else (Runtime.Exec.run_box compiled, policy_name config.policy)
+  in
   let raw =
     Runtime.Pool.with_pool a.nprocs (fun pool ->
-        Runtime.Exec.run ~trace:(trace_of config) pool compiled work ~steps
+        Runtime.Exec.run ~trace ~box pool compiled work ~steps
           ~repeats:config.repeats ~mode:config.footprint)
   in
-  Runtime.Measure.report ~name:nest.Nest.name
-    ~policy:(policy_name config.policy)
-    ~steps ~repeats:config.repeats
+  Runtime.Measure.report ~name:nest.Nest.name ~policy ~steps
+    ~repeats:config.repeats
     ~total_elements:(Runtime.Exec.total_elements compiled)
     ?predicted_per_domain:predicted raw
 

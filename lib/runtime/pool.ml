@@ -31,23 +31,27 @@ module Barrier = struct
       abort = Atomic.make false;
     }
 
-  let wait ?yielded b ~sense =
+  let arrive b ~sense ~yielded ~release =
     let my = not !sense in
     sense := my;
     if Atomic.get b.abort then raise Aborted;
     if Atomic.fetch_and_add b.count (-1) = 1 then begin
-      (* Last arrival: reset the count and flip the phase to release. *)
+      (* Last arrival: everyone else is parked, so [release] runs alone;
+         then reset the count and flip the phase to let them go. *)
+      release ();
       Atomic.set b.count b.parties;
       Atomic.set b.phase my
     end
     else begin
       let spins = ref 0 in
       while Atomic.get b.phase <> my && not (Atomic.get b.abort) do
-        backoff ?yielded !spins;
+        backoff ~yielded !spins;
         incr spins
       done;
       if Atomic.get b.phase <> my then raise Aborted
     end
+
+  let wait ?(yielded = ref 0) b ~sense = arrive b ~sense ~yielded ~release:ignore
 end
 
 type job = int -> Barrier.b -> unit

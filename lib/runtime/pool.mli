@@ -49,6 +49,12 @@ module Barrier : sig
       arriving domain releases the others.  Raises {!Aborted} if the
       pool's current job was aborted by a sibling's exception.
       [yielded] counts CPU give-ups while parked (see {!backoff}). *)
+
+  val arrive :
+    b -> sense:bool ref -> yielded:int ref -> release:(unit -> unit) -> unit
+  (** {!wait} in which the last arriving domain runs [release] before
+      letting the others go - the step end of {!Sched}, whose last
+      arriver resets the claim source for the next step. *)
 end
 
 val run : t -> (int -> Barrier.b -> unit) -> unit

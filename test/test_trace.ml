@@ -91,8 +91,9 @@ let test_ring_overflow_counts_dropped () =
 (* A traced tiled run must record exactly one claim-to-completion span
    per (tile, step, repeat) and the same number on the Tiles_run
    counter - the trace-side mirror of Validate's cover-exactly-once
-   property. *)
-let test_counters_match_tile_counts () =
+   property.  Both tile bodies (interpreter and kernel) run through the
+   same loop, so both must count alike. *)
+let counters_match_tile_counts ~kernels =
   let nest = Programs.stencil5 ~n:33 ~steps:2 () in
   let nprocs = 4 and repeats = 2 in
   let a = Driver.analyze ~nprocs nest in
@@ -104,6 +105,7 @@ let test_counters_match_tile_counts () =
     {
       Driver.default_exec_config with
       Driver.repeats;
+      kernels;
       trace = Some trace;
     }
   in
@@ -122,6 +124,10 @@ let test_counters_match_tile_counts () =
   checki "no ring overflow at this scale" 0 s.Trace.dropped;
   (* The instrumented pass feeds the footprint counter. *)
   checkb "elements touched recorded" true (s.Trace.elements_touched > 0)
+
+let test_counters_match_tile_counts () =
+  counters_match_tile_counts ~kernels:false;
+  counters_match_tile_counts ~kernels:true
 
 let test_resilient_counters_match_cover () =
   let nest = Programs.stencil5 ~n:17 ~steps:2 () in

@@ -67,18 +67,19 @@ type partitioned = {
   tiles : Ivec.t array array;  (** tile id -> iteration points, in order *)
   owners : int array;  (** tile id -> preferred domain, [< nprocs] *)
   boxes : (int * int) array option array;
-      (** tile id -> inclusive per-axis bounds when the tile's points
-          are exactly a rectangular box ([None] for ragged tiles), the
-          precondition for executing it through {!Kernel.run_box} *)
+      (** tile id -> its inclusive per-axis bounds when the tile is a
+          rectangular box walked in place (through {!Kernel.run_box}
+          with kernels on); [None] runs the point list *)
 }
 (** Tile-granular work: the unit of claiming, stealing, completion
     tracking and recovery. *)
 
 val tiles_of_schedule : Partition.Codegen.schedule -> partitioned
-(** Group the schedule's iteration space into its compile-time tiles
-    (via {!Partition.Codegen.tile_id}), owners from
-    {!Partition.Codegen.owner}; [boxes] holds each tile's bounding box
-    when (and only when) the tile fills it completely. *)
+(** The schedule's compile-time tiles with owners from
+    {!Partition.Codegen.owner}: for a rectangular tile, one box per
+    {!Partition.Codegen.rect_tile_ranges} entry (with its points
+    enumerated); for a parallelepiped, the iteration space grouped by
+    {!Partition.Codegen.tile_id}, with no boxes. *)
 
 val execute :
   ?config:config ->

@@ -60,16 +60,16 @@ type exec_config = {
   footprint : Runtime.Measure.mode;
   bigarray : bool;  (** operands in a [Bigarray] instead of [float array] *)
   kernels : bool;
-      (** lower tiles to {!Runtime.Kernel}'s specialized strided loops
-          instead of interpreting point by point; effective for the
-          [Tiled] policy over rectangular tiles (other policies and
+      (** run box tiles through {!Runtime.Kernel}'s specialized strided
+          loops instead of the interpreter; effective for the [Tiled]
+          policy over rectangular tiles (other policies and
           parallelepiped tiles keep the interpreter), and for
           {!execute_resilient}'s box tiles *)
   trace : Runtime.Trace.t option;
       (** record per-domain spans and counters into this recorder during
           the timed passes (size it for [analysis.nprocs]); under the
-          [Tiled] policy the traced run executes the tile-granular work
-          list so every tile gets its own span *)
+          [Tiled] policy every tile gets its own span (a traced
+          parallelepiped run groups its points by tile for that) *)
 }
 
 val default_exec_config : exec_config
@@ -80,9 +80,11 @@ val execute :
   ?config:exec_config -> ?tile:Tile.t -> analysis -> Runtime.Measure.report
 (** Execute the nest on [analysis.nprocs] domains and measure per-domain
     wall-clock, iterations and distinct-elements footprints, alongside
-    the Theorem 2/4 prediction when the policy is [Tiled].  With
-    [config.kernels] the timed pass runs the lowered kernels; the
-    instrumented footprint pass (identical iteration sets) stays on the
+    the Theorem 2/4 prediction when the policy is [Tiled].  A
+    rectangular [Tiled] schedule runs as box tiles straight from the
+    code generator, never as per-point lists.  With [config.kernels]
+    the timed pass runs the boxes through the lowered kernels; the
+    instrumented footprint pass (the same tiles) stays on the
     interpreter. *)
 
 val execute_resilient :

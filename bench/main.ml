@@ -24,85 +24,54 @@ let row4 a b c d = pf "%-26s %16s %16s %16s@." a b c d
 let soi = string_of_int
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable results: every measured run of the real-execution   *)
-(* experiments is appended here and dumped to BENCH_runtime.json so the *)
-(* perf trajectory can be tracked across commits.                       *)
+(* Machine-readable results: each real-execution experiment writes one *)
+(* BENCH_*.json array of rows, every row opening with the same header,  *)
+(* so the perf trajectory can be tracked across commits.               *)
 (* ------------------------------------------------------------------ *)
 
-let bench_records : (string * Runtime.Measure.report) list ref = ref []
-let record experiment r = bench_records := (experiment, r) :: !bench_records
+module Json = Runtime.Json
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let host_cores = Domain.recommended_domain_count ()
 
-(* JSON has no nan/inf literals (a stall scenario with no attempts
-   yields a nan detect time); emit null instead of corrupting the file. *)
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
+let row ~experiment ~name ~path ~nprocs ~steps fields =
+  Json.Obj
+    ([
+       ("experiment", Json.String experiment);
+       ("name", String name);
+       ("path", String path);
+       ("nprocs", Int nprocs);
+       ("steps", Int steps);
+       ("host_cores", Int host_cores);
+     ]
+    @ fields)
 
-let write_bench_json path =
-  match List.rev !bench_records with
-  | [] -> ()
-  | records ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let item (experiment, (r : Runtime.Measure.report)) =
-            let total_iterations =
-              Array.fold_left
-                (fun acc (d : Runtime.Measure.domain_stat) ->
-                  acc + d.Runtime.Measure.iterations)
-                0 r.Runtime.Measure.per_domain
-            in
-            let ns_per_iter =
-              if total_iterations = 0 then 0.0
-              else
-                1e9 *. r.Runtime.Measure.wall_seconds
-                /. float_of_int total_iterations
-            in
-            String.concat ""
-              [
-                "  {\"experiment\": \"";
-                json_escape experiment;
-                "\", \"name\": \"";
-                json_escape r.Runtime.Measure.name;
-                "\", \"policy\": \"";
-                json_escape r.Runtime.Measure.policy;
-                "\", \"nprocs\": ";
-                soi r.Runtime.Measure.nprocs;
-                ", \"steps\": ";
-                soi r.Runtime.Measure.steps;
-                ", \"wall_seconds\": ";
-                Printf.sprintf "%.6g" r.Runtime.Measure.wall_seconds;
-                ", \"ns_per_iter\": ";
-                Printf.sprintf "%.1f" ns_per_iter;
-                ", \"max_footprint\": ";
-                soi (Runtime.Measure.max_footprint r);
-                ", \"distinct_total\": ";
-                soi r.Runtime.Measure.distinct_total;
-                ", \"predicted_per_domain\": ";
-                (match r.Runtime.Measure.predicted_per_domain with
-                | Some v -> soi v
-                | None -> "null");
-                "}";
-              ]
-          in
-          output_string oc "[\n";
-          output_string oc (String.concat ",\n" (List.map item records));
-          output_string oc "\n]\n");
-      pf "@.wrote %d measured runs to %s@." (List.length records) path
+let write_rows file rows =
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc (Json.to_string (List rows) ^ "\n"));
+  pf "@.wrote %d rows to %s@." (List.length rows) file
+
+(* Timed samples are summarised by their median and quartiles, taken
+   after a discarded warmup run that pays the one-time costs (code
+   warmup, allocator growth, CPU governor ramp).  The median is robust
+   to scheduler outliers in both directions - minimum-of-k without
+   warmup let a lucky baseline minimum meet an unlucky treatment
+   minimum and report impossible negative overheads. *)
+let quartiles samples =
+  let a = Array.copy samples in
+  Array.sort compare a;
+  let n = Array.length a in
+  (a.(n / 4), a.(n / 2), a.(3 * n / 4))
+
+let spread_fields samples =
+  let q1, median, q3 = quartiles samples in
+  [
+    ("wall_seconds", Json.Float median);
+    ("wall_q1_seconds", Float q1);
+    ("wall_q3_seconds", Float q3);
+    ("samples", Int (Array.length samples));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E1: Example 2 / Figure 3                                            *)
@@ -814,6 +783,7 @@ let e20 () =
   header "E20"
     "Measured execution on OCaml 5 domains (the deferred Section 4 run)";
   let open Loopart in
+  let rows = ref [] in
   let exec ?steps ~policy nest nprocs =
     let a = Driver.analyze ~nprocs nest in
     let r =
@@ -821,7 +791,28 @@ let e20 () =
         ~config:{ Driver.default_exec_config with policy; repeats = 2; steps }
         a
     in
-    record "E20" r;
+    let iterations =
+      Array.fold_left
+        (fun acc (d : Runtime.Measure.domain_stat) -> acc + d.iterations)
+        0 r.per_domain
+    in
+    rows :=
+      row ~experiment:"E20" ~name:r.name ~path:r.policy ~nprocs:r.nprocs
+        ~steps:r.steps
+        [
+          ("wall_seconds", Float r.wall_seconds);
+          ( "ns_per_iter",
+            Float
+              (if iterations = 0 then 0.0
+               else 1e9 *. r.wall_seconds /. float_of_int iterations) );
+          ("max_footprint", Int (Runtime.Measure.max_footprint r));
+          ("distinct_total", Int r.distinct_total);
+          ( "predicted_per_domain",
+            Option.fold ~none:Json.Null
+              ~some:(fun v -> Json.Int v)
+              r.predicted_per_domain );
+        ]
+      :: !rows;
     r
   in
   let workloads =
@@ -866,27 +857,13 @@ let e20 () =
   pf "tiled max footprint %d vs cyclic %d - tiled smaller: %b@." tiled cyclic
     (tiled < cyclic);
   pf "(run-time self-scheduling balances load but touches nearly the whole@.";
-  pf " grid per processor - the introduction's case for compile-time tiles)@."
+  pf " grid per processor - the introduction's case for compile-time tiles)@.";
+  write_rows "BENCH_runtime.json" (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* E21: fault-tolerance tax - heartbeat/watchdog overhead on a         *)
 (* fault-free run, and recovery latency under injected faults          *)
 (* ------------------------------------------------------------------ *)
-
-(* Warmed median-of-k sampling.  One discarded warmup run pays the
-   one-time costs (code warmup, allocator growth, CPU governor ramp),
-   and the median of the remaining samples is robust to scheduler
-   outliers in both directions - minimum-of-k without warmup let a
-   lucky baseline minimum meet an unlucky treatment minimum and report
-   impossible negative overheads. *)
-let median_of ~warmup ~samples f =
-  if samples < 1 then invalid_arg "median_of: samples < 1";
-  for _ = 1 to warmup do
-    ignore (f ())
-  done;
-  let xs = Array.init samples (fun _ -> f ()) in
-  Array.sort compare xs;
-  xs.(samples / 2)
 
 let e21 () =
   header "E21"
@@ -951,15 +928,6 @@ let e21 () =
     fs.(i) <- run_fault_free ();
     cs.(i) <- run_crash ()
   done;
-  let quartiles a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    (a.(reps / 4), a.(reps / 2), a.(3 * reps / 4))
-  in
-  let med a =
-    let _, m, _ = quartiles a in
-    m
-  in
   (* A difference of medians is a result only when the two scenarios'
      interquartile ranges do not overlap; otherwise it is reported as
      null with the reason. *)
@@ -973,13 +941,13 @@ let e21 () =
             interquartile spreads of %d interleaved samples"
            what t b reps)
   in
-  let json_result name = function
-    | Ok x -> Printf.sprintf "\"%s\": %s" name (json_float x)
+  let result_fields name = function
+    | Ok x -> [ (name, Json.Float x) ]
     | Error reason ->
-        Printf.sprintf "\"%s\": null, \"%s_reason\": %S" name name reason
+        [ (name, Json.Null); (name ^ "_reason", Json.String reason) ]
   in
-  let plain = med ps in
-  let fault_free = med fs in
+  let _, plain, _ = quartiles ps in
+  let _, fault_free, _ = quartiles fs in
   let overhead_pct =
     Result.map
       (fun d -> 100.0 *. d /. plain)
@@ -995,13 +963,13 @@ let e21 () =
     (match overhead_pct with
     | Ok x -> Printf.sprintf "overhead %+.1f%%" x
     | Error _ -> "no overhead beyond the spread");
-  if Domain.recommended_domain_count () < nprocs then
+  if host_cores < nprocs then
     pf "  (host exposes %d core(s) for %d domains: end-of-step gate waits \
         serialize,@.   which inflates the watchdog's share of the wall \
         clock)@."
-      (Domain.recommended_domain_count ()) nprocs;
+      host_cores nprocs;
   let crash = Option.get !last_crash in
-  let crash_wall = med cs in
+  let _, crash_wall, _ = quartiles cs in
   (* Recovery only adds work, so a crash job measured faster than a
      fault-free one says the host's noise, not recovery, decided it. *)
   let crash_extra =
@@ -1029,46 +997,30 @@ let e21 () =
   pf "  10 s stall, 100 ms deadline: detected in %.2f ms, job completed %b \
       in %.2f ms@."
     (1e3 *. detect) stall.Runtime.Report.completed (1e3 *. wall stall);
-  (* Machine-readable trail for the perf trajectory. *)
-  let oc = open_out "BENCH_resilience.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc
-        (String.concat ""
-           [
-             "[\n";
-             Printf.sprintf
-               "  {\"experiment\": \"E21\", \"scenario\": \"plain\", \
-                \"nprocs\": %d, \"steps\": %d, \"wall_seconds\": %.6g},\n"
-               nprocs steps plain;
-             Printf.sprintf
-               "  {\"experiment\": \"E21\", \"scenario\": \
-                \"resilient-fault-free\", \"nprocs\": %d, \"steps\": %d, \
-                \"wall_seconds\": %.6g, %s},\n"
-               nprocs steps fault_free
-               (json_result "overhead_pct" overhead_pct);
-             Printf.sprintf
-               "  {\"experiment\": \"E21\", \"scenario\": \"resilient-crash\", \
-                \"nprocs\": %d, \"steps\": %d, \"wall_seconds\": %.6g, \
-                %s, \"tiles_reexecuted\": %d, \
-                \"completed\": %b, \"covered_exactly_once\": %b},\n"
-               nprocs steps crash_wall
-               (json_result "recovery_extra_seconds" crash_extra)
-               (Runtime.Report.reexecuted_tiles crash)
-               crash.Runtime.Report.completed
-               crash.Runtime.Report.covered_exactly_once;
-             Printf.sprintf
-               "  {\"experiment\": \"E21\", \"scenario\": \"resilient-stall\", \
-                \"nprocs\": %d, \"steps\": %d, \"deadline_ms\": 100, \
-                \"detect_seconds\": %s, \"wall_seconds\": %s, \
-                \"completed\": %b}\n"
-               nprocs steps (json_float detect)
-               (json_float (wall stall))
-               stall.Runtime.Report.completed;
-             "]\n";
-           ]));
-  pf "@.wrote resilience measurements to BENCH_resilience.json@."
+  let e21_row path =
+    row ~experiment:"E21" ~name:"stencil5" ~path ~nprocs ~steps
+  in
+  write_rows "BENCH_resilience.json"
+    [
+      e21_row "plain" (spread_fields ps);
+      e21_row "resilient-fault-free"
+        (spread_fields fs @ result_fields "overhead_pct" overhead_pct);
+      e21_row "resilient-crash"
+        (spread_fields cs
+        @ result_fields "recovery_extra_seconds" crash_extra
+        @ [
+            ("tiles_reexecuted", Int (Runtime.Report.reexecuted_tiles crash));
+            ("completed", Bool crash.completed);
+            ("covered_exactly_once", Bool crash.covered_exactly_once);
+          ]);
+      e21_row "resilient-stall"
+        [
+          ("deadline_ms", Int 100);
+          ("detect_seconds", Float detect);
+          ("wall_seconds", Float (wall stall));
+          ("completed", Bool stall.completed);
+        ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E22: kernel lowering - strided incremental-address loops vs the     *)
@@ -1086,14 +1038,13 @@ let e22 () =
         (scale %d, median of %d)"
        scale trials);
   let open Loopart in
-  let cores = Domain.recommended_domain_count () in
-  let records = ref [] in
+  let rows = ref [] in
   let measure ~name ~nest ~steps ~nprocs ~path =
     let a = Driver.analyze ~nprocs nest in
     let sched = Driver.schedule a in
     let compiled = Runtime.Exec.compile nest in
     let iterations = steps * Array.fold_left ( * ) 1 (Nest.extents nest) in
-    let wall =
+    let samples =
       Runtime.Pool.with_pool nprocs (fun pool ->
           let once =
             match path with
@@ -1116,8 +1067,10 @@ let e22 () =
                   in
                   w
           in
-          median_of ~warmup:1 ~samples:trials once)
+          ignore (once ());
+          Array.init trials (fun _ -> once ()))
     in
+    let _, wall, _ = quartiles samples in
     let ns_per_iter = 1e9 *. wall /. float_of_int iterations in
     let path_name =
       match path with
@@ -1125,15 +1078,12 @@ let e22 () =
       | `Kernel true -> "kernel-generic"
       | `Kernel false -> "kernel"
     in
-    records :=
-      Printf.sprintf
-        "  {\"experiment\": \"E22\", \"name\": \"%s\", \"path\": \"%s\", \
-         \"nprocs\": %d, \"steps\": %d, \"scale\": %d, \"trials\": %d, \
-         \"iterations\": %d, \"wall_seconds\": %.6g, \"ns_per_iter\": %.2f, \
-         \"cores\": %d}"
-        (json_escape name) path_name nprocs steps scale trials iterations wall
-        ns_per_iter cores
-      :: !records;
+    rows :=
+      row ~experiment:"E22" ~name ~path:path_name ~nprocs ~steps
+        ([ ("scale", Json.Int scale); ("iterations", Int iterations) ]
+        @ spread_fields samples
+        @ [ ("ns_per_iter", Float ns_per_iter) ])
+      :: !rows;
     (wall, ns_per_iter)
   in
   let workloads =
@@ -1142,8 +1092,8 @@ let e22 () =
       ("matmul", Programs.matmul ~n:(64 * scale) (), 1);
     ]
   in
-  pf "host exposes %d core%s (Domain.recommended_domain_count)@." cores
-    (if cores = 1 then "" else "s");
+  pf "host exposes %d core%s (Domain.recommended_domain_count)@." host_cores
+    (if host_cores = 1 then "" else "s");
   List.iter
     (fun (name, nest, steps) ->
       pf "@.--- %s, %d iterations x %d step%s ---@." name
@@ -1173,18 +1123,11 @@ let e22 () =
       pf "generic strided loop vs interpreter: %.2fx (target >= 5x)@."
         (interp1 /. generic1);
       pf "tiled 8-domain vs 1-domain (kernel): %.2fx%s@." (kernel1 /. kernel8)
-        (if cores = 1 then
+        (if host_cores = 1 then
            " - single-core host, parallel speedup is not expected here"
          else ""))
     workloads;
-  let oc = open_out "BENCH_kernels.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "[\n";
-      output_string oc (String.concat ",\n" (List.rev !records));
-      output_string oc "\n]\n");
-  pf "@.wrote kernel measurements to BENCH_kernels.json@."
+  write_rows "BENCH_kernels.json" (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* --profile: traced runs of the two E22 workloads, broken down into   *)
@@ -1197,7 +1140,7 @@ let profile_requested = ref false
 let run_profile () =
   header "PROFILE" "Per-phase runtime breakdown (traced runs)";
   let open Loopart in
-  let nprocs = min 8 (max 2 (Domain.recommended_domain_count ())) in
+  let nprocs = min 8 (max 2 host_cores) in
   let kinds =
     Runtime.Trace.
       [ Tile; Exec; Barrier; Chunk; Steal; Watchdog; Reexec; Step ]
@@ -1227,56 +1170,39 @@ let run_profile () =
     let a = Driver.analyze ~nprocs nest in
     ignore (Driver.execute ~config a);
     let s = Runtime.Trace.summary trace in
-    pf "@.--- %s on %d domains (%s path) ---@." name nprocs
-      (if kernels then "kernel" else "interpreter");
+    let path = if kernels then "kernel" else "interpreter" in
+    pf "@.--- %s on %d domains (%s path) ---@." name nprocs path;
     pf "%a@." Runtime.Trace.pp_summary s;
+    let events = Runtime.Trace.events trace in
     (* Per-domain busy seconds by span kind, from the raw events. *)
-    let busy = Array.make_matrix nprocs (List.length kinds) 0.0 in
-    List.iter
-      (fun (e : Runtime.Trace.event) ->
-        List.iteri
-          (fun ki k ->
-            if e.Runtime.Trace.kind = k then
-              busy.(e.Runtime.Trace.domain).(ki) <-
-                busy.(e.Runtime.Trace.domain).(ki) +. e.Runtime.Trace.dur)
-          kinds)
-      (Runtime.Trace.events trace);
-    let domain_json p =
-      String.concat ""
-        [
-          Printf.sprintf "      {\"domain\": %d, \"busy_seconds\": {" p;
-          String.concat ", "
-            (List.filteri
-               (fun ki _ -> busy.(p).(ki) > 0.0)
-               (List.mapi
-                  (fun ki k ->
-                    Printf.sprintf "\"%s\": %s"
-                      (Runtime.Trace.kind_name k)
-                      (json_float busy.(p).(ki)))
-                  kinds));
-          "}, ";
-          String.concat ", "
-            (List.map
-               (fun c ->
-                 Printf.sprintf "\"%s\": %d"
-                   (Runtime.Trace.counter_name c)
-                   (Runtime.Trace.counters trace p c))
-               counters);
-          "}";
-        ]
+    let busy p k =
+      List.fold_left
+        (fun acc (e : Runtime.Trace.event) ->
+          if e.domain = p && e.kind = k then acc +. e.dur else acc)
+        0.0 events
     in
-    String.concat ""
+    let domain_json p =
+      Json.Obj
+        (("domain", Json.Int p)
+         :: ( "busy_seconds",
+              Obj
+                (List.filter_map
+                   (fun k ->
+                     let b = busy p k in
+                     if b > 0.0 then
+                       Some (Runtime.Trace.kind_name k, Json.Float b)
+                     else None)
+                   kinds) )
+         :: List.map
+              (fun c ->
+                ( Runtime.Trace.counter_name c,
+                  Json.Int (Runtime.Trace.counters trace p c) ))
+              counters)
+    in
+    row ~experiment:"profile" ~name ~path ~nprocs ~steps
       [
-        Printf.sprintf
-          "  {\"experiment\": \"profile\", \"name\": \"%s\", \"path\": \
-           \"%s\", \"nprocs\": %d, \"steps\": %d,\n   \"summary\": "
-          (json_escape name)
-          (if kernels then "kernel" else "interpreter")
-          nprocs steps;
-        Runtime.Trace.summary_json s;
-        ",\n   \"domains\": [\n";
-        String.concat ",\n" (List.init nprocs domain_json);
-        "\n   ]}";
+        ("summary", Runtime.Trace.json_of_summary s);
+        ("domains", List (List.init nprocs domain_json));
       ]
   in
   let items =
@@ -1287,14 +1213,7 @@ let run_profile () =
         ~kernels:false;
     ]
   in
-  let oc = open_out "BENCH_profile.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "[\n";
-      output_string oc (String.concat ",\n" items);
-      output_string oc "\n]\n");
-  pf "@.wrote per-phase breakdowns to BENCH_profile.json@."
+  write_rows "BENCH_profile.json" items
 
 (* ------------------------------------------------------------------ *)
 (* E13: Bechamel timings of the analysis itself                        *)
@@ -1414,5 +1333,4 @@ let () =
       | None -> pf "unknown experiment %s@." id)
     selected;
   if !profile_requested then run_profile ();
-  write_bench_json "BENCH_runtime.json";
   pf "@.done.@."

@@ -110,124 +110,67 @@ let pp ppf t =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let str s = "\"" ^ escape s ^ "\""
-
-(* JSON has no nan/inf literals; a failed attempt's wall time can be
-   nan (a watchdog race losing both timestamps) and must not poison the
-   whole document.  %.6g itself is JSON-safe for every finite double
-   (no bare [.5] or trailing-dot forms). *)
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
-
 let event_json e =
-  let obj kind fields =
-    Printf.sprintf "{\"event\": %s%s}" (str kind)
-      (String.concat ""
-         (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %s" k v) fields))
-  in
+  let obj kind fields = Json.Obj (("event", Json.String kind) :: fields) in
   match e with
   | Injected { action; site; domain; step } ->
       obj "injected"
         [
-          ("action", str (Fault.action_to_string action));
-          ("site", string_of_int site);
-          ("domain", string_of_int domain);
-          ("step", string_of_int step);
+          ("action", String (Fault.action_to_string action));
+          ("site", Int site);
+          ("domain", Int domain);
+          ("step", Int step);
         ]
   | Crashed { domain; step; exn } ->
       obj "crashed"
-        [
-          ("domain", string_of_int domain);
-          ("step", string_of_int step);
-          ("exn", str exn);
-        ]
+        [ ("domain", Int domain); ("step", Int step); ("exn", String exn) ]
   | Timed_out { domain; step } ->
-      obj "timed_out"
-        [ ("domain", string_of_int domain); ("step", string_of_int step) ]
+      obj "timed_out" [ ("domain", Int domain); ("step", Int step) ]
   | Tiles_reexecuted { count; step } ->
-      obj "tiles_reexecuted"
-        [ ("count", string_of_int count); ("step", string_of_int step) ]
+      obj "tiles_reexecuted" [ ("count", Int count); ("step", Int step) ]
   | Degraded { from_procs; to_procs } ->
       obj "degraded"
-        [
-          ("from_procs", string_of_int from_procs);
-          ("to_procs", string_of_int to_procs);
-        ]
+        [ ("from_procs", Int from_procs); ("to_procs", Int to_procs) ]
   | Sequential_fallback -> obj "sequential_fallback" []
 
 let attempt_json a =
-  String.concat ""
+  Json.Obj
     [
-      "{\"attempt\": ";
-      string_of_int a.attempt;
-      ", \"nprocs\": ";
-      string_of_int a.nprocs;
-      ", \"outcome\": ";
-      (match a.outcome with
-      | Completed -> str "completed"
-      | Failed r -> str ("failed: " ^ r));
-      ", \"tiles_total\": ";
-      string_of_int a.tiles_total;
-      ", \"tiles_reexecuted\": ";
-      string_of_int a.tiles_reexecuted;
-      ", \"retired_domains\": [";
-      String.concat ", "
-        (List.map string_of_int (List.sort compare a.retired_domains));
-      "], \"backoff_ms\": ";
-      string_of_int a.backoff_ms;
-      ", \"wall_seconds\": ";
-      json_float a.wall_seconds;
-      ", \"events\": [";
-      String.concat ", " (List.map event_json a.events);
-      "]}";
+      ("attempt", Int a.attempt);
+      ("nprocs", Int a.nprocs);
+      ( "outcome",
+        String
+          (match a.outcome with
+          | Completed -> "completed"
+          | Failed r -> "failed: " ^ r) );
+      ("tiles_total", Int a.tiles_total);
+      ("tiles_reexecuted", Int a.tiles_reexecuted);
+      ( "retired_domains",
+        List
+          (List.map (fun d -> Json.Int d) (List.sort compare a.retired_domains))
+      );
+      ("backoff_ms", Int a.backoff_ms);
+      ("wall_seconds", Float a.wall_seconds);
+      ("events", List (List.map event_json a.events));
     ]
 
 let to_json t =
-  String.concat ""
-    [
-      "{\n  \"name\": ";
-      str t.name;
-      ",\n  \"policy\": ";
-      str t.policy;
-      ",\n  \"plan\": ";
-      str t.plan;
-      ",\n  \"deadline_ms\": ";
-      string_of_int t.deadline_ms;
-      ",\n  \"steps\": ";
-      string_of_int t.steps;
-      ",\n  \"tile_retry\": ";
-      string_of_bool t.tile_retry;
-      ",\n  \"completed\": ";
-      string_of_bool t.completed;
-      ",\n  \"final_nprocs\": ";
-      string_of_int t.final_nprocs;
-      ",\n  \"covered_exactly_once\": ";
-      string_of_bool t.covered_exactly_once;
-      ",\n  \"total_wall_seconds\": ";
-      json_float t.total_wall_seconds;
-      ",\n  \"checksum\": ";
-      json_float t.checksum;
-      ",\n  \"metrics\": ";
-      (match t.metrics with
-      | Some m -> Trace.summary_json m
-      | None -> "null");
-      ",\n  \"attempts\": [\n    ";
-      String.concat ",\n    " (List.map attempt_json t.attempts);
-      "\n  ]\n}\n";
-    ]
+  Json.to_string
+    (Obj
+       [
+         ("name", String t.name);
+         ("policy", String t.policy);
+         ("plan", String t.plan);
+         ("deadline_ms", Int t.deadline_ms);
+         ("steps", Int t.steps);
+         ("tile_retry", Bool t.tile_retry);
+         ("completed", Bool t.completed);
+         ("final_nprocs", Int t.final_nprocs);
+         ("covered_exactly_once", Bool t.covered_exactly_once);
+         ("total_wall_seconds", Float t.total_wall_seconds);
+         ("checksum", Float t.checksum);
+         ( "metrics",
+           Option.fold ~none:Json.Null ~some:Trace.json_of_summary t.metrics );
+         ("attempts", List (List.map attempt_json t.attempts));
+       ])
+  ^ "\n"

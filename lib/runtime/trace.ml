@@ -195,25 +195,27 @@ let fold_events t f acc =
 
 let events t = List.rev (fold_events t (fun acc e -> e :: acc) [])
 
-(* %.3f microseconds keeps nanosecond resolution; all values here are
-   finite by construction (monotonic differences of finite floats). *)
 let to_chrome_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  let first = ref true in
-  ignore
-    (fold_events t
-       (fun () e ->
-         if !first then first := false else Buffer.add_char b ',';
-         Buffer.add_string b
-           (Printf.sprintf
-              "\n{\"name\": \"%s\", \"cat\": \"runtime\", \"ph\": \"X\", \
-               \"ts\": %.3f, \"dur\": %.3f, \"pid\": 0, \"tid\": %d, \
-               \"args\": {\"arg\": %d}}"
-              (kind_name e.kind) (e.t0 *. 1e6) (e.dur *. 1e6) e.domain e.arg))
-       ());
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let event e =
+    Json.Obj
+      [
+        ("name", String (kind_name e.kind));
+        ("cat", String "runtime");
+        ("ph", String "X");
+        ("ts", Float (e.t0 *. 1e6));
+        ("dur", Float (e.dur *. 1e6));
+        ("pid", Int 0);
+        ("tid", Int e.domain);
+        ("args", Obj [ ("arg", Int e.arg) ]);
+      ]
+  in
+  Json.to_string
+    (Obj
+       [
+         ("displayTimeUnit", String "ms");
+         ("traceEvents", List (List.map event (events t)));
+       ])
+  ^ "\n"
 
 type summary = {
   domains : int;
@@ -274,31 +276,20 @@ let pp_summary ppf s =
     s.busy_seconds;
   Format.fprintf ppf "@]"
 
-let summary_json s =
-  String.concat ""
+let json_of_summary s =
+  Json.Obj
     [
-      "{\"domains\": ";
-      string_of_int s.domains;
-      ", \"events\": ";
-      string_of_int s.events;
-      ", \"dropped\": ";
-      string_of_int s.dropped;
-      ", \"tiles_run\": ";
-      string_of_int s.tiles_run;
-      ", \"steals\": ";
-      string_of_int s.steals;
-      ", \"backoff_yields\": ";
-      string_of_int s.backoff_yields;
-      ", \"elements_touched\": ";
-      string_of_int s.elements_touched;
-      ", \"faults_injected\": ";
-      string_of_int s.faults_injected;
-      ", \"faults_detected\": ";
-      string_of_int s.faults_detected;
-      ", \"busy_seconds\": {";
-      String.concat ", "
-        (List.map
-           (fun (k, sec) -> Printf.sprintf "\"%s\": %.9f" k sec)
-           s.busy_seconds);
-      "}}";
+      ("domains", Int s.domains);
+      ("events", Int s.events);
+      ("dropped", Int s.dropped);
+      ("tiles_run", Int s.tiles_run);
+      ("steals", Int s.steals);
+      ("backoff_yields", Int s.backoff_yields);
+      ("elements_touched", Int s.elements_touched);
+      ("faults_injected", Int s.faults_injected);
+      ("faults_detected", Int s.faults_detected);
+      ( "busy_seconds",
+        Obj (List.map (fun (k, sec) -> (k, Json.Float sec)) s.busy_seconds) );
     ]
+
+let summary_json s = Json.to_string (json_of_summary s)

@@ -3,9 +3,11 @@
    control characters, verified by round-tripping through a
    deliberately strict hand-written JSON parser (no nan/inf literals,
    no unescaped control characters, no trailing garbage).  The same
-   parser validates Trace.to_chrome_json. *)
+   parser validates Trace.to_chrome_json and the Json printer behind
+   both. *)
 
 module Fault = Runtime.Fault
+module Json = Runtime.Json
 module Report = Runtime.Report
 module Trace = Runtime.Trace
 
@@ -349,6 +351,47 @@ let test_parser_rejects_bare_nan () =
   checkb "valid json accepted" false
     (rejects "{\"x\": [1.5e-3, null, true, \"\\u0007\"]}")
 
+(* ------------------------------------------------------------------ *)
+(* The printer itself                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let reparse v =
+  match parse_json (Json.to_string v) with
+  | j -> j
+  | exception Bad msg -> Alcotest.failf "printer output is not strict: %s" msg
+
+let test_printer_strings_round_trip () =
+  let every_byte = String.init 256 Char.chr ^ "\"\\" in
+  match reparse (Json.Obj [ (every_byte, Json.String every_byte) ]) with
+  | Obj [ (k, Str v) ] ->
+      checks "key round-trips byte for byte" every_byte k;
+      checks "value round-trips byte for byte" every_byte v
+  | _ -> Alcotest.fail "expected a one-field object"
+
+let test_printer_non_finite_is_null () =
+  List.iter
+    (fun x ->
+      checkb (Printf.sprintf "%f -> null" x) true (reparse (Json.Float x) = Null))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_printer_floats_round_trip () =
+  List.iter
+    (fun (x, shortest) ->
+      checks "shortest decimal" shortest (Json.to_string (Json.Float x));
+      match reparse (Json.Float x) with
+      | Num y ->
+          checkb (shortest ^ " round-trips bit for bit") true
+            (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+      | _ -> Alcotest.failf "%s did not parse as a number" shortest)
+    [
+      (0.1, "0.1");
+      (-0.0, "-0");
+      (5e-324, "5e-324");
+      (Float.max_float, "1.7976931348623157e+308");
+      (1e-7, "1e-07");
+      (1234567.891, "1234567.891");
+    ]
+
 let () =
   Alcotest.run "report-json"
     [
@@ -362,5 +405,14 @@ let () =
             test_chrome_trace_is_strict_json;
           Alcotest.test_case "parser rejects the old failure modes" `Quick
             test_parser_rejects_bare_nan;
+        ] );
+      ( "printer",
+        [
+          Alcotest.test_case "every byte round-trips" `Quick
+            test_printer_strings_round_trip;
+          Alcotest.test_case "non-finite floats print as null" `Quick
+            test_printer_non_finite_is_null;
+          Alcotest.test_case "floats print shortest and round-trip" `Quick
+            test_printer_floats_round_trip;
         ] );
     ]

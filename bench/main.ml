@@ -880,9 +880,7 @@ let e21 () =
      same costs the resilient wall clock carries. *)
   let compiled = Runtime.Exec.compile nest in
   let sched = Driver.schedule a in
-  let work =
-    Runtime.Exec.queues_of_assignment (Scheduling.of_schedule sched) ~chunk:1
-  in
+  let work = Runtime.Exec.pieces ~chunk:1 (Codegen.tiles sched) in
   let run_plain () =
     let t0 = Runtime.Mclock.now () in
     Runtime.Pool.with_pool nprocs (fun pool ->

@@ -227,8 +227,8 @@ let run_cmd =
     let doc =
       "Lower tiles to specialized strided kernels (incremental address \
        bumps, unit-stride-innermost traversal, shape fast paths) instead \
-       of interpreting point by point.  Effective for $(b,tiled) runs over \
-       rectangular tiles and for resilient box tiles."
+       of interpreting point by point.  Applies to every box of the timed \
+       pass, under every policy and tile shape, and to resilient runs."
     in
     Arg.(value & flag & info [ "kernels" ] ~doc)
   in

@@ -60,8 +60,6 @@ let default_exec_config =
     trace = None;
   }
 
-let trace_of config = Option.value ~default:Runtime.Trace.disabled config.trace
-
 let policy_name = function
   | Tiled -> "compile-time tiles"
   | Cyclic -> "cyclic self-scheduling"
@@ -69,77 +67,50 @@ let policy_name = function
   | Guided -> "guided self-scheduling"
   | Work_steal c -> Printf.sprintf "tiled + work stealing (chunk %d)" c
 
-(* All iterations in lexicographic order: the stream the run-time
-   schedulers grab chunks from. *)
-let lex_points nest = Array.of_list (Scheduling.cyclic nest ~nprocs:1).(0)
-
-let dynamic nest chunk =
-  Runtime.Exec.Dynamic { points = lex_points nest; chunk }
-
 let execute ?(config = default_exec_config) ?tile a =
   let nest = a.nest in
   let sched = schedule ?tile a in
-  let trace = trace_of config in
-  let rect =
-    match sched.Codegen.tile with Tile.Rect _ -> true | Tile.Pped _ -> false
+  let dynamic chunk =
+    Runtime.Exec.Dynamic { space = Nest.bounds nest; chunk }
   in
   let work, predicted =
     match config.policy with
     | Tiled ->
+        let tiles = Codegen.tiles sched in
         let per_tile = Cost.misses_per_tile a.cost sched.Codegen.tile in
         let tiles_per_proc =
-          Intmath.Int_math.ceil_div (Codegen.num_tiles sched) a.nprocs
+          Intmath.Int_math.ceil_div (Array.length tiles) a.nprocs
         in
-        let work =
-          if rect then
-            Runtime.Exec.of_boxes (Runtime.Kernel.boxes_of_schedule sched)
-          else if Runtime.Trace.enabled trace then
-            (* Grouping parallelepiped points by tile costs about twice
-               the per-domain lists, so only a traced run - which spans
-               every tile - pays for it. *)
-            let p = Runtime.Resilient.tiles_of_schedule sched in
-            Runtime.Exec.Tiled
-              {
-                tiles =
-                  Array.map
-                    (fun pts -> Runtime.Exec.Points pts)
-                    p.Runtime.Resilient.tiles;
-                owners = p.Runtime.Resilient.owners;
-                steal = false;
-              }
-          else Runtime.Exec.static_of_assignment (Scheduling.of_schedule sched)
-        in
-        (work, Some (per_tile * tiles_per_proc))
+        (Runtime.Exec.of_tiles tiles, Some (per_tile * tiles_per_proc))
     | Work_steal chunk ->
-        ( Runtime.Exec.queues_of_assignment
-            (Scheduling.of_schedule sched)
-            ~chunk,
-          None )
-    | Cyclic -> (dynamic nest (fun ~remaining:_ -> 1), None)
+        (Runtime.Exec.pieces ~chunk (Codegen.tiles sched), None)
+    | Cyclic -> (dynamic (fun ~remaining:_ -> 1), None)
     | Block_cyclic chunk ->
         if chunk < 1 then invalid_arg "Driver.execute: chunk < 1";
-        (dynamic nest (fun ~remaining:_ -> chunk), None)
+        (dynamic (fun ~remaining:_ -> chunk), None)
     | Guided ->
-        ( dynamic nest (fun ~remaining ->
+        ( dynamic (fun ~remaining ->
               Intmath.Int_math.ceil_div remaining a.nprocs),
           None )
   in
   let compiled = Runtime.Exec.compile ~bigarray:config.bigarray nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
-  (* Kernels run the box tiles of a rectangular tiled schedule; the
-     instrumented pass stays on the interpreter over the same tiles. *)
+  (* The instrumented pass stays on the interpreter over the same
+     work. *)
   let box, policy =
-    if config.kernels && config.policy = Tiled && rect then
+    if config.kernels then
       let plan = Runtime.Kernel.plan compiled in
       ( Runtime.Kernel.run_box plan,
-        Printf.sprintf "compile-time tiles + %s kernel"
+        Printf.sprintf "%s + %s kernel" (policy_name config.policy)
           (Runtime.Kernel.shape plan) )
     else (Runtime.Exec.run_box compiled, policy_name config.policy)
   in
   let raw =
     Runtime.Pool.with_pool a.nprocs (fun pool ->
-        Runtime.Exec.run ~trace ~box pool compiled work ~steps
-          ~repeats:config.repeats ~mode:config.footprint)
+        Runtime.Exec.run
+          ~trace:(Option.value ~default:Runtime.Trace.disabled config.trace)
+          ~box pool compiled work ~steps ~repeats:config.repeats
+          ~mode:config.footprint)
   in
   Runtime.Measure.report ~name:nest.Nest.name ~policy ~steps
     ~repeats:config.repeats

@@ -51,7 +51,8 @@ type exec_policy =
   | Block_cyclic of int  (** run-time self-scheduling, fixed chunk *)
   | Guided  (** guided self-scheduling (the paper's reference [1]) *)
   | Work_steal of int
-      (** tiled queues drained by their owners with back-stealing *)
+      (** the compile-time tiles cut into pieces of at most this many
+          iterations, drained by their owners with back-stealing *)
 
 type exec_config = {
   policy : exec_policy;
@@ -60,16 +61,14 @@ type exec_config = {
   footprint : Runtime.Measure.mode;
   bigarray : bool;  (** operands in a [Bigarray] instead of [float array] *)
   kernels : bool;
-      (** run box tiles through {!Runtime.Kernel}'s specialized strided
-          loops instead of the interpreter; effective for the [Tiled]
-          policy over rectangular tiles (other policies and
-          parallelepiped tiles keep the interpreter), and for
-          {!execute_resilient}'s box tiles *)
+      (** run every box of the timed pass (and of
+          {!execute_resilient}) through {!Runtime.Kernel}'s specialized
+          strided loops instead of the interpreter, under every policy
+          and tile shape *)
   trace : Runtime.Trace.t option;
       (** record per-domain spans and counters into this recorder during
           the timed passes (size it for [analysis.nprocs]); under the
-          [Tiled] policy every tile gets its own span (a traced
-          parallelepiped run groups its points by tile for that) *)
+          [Tiled] policy every tile gets its own span *)
 }
 
 val default_exec_config : exec_config
@@ -80,11 +79,12 @@ val execute :
   ?config:exec_config -> ?tile:Tile.t -> analysis -> Runtime.Measure.report
 (** Execute the nest on [analysis.nprocs] domains and measure per-domain
     wall-clock, iterations and distinct-elements footprints, alongside
-    the Theorem 2/4 prediction when the policy is [Tiled].  A
-    rectangular [Tiled] schedule runs as box tiles straight from the
-    code generator, never as per-point lists.  With [config.kernels]
+    the Theorem 2/4 prediction when the policy is [Tiled].  Every
+    policy runs boxes: the tiles of {!Partition.Codegen.tiles} ([Tiled]),
+    those tiles cut into pieces ([Work_steal]), or the index ranges a
+    self-scheduler claims, decoded into boxes.  With [config.kernels]
     the timed pass runs the boxes through the lowered kernels; the
-    instrumented footprint pass (the same tiles) stays on the
+    instrumented footprint pass (the same work) stays on the
     interpreter. *)
 
 val execute_resilient :

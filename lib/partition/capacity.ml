@@ -32,9 +32,8 @@ let subtile cost tile ~capacity =
 
 let blocked_iterations (sched : Codegen.schedule) ~subtile =
   let per = Codegen.iterations_by_proc sched in
-  let key (it : Ivec.t) =
-    (Array.to_list (Tile.tile_coords subtile it), Array.to_list it)
-  in
+  let coords = Tile.tile_coords subtile in
+  let key (it : Ivec.t) = (Array.to_list (coords it), Array.to_list it) in
   Array.map
     (fun iters ->
       List.stable_sort (fun a b -> compare (key a) (key b)) iters)

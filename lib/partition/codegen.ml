@@ -16,7 +16,22 @@ let make nest tile ~nprocs =
   let origin = Array.map fst (Nest.bounds nest) in
   { nest; tile; nprocs; origin }
 
-let tile_id s (i : Ivec.t) = Tile.tile_coords s.tile (Ivec.sub i s.origin)
+type box = (int * int) array
+
+let rec iter_from (b : box) f (point : Ivec.t) k =
+  if k = Array.length b then f point
+  else
+    for v = fst b.(k) to snd b.(k) do
+      point.(k) <- v;
+      iter_from b f point (k + 1)
+    done
+
+let iter_box b f = iter_from b f (Array.make (Array.length b) 0) 0
+
+(* Partial application [tile_id s] computes the tile's adjugate once. *)
+let tile_id s =
+  let coords = Tile.tile_coords s.tile in
+  fun (i : Ivec.t) -> coords (Ivec.sub i s.origin)
 
 (* Bounding box of tile coordinates, derived from the iteration-space
    corners: tile coordinates are the floor of a linear map, so corner
@@ -24,22 +39,18 @@ let tile_id s (i : Ivec.t) = Tile.tile_coords s.tile (Ivec.sub i s.origin)
 let coord_box s =
   let bounds = Nest.bounds s.nest in
   let n = Array.length bounds in
-  let rec corners k acc =
-    if k = n then [ Array.of_list (List.rev acc) ]
-    else
-      let lo, hi = bounds.(k) in
-      corners (k + 1) (lo :: acc) @ corners (k + 1) (hi :: acc)
-  in
   let lo = Array.make n max_int and hi = Array.make n min_int in
-  List.iter
-    (fun c ->
-      let t = tile_id s c in
+  let id = tile_id s in
+  (* A corner picks the lower (0) or upper (1) bound on each axis. *)
+  iter_box (Array.make n (0, 1)) (fun pick ->
+      let corner =
+        Array.mapi (fun k (l, h) -> if pick.(k) = 0 then l else h) bounds
+      in
       Array.iteri
         (fun k v ->
           if v < lo.(k) then lo.(k) <- v;
           if v > hi.(k) then hi.(k) <- v)
-        t)
-    (corners 0 []);
+        (id corner));
   (lo, hi)
 
 let linearize s =
@@ -52,13 +63,90 @@ let linearize s =
       coords;
     !acc
 
-(* Partial application [owner s] precomputes the coordinate box; reuse the
-   closure when classifying many iterations. *)
+let proc_of s lin = Int_math.floor_mod lin s.nprocs
+
+(* Partial application [owner s] precomputes the coordinate box and the
+   tile's adjugate; reuse the closure when classifying many iterations. *)
 let owner s =
-  let lin = linearize s in
-  fun i ->
-    let t = lin (tile_id s i) mod s.nprocs in
-    if t < 0 then t + s.nprocs else t
+  let lin = linearize s and id = tile_id s in
+  fun i -> proc_of s (lin (id i))
+
+(* A rectangular tile is one clipped box.  A parallelepiped is swept row
+   by row along the innermost axis: there each tile coordinate
+   [floor((a + c x) / det)] (with [a] fixed by the outer axes and [c] the
+   innermost row of [adj L]) is monotone in [x], so the row splits into
+   maximal runs ending where the first coordinate steps - closed form,
+   no per-point work. *)
+let tiles s =
+  let bounds = Nest.bounds s.nest in
+  let d = Array.length bounds in
+  let last = d - 1 and lin = linearize s in
+  let tile id boxes = (proc_of s id, boxes) in
+  match s.tile with
+  | Tile.Rect sizes ->
+      let out = ref [] in
+      let counts =
+        Array.mapi
+          (fun k (lo, hi) -> (0, Int_math.ceil_div (hi - lo + 1) sizes.(k) - 1))
+          bounds
+      in
+      iter_box counts (fun t ->
+          let box =
+            Array.mapi
+              (fun k (lo, hi) ->
+                let tlo = lo + (t.(k) * sizes.(k)) in
+                (tlo, min hi (tlo + sizes.(k) - 1)))
+              bounds
+          in
+          out := tile (lin t) [| box |] :: !out);
+      Array.of_list (List.rev !out)
+  | Tile.Pped _ ->
+      let adj, det = Tile.adjugate s.tile in
+      (* Scale so the divisor is positive: floor(a / det) is unchanged. *)
+      let sign = if det < 0 then -1 else 1 in
+      let scaled v = Array.map (fun x -> sign * x) (Imat.mul_row v adj) in
+      let det = sign * det and o = s.origin.(last) in
+      let step = scaled (Array.init d (fun i -> if i = last then 1 else 0)) in
+      let coords = Array.make d 0 in
+      let found = Hashtbl.create 16 in
+      let add id box =
+        match Hashtbl.find_opt found id with
+        | Some boxes -> boxes := box :: !boxes
+        | None -> Hashtbl.add found id (ref [ box ])
+      in
+      let sweep_row (outer : Ivec.t) =
+        let base =
+          scaled
+            (Array.init d (fun i ->
+                 if i = last then 0 else outer.(i) - s.origin.(i)))
+        in
+        let x = ref (fst bounds.(last)) and hi = snd bounds.(last) in
+        while !x <= hi do
+          let stop = ref hi in
+          for j = 0 to last do
+            let a = base.(j) and c = step.(j) in
+            let t = Int_math.floor_div (a + (c * (!x - o))) det in
+            coords.(j) <- t;
+            (* The first [x' - o] past [x - o] whose coordinate differs. *)
+            let next =
+              if c > 0 then Int_math.ceil_div (((t + 1) * det) - a) c
+              else if c < 0 then Int_math.floor_div (a - (t * det)) (-c) + 1
+              else max_int - o
+            in
+            stop := min !stop (next - 1 + o)
+          done;
+          add (lin coords)
+            (Array.init d (fun k ->
+                 if k = last then (!x, !stop) else (outer.(k), outer.(k))));
+          x := !stop + 1
+        done
+      in
+      iter_box (Array.sub bounds 0 last) sweep_row;
+      let ids = Array.of_seq (Hashtbl.to_seq_keys found) in
+      Array.sort compare ids;
+      Array.map
+        (fun id -> tile id (Array.of_list (List.rev !(Hashtbl.find found id))))
+        ids
 
 let num_tiles s =
   match s.tile with
@@ -67,68 +155,15 @@ let num_tiles s =
       Array.to_list extents
       |> List.mapi (fun k n -> Int_math.ceil_div n sizes.(k))
       |> Int_math.prod
-  | Tile.Pped _ ->
-      let seen = Hashtbl.create 97 in
-      let bounds = Nest.bounds s.nest in
-      let n = Array.length bounds in
-      let point = Array.make n 0 in
-      let rec scan k =
-        if k = n then
-          Hashtbl.replace seen (Array.to_list (tile_id s point)) ()
-        else
-          let lo, hi = bounds.(k) in
-          for v = lo to hi do
-            point.(k) <- v;
-            scan (k + 1)
-          done
-      in
-      scan 0;
-      Hashtbl.length seen
+  | Tile.Pped _ -> Array.length (tiles s)
 
 let iterations_by_proc s =
   let out = Array.make s.nprocs [] in
   let own = owner s in
-  let bounds = Nest.bounds s.nest in
-  let n = Array.length bounds in
-  let point = Array.make n 0 in
-  let rec scan k =
-    if k = n then begin
+  iter_box (Nest.bounds s.nest) (fun point ->
       let p = own point in
-      out.(p) <- Array.copy point :: out.(p)
-    end
-    else
-      let lo, hi = bounds.(k) in
-      for v = lo to hi do
-        point.(k) <- v;
-        scan (k + 1)
-      done
-  in
-  scan 0;
+      out.(p) <- Array.copy point :: out.(p));
   Array.map List.rev out
-
-let rect_tile_ranges s =
-  match s.tile with
-  | Tile.Pped _ -> invalid_arg "Codegen.rect_tile_ranges: not rectangular"
-  | Tile.Rect sizes ->
-      let bounds = Nest.bounds s.nest in
-      let n = Array.length bounds in
-      let counts =
-        Array.mapi
-          (fun k (lo, hi) -> Int_math.ceil_div (hi - lo + 1) sizes.(k))
-          bounds
-      in
-      let rec go k acc =
-        if k = n then [ Array.of_list (List.rev acc) ]
-        else
-          List.concat_map
-            (fun t ->
-              let lo, hi = bounds.(k) in
-              let tlo = lo + (t * sizes.(k)) in
-              let thi = min hi (tlo + sizes.(k) - 1) in
-              go (k + 1) ((tlo, thi) :: acc))
-            (List.init counts.(k) Fun.id)
-      in
-      go 0 []
 
 let emit_pseudocode s =
   let buf = Buffer.create 256 in
@@ -157,7 +192,8 @@ let emit_pseudocode s =
            "// SPMD code for %d processors, parallelepiped tile\n" s.nprocs);
       Buffer.add_string buf (Imat.to_string l);
       Buffer.add_string buf
-        "\nfor i in space: if owner(i) == me: body  // via floor(i L^-1)\n");
+        "\nfor t in my_tiles: for (row, lo, hi) in runs(t): for x = lo to hi: \
+         body\n// runs: rows cut where floor((i - o) adj L / det L) steps\n");
   Buffer.contents buf
 
 let load_balance s =

@@ -22,24 +22,39 @@ type schedule = private {
 val make : Nest.t -> Tile.t -> nprocs:int -> schedule
 
 val tile_id : schedule -> Ivec.t -> int array
-(** Tile coordinates of an iteration (relative to the origin). *)
+(** Tile coordinates of an iteration (relative to the origin).  Partial
+    application computes the tile's adjugate once. *)
 
 val owner : schedule -> Ivec.t -> int
-(** Processor that executes the iteration. *)
+(** Processor that executes the iteration.  Partial application
+    precomputes the tile numbering; reuse the closure over many
+    iterations. *)
+
+type box = (int * int) array
+(** Inclusive per-axis bounds, indexed by loop axis. *)
+
+val iter_box : box -> (Ivec.t -> unit) -> unit
+(** Every point of the box in lexicographic order.  The point passed
+    is one scratch array, overwritten between calls: do not keep it. *)
+
+val tiles : schedule -> (int * box array) array
+(** Every non-empty tile as [(owner, boxes)], in tile-number order: the
+    loop bounds the code generator emits.  The boxes partition the
+    tile's iterations, in lexicographic order.  A rectangular tile is
+    one box clipped to the iteration space; a parallelepiped gives its
+    maximal runs along the innermost axis, found per row in closed form
+    from [adj L] ({!Tile.adjugate}) - the work is proportional to the
+    number of runs, not of iterations. *)
 
 val num_tiles : schedule -> int
-(** Number of distinct tiles covering the iteration space (exact for
-    rectangular tiles; computed by scanning otherwise). *)
+(** Number of non-empty tiles covering the iteration space: a product
+    of trip counts for rectangular tiles, the length of {!tiles}
+    otherwise. *)
 
 val iterations_by_proc : schedule -> Ivec.t list array
 (** All iterations grouped by executing processor, each list in
     lexicographic order.  Enumerates the full space - intended for the
     simulator and for spaces up to a few million points. *)
-
-val rect_tile_ranges : schedule -> (int * int) array list
-(** For rectangular tiles: the inclusive per-dimension bounds of every
-    tile, clipped to the iteration space (the loop bounds the code
-    generator would emit).  Raises [Invalid_argument] for [Pped]. *)
 
 val emit_pseudocode : schedule -> string
 (** A human-readable rendition of the generated SPMD loop nest. *)

@@ -28,24 +28,33 @@ let l_matrix = function
 
 let volume t = Rat.abs (Qmat.det (l_matrix t))
 
+let adjugate t =
+  let l = match t with Rect s -> Imat.diag s | Pped l -> l in
+  let n = Imat.rows l in
+  let others k = List.filter (( <> ) k) (List.init n Fun.id) in
+  (* Cofactor (j, i): the minor without row j and column i. *)
+  let cofactor i j =
+    let sign = if (i + j) land 1 = 0 then 1 else -1 in
+    if n = 1 then sign
+    else
+      let minor = Imat.select_cols (Imat.select_rows l (others j)) (others i) in
+      sign * Imat.det minor
+  in
+  (Imat.make n n cofactor, Imat.det l)
+
 (* Half-open tile coordinates: the partition of the iteration space into
    translated copies of the tile assigns point [i] to the integer vector
-   [floor(i * L^-1)]. *)
-let tile_coords t (point : Ivec.t) =
-  match t with
-  | Rect s ->
-      if Array.length point <> Array.length s then
-        invalid_arg "Tile.tile_coords: dimension mismatch";
-      Array.mapi (fun k x -> Int_math.floor_div x s.(k)) point
-  | Pped l -> (
-      match Qmat.inv (Qmat.of_imat l) with
-      | None -> assert false (* checked at construction *)
-      | Some inv ->
-          let coords = Qmat.mul_row (Array.map Rat.of_int point) inv in
-          Array.map Rat.floor coords)
+   [floor(i * L^-1)] = [floor(i * adj L / det L)]. *)
+let tile_coords t =
+  let n = nesting t and adj, det = adjugate t in
+  fun (point : Ivec.t) ->
+    if Array.length point <> n then
+      invalid_arg "Tile.tile_coords: dimension mismatch";
+    Array.map (fun v -> Int_math.floor_div v det) (Imat.mul_row point adj)
 
-let contains t point =
-  Array.for_all (fun c -> c = 0) (tile_coords t point)
+let contains t =
+  let coords = tile_coords t in
+  fun point -> Array.for_all (fun c -> c = 0) (coords point)
 
 let iterations t =
   match t with
@@ -73,11 +82,12 @@ let iterations t =
               if x > hi.(j) then hi.(j) <- x)
             v)
         (corners 0 (Ivec.zero n));
+      let inside = contains t in
       let out = ref [] in
       let point = Array.make n 0 in
       let rec scan k =
         if k = n then begin
-          if contains t point then out := Array.copy point :: !out
+          if inside point then out := Array.copy point :: !out
         end
         else
           for v = lo.(k) to hi.(k) do

@@ -34,12 +34,19 @@ val iterations : t -> Ivec.t list
     [0..size_k - 1]; pped: the points of [S(L)]).  Enumerative. *)
 
 val contains : t -> Ivec.t -> bool
-(** Is the iteration-space point inside the tile at the origin? *)
+(** Is the iteration-space point inside the tile at the origin?  Partial
+    application precomputes {!tile_coords}. *)
+
+val adjugate : t -> Imat.t * int
+(** [(adj L, det L)]: the integer adjugate and determinant of [L], so
+    that [i L^-1 = (i adj L) / det L] in integer arithmetic.  [det L]
+    may be negative. *)
 
 val tile_coords : t -> Ivec.t -> int array
-(** Which tile of the homogeneous partition contains the point: for
-    rectangular tiles [floor(i_k / size_k)]; for general tiles
-    [floor(i L^-1)] component-wise. *)
+(** Which tile of the homogeneous partition contains the point:
+    [floor(i adj L / det L)] component-wise, which for rectangular tiles
+    is [floor(i_k / size_k)].  Partial application computes {!adjugate}
+    once; reuse the closure over many points. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -49,6 +49,9 @@ end
 
 let ivec_str v = Ivec.to_string v
 
+let tile_str t =
+  String.concat " " (String.split_on_char '\n' (Tile.to_string t))
+
 let space_points nest =
   (* All iteration-space points, lexicographic. *)
   let bounds = Nest.bounds nest in
@@ -174,6 +177,7 @@ let check_coverage (c : Gen.case) sched per_proc =
       (Nest.iterations c.nest)
   else begin
     let seen = Hashtbl.create (max 16 total) in
+    let owner = Codegen.owner sched in
     let dup = ref None in
     let misowned = ref None in
     Array.iteri
@@ -183,7 +187,7 @@ let check_coverage (c : Gen.case) sched per_proc =
             let key = Array.to_list pt in
             if Hashtbl.mem seen key && !dup = None then dup := Some pt;
             Hashtbl.replace seen key ();
-            let o = Codegen.owner sched pt in
+            let o = owner pt in
             if o <> p && !misowned = None then misowned := Some (pt, p, o))
           pts)
       per_proc;
@@ -199,7 +203,7 @@ let check_coverage (c : Gen.case) sched per_proc =
         first_some
           (List.map
              (fun pt () ->
-               let o = Codegen.owner sched pt in
+               let o = owner pt in
                if o < 0 || o >= c.nprocs then
                  fail "owner-cover" "owner %s = %d outside 0..%d" (ivec_str pt)
                    o (c.nprocs - 1)
@@ -231,6 +235,32 @@ let brute_footprints (c : Gen.case) per_proc =
   let union = Hashtbl.create 256 in
   Array.iter (fun h -> Hashtbl.iter (fun k () -> Hashtbl.replace union k ()) h) per;
   (Array.map Hashtbl.length per, Hashtbl.length union)
+
+(* The case's tile sheared: [c.tile] on the diagonal and 1 on the
+   sub-diagonal, so [det L > 0] and the tiles are parallelepipeds. *)
+let sheared (c : Gen.case) =
+  let d = Array.length c.tile in
+  Tile.pped
+    (Imat.make d d (fun i j ->
+         if i = j then c.tile.(i) else if i = j + 1 then 1 else 0))
+
+(* The schedule's tiles run as boxes, the way [Driver.execute] runs
+   them: each domain must touch the elements of its point list as many
+   times. *)
+let check_tiles pool compiled ~steps (c : Gen.case) sched per_proc =
+  let work = Exec.of_tiles (Codegen.tiles sched) in
+  let tiled = Exec.measure pool compiled work ~steps ~mode:Measure.Exact in
+  let brute, _ = brute_footprints c per_proc in
+  let want = Array.map (fun pts -> steps * List.length pts) per_proc in
+  if tiled.Exec.footprints <> brute || tiled.Exec.iterations <> want then
+    fail "runtime-sim-agree"
+      "tiles of %s: footprints %s iterations %s; point lists: footprints %s \
+       iterations %s"
+      (tile_str sched.Codegen.tile)
+      (ivec_str tiled.Exec.footprints)
+      (ivec_str tiled.Exec.iterations)
+      (ivec_str brute) (ivec_str want)
+  else None
 
 let check_runtime ~pools (c : Gen.case) sched sim per_proc =
   let compiled = Exec.compile c.nest in
@@ -273,24 +303,16 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
             fail "runtime-sim-agree" "union footprint: sim=%d brute=%d"
               (Addr.size sim.Sim.addrs) brute_union
           else
-            (* The same schedule as box tiles, walked in place: each
-               domain must touch the same elements as many times. *)
-            let boxes = Exec.of_boxes (Kernel.boxes_of_schedule sched) in
-            let tiled =
-              Exec.measure pool compiled boxes ~steps ~mode:Measure.Exact
-            in
-            if
-              tiled.Exec.footprints <> inst.Exec.footprints
-              || tiled.Exec.iterations <> inst.Exec.iterations
-            then
-              fail "runtime-sim-agree"
-                "box tiles: footprints %s iterations %s; point lists: \
-                 footprints %s iterations %s"
-                (ivec_str tiled.Exec.footprints)
-                (ivec_str tiled.Exec.iterations)
-                (ivec_str inst.Exec.footprints)
-                (ivec_str inst.Exec.iterations)
-            else None)
+            first_some
+              [
+                (fun () -> check_tiles pool compiled ~steps c sched per_proc);
+                (fun () ->
+                  let sheared =
+                    Codegen.make c.nest (sheared c) ~nprocs:c.nprocs
+                  in
+                  check_tiles pool compiled ~steps c sheared
+                    (Codegen.iterations_by_proc sheared));
+              ])
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 4: simulator traffic invariant under processor relabeling    *)
@@ -544,17 +566,19 @@ let check_resilient (c : Gen.case) =
    addressing, traversal reordering, shape specialization - from tile
    scheduling order, which other oracles cover.  Alternates storage
    representations across cases. *)
-let check_kernel (c : Gen.case) =
+let check_kernel_on (c : Gen.case) tile =
   let bigarray = c.id land 1 = 1 in
   let compiled = Exec.compile ~bigarray c.nest in
   let steps = Exec.steps_of_nest c.nest in
-  let sched = Codegen.make c.nest (Tile.rect c.tile) ~nprocs:c.nprocs in
-  let boxes = Codegen.rect_tile_ranges sched in
+  let sched = Codegen.make c.nest tile ~nprocs:c.nprocs in
+  let boxes =
+    Array.concat (List.map snd (Array.to_list (Codegen.tiles sched)))
+  in
   let reference =
     let storage = Exec.alloc compiled in
     let run_box = Exec.run_box compiled storage in
     for _ = 1 to steps do
-      List.iter run_box boxes
+      Array.iter run_box boxes
     done;
     storage
   in
@@ -563,7 +587,7 @@ let check_kernel (c : Gen.case) =
     let plan = Kernel.plan ~force_generic compiled in
     let storage = Exec.alloc compiled in
     for _ = 1 to steps do
-      List.iter (Kernel.run_box plan storage) boxes
+      Array.iter (Kernel.run_box plan storage) boxes
     done;
     (plan, storage)
   in
@@ -591,7 +615,7 @@ let check_kernel (c : Gen.case) =
         i
         (if i < Array.length buf then buf.(i) else Float.nan)
         (if i < Array.length ref_buf then ref_buf.(i) else Float.nan)
-        (ivec_str c.tile) c.nprocs
+        (tile_str tile) c.nprocs
     else if Exec.checksum storage <> Exec.checksum reference then
       fail "kernel-interp-agree"
         "buffers match but checksums differ (%h vs %h)"
@@ -602,6 +626,14 @@ let check_kernel (c : Gen.case) =
     [
       compare_one ~force_generic:false;
       compare_one ~force_generic:true;
+    ]
+
+(* Under the case's rectangular tile and its sheared parallelepiped. *)
+let check_kernel (c : Gen.case) =
+  first_some
+    [
+      (fun () -> check_kernel_on c (Tile.rect c.tile));
+      (fun () -> check_kernel_on c (sheared c));
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -54,18 +54,14 @@ val address : compiled -> Reference.t -> Ivec.t -> int
 
     The resilient executor ({!Resilient}) runs its own tile body in the
     shared step loop ({!Sched}) instead of going through
-    {!measure}/{!time}, so it needs the operand buffer and the
-    per-point body as first-class values. *)
+    {!measure}/{!time}, so it needs the operand buffer as a first-class
+    value (and runs boxes on it with {!run_box}). *)
 
 type storage
 
 val alloc : compiled -> storage
 (** Fresh operands with the deterministic initial values every execution
     path (including {!sequential}) starts from. *)
-
-val exec_point : compiled -> storage -> Ivec.t -> unit
-(** The loop body at one iteration point.  Partial application to the
-    storage compiles the dispatch once. *)
 
 val checksum : storage -> float
 val to_float_array : storage -> float array
@@ -99,9 +95,9 @@ val reexecution_safe : compiled -> bool
     prints ([for t in my_tiles: for i = ...]).  Every pass steps
     through it with the one loop in {!Sched}. *)
 
-type box = (int * int) array
-(** Inclusive per-axis bounds, indexed by loop axis - the clipped
-    rectangles {!Partition.Codegen.rect_tile_ranges} produces. *)
+type box = Partition.Codegen.box
+(** Inclusive per-axis bounds, indexed by loop axis - the loop bounds
+    {!Partition.Codegen.tiles} produces. *)
 
 val iter_box : box -> (Ivec.t -> unit) -> unit
 (** Every point of the box in lexicographic order.  The point passed
@@ -109,38 +105,53 @@ val iter_box : box -> (Ivec.t -> unit) -> unit
 
 val box_volume : box -> int
 
+val iter_range : box -> int -> int -> (box -> unit) -> unit
+(** [iter_range b lo hi f] calls [f] on boxes that together hold
+    positions [lo .. hi - 1] of [b]'s lexicographic order, in that
+    order, with [0 <= lo <= hi <= box_volume b]: per axis a partial
+    head block, a block of whole rows and a partial tail block, so at
+    most [2d - 1] boxes.  The box passed is one scratch array,
+    overwritten between calls: do not keep it.  Partial application to
+    the box precomputes its row sizes and that scratch, so use one
+    application per domain. *)
+
 val run_box : compiled -> storage -> box -> unit
-(** The interpreter over a box: {!exec_point} at each of its points, in
+(** The interpreter over a box: the loop body at each of its points, in
     lexicographic order.  Partial application to the storage compiles
     the dispatch once. *)
 
-type tile =
-  | Box of box  (** a rectangular tile, walked in place *)
-  | Points of Ivec.t array
-      (** an explicit point list: a parallelepiped tile, or a whole
-          per-domain iteration list *)
+type tile = box array
+(** The boxes a tile covers, in execution order. *)
 
 type work =
   | Tiled of { tiles : tile array; owners : int array; steal : bool }
       (** tile [t] runs on domain [owners.(t)], each domain's tiles in
           order; with [steal], idle domains steal whole tiles from the
           back of the fullest queue *)
-  | Dynamic of { points : Ivec.t array; chunk : remaining:int -> int }
-      (** self-scheduling over the lexicographic iteration stream via a
-          shared {!Pool.Counter}: chunk [fun ~remaining:_ -> 1] is
-          cyclic, a constant is block-cyclic, [ceil remaining/P] is
-          guided self-scheduling *)
+  | Dynamic of { space : box; chunk : remaining:int -> int }
+      (** self-scheduling over the lexicographic order of the iteration
+          space via a shared {!Pool.Counter}: each claimed index range
+          runs as the boxes {!iter_range} decodes it to.  Chunk
+          [fun ~remaining:_ -> 1] is cyclic, a constant is
+          block-cyclic, [ceil remaining/P] is guided self-scheduling *)
+
+val of_tiles : (int * tile) array -> work
+(** [(owner, boxes)] tiles, as {!Partition.Codegen.tiles} returns them,
+    without stealing. *)
+
+val pieces : chunk:int -> (int * tile) array -> work
+(** Every tile cut into pieces of at most [chunk] iterations (its boxes'
+    points in order, re-boxed by {!iter_range}); each piece keeps its
+    tile's owner, and idle domains steal. *)
 
 val static_of_assignment : Partition.Scheduling.assignment -> work
-(** One point tile per domain: domain [p] runs [a.(p)] in order. *)
-
-val queues_of_assignment : Partition.Scheduling.assignment -> chunk:int -> work
-(** Each domain's list cut into point tiles of [chunk] iterations, with
-    stealing. *)
+(** The point-list adapter: domain [p] runs [a.(p)] in order as one
+    tile, whose consecutive points one step apart along the innermost
+    axis are merged into one box. *)
 
 val of_boxes : box array array -> work
-(** Domain [p] runs the box tiles [boxes.(p)] in order (the shape of
-    {!Kernel.boxes_of_schedule}). *)
+(** Domain [p] runs the boxes [boxes.(p)] in order, one tile each (the
+    shape of {!Kernel.boxes_of_schedule}). *)
 
 val steps_of_nest : ?override:int -> Nest.t -> int
 (** The outer sequential trip count: [override], else the nest's
@@ -168,9 +179,8 @@ val time_with :
   steps:int ->
   repeats:int ->
   float * float array * int array
-(** {!time} with box tiles run by [box storage] - {!run_box} for the
-    interpreter, {!Kernel.run_box} for the strided kernels.  Point tiles
-    and dynamic chunks always take the interpreter. *)
+(** {!time} with every box run by [box storage] - {!run_box} for the
+    interpreter, {!Kernel.run_box} for the strided kernels. *)
 
 val time :
   ?trace:Trace.t ->

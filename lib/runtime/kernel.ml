@@ -678,18 +678,11 @@ let run_box p storage (b : box) =
 (* ------------------------------------------------------------------ *)
 
 let boxes_of_schedule sched =
-  let open Partition in
-  let ranges = Codegen.rect_tile_ranges sched in
-  let n = sched.Codegen.nprocs in
-  let own = Codegen.owner sched in
-  let by = Array.make n [] in
-  List.iter
-    (fun (b : box) ->
-      let corner = Array.map fst b in
-      let p = own corner in
-      by.(p) <- b :: by.(p))
-    ranges;
-  Array.map (fun l -> Array.of_list (List.rev l)) by
+  let by = Array.make sched.Partition.Codegen.nprocs [] in
+  Array.iter
+    (fun (o, boxes) -> by.(o) <- boxes :: by.(o))
+    (Partition.Codegen.tiles sched);
+  Array.map (fun l -> Array.concat (List.rev l)) by
 
 let time ?(trace = Trace.disabled) pool p ~boxes ~steps ~repeats =
   Exec.time_with ~box:(run_box p) ~trace pool p.compiled (Exec.of_boxes boxes)
@@ -697,8 +690,7 @@ let time ?(trace = Trace.disabled) pool p ~boxes ~steps ~repeats =
 
 let sequential p ~steps =
   let storage = Exec.alloc p.compiled in
-  let bounds = Nest.bounds (Exec.nest p.compiled) in
-  let whole = Array.map (fun (lo, hi) -> (lo, hi)) bounds in
+  let whole = Nest.bounds (Exec.nest p.compiled) in
   for _step = 1 to steps do
     run_box p storage whole
   done;

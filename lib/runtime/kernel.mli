@@ -64,8 +64,8 @@ val run_box : plan -> Exec.storage -> box -> unit
     ([hi < lo] somewhere) is a no-op. *)
 
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
-(** The schedule's clipped tile boxes grouped by owning processor, each
-    owner's boxes in tile-identifier order - [result.(p)] is domain
+(** The boxes of {!Partition.Codegen.tiles} grouped by owning processor,
+    each owner's tiles in tile-number order - [result.(p)] is domain
     [p]'s work for one step. *)
 
 val time :

@@ -41,57 +41,15 @@ type config = { policy : policy; deadline_ms : int; stall_poll_ms : int }
 let default_config =
   { policy = default_retry; deadline_ms = 1000; stall_poll_ms = 5 }
 
-type partitioned = {
-  nprocs : int;
-  tiles : Ivec.t array array;
-  owners : int array;
-  boxes : (int * int) array option array;
-}
+type partitioned = { nprocs : int; tiles : Exec.tile array; owners : int array }
 
-(* Rectangular tiles come straight from the code generator's boxes;
-   parallelepiped tiles by grouping every point under its tile id. *)
 let tiles_of_schedule sched =
-  let open Partition in
-  let nprocs = sched.Codegen.nprocs in
-  match sched.Codegen.tile with
-  | Tile.Rect _ ->
-      let boxes = Array.of_list (Codegen.rect_tile_ranges sched) in
-      let points b =
-        let pts = Array.make (Exec.box_volume b) [||] and i = ref 0 in
-        Exec.iter_box b (fun p ->
-            pts.(!i) <- Array.copy p;
-            incr i);
-        pts
-      in
-      {
-        nprocs;
-        tiles = Array.map points boxes;
-        owners = Array.map (fun b -> Codegen.owner sched (Array.map fst b)) boxes;
-        boxes = Array.map Option.some boxes;
-      }
-  | Tile.Pped _ ->
-      let tbl = Hashtbl.create 64 in
-      let rev_keys = ref [] in
-      Array.iteri
-        (fun p pts ->
-          List.iter
-            (fun pt ->
-              let key = (p, Array.to_list (Codegen.tile_id sched pt)) in
-              match Hashtbl.find_opt tbl key with
-              | Some cell -> cell := pt :: !cell
-              | None ->
-                  Hashtbl.add tbl key (ref [ pt ]);
-                  rev_keys := key :: !rev_keys)
-            pts)
-        (Codegen.iterations_by_proc sched);
-      let keys = Array.of_list (List.rev !rev_keys) in
-      {
-        nprocs;
-        tiles =
-          Array.map (fun k -> Array.of_list (List.rev !(Hashtbl.find tbl k))) keys;
-        owners = Array.map fst keys;
-        boxes = Array.map (fun _ -> None) keys;
-      }
+  let tiles = Partition.Codegen.tiles sched in
+  {
+    nprocs = sched.Partition.Codegen.nprocs;
+    tiles = Array.map snd tiles;
+    owners = Array.map fst tiles;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Per-attempt machinery                                               *)
@@ -137,7 +95,7 @@ type ctx = {
   plain_writes : Ivec.t -> int list;
   steps : int;
   recover : bool;  (** tile-level crash recovery enabled *)
-  tiles : Ivec.t array array;
+  tiles : Exec.tile array;
   source : Sched.source;  (** tiles by owner, with stealing *)
   hb : int Atomic.t array;  (** per-domain heartbeat: tiles completed *)
   done_count : int Atomic.t array;  (** per-tile completions this step *)
@@ -213,9 +171,9 @@ let interruptible_stall ctx ms =
 (* Every point of a tile stores through the same plain writes, so the
    first point names a target whenever the tile has one. *)
 let corrupt_target ctx t =
-  match ctx.tiles.(t) with
-  | [||] -> None
-  | pts -> ( match ctx.plain_writes pts.(0) with a :: _ -> Some a | [] -> None)
+  match Array.find_opt (fun b -> Exec.box_volume b > 0) ctx.tiles.(t) with
+  | None -> None
+  | Some b -> List.nth_opt (ctx.plain_writes (Array.map fst b)) 0
 
 (* Without tile recovery the first fault fails the whole attempt, so
    only the first hit to win the attempt's [faulted] flag consumes its
@@ -417,22 +375,14 @@ let make_ctx cfg plan compiled steps (p : partitioned) ~recover ~kernels ~trace 
   let ntiles = Array.length p.tiles in
   if Array.length p.owners <> ntiles then
     invalid_arg "Resilient: owners/tiles length mismatch";
-  if Array.length p.boxes <> ntiles then
-    invalid_arg "Resilient: boxes/tiles length mismatch";
   let storage = Exec.alloc compiled in
   let exec_tile =
-    let point = Exec.exec_point compiled storage in
     let box =
       match kernels with
       | Some kplan -> Kernel.run_box kplan storage
       | None -> Exec.run_box compiled storage
     in
-    fun t ->
-      (* Box tiles are walked in place (through the kernel's strided
-         loops when on); ragged tiles keep their point lists. *)
-      match p.boxes.(t) with
-      | Some b -> box b
-      | None -> Array.iter point p.tiles.(t)
+    fun t -> Array.iter box p.tiles.(t)
   in
   {
     cfg;

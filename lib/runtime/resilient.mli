@@ -31,8 +31,6 @@
     the final buffer of a completed job is bit-identical to a fault-free
     run whenever the nest is deterministic. *)
 
-open Matrixkit
-
 type policy =
   | Fail_fast  (** first failure fails the job; no recovery of any kind *)
   | Retry of { attempts : int; backoff_ms : int }
@@ -64,22 +62,15 @@ val default_config : config
 
 type partitioned = {
   nprocs : int;
-  tiles : Ivec.t array array;  (** tile id -> iteration points, in order *)
+  tiles : Exec.tile array;  (** tile id -> its boxes, in order *)
   owners : int array;  (** tile id -> preferred domain, [< nprocs] *)
-  boxes : (int * int) array option array;
-      (** tile id -> its inclusive per-axis bounds when the tile is a
-          rectangular box walked in place (through {!Kernel.run_box}
-          with kernels on); [None] runs the point list *)
 }
 (** Tile-granular work: the unit of claiming, stealing, completion
     tracking and recovery. *)
 
 val tiles_of_schedule : Partition.Codegen.schedule -> partitioned
-(** The schedule's compile-time tiles with owners from
-    {!Partition.Codegen.owner}: for a rectangular tile, one box per
-    {!Partition.Codegen.rect_tile_ranges} entry (with its points
-    enumerated); for a parallelepiped, the iteration space grouped by
-    {!Partition.Codegen.tile_id}, with no boxes. *)
+(** The schedule's compile-time tiles and owners,
+    {!Partition.Codegen.tiles}. *)
 
 val execute :
   ?config:config ->
@@ -94,12 +85,12 @@ val execute :
   Report.t * float array
 (** Run [steps] outer iterations of the nest under the policy, starting
     on [nprocs] domains partitioned by [partition ~nprocs] (called again
-    with smaller counts when degrading).  With [kernels], box tiles run
-    through {!Kernel}'s specialized strided loops (ragged tiles keep the
-    point interpreter); recovery semantics are unchanged since the tile
-    stays the unit of completion.  With [trace], workers record tile and
-    re-execution spans, gate waits, steals, watchdog probes and fault
-    counters into it (size it for the {e initial} [nprocs]; degraded
-    attempts reuse the low domain slots), and the report carries a
-    {!Trace.summary}.  Returns the structured report and the final
-    operand buffer (meaningful when [(fst r).Report.completed]). *)
+    with smaller counts when degrading).  With [kernels], every box runs
+    through {!Kernel}'s specialized strided loops; recovery semantics
+    are unchanged since the tile stays the unit of completion.  With
+    [trace], workers record tile and re-execution spans, gate waits,
+    steals, watchdog probes and fault counters into it (size it for the
+    {e initial} [nprocs]; degraded attempts reuse the low domain slots),
+    and the report carries a {!Trace.summary}.  Returns the structured
+    report and the final operand buffer (meaningful when
+    [(fst r).Report.completed]). *)

@@ -264,6 +264,50 @@ let test_dynamic_policies_execute_everything () =
       Driver.Work_steal 5 ]
 
 (* ------------------------------------------------------------------ *)
+(* Work: index ranges and point lists as boxes                         *)
+(* ------------------------------------------------------------------ *)
+
+let points_of_boxes boxes =
+  let pts = ref [] in
+  List.iter
+    (fun b -> Runtime.Exec.iter_box b (fun p -> pts := Array.copy p :: !pts))
+    boxes;
+  List.rev !pts
+
+let test_iter_range_decodes () =
+  (* Every index range of a box decodes to at most 2d - 1 boxes holding
+     exactly those positions of its lexicographic order, in order. *)
+  let b = [| (2, 4); (-1, 2); (5, 7) |] in
+  let all = Array.of_list (points_of_boxes [ b ]) in
+  let n = Array.length all in
+  let range = Runtime.Exec.iter_range b in
+  for lo = 0 to n do
+    for hi = lo to n do
+      let boxes = ref [] in
+      range lo hi (fun bx -> boxes := Array.copy bx :: !boxes);
+      let boxes = List.rev !boxes in
+      checkb "at most 2d - 1 boxes" true (List.length boxes <= 5);
+      checkb
+        (Printf.sprintf "positions %d..%d in order" lo (hi - 1))
+        true
+        (points_of_boxes boxes = Array.to_list (Array.sub all lo (hi - lo)))
+    done
+  done
+
+let test_static_runs () =
+  (* The point-list adapter merges innermost-axis neighbours into runs
+     and keeps the list's order. *)
+  let pts =
+    [ [| 1; 1 |]; [| 1; 2 |]; [| 1; 3 |]; [| 2; 1 |]; [| 1; 4 |]; [| 1; 5 |] ]
+  in
+  match Runtime.Exec.static_of_assignment [| pts |] with
+  | Runtime.Exec.Tiled { tiles = [| boxes |]; owners = [| 0 |]; _ } ->
+      check "three runs" 3 (Array.length boxes);
+      checkb "same points, same order" true
+        (points_of_boxes (Array.to_list boxes) = pts)
+  | _ -> Alcotest.fail "one tile owned by domain 0"
+
+(* ------------------------------------------------------------------ *)
 (* Codegen.load_balance regression (satellite)                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -318,6 +362,13 @@ let () =
             test_reduction_contention_is_reported;
           Alcotest.test_case "dynamic policies execute everything" `Quick
             test_dynamic_policies_execute_everything;
+        ] );
+      ( "work",
+        [
+          Alcotest.test_case "index ranges decode to boxes" `Quick
+            test_iter_range_decodes;
+          Alcotest.test_case "point lists merge into runs" `Quick
+            test_static_runs;
         ] );
       ( "codegen regression",
         [

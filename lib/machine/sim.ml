@@ -158,7 +158,33 @@ let access m p addr ~write ~sync =
         handle_eviction m p (Cache.insert cache addr Cache.Shared)
       end
 
-let run_assignment nest ~(per_proc : Matrixkit.Ivec.t list array) config =
+(* A processor's iterations one at a time: its boxes in order, each in
+   lexicographic order.  [next ()] moves [point] to the next iteration
+   (decoded from its position in the box), false once all are issued. *)
+let cursor d (boxes : Codegen.box array) =
+  let point = Array.make d 0 and at = ref 0 and pos = ref 0 in
+  let rec next () =
+    !at < Array.length boxes
+    &&
+    if !pos < Codegen.box_volume boxes.(!at) then begin
+      let rest = ref !pos in
+      for k = d - 1 downto 0 do
+        let lo, hi = boxes.(!at).(k) in
+        point.(k) <- lo + (!rest mod (hi - lo + 1));
+        rest := !rest / (hi - lo + 1)
+      done;
+      incr pos;
+      true
+    end
+    else begin
+      incr at;
+      pos := 0;
+      next ()
+    end
+  in
+  (point, next)
+
+let run_assignment nest ~(per_proc : Codegen.box array array) config =
   let nprocs = Array.length per_proc in
   if nprocs < 1 then invalid_arg "Sim.run_assignment: no processors";
   let net =
@@ -222,16 +248,21 @@ let run_assignment nest ~(per_proc : Matrixkit.Ivec.t list array) config =
   in
   for _step = 1 to steps do
     if config.interleave then begin
-      let queues = Array.map Array.of_list per_proc in
-      let longest = Array.fold_left (fun acc q -> max acc (Array.length q)) 0 queues in
-      for idx = 0 to longest - 1 do
+      let cursors = Array.map (cursor (Nest.nesting nest)) per_proc in
+      let live = ref true in
+      while !live do
+        live := false;
         Array.iteri
-          (fun p q -> if idx < Array.length q then execute p q.(idx))
-          queues
+          (fun p (point, next) ->
+            if next () then begin
+              live := true;
+              execute p point
+            end)
+          cursors
       done
     end
     else
-      Array.iteri (fun p iters -> List.iter (execute p) iters) per_proc
+      Array.iteri (fun p boxes -> Codegen.iter_boxes boxes (execute p)) per_proc
   done;
   { stats = m.stats; addrs = m.addrs; nprocs; steps }
 

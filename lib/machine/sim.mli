@@ -11,7 +11,8 @@
 
     The simulator is deterministic: iterations are issued round-robin
     across processors (or processor-by-processor with
-    [interleave = false]); ties never depend on hashing order. *)
+    [interleave = false]), each processor's in the order of its boxes;
+    ties never depend on hashing order. *)
 
 open Partition
 
@@ -48,13 +49,13 @@ type result = {
 val run : Codegen.schedule -> config -> result
 
 val run_assignment :
-  Loopir.Nest.t ->
-  per_proc:Matrixkit.Ivec.t list array ->
-  config ->
-  result
-(** Run an arbitrary per-processor iteration assignment (e.g. the
-    run-time scheduling baselines of {!Partition.Scheduling}); [run] is
-    this applied to a compile-time tiled schedule. *)
+  Loopir.Nest.t -> per_proc:Codegen.box array array -> config -> result
+(** Run an arbitrary per-processor assignment of boxes (e.g. the
+    run-time scheduling baselines of {!Partition.Scheduling}), each
+    processor's boxes in order and each box lexicographically, read
+    through a per-processor cursor; [run] is this applied to
+    {!Partition.Codegen.iterations_by_proc}, so it issues each
+    processor's iterations in lexicographic order. *)
 
 val footprints : result -> int array
 (** Measured per-processor cumulative footprints (distinct addresses

@@ -1,5 +1,3 @@
-open Matrixkit
-
 let footprint = Cost.misses_per_tile
 
 let fits cost tile ~capacity = footprint cost tile <= capacity
@@ -30,11 +28,19 @@ let subtile cost tile ~capacity =
       in
       shrink ()
 
+(* Each run is cut where its subtile cell changes; a stable sort by
+   cell keeps the pieces of one cell in lexicographic order. *)
 let blocked_iterations (sched : Codegen.schedule) ~subtile =
-  let per = Codegen.iterations_by_proc sched in
-  let coords = Tile.tile_coords subtile in
-  let key (it : Ivec.t) = (Array.to_list (coords it), Array.to_list it) in
+  let origin = Array.make (Tile.nesting subtile) 0 in
   Array.map
-    (fun iters ->
-      List.stable_sort (fun a b -> compare (key a) (key b)) iters)
-    per
+    (fun runs ->
+      let pieces = ref [] in
+      Array.iter
+        (fun run ->
+          Codegen.runs subtile ~origin run (fun cell piece ->
+              pieces := (Array.copy cell, piece) :: !pieces))
+        runs;
+      List.rev !pieces
+      |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map snd |> Array.of_list)
+    (Codegen.iterations_by_proc sched)

@@ -9,8 +9,6 @@
     cumulative footprint fits, and reorders each processor's iterations
     to walk subtile by subtile. *)
 
-open Matrixkit
-
 val footprint : Cost.t -> Tile.t -> int
 (** Predicted per-tile working set (= {!Cost.misses_per_tile}). *)
 
@@ -24,9 +22,11 @@ val subtile : Cost.t -> Tile.t -> capacity:int -> Tile.t
     footprint exceeds the capacity, or on parallelepiped tiles. *)
 
 val blocked_iterations :
-  Codegen.schedule -> subtile:Tile.t -> Ivec.t list array
+  Codegen.schedule -> subtile:Tile.t -> Codegen.box array array
 (** Each processor's iterations reordered to complete one subtile before
     starting the next (lexicographic within a subtile, subtiles in
-    lexicographic order of their coordinates).  Feed to
+    lexicographic order of their coordinates): each run of
+    {!Codegen.iterations_by_proc} is cut at subtile boundaries and the
+    pieces are stably sorted by subtile.  Feed to
     {!Machine.Sim.run_assignment} to observe the replacement-miss
     reduction. *)

@@ -28,6 +28,47 @@ let rec iter_from (b : box) f (point : Ivec.t) k =
 
 let iter_box b f = iter_from b f (Array.make (Array.length b) 0) 0
 
+let box_volume (b : box) =
+  Array.fold_left
+    (fun acc (lo, hi) -> if hi < lo then 0 else acc * (hi - lo + 1))
+    1 b
+
+let iter_boxes boxes f = Array.iter (fun b -> iter_box b f) boxes
+
+(* The boxes covering positions [lo, hi) of the box's lexicographic
+   order, in that order: per axis a partial head block, a block of whole
+   rows and a partial tail block - at most [2d - 1] boxes, passed in one
+   scratch array. *)
+let iter_range (b : box) =
+  let d = Array.length b in
+  (* row.(k): the points one step along axis [k] spans. *)
+  let row =
+    Array.init d (fun k -> box_volume (Array.sub b (k + 1) (d - k - 1)))
+  in
+  let cur = Array.copy b in
+  let rec go f k lo hi =
+    let r = row.(k) in
+    let first = lo / r and last = (hi - 1) / r in
+    if first = last && k < d - 1 then
+      within f k first (lo - (first * r)) (hi - (first * r))
+    else begin
+      let whole_lo = if lo mod r = 0 then first else first + 1 in
+      let whole_hi = if hi mod r = 0 then last else last - 1 in
+      if whole_lo > first then within f k first (lo mod r) r;
+      if whole_lo <= whole_hi then begin
+        cur.(k) <- (fst b.(k) + whole_lo, fst b.(k) + whole_hi);
+        Array.blit b (k + 1) cur (k + 1) (d - k - 1);
+        f cur
+      end;
+      if whole_hi < last then within f k last 0 (hi mod r)
+    end
+  (* Axis [k] fixed at [v]; positions [lo, hi) of the axes below. *)
+  and within f k v lo hi =
+    cur.(k) <- (fst b.(k) + v, fst b.(k) + v);
+    go f (k + 1) lo hi
+  in
+  fun lo hi (f : box -> unit) -> if lo < hi then go f 0 lo hi
+
 (* Partial application [tile_id s] computes the tile's adjugate once. *)
 let tile_id s =
   let coords = Tile.tile_coords s.tile in
@@ -71,16 +112,54 @@ let owner s =
   let lin = linearize s and id = tile_id s in
   fun i -> proc_of s (lin (id i))
 
-(* A rectangular tile is one clipped box.  A parallelepiped is swept row
-   by row along the innermost axis: there each tile coordinate
-   [floor((a + c x) / det)] (with [a] fixed by the outer axes and [c] the
-   innermost row of [adj L]) is monotone in [x], so the row splits into
+(* Each tile coordinate [floor((a + c x) / det)] along one row (with
+   [a] fixed by the outer axes and [c] the innermost row of [adj L]) is
+   monotone in the innermost coordinate [x], so a row splits into
    maximal runs ending where the first coordinate steps - closed form,
-   no per-point work. *)
+   no per-point work.  A rectangle's [adj L] is diagonal. *)
+let runs tile ~(origin : Ivec.t) (bounds : box) f =
+  let d = Array.length bounds in
+  let last = d - 1 in
+  let adj, det = Tile.adjugate tile in
+  (* Scale so the divisor is positive: floor(a / det) is unchanged. *)
+  let sign = if det < 0 then -1 else 1 in
+  let scaled v = Array.map (fun x -> sign * x) (Imat.mul_row v adj) in
+  let det = sign * det and o = origin.(last) in
+  let step = scaled (Array.init d (fun i -> if i = last then 1 else 0)) in
+  let coords = Array.make d 0 in
+  let sweep_row (outer : Ivec.t) =
+    let base =
+      scaled
+        (Array.init d (fun i -> if i = last then 0 else outer.(i) - origin.(i)))
+    in
+    let x = ref (fst bounds.(last)) and hi = snd bounds.(last) in
+    while !x <= hi do
+      let stop = ref hi in
+      for j = 0 to last do
+        let a = base.(j) and c = step.(j) in
+        let t = Int_math.floor_div (a + (c * (!x - o))) det in
+        coords.(j) <- t;
+        (* The first [x' - o] past [x - o] whose coordinate differs. *)
+        let next =
+          if c > 0 then Int_math.ceil_div (((t + 1) * det) - a) c
+          else if c < 0 then Int_math.floor_div (a - (t * det)) (-c) + 1
+          else max_int - o
+        in
+        stop := min !stop (next - 1 + o)
+      done;
+      f coords
+        (Array.init d (fun k ->
+             if k = last then (!x, !stop) else (outer.(k), outer.(k))));
+      x := !stop + 1
+    done
+  in
+  iter_box (Array.sub bounds 0 last) sweep_row
+
+(* A rectangular tile is one clipped box; a parallelepiped collects the
+   runs of the row sweep by tile number. *)
 let tiles s =
   let bounds = Nest.bounds s.nest in
-  let d = Array.length bounds in
-  let last = d - 1 and lin = linearize s in
+  let lin = linearize s in
   let tile id boxes = (proc_of s id, boxes) in
   match s.tile with
   | Tile.Rect sizes ->
@@ -101,47 +180,12 @@ let tiles s =
           out := tile (lin t) [| box |] :: !out);
       Array.of_list (List.rev !out)
   | Tile.Pped _ ->
-      let adj, det = Tile.adjugate s.tile in
-      (* Scale so the divisor is positive: floor(a / det) is unchanged. *)
-      let sign = if det < 0 then -1 else 1 in
-      let scaled v = Array.map (fun x -> sign * x) (Imat.mul_row v adj) in
-      let det = sign * det and o = s.origin.(last) in
-      let step = scaled (Array.init d (fun i -> if i = last then 1 else 0)) in
-      let coords = Array.make d 0 in
       let found = Hashtbl.create 16 in
-      let add id box =
-        match Hashtbl.find_opt found id with
-        | Some boxes -> boxes := box :: !boxes
-        | None -> Hashtbl.add found id (ref [ box ])
-      in
-      let sweep_row (outer : Ivec.t) =
-        let base =
-          scaled
-            (Array.init d (fun i ->
-                 if i = last then 0 else outer.(i) - s.origin.(i)))
-        in
-        let x = ref (fst bounds.(last)) and hi = snd bounds.(last) in
-        while !x <= hi do
-          let stop = ref hi in
-          for j = 0 to last do
-            let a = base.(j) and c = step.(j) in
-            let t = Int_math.floor_div (a + (c * (!x - o))) det in
-            coords.(j) <- t;
-            (* The first [x' - o] past [x - o] whose coordinate differs. *)
-            let next =
-              if c > 0 then Int_math.ceil_div (((t + 1) * det) - a) c
-              else if c < 0 then Int_math.floor_div (a - (t * det)) (-c) + 1
-              else max_int - o
-            in
-            stop := min !stop (next - 1 + o)
-          done;
-          add (lin coords)
-            (Array.init d (fun k ->
-                 if k = last then (!x, !stop) else (outer.(k), outer.(k))));
-          x := !stop + 1
-        done
-      in
-      iter_box (Array.sub bounds 0 last) sweep_row;
+      runs s.tile ~origin:s.origin bounds (fun coords box ->
+          let id = lin coords in
+          match Hashtbl.find_opt found id with
+          | Some boxes -> boxes := box :: !boxes
+          | None -> Hashtbl.add found id (ref [ box ]));
       let ids = Array.of_seq (Hashtbl.to_seq_keys found) in
       Array.sort compare ids;
       Array.map
@@ -158,12 +202,11 @@ let num_tiles s =
   | Tile.Pped _ -> Array.length (tiles s)
 
 let iterations_by_proc s =
-  let out = Array.make s.nprocs [] in
-  let own = owner s in
-  iter_box (Nest.bounds s.nest) (fun point ->
-      let p = own point in
-      out.(p) <- Array.copy point :: out.(p));
-  Array.map List.rev out
+  let out = Array.make s.nprocs [] and lin = linearize s in
+  runs s.tile ~origin:s.origin (Nest.bounds s.nest) (fun coords box ->
+      let p = proc_of s (lin coords) in
+      out.(p) <- box :: out.(p));
+  Array.map (fun l -> Array.of_list (List.rev l)) out
 
 let emit_pseudocode s =
   let buf = Buffer.create 256 in
@@ -197,7 +240,11 @@ let emit_pseudocode s =
   Buffer.contents buf
 
 let load_balance s =
-  let per = Array.map List.length (iterations_by_proc s) in
+  let per = Array.make s.nprocs 0 in
+  Array.iter
+    (fun (p, boxes) ->
+      Array.iter (fun b -> per.(p) <- per.(p) + box_volume b) boxes)
+    (tiles s);
   let mn = Array.fold_left min max_int per in
   let mx = Array.fold_left max 0 per in
   let total = Array.fold_left ( + ) 0 per in

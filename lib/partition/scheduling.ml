@@ -1,45 +1,25 @@
-open Matrixkit
 open Loopir
 
-type assignment = Ivec.t list array
+type assignment = Codegen.box array array
 
 let of_schedule = Codegen.iterations_by_proc
 
-let lex_iterations nest =
-  let bounds = Nest.bounds nest in
-  let n = Array.length bounds in
-  let out = ref [] in
-  let point = Array.make n 0 in
-  let rec scan k =
-    if k = n then out := Array.copy point :: !out
-    else
-      let lo, hi = bounds.(k) in
-      for v = lo to hi do
-        point.(k) <- v;
-        scan (k + 1)
-      done
-  in
-  scan 0;
-  List.rev !out
-
 let dealt nest ~nprocs ~chunk_of =
-  (* Deal consecutive chunks to processors round-robin; [chunk_of
-     remaining] gives the next chunk size. *)
+  (* Deal consecutive chunks of the lexicographic order to processors
+     round-robin; [chunk_of remaining] gives the next chunk size. *)
   if nprocs < 1 then invalid_arg "Scheduling: nprocs < 1";
-  let iters = Array.of_list (lex_iterations nest) in
-  let total = Array.length iters in
+  let space = Nest.bounds nest in
+  let total = Codegen.box_volume space and range = Codegen.iter_range space in
   let out = Array.make nprocs [] in
   let pos = ref 0 and p = ref 0 in
   while !pos < total do
     let c = max 1 (chunk_of (total - !pos)) in
     let c = min c (total - !pos) in
-    for k = !pos to !pos + c - 1 do
-      out.(!p) <- iters.(k) :: out.(!p)
-    done;
+    range !pos (!pos + c) (fun b -> out.(!p) <- Array.copy b :: out.(!p));
     pos := !pos + c;
     p := (!p + 1) mod nprocs
   done;
-  Array.map List.rev out
+  Array.map (fun l -> Array.of_list (List.rev l)) out
 
 let cyclic nest ~nprocs = dealt nest ~nprocs ~chunk_of:(fun _ -> 1)
 
@@ -51,5 +31,10 @@ let guided_self_scheduling nest ~nprocs =
   dealt nest ~nprocs ~chunk_of:(fun remaining ->
       Intmath.Int_math.ceil_div remaining nprocs)
 
-let total a = Array.fold_left (fun acc l -> acc + List.length l) 0 a
-let max_load a = Array.fold_left (fun acc l -> max acc (List.length l)) 0 a
+let loads a =
+  Array.map
+    (Array.fold_left (fun acc b -> acc + Codegen.box_volume b) 0)
+    a
+
+let total a = Array.fold_left ( + ) 0 (loads a)
+let max_load a = Array.fold_left max 0 (loads a)

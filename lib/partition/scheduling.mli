@@ -7,6 +7,9 @@
     provides deterministic models of the classic run-time policies so the
     simulator can quantify that argument against compile-time tiles:
 
+    Every policy deals consecutive chunks of the lexicographic order,
+    each decoded into at most [2d - 1] boxes ({!Codegen.iter_range}):
+
     - {e cyclic}: iteration [t] (in lexicographic order) runs on
       processor [t mod P] - perfect load balance, worst locality;
     - {e block-cyclic}: chunks of [chunk] consecutive iterations dealt
@@ -15,18 +18,22 @@
       consecutive iterations, processors served round-robin - the
       decreasing-chunk policy of GSS under a fair arrival model. *)
 
-open Matrixkit
 open Loopir
 
-type assignment = Ivec.t list array
-(** Per-processor iteration lists, each in execution order. *)
+type assignment = Codegen.box array array
+(** Per-processor boxes, each processor's in execution order and each
+    box walked lexicographically ({!Codegen.iter_boxes}). *)
 
 val of_schedule : Codegen.schedule -> assignment
-(** The compile-time tiled assignment (for uniform comparison). *)
+(** The compile-time tiled assignment (for uniform comparison):
+    {!Codegen.iterations_by_proc}. *)
 
 val cyclic : Nest.t -> nprocs:int -> assignment
 val block_cyclic : Nest.t -> nprocs:int -> chunk:int -> assignment
 val guided_self_scheduling : Nest.t -> nprocs:int -> assignment
+
+val loads : assignment -> int array
+(** Iterations assigned to each processor. *)
 
 val total : assignment -> int
 (** Number of iterations assigned (for coverage checks). *)

@@ -54,18 +54,9 @@ let tile_str t =
 
 let space_points nest =
   (* All iteration-space points, lexicographic. *)
-  let bounds = Nest.bounds nest in
-  let l = Array.length bounds in
-  let rec go k =
-    if k = l then [ [] ]
-    else
-      let lo, hi = bounds.(k) in
-      let rest = go (k + 1) in
-      List.concat_map
-        (fun v -> List.map (fun tl -> v :: tl) rest)
-        (List.init (hi - lo + 1) (fun i -> lo + i))
-  in
-  List.map Array.of_list (go 0)
+  let out = ref [] in
+  Codegen.iter_box (Nest.bounds nest) (fun p -> out := Array.copy p :: !out);
+  List.rev !out
 
 let select_components v idx = Array.of_list (List.map (fun k -> v.(k)) idx)
 
@@ -171,7 +162,7 @@ let check_cumulative ~fault (c : Gen.case) =
 (* ------------------------------------------------------------------ *)
 
 let check_coverage (c : Gen.case) sched per_proc =
-  let total = Array.fold_left (fun a l -> a + List.length l) 0 per_proc in
+  let total = Scheduling.total per_proc in
   if total <> Nest.iterations c.nest then
     fail "owner-cover" "schedules hold %d iterations, space has %d" total
       (Nest.iterations c.nest)
@@ -181,15 +172,15 @@ let check_coverage (c : Gen.case) sched per_proc =
     let dup = ref None in
     let misowned = ref None in
     Array.iteri
-      (fun p pts ->
-        List.iter
-          (fun pt ->
+      (fun p boxes ->
+        Codegen.iter_boxes boxes (fun pt ->
             let key = Array.to_list pt in
-            if Hashtbl.mem seen key && !dup = None then dup := Some pt;
+            if Hashtbl.mem seen key && !dup = None then
+              dup := Some (Array.copy pt);
             Hashtbl.replace seen key ();
             let o = owner pt in
-            if o <> p && !misowned = None then misowned := Some (pt, p, o))
-          pts)
+            if o <> p && !misowned = None then
+              misowned := Some (Array.copy pt, p, o)))
       per_proc;
     match (!dup, !misowned) with
     | Some pt, _ ->
@@ -218,17 +209,15 @@ let check_coverage (c : Gen.case) sched per_proc =
 let brute_footprints (c : Gen.case) per_proc =
   let per =
     Array.map
-      (fun pts ->
+      (fun boxes ->
         let h = Hashtbl.create 64 in
-        List.iter
-          (fun pt ->
+        Codegen.iter_boxes boxes (fun pt ->
             List.iter
               (fun (r : Reference.t) ->
                 Hashtbl.replace h
                   (r.array_name, Array.to_list (Affine.apply r.index pt))
                   ())
-              c.nest.Nest.body)
-          pts;
+              c.nest.Nest.body);
         h)
       per_proc
   in
@@ -245,16 +234,16 @@ let sheared (c : Gen.case) =
          if i = j then c.tile.(i) else if i = j + 1 then 1 else 0))
 
 (* The schedule's tiles run as boxes, the way [Driver.execute] runs
-   them: each domain must touch the elements of its point list as many
+   them: each domain must touch the elements of its assignment as many
    times. *)
 let check_tiles pool compiled ~steps (c : Gen.case) sched per_proc =
   let work = Exec.of_tiles (Codegen.tiles sched) in
   let tiled = Exec.measure pool compiled work ~steps ~mode:Measure.Exact in
   let brute, _ = brute_footprints c per_proc in
-  let want = Array.map (fun pts -> steps * List.length pts) per_proc in
+  let want = Array.map (fun n -> steps * n) (Scheduling.loads per_proc) in
   if tiled.Exec.footprints <> brute || tiled.Exec.iterations <> want then
     fail "runtime-sim-agree"
-      "tiles of %s: footprints %s iterations %s; point lists: footprints %s \
+      "tiles of %s: footprints %s iterations %s; assignment: footprints %s \
        iterations %s"
       (tile_str sched.Codegen.tile)
       (ivec_str tiled.Exec.footprints)
@@ -282,37 +271,29 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
       fail "runtime-sim-agree"
         "proc %d footprint: brute=%d runtime-bitset=%d sim=%d" p bf rt sm
   | None ->
-      let iter_bad = ref None in
-      Array.iteri
-        (fun p pts ->
-          let want = steps * List.length pts in
-          if !iter_bad = None && inst.Exec.iterations.(p) <> want then
-            iter_bad := Some (p, want, inst.Exec.iterations.(p)))
-        per_proc;
-      (match !iter_bad with
-      | Some (p, want, got) ->
-          fail "runtime-sim-agree" "proc %d executed %d iterations, want %d" p
-            got want
-      | None ->
-          if not inst.Exec.exact then
-            fail "runtime-sim-agree" "bitset fell back to estimation"
-          else if inst.Exec.distinct_total <> brute_union then
-            fail "runtime-sim-agree" "union footprint: runtime=%d brute=%d"
-              inst.Exec.distinct_total brute_union
-          else if Addr.size sim.Sim.addrs <> brute_union then
-            fail "runtime-sim-agree" "union footprint: sim=%d brute=%d"
-              (Addr.size sim.Sim.addrs) brute_union
-          else
-            first_some
-              [
-                (fun () -> check_tiles pool compiled ~steps c sched per_proc);
-                (fun () ->
-                  let sheared =
-                    Codegen.make c.nest (sheared c) ~nprocs:c.nprocs
-                  in
-                  check_tiles pool compiled ~steps c sheared
-                    (Codegen.iterations_by_proc sheared));
-              ])
+      let want = Array.map (fun n -> steps * n) (Scheduling.loads per_proc) in
+      if inst.Exec.iterations <> want then
+        fail "runtime-sim-agree" "procs executed %s iterations, want %s"
+          (ivec_str inst.Exec.iterations) (ivec_str want)
+      else if not inst.Exec.exact then
+        fail "runtime-sim-agree" "bitset fell back to estimation"
+      else if inst.Exec.distinct_total <> brute_union then
+        fail "runtime-sim-agree" "union footprint: runtime=%d brute=%d"
+          inst.Exec.distinct_total brute_union
+      else if Addr.size sim.Sim.addrs <> brute_union then
+        fail "runtime-sim-agree" "union footprint: sim=%d brute=%d"
+          (Addr.size sim.Sim.addrs) brute_union
+      else
+        first_some
+          [
+            (fun () -> check_tiles pool compiled ~steps c sched per_proc);
+            (fun () ->
+              let sheared =
+                Codegen.make c.nest (sheared c) ~nprocs:c.nprocs
+              in
+              check_tiles pool compiled ~steps c sheared
+                (Codegen.iterations_by_proc sheared));
+          ]
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 4: simulator traffic invariant under processor relabeling    *)
@@ -640,14 +621,23 @@ let check_kernel (c : Gen.case) =
 (* Putting it together                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The last processor with boxes loses its last iteration: its last box
+   is re-decoded without its final point. *)
 let apply_drop_fault fault per_proc =
   match fault with
   | Drop_iteration ->
       let out = Array.copy per_proc in
       let dropped = ref false in
       for p = Array.length out - 1 downto 0 do
-        if (not !dropped) && out.(p) <> [] then begin
-          out.(p) <- List.filteri (fun i _ -> i < List.length out.(p) - 1) out.(p);
+        let n = Array.length out.(p) in
+        if (not !dropped) && n > 0 then begin
+          let last = out.(p).(n - 1) and kept = ref [] in
+          Codegen.iter_range last 0 (Codegen.box_volume last - 1) (fun b ->
+              kept := Array.copy b :: !kept);
+          out.(p) <-
+            Array.append
+              (Array.sub out.(p) 0 (n - 1))
+              (Array.of_list (List.rev !kept));
           dropped := true
         end
       done;

@@ -59,7 +59,6 @@ let compile ?(bigarray = false) nest =
 let nest c = c.nest
 let layout c = c.layout
 let total_elements c = Layout.total_elements c.layout
-let is_bigarray c = c.bigarray
 let reads c = c.reads
 let writes c = c.writes
 
@@ -176,11 +175,8 @@ let plain_write_addresses c (p : int array) =
 type box = Partition.Codegen.box
 
 let iter_box = Partition.Codegen.iter_box
-
-let box_volume (b : box) =
-  Array.fold_left
-    (fun acc (lo, hi) -> if hi < lo then 0 else acc * (hi - lo + 1))
-    1 b
+let box_volume = Partition.Codegen.box_volume
+let iter_range = Partition.Codegen.iter_range
 
 let run_box c storage =
   let body = exec_point c storage in
@@ -220,40 +216,6 @@ let observe_point c touched =
     Array.iter (fun r -> note r p) c.reads;
     Array.iter (fun (r, _) -> note r p) c.writes
 
-(* The boxes covering positions [lo, hi) of the box's lexicographic
-   order, in that order: per axis a partial head block, a block of whole
-   rows and a partial tail block - at most [2d - 1] boxes, passed in one
-   scratch array. *)
-let iter_range (b : box) =
-  let d = Array.length b in
-  (* row.(k): the points one step along axis [k] spans. *)
-  let row =
-    Array.init d (fun k -> box_volume (Array.sub b (k + 1) (d - k - 1)))
-  in
-  let cur = Array.copy b in
-  let rec go f k lo hi =
-    let r = row.(k) in
-    let first = lo / r and last = (hi - 1) / r in
-    if first = last && k < d - 1 then
-      within f k first (lo - (first * r)) (hi - (first * r))
-    else begin
-      let whole_lo = if lo mod r = 0 then first else first + 1 in
-      let whole_hi = if hi mod r = 0 then last else last - 1 in
-      if whole_lo > first then within f k first (lo mod r) r;
-      if whole_lo <= whole_hi then begin
-        cur.(k) <- (fst b.(k) + whole_lo, fst b.(k) + whole_hi);
-        Array.blit b (k + 1) cur (k + 1) (d - k - 1);
-        f cur
-      end;
-      if whole_hi < last then within f k last 0 (hi mod r)
-    end
-  (* Axis [k] fixed at [v]; positions [lo, hi) of the axes below. *)
-  and within f k v lo hi =
-    cur.(k) <- (fst b.(k) + v, fst b.(k) + v);
-    go f (k + 1) lo hi
-  in
-  fun lo hi (f : box -> unit) -> if lo < hi then go f 0 lo hi
-
 type tile = box array
 
 type work =
@@ -292,28 +254,8 @@ let pieces ~chunk tiles =
     tiles;
   tiled ~steal:true (Array.of_list (List.rev !out))
 
-(* [q] continues the run [b] one step along the innermost axis. *)
-let continues (b : box) (q : Ivec.t) =
-  let d = Array.length q in
-  let rec same k = k = d - 1 || (fst b.(k) = q.(k) && same (k + 1)) in
-  Array.length b = d && snd b.(d - 1) + 1 = q.(d - 1) && same 0
-
-(* Each list becomes one tile of runs: consecutive points one step apart
-   along the innermost axis merge into one box. *)
 let static_of_assignment (a : Partition.Scheduling.assignment) =
-  let runs pts =
-    List.fold_left
-      (fun runs (q : Ivec.t) ->
-        match runs with
-        | b :: _ when continues b q ->
-            let d = Array.length q in
-            b.(d - 1) <- (fst b.(d - 1), q.(d - 1));
-            runs
-        | _ -> Array.map (fun v -> (v, v)) q :: runs)
-      [] pts
-  in
-  of_tiles
-    (Array.mapi (fun p pts -> (p, Array.of_list (List.rev (runs pts)))) a)
+  of_tiles (Array.mapi (fun p boxes -> (p, boxes)) a)
 
 let of_boxes (boxes : box array array) =
   of_tiles

@@ -34,7 +34,6 @@ val compile : ?bigarray:bool -> Nest.t -> compiled
 val nest : compiled -> Nest.t
 val layout : compiled -> Machine.Layout.t
 val total_elements : compiled -> int
-val is_bigarray : compiled -> bool
 
 val reads : compiled -> cref array
 (** The compiled read references, in body order. *)
@@ -100,20 +99,14 @@ type box = Partition.Codegen.box
     {!Partition.Codegen.tiles} produces. *)
 
 val iter_box : box -> (Ivec.t -> unit) -> unit
-(** Every point of the box in lexicographic order.  The point passed
-    is one scratch array, overwritten between calls: do not keep it. *)
+(** {!Partition.Codegen.iter_box}. *)
 
 val box_volume : box -> int
+(** {!Partition.Codegen.box_volume}. *)
 
 val iter_range : box -> int -> int -> (box -> unit) -> unit
-(** [iter_range b lo hi f] calls [f] on boxes that together hold
-    positions [lo .. hi - 1] of [b]'s lexicographic order, in that
-    order, with [0 <= lo <= hi <= box_volume b]: per axis a partial
-    head block, a block of whole rows and a partial tail block, so at
-    most [2d - 1] boxes.  The box passed is one scratch array,
-    overwritten between calls: do not keep it.  Partial application to
-    the box precomputes its row sizes and that scratch, so use one
-    application per domain. *)
+(** {!Partition.Codegen.iter_range}: the at most [2d - 1] boxes of
+    positions [lo .. hi - 1] of a box's lexicographic order. *)
 
 val run_box : compiled -> storage -> box -> unit
 (** The interpreter over a box: the loop body at each of its points, in
@@ -145,9 +138,7 @@ val pieces : chunk:int -> (int * tile) array -> work
     tile's owner, and idle domains steal. *)
 
 val static_of_assignment : Partition.Scheduling.assignment -> work
-(** The point-list adapter: domain [p] runs [a.(p)] in order as one
-    tile, whose consecutive points one step apart along the innermost
-    axis are merged into one box. *)
+(** Domain [p] runs the boxes [a.(p)], in order, as one tile. *)
 
 val of_boxes : box array array -> work
 (** Domain [p] runs the boxes [boxes.(p)] in order, one tile each (the

@@ -28,7 +28,6 @@ let make injections =
   }
 
 let none = make []
-let is_empty p = Array.length p.injections = 0
 let injections p = Array.to_list p.injections
 
 (* The CAS on [armed.(k)] is what makes every plan entry one-shot

@@ -51,8 +51,6 @@ val none : plan
 val make : injection list -> plan
 (** Raises [Invalid_argument] on negative sites or stall durations. *)
 
-val is_empty : plan -> bool
-
 val injections : plan -> injection list
 
 val fire : plan -> domain:int -> step:int -> claim:int -> (int * action) option

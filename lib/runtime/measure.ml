@@ -178,14 +178,6 @@ let report ~name ~policy ~steps ~repeats ~total_elements ?predicted_per_domain
 let max_footprint r =
   Array.fold_left (fun acc d -> max acc d.footprint) 0 r.per_domain
 
-let mean_seconds r =
-  if Array.length r.per_domain = 0 then 0.0
-  else
-    Array.fold_left
-      (fun acc (d : domain_stat) -> acc +. d.seconds)
-      0.0 r.per_domain
-    /. float_of_int (Array.length r.per_domain)
-
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>=== %s: %s on %d domain%s" r.name r.policy r.nprocs
     (if r.nprocs = 1 then "" else "s");

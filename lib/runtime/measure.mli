@@ -79,7 +79,6 @@ val report :
   report
 
 val max_footprint : report -> int
-val mean_seconds : report -> float
 
 val pp_report : Format.formatter -> report -> unit
 (** Table: one row per domain (time, iterations, footprint), then the

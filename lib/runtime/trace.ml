@@ -291,5 +291,3 @@ let json_of_summary s =
       ( "busy_seconds",
         Obj (List.map (fun (k, sec) -> (k, Json.Float sec)) s.busy_seconds) );
     ]
-
-let summary_json s = Json.to_string (json_of_summary s)

@@ -135,6 +135,3 @@ val pp_summary : Format.formatter -> summary -> unit
 val json_of_summary : summary -> Json.t
 (** The summary as one JSON object (embedded by {!Report.to_json} and
     the bench profile rows). *)
-
-val summary_json : summary -> string
-(** [json_of_summary] printed. *)

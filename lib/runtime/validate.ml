@@ -36,9 +36,8 @@ let scan_writes compiled nest (assignment : Scheduling.assignment) =
         let addr = Exec.address compiled r in
         let plain = r.Reference.kind <> Reference.Accumulate in
         Array.iteri
-          (fun p points ->
-            List.iter
-              (fun point ->
+          (fun p boxes ->
+            Codegen.iter_boxes boxes (fun point ->
                 let a = addr point in
                 match Hashtbl.find_opt written a with
                 | None ->
@@ -51,8 +50,7 @@ let scan_writes compiled nest (assignment : Scheduling.assignment) =
                       }
                 | Some e ->
                     e.plain <- e.plain || plain;
-                    if e.writer <> p then e.multi <- true)
-              points)
+                    if e.writer <> p then e.multi <- true))
           assignment
       end)
     nest.Nest.body;
@@ -67,14 +65,12 @@ let cross_read_after_write compiled nest written
       let addr = Exec.address compiled r in
       let racy = ref false in
       Array.iteri
-        (fun p points ->
+        (fun p boxes ->
           if not !racy then
-            List.iter
-              (fun point ->
+            Codegen.iter_boxes boxes (fun point ->
                 match Hashtbl.find_opt written (addr point) with
                 | Some e when e.multi || e.writer <> p -> racy := true
-                | Some _ | None -> ())
-              points)
+                | Some _ | None -> ()))
         assignment;
       !racy)
     nest.Nest.body

@@ -60,8 +60,10 @@ val check_assignment :
   Nest.t ->
   Scheduling.assignment ->
   verdict
-(** Validate an arbitrary per-processor assignment (e.g. the run-time
-    scheduling baselines). *)
+(** Validate an arbitrary per-processor assignment of boxes (e.g. the
+    run-time scheduling baselines).  Every check scans the boxes in
+    place; the simulator and the runtime both run them as given, the
+    runtime as one tile per domain ({!Exec.static_of_assignment}). *)
 
 val ok : verdict -> bool
 (** Sound and model-consistent: race-free, footprints agree with the

@@ -251,8 +251,7 @@ let prop_schedule_covers_space =
   QCheck2.Test.make ~name:"schedule covers every iteration exactly once"
     ~count:60 gen_nest (fun nest ->
       let a = Driver.analyze ~nprocs:4 nest in
-      let per = Codegen.iterations_by_proc (Driver.schedule a) in
-      Array.fold_left (fun acc l -> acc + List.length l) 0 per
+      Scheduling.total (Codegen.iterations_by_proc (Driver.schedule a))
       = Nest.iterations nest)
 
 let random_props =

@@ -10,6 +10,15 @@ open Partition
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
+(* The points of a processor's boxes, in execution order. *)
+let points_of boxes =
+  let out = ref [] in
+  Codegen.iter_boxes boxes (fun p -> out := Array.copy p :: !out);
+  List.rev !out
+
+(* Every iteration of the space, lexicographic. *)
+let lex_points nest = points_of [| Nest.bounds nest |]
+
 (* ------------------------------------------------------------------ *)
 (* Tile                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -287,10 +296,9 @@ let test_codegen_rect () =
   check "tiles" 100 (Codegen.num_tiles sched);
   let per = Codegen.iterations_by_proc sched in
   check "procs" 100 (Array.length per);
-  Array.iter (fun l -> check "balanced" 100 (List.length l)) per;
+  Array.iter (fun n -> check "balanced" 100 n) (Scheduling.loads per);
   (* Every iteration appears exactly once. *)
-  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 per in
-  check "covers space" (Nest.iterations ex2) total;
+  check "covers space" (Nest.iterations ex2) (Scheduling.total per);
   let mn, mx, imb = Codegen.load_balance sched in
   check "min" 100 mn;
   check "max" 100 mx;
@@ -394,16 +402,23 @@ let test_codegen_tiles_pped () =
 let test_codegen_tiles_alloc () =
   (* Paper Example 3 at n = 512 under its parallelepiped tile for two
      processors: 262,144 iterations in 3 tiles, built without touching
-     each iteration. *)
+     each iteration.  The same holds for each processor's iterations and
+     its load, there and for stencil5 at n = 512 under rectangles. *)
   let nest = Loopart.Programs.example3 ~n:512 () in
   let tile = Tile.pped (Imat.of_rows [ [ 256; 0 ]; [ 171; 512 ] ]) in
   let sched = Codegen.make nest tile ~nprocs:2 in
-  (* Empty the minor heap first, so no earlier data is promoted (and
-     counted) inside the measured window. *)
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
-  let tiles = Codegen.tiles sched in
-  let bytes = Gc.allocated_bytes () -. before in
+  let allocated f =
+    (* Empty the minor heap first, so no earlier data is promoted (and
+       counted) inside the measured window. *)
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    let bytes = Gc.allocated_bytes () -. before in
+    checkb (Printf.sprintf "allocates %.0f bytes, under 1 MB" bytes) true
+      (bytes < 1048576.0);
+    r
+  in
+  let tiles = allocated (fun () -> Codegen.tiles sched) in
   check "3 tiles" 3 (Array.length tiles);
   check "every iteration"
     (Nest.iterations nest)
@@ -411,8 +426,20 @@ let test_codegen_tiles_alloc () =
        (fun acc (_, boxes) ->
          Array.fold_left (fun a b -> a + Runtime.Exec.box_volume b) acc boxes)
        0 tiles);
-  checkb (Printf.sprintf "allocates %.0f bytes, under 1 MB" bytes) true
-    (bytes < 1048576.0)
+  let stencil =
+    Codegen.make
+      (Loopart.Programs.stencil5 ~n:512 ~steps:1 ())
+      (Tile.rect [| 512; 256 |]) ~nprocs:2
+  in
+  List.iter
+    (fun (sched, boxes) ->
+      let a = allocated (fun () -> Codegen.iterations_by_proc sched) in
+      check "boxes per processor, summed" boxes
+        (Array.fold_left (fun acc b -> acc + Array.length b) 0 a);
+      check "every iteration once" (Nest.iterations sched.Codegen.nest)
+        (Scheduling.total a);
+      ignore (allocated (fun () -> Codegen.load_balance sched)))
+    [ (sched, 854); (stencil, 1024) ]
 
 let test_codegen_pped_partition () =
   let nest =
@@ -425,8 +452,7 @@ let test_codegen_pped_partition () =
     Codegen.make nest (Tile.pped (Imat.of_rows [ [ 5; 0 ]; [ 2; 5 ] ])) ~nprocs:4
   in
   let per = Codegen.iterations_by_proc sched in
-  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 per in
-  check "pped covers space exactly once" 100 total
+  check "pped covers space exactly once" 100 (Scheduling.total per)
 
 let test_emit_pseudocode () =
   let sched = Codegen.make ex2 (Tile.rect [| 100; 1 |]) ~nprocs:100 in
@@ -519,14 +545,16 @@ let test_capacity_blocked_order () =
   let sched = Codegen.make nest tile ~nprocs:4 in
   let sub = Capacity.subtile cost tile ~capacity:64 in
   let blocked = Capacity.blocked_iterations sched ~subtile:sub in
-  (* Same iterations, different order. *)
+  (* Same iterations, ordered by (subtile cell, point). *)
   let plain = Codegen.iterations_by_proc sched in
+  let cell = Tile.tile_coords sub in
   Array.iteri
-    (fun p l ->
-      check "same count" (List.length plain.(p)) (List.length l);
-      checkb "same set" true
-        (List.sort compare (List.map Array.to_list l)
-        = List.sort compare (List.map Array.to_list plain.(p))))
+    (fun p boxes ->
+      let l = points_of boxes and want = points_of plain.(p) in
+      check "same count" (List.length want) (List.length l);
+      checkb "same set" true (List.sort compare l = List.sort compare want);
+      checkb "subtile by subtile, lexicographic within" true
+        (l = List.sort (fun a b -> compare (cell a, a) (cell b, b)) want))
     blocked;
   (* Blocking reduces replacement misses on a small cache. *)
   let run per_proc =
@@ -567,7 +595,7 @@ let test_scheduling_gss_decreasing () =
   let a = Scheduling.guided_self_scheduling nest ~nprocs:4 in
   (* 256 iterations: first chunk 64 goes to proc 0; its next grab is much
      smaller, so proc 0 holds more than a fair share overall but not all. *)
-  let load0 = List.length a.(0) in
+  let load0 = (Scheduling.loads a).(0) in
   checkb "first processor gets the big first chunk" true (load0 >= 64);
   checkb "but not everything" true (load0 < 256)
 
@@ -591,43 +619,94 @@ let test_scheduling_locality_ordering () =
   checkb "gss < cyclic" true (f_gss < f_cyc)
 
 (* Property: every run-time policy enumerates each iteration exactly
-   once - the right total AND no duplicates across processors. *)
+   once - the right total AND no duplicates across processors - and
+   each processor runs its chunks of the lexicographic order in it. *)
 let prop_scheduling_exact_cover =
   QCheck2.Test.make ~name:"run-time policies cover each iteration once"
     ~count:40
     QCheck2.Gen.(triple (int_range 6 20) (int_range 1 7) (int_range 1 9))
     (fun (n, nprocs, chunk) ->
       let nest = Loopart.Programs.relax_inplace ~n ~steps:1 () in
-      let exact_cover a =
+      let lex = Array.of_list (lex_points nest) in
+      (* The positional deal: chunk after chunk of [lex], round-robin. *)
+      let deal chunk_of =
+        let out = Array.make nprocs [] in
+        let pos = ref 0 and p = ref 0 in
+        while !pos < Array.length lex do
+          let left = Array.length lex - !pos in
+          let c = min (chunk_of left) left in
+          for k = !pos to !pos + c - 1 do
+            out.(!p) <- lex.(k) :: out.(!p)
+          done;
+          pos := !pos + c;
+          p := (!p + 1) mod nprocs
+        done;
+        Array.map List.rev out
+      in
+      let exact_cover a chunk_of =
         let seen = Hashtbl.create 997 in
         let dup = ref false in
         Array.iter
-          (List.iter (fun i ->
-               let key = Array.to_list i in
-               if Hashtbl.mem seen key then dup := true
-               else Hashtbl.replace seen key ()))
+          (fun boxes ->
+            Codegen.iter_boxes boxes (fun i ->
+                let key = Array.to_list i in
+                if Hashtbl.mem seen key then dup := true
+                else Hashtbl.replace seen key ()))
           a;
         (not !dup)
         && Hashtbl.length seen = Nest.iterations nest
         && Scheduling.total a = Nest.iterations nest
         && Array.length a = nprocs
+        && Array.map points_of a = deal chunk_of
       in
-      exact_cover (Scheduling.cyclic nest ~nprocs)
-      && exact_cover (Scheduling.block_cyclic nest ~nprocs ~chunk)
-      && exact_cover (Scheduling.guided_self_scheduling nest ~nprocs))
+      exact_cover (Scheduling.cyclic nest ~nprocs) (fun _ -> 1)
+      && exact_cover (Scheduling.block_cyclic nest ~nprocs ~chunk) (fun _ ->
+             chunk)
+      && exact_cover (Scheduling.guided_self_scheduling nest ~nprocs)
+           (fun r -> Int_math.ceil_div r nprocs))
 
 let test_of_schedule_matches_owner () =
-  (* The tiled assignment must be exactly the owner map, list by list. *)
-  let nest = Loopart.Programs.example2 ~n:30 () in
-  let sched = Codegen.make nest (Tile.rect [| 7; 5 |]) ~nprocs:5 in
-  let a = Scheduling.of_schedule sched in
-  let own = Codegen.owner sched in
-  Array.iteri
-    (fun p points ->
-      List.iter (fun i -> check "of_schedule agrees with owner" p (own i))
-        points)
-    a;
-  check "and covers the space" (Nest.iterations nest) (Scheduling.total a)
+  (* The tiled assignment must be exactly the owner map, processor by
+     processor, in lexicographic order, as maximal runs per tile.  Under
+     rectangles (one clipped, off a non-zero origin), a parallelepiped,
+     an [L] with [det L < 0] and a 3-D [L]. *)
+  let plane = fst (List.nth pped_cases 0) in
+  let cube = fst (List.nth pped_cases 3) in
+  List.iter
+    (fun (nest, tile, nprocs) ->
+      let name = Tile.to_string tile in
+      let sched = Codegen.make nest tile ~nprocs in
+      let a = Scheduling.of_schedule sched in
+      let own = Codegen.owner sched and id = Codegen.tile_id sched in
+      let lex = lex_points nest in
+      Array.iteri
+        (fun p boxes ->
+          checkb (name ^ ": owner's points, lexicographic") true
+            (points_of boxes = List.filter (fun i -> own i = p) lex);
+          Array.iteri
+            (fun k b ->
+              if k > 0 then begin
+                let prev = boxes.(k - 1) and d = Array.length b in
+                let touch =
+                  Array.sub prev 0 (d - 1) = Array.sub b 0 (d - 1)
+                  && snd prev.(d - 1) + 1 = fst b.(d - 1)
+                in
+                checkb (name ^ ": no mergeable neighbours in one tile") false
+                  (touch && id (Array.map fst prev) = id (Array.map fst b))
+              end)
+            boxes)
+        a;
+      check (name ^ ": covers the space") (Nest.iterations nest)
+        (Scheduling.total a))
+    [
+      (Loopart.Programs.example2 ~n:30 (), Tile.rect [| 7; 5 |], 5);
+      (plane, Tile.rect [| 4; 6 |], 3);
+      (plane, Tile.pped (Imat.of_rows [ [ 5; 0 ]; [ 2; 5 ] ]), 3);
+      (plane, Tile.pped (Imat.of_rows [ [ 1; 2 ]; [ 3; -1 ] ]), 3);
+      ( cube,
+        Tile.pped (Imat.of_rows [ [ 2; 1; 0 ]; [ -1; 2; 1 ]; [ 0; -1; 3 ] ]),
+        4 );
+    ]
 
 let () =
   Alcotest.run "partition"

@@ -219,10 +219,6 @@ let run_cmd =
     let doc = "Override the outer sequential (doseq) trip count." in
     Arg.(value & opt (some int) None & info [ "steps" ] ~docv:"N" ~doc)
   in
-  let bigarray_arg =
-    let doc = "Keep operands in a Bigarray instead of a float array." in
-    Arg.(value & flag & info [ "bigarray" ] ~doc)
-  in
   let kernels_arg =
     let doc =
       "Lower tiles to specialized strided kernels (incremental address \
@@ -306,7 +302,7 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "metrics" ] ~doc)
   in
-  let run source nprocs skewed policy repeats steps bigarray kernels validate
+  let run source nprocs skewed policy repeats steps kernels validate
       fault_plan fault_policy deadline_ms report_json trace_file metrics =
     wrap (fun () ->
         let nest = load source in
@@ -325,7 +321,6 @@ let run_cmd =
             Loopart.Driver.policy;
             repeats;
             steps;
-            bigarray;
             kernels;
             trace;
           }
@@ -398,7 +393,7 @@ let run_cmd =
     Term.(
       term_result
         (const run $ source_arg $ nprocs_arg $ skewed_arg $ policy_arg
-       $ repeats_arg $ steps_arg $ bigarray_arg $ kernels_arg $ validate_arg
+       $ repeats_arg $ steps_arg $ kernels_arg $ validate_arg
        $ fault_plan_arg $ fault_policy_arg $ deadline_arg $ report_json_arg
        $ trace_arg $ metrics_arg))
 

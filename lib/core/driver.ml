@@ -93,7 +93,7 @@ let execute ?(config = default_exec_config) ?tile a =
               Intmath.Int_math.ceil_div remaining a.nprocs),
           None )
   in
-  let compiled = Runtime.Exec.compile ~bigarray:config.bigarray nest in
+  let compiled = Runtime.Exec.compile nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
   (* The instrumented pass stays on the interpreter over the same
      work. *)
@@ -120,7 +120,7 @@ let execute ?(config = default_exec_config) ?tile a =
 let execute_resilient ?(config = default_exec_config)
     ?(resilience = Runtime.Resilient.default_config) ?plan ?tile a =
   let nest = a.nest in
-  let compiled = Runtime.Exec.compile ~bigarray:config.bigarray nest in
+  let compiled = Runtime.Exec.compile nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
   let chosen = Option.value ~default:(best_tile a) tile in
   let partition ~nprocs =

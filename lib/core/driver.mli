@@ -59,7 +59,10 @@ type exec_config = {
   repeats : int;  (** timed runs; minimum is reported *)
   steps : int option;  (** override the outer [Doseq] trip count *)
   footprint : Runtime.Measure.mode;
-  bigarray : bool;  (** operands in a [Bigarray] instead of [float array] *)
+  bigarray : bool;
+      (** ignored: operands are always a [float array].  The field once
+          selected a [Bigarray] and stays only until its last readers
+          drop it *)
   kernels : bool;
       (** run every box of the timed pass (and of
           {!execute_resilient}) through {!Runtime.Kernel}'s specialized

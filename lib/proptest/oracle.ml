@@ -545,17 +545,15 @@ let check_resilient (c : Gen.case) =
    demand byte-identical final buffers.  Comparing over the same boxes
    in the same order isolates what the kernel owns - incremental
    addressing, traversal reordering, shape specialization - from tile
-   scheduling order, which other oracles cover.  Alternates storage
-   representations across cases. *)
+   scheduling order, which other oracles cover. *)
 let check_kernel_on (c : Gen.case) tile =
-  let bigarray = c.id land 1 = 1 in
-  let compiled = Exec.compile ~bigarray c.nest in
+  let compiled = Exec.compile c.nest in
   let steps = Exec.steps_of_nest c.nest in
   let sched = Codegen.make c.nest tile ~nprocs:c.nprocs in
   let boxes =
     Array.concat (List.map snd (Array.to_list (Codegen.tiles sched)))
   in
-  let reference =
+  let ref_buf =
     let storage = Exec.alloc compiled in
     let run_box = Exec.run_box compiled storage in
     for _ = 1 to steps do
@@ -563,7 +561,6 @@ let check_kernel_on (c : Gen.case) tile =
     done;
     storage
   in
-  let ref_buf = Exec.to_float_array reference in
   let engine ~force_generic =
     let plan = Kernel.plan ~force_generic compiled in
     let storage = Exec.alloc compiled in
@@ -573,8 +570,7 @@ let check_kernel_on (c : Gen.case) tile =
     (plan, storage)
   in
   let compare_one ~force_generic () =
-    let plan, storage = engine ~force_generic in
-    let buf = Exec.to_float_array storage in
+    let plan, buf = engine ~force_generic in
     let mismatch = ref (-1) in
     (if Array.length buf = Array.length ref_buf then begin
        let i = ref 0 in
@@ -587,20 +583,19 @@ let check_kernel_on (c : Gen.case) tile =
     if !mismatch >= 0 then
       let i = !mismatch in
       fail "kernel-interp-agree"
-        "%s kernel (shape %s, order %s, %s) diverges from the interpreter \
-         at element %d: %h vs %h (tile %s, %d procs)"
+        "%s kernel (shape %s, order %s) diverges from the interpreter at \
+         element %d: %h vs %h (tile %s, %d procs)"
         (if force_generic then "generic" else "specialized")
         (Kernel.shape plan)
         (ivec_str (Kernel.order plan))
-        (if bigarray then "bigarray" else "flat")
         i
         (if i < Array.length buf then buf.(i) else Float.nan)
         (if i < Array.length ref_buf then ref_buf.(i) else Float.nan)
         (tile_str tile) c.nprocs
-    else if Exec.checksum storage <> Exec.checksum reference then
+    else if Exec.checksum buf <> Exec.checksum ref_buf then
       fail "kernel-interp-agree"
         "buffers match but checksums differ (%h vs %h)"
-        (Exec.checksum storage) (Exec.checksum reference)
+        (Exec.checksum buf) (Exec.checksum ref_buf)
     else None
   in
   first_some

@@ -16,10 +16,9 @@
       functions of the partition (not of processor names) are unchanged
       when processors are relabeled;
     - {b kernel-interp-agree}: [Runtime.Kernel]'s lowered strided loops
-      (both the shape-specialized plan and the generic fallback, flat
-      and bigarray storage alternating by case) produce byte-identical
-      final buffers to the point interpreter run over the same tile
-      boxes - including dependent-column nests and accumulate
+      (both the shape-specialized plan and the generic fallback) produce
+      byte-identical final buffers to the point interpreter run over the
+      same tile boxes - including dependent-column nests and accumulate
       references, where traversal reordering would be unsound unless
       the plan's safety analysis forbids it.
 

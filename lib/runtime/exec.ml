@@ -5,16 +5,13 @@ open Machine
 type cref = { c : int; m : int array }
 (* Address of iteration [i] through the reference: [c + m . i]. *)
 
-type storage =
-  | Flat of float array
-  | Big of (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type storage = float array
 
 type compiled = {
   nest : Nest.t;
   layout : Layout.t;
   reads : cref array;
   writes : (cref * bool (* accumulate *)) array;
-  bigarray : bool;
 }
 
 let compile_ref layout nesting (r : Reference.t) =
@@ -36,7 +33,7 @@ let compile_ref layout nesting (r : Reference.t) =
   in
   { c = !c; m }
 
-let compile ?(bigarray = false) nest =
+let compile ?bigarray:_ nest =
   let layout = Layout.of_nest nest in
   let nesting = Nest.nesting nest in
   let reads, writes =
@@ -53,11 +50,9 @@ let compile ?(bigarray = false) nest =
     layout;
     reads = Array.of_list reads;
     writes = Array.of_list writes;
-    bigarray;
   }
 
 let nest c = c.nest
-let layout c = c.layout
 let total_elements c = Layout.total_elements c.layout
 let reads c = c.reads
 let writes c = c.writes
@@ -66,47 +61,15 @@ let writes c = c.writes
    comparisons are meaningful from the first step. *)
 let init_value i = float_of_int ((i land 63) + 1) *. 0.125
 
-let alloc c =
-  let n = total_elements c in
-  if c.bigarray then begin
-    let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set a i (init_value i)
-    done;
-    Big a
-  end
-  else Flat (Array.init n init_value)
+let alloc c = Array.init (total_elements c) init_value
 
-(* Plain summation loops with an unboxed accumulator: the fold/init
-   closures the previous versions used boxed every element on the
-   Bigarray path, which dominated the post-run bookkeeping at bench
-   sizes. *)
-let checksum = function
-  | Flat a ->
-      let acc = ref 0.0 in
-      for i = 0 to Array.length a - 1 do
-        acc := !acc +. Array.unsafe_get a i
-      done;
-      !acc
-  | Big a ->
-      let acc = ref 0.0 in
-      for i = 0 to Bigarray.Array1.dim a - 1 do
-        acc := !acc +. Bigarray.Array1.unsafe_get a i
-      done;
-      !acc
-
-let to_float_array = function
-  | Flat a -> Array.copy a
-  | Big a ->
-      let n = Bigarray.Array1.dim a in
-      if n = 0 then [||]
-      else begin
-        let out = Array.make n 0.0 in
-        for i = 0 to n - 1 do
-          Array.unsafe_set out i (Bigarray.Array1.unsafe_get a i)
-        done;
-        out
-      end
+(* A plain loop with an unboxed accumulator, in index order. *)
+let checksum (a : storage) =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. Array.unsafe_get a i
+  done;
+  !acc
 
 let[@inline] addr (r : cref) (p : int array) =
   let a = ref r.c in
@@ -118,7 +81,7 @@ let[@inline] addr (r : cref) (p : int array) =
 
 (* The loop body at one iteration point: load every read, combine, then
    store through every write-like reference. *)
-let[@inline] exec_flat c (data : float array) (p : int array) =
+let[@inline] exec c (data : storage) (p : int array) =
   let acc = ref 0.0 in
   let reads = c.reads in
   for i = 0 to Array.length reads - 1 do
@@ -133,36 +96,6 @@ let[@inline] exec_flat c (data : float array) (p : int array) =
       Array.unsafe_set data a (Array.unsafe_get data a +. v)
     else Array.unsafe_set data a v
   done
-
-let[@inline] exec_big c data (p : int array) =
-  let acc = ref 0.0 in
-  let reads = c.reads in
-  for i = 0 to Array.length reads - 1 do
-    acc :=
-      !acc
-      +. Bigarray.Array1.unsafe_get data (addr (Array.unsafe_get reads i) p)
-  done;
-  let v = !acc +. 1.0 in
-  let writes = c.writes in
-  for i = 0 to Array.length writes - 1 do
-    let r, accumulate = Array.unsafe_get writes i in
-    let a = addr r p in
-    if accumulate then
-      Bigarray.Array1.unsafe_set data a (Bigarray.Array1.unsafe_get data a +. v)
-    else Bigarray.Array1.unsafe_set data a v
-  done
-
-let exec_point c storage =
-  match storage with
-  | Flat data -> fun p -> exec_flat c data p
-  | Big data -> fun p -> exec_big c data p
-
-let view = function Flat a -> `Flat a | Big a -> `Big a
-
-let poke storage a v =
-  match storage with
-  | Flat data -> data.(a) <- v
-  | Big data -> Bigarray.Array1.set data a v
 
 let address c (r : Reference.t) =
   addr (compile_ref c.layout (Nest.nesting c.nest) r)
@@ -179,7 +112,7 @@ let box_volume = Partition.Codegen.box_volume
 let iter_range = Partition.Codegen.iter_range
 
 let run_box c storage =
-  let body = exec_point c storage in
+  let body p = exec c storage p in
   fun b -> iter_box b body
 
 (* Tiles are idempotent - re-executable after a partial or duplicated
@@ -334,7 +267,7 @@ let measure pool c work ~steps ~mode =
   let nprocs = Pool.size pool in
   let universe = total_elements c in
   let storage = alloc c in
-  let run_body = exec_point c storage in
+  let run_body p = exec c storage p in
   let touched =
     Array.init nprocs (fun _ -> Measure.touched mode ~universe)
   in
@@ -354,7 +287,7 @@ let measure pool c work ~steps ~mode =
     distinct_total = Measure.union_count touched;
     exact = Array.for_all Measure.is_exact touched;
     checksum = checksum storage;
-    buffer = to_float_array storage;
+    buffer = storage;
   }
 
 let time_with ~box ~trace pool c work ~steps ~repeats =
@@ -407,4 +340,4 @@ let sequential c ~steps =
   for _step = 1 to steps do
     run space
   done;
-  to_float_array storage
+  storage

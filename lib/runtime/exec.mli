@@ -26,13 +26,11 @@ type cref = { c : int; m : int array }
     loops on. *)
 
 val compile : ?bigarray:bool -> Nest.t -> compiled
-(** Build the layout and index functions.  With [bigarray] the operand
-    space is one [Bigarray.Array1] of float64 (off the OCaml heap, so
-    domains share it with no GC write barriers); the default is a plain
-    [float array]. *)
+(** Build the layout and index functions.  [bigarray] is ignored: it
+    once selected a [Bigarray] operand space and stays in the signature
+    only until its last callers drop it. *)
 
 val nest : compiled -> Nest.t
-val layout : compiled -> Machine.Layout.t
 val total_elements : compiled -> int
 
 val reads : compiled -> cref array
@@ -56,24 +54,17 @@ val address : compiled -> Reference.t -> Ivec.t -> int
     {!measure}/{!time}, so it needs the operand buffer as a first-class
     value (and runs boxes on it with {!run_box}). *)
 
-type storage
+type storage = float array
+(** All operands, row-major, in one flat buffer at the addresses
+    {!address} computes.  A [float array] stores its elements unboxed,
+    so a store takes no GC write barrier and the GC never scans it. *)
 
 val alloc : compiled -> storage
 (** Fresh operands with the deterministic initial values every execution
     path (including {!sequential}) starts from. *)
 
 val checksum : storage -> float
-val to_float_array : storage -> float array
-
-val view :
-  storage ->
-  [ `Flat of float array
-  | `Big of (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t ]
-(** The underlying buffer, for backends ({!Kernel}) that emit their own
-    specialized loops over it. *)
-
-val poke : storage -> int -> float -> unit
-(** Overwrite one element - the corruption the [Corrupt] fault injects. *)
+(** The sum of the buffer in index order. *)
 
 val plain_write_addresses : compiled -> Ivec.t -> int list
 (** Addresses stored through non-accumulate writes at an iteration (the
@@ -110,8 +101,8 @@ val iter_range : box -> int -> int -> (box -> unit) -> unit
 
 val run_box : compiled -> storage -> box -> unit
 (** The interpreter over a box: the loop body at each of its points, in
-    lexicographic order.  Partial application to the storage compiles
-    the dispatch once. *)
+    lexicographic order.  Partial application to the storage builds
+    the point body once. *)
 
 type tile = box array
 (** The boxes a tile covers, in execution order. *)
@@ -154,7 +145,7 @@ type instrumented = {
   distinct_total : int;
   exact : bool;  (** footprints counted exactly (vs Bloom estimate) *)
   checksum : float;
-  buffer : float array;  (** final operand values, for value checks *)
+  buffer : storage;  (** the operands the pass ran on, for value checks *)
 }
 
 val measure :
@@ -201,7 +192,7 @@ val run :
     interpreter, over the same tiles) only feeds the trace's
     elements-touched counter from its per-domain footprints. *)
 
-val sequential : compiled -> steps:int -> float array
+val sequential : compiled -> steps:int -> storage
 (** Reference execution: every iteration in lexicographic order on the
-    calling domain, over fresh operands; returns the final buffer.  The
+    calling domain, over fresh operands; returns them.  The
     ground truth for {!Validate}'s determinism check. *)

@@ -2,13 +2,9 @@ open Loopir
 
 type box = Exec.box
 
-type shape = Copy | Stencil5 | Acc3 | Generic
+type shape = Stencil5 | Generic
 
-let shape_name = function
-  | Copy -> "copy"
-  | Stencil5 -> "stencil5"
-  | Acc3 -> "accumulate3"
-  | Generic -> "generic"
+let shape_name = function Stencil5 -> "stencil5" | Generic -> "generic"
 
 type plan = {
   compiled : Exec.compiled;
@@ -20,7 +16,6 @@ type plan = {
   shape : shape;
 }
 
-let compiled p = p.compiled
 let order p = Array.copy p.order
 let reorderable p = p.reorderable
 let shape p = shape_name p.shape
@@ -150,14 +145,12 @@ let is_permutation o n =
 
 let detect_shape (reads : Exec.cref array) writes =
   match (Array.length reads, writes) with
-  | 1, [| (_, false) |] -> Copy
   | 5, [| (_, false) |]
     when Array.for_all (fun (r : Exec.cref) -> r.Exec.m = reads.(0).Exec.m) reads
     ->
       (* Equal index maps let the five reads share one cursor with
          constant offsets - the defining property of a stencil. *)
       Stencil5
-  | 2, [| (_, true) |] -> Acc3
   | _ -> Generic
 
 let plan ?(force_generic = false) ?order compiled =
@@ -211,27 +204,10 @@ let strides p =
    semantics bit for bit: reads summed in body order, [+. 1.0], stores
    (or in-place adds) through every write in body order. *)
 
-let inner_copy_flat (data : float array) ~n ~dr ~dw r0 w0 =
-  let r = ref r0 and w = ref w0 in
-  for _ = 1 to n do
-    Array.unsafe_set data !w (Array.unsafe_get data !r +. 1.0);
-    r := !r + dr;
-    w := !w + dw
-  done
-
-let inner_copy_big data ~n ~dr ~dw r0 w0 =
-  let r = ref r0 and w = ref w0 in
-  for _ = 1 to n do
-    Bigarray.Array1.unsafe_set data !w
-      (Bigarray.Array1.unsafe_get data !r +. 1.0);
-    r := !r + dr;
-    w := !w + dw
-  done
-
 (* The five reads share one index map (shape precondition), so their
    mutual offsets are constant over the box: one bumped cursor and four
    fixed displacements replace five independent address streams. *)
-let inner_stencil5_flat (data : float array) ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 b0 w0 =
+let inner_stencil5 (data : Exec.storage) ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 b0 w0 =
   let b = ref b0 and w = ref w0 in
   for _ = 1 to n do
     let base = !b in
@@ -246,45 +222,11 @@ let inner_stencil5_flat (data : float array) ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 b0 w0 =
     w := !w + dw
   done
 
-let inner_stencil5_big data ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 b0 w0 =
-  let b = ref b0 and w = ref w0 in
-  for _ = 1 to n do
-    let base = !b in
-    Bigarray.Array1.unsafe_set data !w
-      (Bigarray.Array1.unsafe_get data base
-      +. Bigarray.Array1.unsafe_get data (base + o1)
-      +. Bigarray.Array1.unsafe_get data (base + o2)
-      +. Bigarray.Array1.unsafe_get data (base + o3)
-      +. Bigarray.Array1.unsafe_get data (base + o4)
-      +. 1.0);
-    b := base + d;
-    w := !w + dw
-  done
-
-let inner_acc3_flat (data : float array) ~n ~d0 ~d1 ~dw r0' r1' w0 =
-  let r0 = ref r0' and r1 = ref r1' and w = ref w0 in
-  for _ = 1 to n do
-    let a = !w in
-    Array.unsafe_set data a
-      (Array.unsafe_get data a
-      +. (Array.unsafe_get data !r0 +. Array.unsafe_get data !r1 +. 1.0));
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    w := !w + dw
-  done
-
-let inner_acc3_big data ~n ~d0 ~d1 ~dw r0' r1' w0 =
-  let r0 = ref r0' and r1 = ref r1' and w = ref w0 in
-  for _ = 1 to n do
-    let a = !w in
-    Bigarray.Array1.unsafe_set data a
-      (Bigarray.Array1.unsafe_get data a
-      +. (Bigarray.Array1.unsafe_get data !r0
-         +. Bigarray.Array1.unsafe_get data !r1 +. 1.0));
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    w := !w + dw
-  done
+(* Store or accumulate [v] at [a]; inlined, so a constant [is_acc]
+   leaves only one of the two. *)
+let[@inline] store ~is_acc (data : Exec.storage) a v =
+  if is_acc then Array.unsafe_set data a (Array.unsafe_get data a +. v)
+  else Array.unsafe_set data a v
 
 (* Generic fallback: running addresses live in scratch arrays bumped in
    place - one add per reference per iteration, against the
@@ -293,7 +235,7 @@ let inner_acc3_big data ~n ~d0 ~d1 ~dw r0' r1' w0 =
    array per iteration, not two), and the overwhelmingly common
    single-write body gets its own variant with the accumulate dispatch
    and the write cursor hoisted out of the array. *)
-let inner_generic1_flat (data : float array) ~n ~nr ~(rd : int array) ~dw
+let inner_generic1 (data : Exec.storage) ~n ~nr ~(rd : int array) ~dw
     ~is_acc (ra : int array) w0 =
   let w = ref w0 in
   for _ = 1 to n do
@@ -304,49 +246,39 @@ let inner_generic1_flat (data : float array) ~n ~nr ~(rd : int array) ~dw
       Array.unsafe_set ra i (a + Array.unsafe_get rd i)
     done;
     let v = !s +. 1.0 in
-    let a = !w in
-    if is_acc then Array.unsafe_set data a (Array.unsafe_get data a +. v)
-    else Array.unsafe_set data a v;
-    w := !w + dw
-  done
-
-let inner_generic1_big data ~n ~nr ~(rd : int array) ~dw ~is_acc
-    (ra : int array) w0 =
-  let w = ref w0 in
-  for _ = 1 to n do
-    let s = ref 0.0 in
-    for i = 0 to nr - 1 do
-      let a = Array.unsafe_get ra i in
-      s := !s +. Bigarray.Array1.unsafe_get data a;
-      Array.unsafe_set ra i (a + Array.unsafe_get rd i)
-    done;
-    let v = !s +. 1.0 in
-    let a = !w in
-    if is_acc then
-      Bigarray.Array1.unsafe_set data a (Bigarray.Array1.unsafe_get data a +. v)
-    else Bigarray.Array1.unsafe_set data a v;
+    store ~is_acc data !w v;
     w := !w + dw
   done
 
 (* Arity-unrolled single-write variants: same shape-agnostic bumped
    cursors, but held in registers instead of a scratch array once the
    read count is known.  Kills the per-read loop control and the cursor
-   array traffic, which dominate [inner_generic1] for short bodies. *)
-let inner_gen2_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
+   array traffic, which dominate [inner_generic1] for short bodies.
+   {!unrolled} inlines each one per store kind. *)
+let[@inline] inner_gen1 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
+    (ra : int array) w0 =
+  let r0 = ref ra.(0) and w = ref w0 in
+  let d0 = rd.(0) in
+  for _ = 1 to n do
+    let v = Array.unsafe_get data !r0 +. 1.0 in
+    store ~is_acc data !w v;
+    r0 := !r0 + d0;
+    w := !w + dw
+  done
+
+let[@inline] inner_gen2 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     (ra : int array) w0 =
   let r0 = ref ra.(0) and r1 = ref ra.(1) and w = ref w0 in
   let d0 = rd.(0) and d1 = rd.(1) in
   for _ = 1 to n do
     let v = Array.unsafe_get data !r0 +. Array.unsafe_get data !r1 +. 1.0 in
-    let a = !w in
-    if is_acc then Array.unsafe_set data a (Array.unsafe_get data a +. v)
-    else Array.unsafe_set data a v;
+    store ~is_acc data !w v;
     r0 := !r0 + d0;
     r1 := !r1 + d1;
     w := !w + dw
   done
 
-let inner_gen3_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
+let[@inline] inner_gen3 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     (ra : int array) w0 =
   let r0 = ref ra.(0) and r1 = ref ra.(1) and r2 = ref ra.(2) and w = ref w0 in
   let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) in
@@ -355,16 +287,14 @@ let inner_gen3_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
       Array.unsafe_get data !r0 +. Array.unsafe_get data !r1
       +. Array.unsafe_get data !r2 +. 1.0
     in
-    let a = !w in
-    if is_acc then Array.unsafe_set data a (Array.unsafe_get data a +. v)
-    else Array.unsafe_set data a v;
+    store ~is_acc data !w v;
     r0 := !r0 + d0;
     r1 := !r1 + d1;
     r2 := !r2 + d2;
     w := !w + dw
   done
 
-let inner_gen4_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
+let[@inline] inner_gen4 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     (ra : int array) w0 =
   let r0 = ref ra.(0)
   and r1 = ref ra.(1)
@@ -377,9 +307,7 @@ let inner_gen4_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
       Array.unsafe_get data !r0 +. Array.unsafe_get data !r1
       +. Array.unsafe_get data !r2 +. Array.unsafe_get data !r3 +. 1.0
     in
-    let a = !w in
-    if is_acc then Array.unsafe_set data a (Array.unsafe_get data a +. v)
-    else Array.unsafe_set data a v;
+    store ~is_acc data !w v;
     r0 := !r0 + d0;
     r1 := !r1 + d1;
     r2 := !r2 + d2;
@@ -387,7 +315,7 @@ let inner_gen4_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
     w := !w + dw
   done
 
-let inner_gen5_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
+let[@inline] inner_gen5 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     (ra : int array) w0 =
   let r0 = ref ra.(0)
   and r1 = ref ra.(1)
@@ -402,9 +330,7 @@ let inner_gen5_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
       +. Array.unsafe_get data !r2 +. Array.unsafe_get data !r3
       +. Array.unsafe_get data !r4 +. 1.0
     in
-    let a = !w in
-    if is_acc then Array.unsafe_set data a (Array.unsafe_get data a +. v)
-    else Array.unsafe_set data a v;
+    store ~is_acc data !w v;
     r0 := !r0 + d0;
     r1 := !r1 + d1;
     r2 := !r2 + d2;
@@ -413,96 +339,36 @@ let inner_gen5_flat (data : float array) ~n ~(rd : int array) ~dw ~is_acc
     w := !w + dw
   done
 
-let inner_gen2_big data ~n ~(rd : int array) ~dw ~is_acc (ra : int array) w0 =
-  let r0 = ref ra.(0) and r1 = ref ra.(1) and w = ref w0 in
-  let d0 = rd.(0) and d1 = rd.(1) in
-  for _ = 1 to n do
-    let v =
-      Bigarray.Array1.unsafe_get data !r0
-      +. Bigarray.Array1.unsafe_get data !r1 +. 1.0
-    in
-    let a = !w in
-    if is_acc then
-      Bigarray.Array1.unsafe_set data a (Bigarray.Array1.unsafe_get data a +. v)
-    else Bigarray.Array1.unsafe_set data a v;
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    w := !w + dw
-  done
+(* Each unrolled loop inlined twice, so the accumulate test folds away:
+   left inside the loop it cost matmul about 20% (2-core x86-64). *)
+let unrolled ~nr ~is_acc :
+    (Exec.storage -> n:int -> rd:int array -> dw:int -> int array -> int -> unit)
+    option =
+  let pick acc set = Some (if is_acc then acc else set) in
+  match nr with
+  | 1 ->
+      pick
+        (fun d ~n ~rd ~dw ra w -> inner_gen1 ~is_acc:true d ~n ~rd ~dw ra w)
+        (fun d ~n ~rd ~dw ra w -> inner_gen1 ~is_acc:false d ~n ~rd ~dw ra w)
+  | 2 ->
+      pick
+        (fun d ~n ~rd ~dw ra w -> inner_gen2 ~is_acc:true d ~n ~rd ~dw ra w)
+        (fun d ~n ~rd ~dw ra w -> inner_gen2 ~is_acc:false d ~n ~rd ~dw ra w)
+  | 3 ->
+      pick
+        (fun d ~n ~rd ~dw ra w -> inner_gen3 ~is_acc:true d ~n ~rd ~dw ra w)
+        (fun d ~n ~rd ~dw ra w -> inner_gen3 ~is_acc:false d ~n ~rd ~dw ra w)
+  | 4 ->
+      pick
+        (fun d ~n ~rd ~dw ra w -> inner_gen4 ~is_acc:true d ~n ~rd ~dw ra w)
+        (fun d ~n ~rd ~dw ra w -> inner_gen4 ~is_acc:false d ~n ~rd ~dw ra w)
+  | 5 ->
+      pick
+        (fun d ~n ~rd ~dw ra w -> inner_gen5 ~is_acc:true d ~n ~rd ~dw ra w)
+        (fun d ~n ~rd ~dw ra w -> inner_gen5 ~is_acc:false d ~n ~rd ~dw ra w)
+  | _ -> None
 
-let inner_gen3_big data ~n ~(rd : int array) ~dw ~is_acc (ra : int array) w0 =
-  let r0 = ref ra.(0) and r1 = ref ra.(1) and r2 = ref ra.(2) and w = ref w0 in
-  let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) in
-  for _ = 1 to n do
-    let v =
-      Bigarray.Array1.unsafe_get data !r0
-      +. Bigarray.Array1.unsafe_get data !r1
-      +. Bigarray.Array1.unsafe_get data !r2 +. 1.0
-    in
-    let a = !w in
-    if is_acc then
-      Bigarray.Array1.unsafe_set data a (Bigarray.Array1.unsafe_get data a +. v)
-    else Bigarray.Array1.unsafe_set data a v;
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    r2 := !r2 + d2;
-    w := !w + dw
-  done
-
-let inner_gen4_big data ~n ~(rd : int array) ~dw ~is_acc (ra : int array) w0 =
-  let r0 = ref ra.(0)
-  and r1 = ref ra.(1)
-  and r2 = ref ra.(2)
-  and r3 = ref ra.(3)
-  and w = ref w0 in
-  let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) and d3 = rd.(3) in
-  for _ = 1 to n do
-    let v =
-      Bigarray.Array1.unsafe_get data !r0
-      +. Bigarray.Array1.unsafe_get data !r1
-      +. Bigarray.Array1.unsafe_get data !r2
-      +. Bigarray.Array1.unsafe_get data !r3 +. 1.0
-    in
-    let a = !w in
-    if is_acc then
-      Bigarray.Array1.unsafe_set data a (Bigarray.Array1.unsafe_get data a +. v)
-    else Bigarray.Array1.unsafe_set data a v;
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    r2 := !r2 + d2;
-    r3 := !r3 + d3;
-    w := !w + dw
-  done
-
-let inner_gen5_big data ~n ~(rd : int array) ~dw ~is_acc (ra : int array) w0 =
-  let r0 = ref ra.(0)
-  and r1 = ref ra.(1)
-  and r2 = ref ra.(2)
-  and r3 = ref ra.(3)
-  and r4 = ref ra.(4)
-  and w = ref w0 in
-  let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) and d3 = rd.(3) and d4 = rd.(4) in
-  for _ = 1 to n do
-    let v =
-      Bigarray.Array1.unsafe_get data !r0
-      +. Bigarray.Array1.unsafe_get data !r1
-      +. Bigarray.Array1.unsafe_get data !r2
-      +. Bigarray.Array1.unsafe_get data !r3
-      +. Bigarray.Array1.unsafe_get data !r4 +. 1.0
-    in
-    let a = !w in
-    if is_acc then
-      Bigarray.Array1.unsafe_set data a (Bigarray.Array1.unsafe_get data a +. v)
-    else Bigarray.Array1.unsafe_set data a v;
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    r2 := !r2 + d2;
-    r3 := !r3 + d3;
-    r4 := !r4 + d4;
-    w := !w + dw
-  done
-
-let inner_generic_flat (data : float array) ~n ~nr ~nw ~(rd : int array)
+let inner_generic (data : Exec.storage) ~n ~nr ~nw ~(rd : int array)
     ~(wd : int array) ~(acc : bool array) (ra : int array) (wa : int array) =
   for _ = 1 to n do
     let s = ref 0.0 in
@@ -514,34 +380,12 @@ let inner_generic_flat (data : float array) ~n ~nr ~nw ~(rd : int array)
     let v = !s +. 1.0 in
     for i = 0 to nw - 1 do
       let a = Array.unsafe_get wa i in
-      (if Array.unsafe_get acc i then
-         Array.unsafe_set data a (Array.unsafe_get data a +. v)
-       else Array.unsafe_set data a v);
+      store ~is_acc:(Array.unsafe_get acc i) data a v;
       Array.unsafe_set wa i (a + Array.unsafe_get wd i)
     done
   done
 
-let inner_generic_big data ~n ~nr ~nw ~(rd : int array) ~(wd : int array)
-    ~(acc : bool array) (ra : int array) (wa : int array) =
-  for _ = 1 to n do
-    let s = ref 0.0 in
-    for i = 0 to nr - 1 do
-      let a = Array.unsafe_get ra i in
-      s := !s +. Bigarray.Array1.unsafe_get data a;
-      Array.unsafe_set ra i (a + Array.unsafe_get rd i)
-    done;
-    let v = !s +. 1.0 in
-    for i = 0 to nw - 1 do
-      let a = Array.unsafe_get wa i in
-      (if Array.unsafe_get acc i then
-         Bigarray.Array1.unsafe_set data a
-           (Bigarray.Array1.unsafe_get data a +. v)
-       else Bigarray.Array1.unsafe_set data a v);
-      Array.unsafe_set wa i (a + Array.unsafe_get wd i)
-    done
-  done
-
-let run_box p storage (b : box) =
+let run_box p (data : Exec.storage) (b : box) =
   let d = p.nesting in
   if Array.length b <> d then invalid_arg "Kernel.run_box: box arity mismatch";
   if Array.exists (fun (lo, hi) -> hi < lo) b then ()
@@ -571,84 +415,31 @@ let run_box p storage (b : box) =
     (* [inner ra wa] runs the innermost row starting at the given
        addresses; it must not mutate its arguments. *)
     let inner =
-      match (p.shape, Exec.view storage) with
-      | Copy, `Flat data ->
-          let dr = rd.(0) and dw = wd.(0) in
-          fun (ra : int array) (wa : int array) ->
-            inner_copy_flat data ~n ~dr ~dw ra.(0) wa.(0)
-      | Copy, `Big data ->
-          let dr = rd.(0) and dw = wd.(0) in
-          fun ra wa -> inner_copy_big data ~n ~dr ~dw ra.(0) wa.(0)
-      | Stencil5, `Flat data ->
+      match p.shape with
+      | Stencil5 ->
           let d = rd.(0) and dw = wd.(0) in
           let o1 = ra.(1) - ra.(0)
           and o2 = ra.(2) - ra.(0)
           and o3 = ra.(3) - ra.(0)
           and o4 = ra.(4) - ra.(0) in
           fun (ra : int array) (wa : int array) ->
-            inner_stencil5_flat data ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 ra.(0) wa.(0)
-      | Stencil5, `Big data ->
-          let d = rd.(0) and dw = wd.(0) in
-          let o1 = ra.(1) - ra.(0)
-          and o2 = ra.(2) - ra.(0)
-          and o3 = ra.(3) - ra.(0)
-          and o4 = ra.(4) - ra.(0) in
-          fun ra wa ->
-            inner_stencil5_big data ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 ra.(0) wa.(0)
-      | Acc3, `Flat data ->
-          let d0 = rd.(0) and d1 = rd.(1) and dw = wd.(0) in
-          fun ra wa -> inner_acc3_flat data ~n ~d0 ~d1 ~dw ra.(0) ra.(1) wa.(0)
-      | Acc3, `Big data ->
-          let d0 = rd.(0) and d1 = rd.(1) and dw = wd.(0) in
-          fun ra wa -> inner_acc3_big data ~n ~d0 ~d1 ~dw ra.(0) ra.(1) wa.(0)
-      | Generic, `Flat data when nw = 1 ->
+            inner_stencil5 data ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 ra.(0) wa.(0)
+      | Generic when nw = 1 -> (
           let dw = wd.(0) and is_acc = snd p.writes.(0) in
-          let unrolled =
-            match nr with
-            | 2 -> Some inner_gen2_flat
-            | 3 -> Some inner_gen3_flat
-            | 4 -> Some inner_gen4_flat
-            | 5 -> Some inner_gen5_flat
-            | _ -> None
-          in
-          (match unrolled with
-          | Some f -> fun ra wa -> f data ~n ~rd ~dw ~is_acc ra wa.(0)
+          match unrolled ~nr ~is_acc with
+          | Some f -> fun ra wa -> f data ~n ~rd ~dw ra wa.(0)
           | None ->
               let ras = Array.make (max nr 1) 0 in
               fun ra wa ->
                 Array.blit ra 0 ras 0 nr;
-                inner_generic1_flat data ~n ~nr ~rd ~dw ~is_acc ras wa.(0))
-      | Generic, `Big data when nw = 1 ->
-          let dw = wd.(0) and is_acc = snd p.writes.(0) in
-          let unrolled =
-            match nr with
-            | 2 -> Some inner_gen2_big
-            | 3 -> Some inner_gen3_big
-            | 4 -> Some inner_gen4_big
-            | 5 -> Some inner_gen5_big
-            | _ -> None
-          in
-          (match unrolled with
-          | Some f -> fun ra wa -> f data ~n ~rd ~dw ~is_acc ra wa.(0)
-          | None ->
-              let ras = Array.make (max nr 1) 0 in
-              fun ra wa ->
-                Array.blit ra 0 ras 0 nr;
-                inner_generic1_big data ~n ~nr ~rd ~dw ~is_acc ras wa.(0))
-      | Generic, `Flat data ->
+                inner_generic1 data ~n ~nr ~rd ~dw ~is_acc ras wa.(0))
+      | Generic ->
           let acc = Array.map snd p.writes in
           let ras = Array.make (max nr 1) 0 and was = Array.make (max nw 1) 0 in
           fun ra wa ->
             Array.blit ra 0 ras 0 nr;
             Array.blit wa 0 was 0 nw;
-            inner_generic_flat data ~n ~nr ~nw ~rd ~wd ~acc ras was
-      | Generic, `Big data ->
-          let acc = Array.map snd p.writes in
-          let ras = Array.make (max nr 1) 0 and was = Array.make (max nw 1) 0 in
-          fun ra wa ->
-            Array.blit ra 0 ras 0 nr;
-            Array.blit wa 0 was 0 nw;
-            inner_generic_big data ~n ~nr ~nw ~rd ~wd ~acc ras was
+            inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ras was
     in
     let rec go k =
       if k = d - 1 then inner ra wa

@@ -1,8 +1,8 @@
 (** Kernel lowering: compile a [(nest, tile)] pair into specialized
     inner loops instead of interpreting the body point by point.
 
-    {!Exec} pays, at {e every} iteration, one [c + m . i] multiply-add
-    per reference plus a dispatch through the storage representation.
+    {!Exec} pays, at {e every} iteration, the whole [c + m . i]
+    multiply-add sum of every reference.
     But over a rectangular tile box the address of a compiled reference
     ({!Exec.cref}) changes by the compile-time constant [m.(k)] per unit
     step along axis [k].  A plan therefore precomputes the per-axis
@@ -15,10 +15,10 @@
       besides identical maps), the axis with the most unit-stride
       references is rotated innermost so the inner loop walks arrays
       contiguously;
-    - {b shape specialization}: the dominant body arities - 1-read
-      copy, 5-point stencil, 2-read accumulate (matmul) - get
-      hand-specialized unsafe loops over the concrete storage, with a
-      generic bumped-address loop as the always-correct fallback.
+    - {b shape specialization}: the 5-point stencil shares one cursor
+      among its five reads; every other single-write body of 1 to 5
+      reads runs a loop with its cursors unrolled into registers, and
+      anything else the array-cursor loop.
 
     Value semantics are the interpreter's, bit for bit: reads summed in
     body order, [+. 1.0], the result stored or added through every
@@ -32,13 +32,12 @@ type box = Exec.box
 type plan
 
 val plan : ?force_generic:bool -> ?order:int array -> Exec.compiled -> plan
-(** Lower a compiled nest.  [force_generic] disables shape
+(** Lower a compiled nest.  [force_generic] disables the stencil
     specialization (benchmark baseline for isolating the incremental
     addressing win).  [order] overrides the traversal order ({e
     bypassing} the safety analysis - test/bench use only); it must be a
     permutation of the axes, outermost first. *)
 
-val compiled : plan -> Exec.compiled
 val order : plan -> int array
 (** Chosen traversal order, outermost first.  The identity permutation
     unless the nest is {!reorderable} and a different innermost axis has
@@ -50,8 +49,7 @@ val reorderable : plan -> bool
     whose reads overlap their writes are the canonical [false]. *)
 
 val shape : plan -> string
-(** The specialization picked: ["copy"], ["stencil5"], ["accumulate3"],
-    or ["generic"]. *)
+(** The specialization picked: ["stencil5"] or ["generic"]. *)
 
 val strides : plan -> (Reference.t * int array) list
 (** Each body reference with its per-axis address deltas [m] (original

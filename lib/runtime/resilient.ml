@@ -207,7 +207,7 @@ let run_tile ctx ds ~step t =
       | Fault.Crash -> raise Injected_crash
       | Fault.Corrupt ->
           (match corrupt_target ctx t with
-          | Some a -> Exec.poke ctx.storage a Float.nan
+          | Some a -> ctx.storage.(a) <- Float.nan
           | None -> ());
           raise Injected_corruption
       | Fault.Stall ms -> interruptible_stall ctx ms));
@@ -473,7 +473,7 @@ let run_attempt cfg plan compiled steps ~partition ~size ~recover ~kernels
           if completed then
             ( attempt Report.Completed,
               Some
-                ( Exec.to_float_array ctx.storage,
+                ( ctx.storage,
                   Exec.checksum ctx.storage,
                   g.cover_ok ) )
           else

@@ -95,8 +95,9 @@ let execute ?(config = default_exec_config) ?tile a =
   in
   let compiled = Runtime.Exec.compile nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
-  (* The instrumented pass stays on the interpreter over the same
-     work. *)
+  (* The timed pass runs every step on [box] and gives the checksum;
+     the footprints come from the interpreter observing the same work,
+     for one step when the work is static ([Exec.observed_steps]). *)
   let box, policy =
     if config.kernels then
       let plan = Runtime.Kernel.plan compiled in

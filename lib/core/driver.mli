@@ -86,9 +86,12 @@ val execute :
     policy runs boxes: the tiles of {!Partition.Codegen.tiles} ([Tiled]),
     those tiles cut into pieces ([Work_steal]), or the index ranges a
     self-scheduler claims, decoded into boxes.  With [config.kernels]
-    the timed pass runs the boxes through the lowered kernels; the
-    instrumented footprint pass (the same work) stays on the
-    interpreter. *)
+    the timed pass runs the boxes through the lowered kernels.  The
+    checksum is that of the buffer the fastest timed pass produced.
+    The footprints come from the interpreter observing the same work:
+    one step of it under [Tiled], where each domain touches the same
+    elements every step, and every step under the other policies,
+    which deal work at run time ({!Runtime.Exec.observed_steps}). *)
 
 val execute_resilient :
   ?config:exec_config ->

@@ -65,6 +65,31 @@ let first_some checks =
     (fun acc check -> match acc with Some _ -> acc | None -> check ())
     None checks
 
+(* Value comparison against the sequential reference is only meaningful
+   when the nest is order-insensitive: idempotent tiles (no read of a
+   written address, no accumulates) and no two iterations writing the
+   same element.  Work stealing and orphan re-execution reorder tiles,
+   so a conflicting pair would differ from lexicographic order even
+   without faults. *)
+let writes_conflict_free (c : Gen.case) =
+  let seen = Hashtbl.create 256 in
+  let ok = ref true in
+  List.iter
+    (fun pt ->
+      List.iter
+        (fun (r : Reference.t) ->
+          if Reference.is_write_like r then begin
+            let key =
+              (r.Reference.array_name,
+               Array.to_list (Affine.apply r.Reference.index pt))
+            in
+            if Hashtbl.mem seen key then ok := false
+            else Hashtbl.add seen key ()
+          end)
+        c.nest.Nest.body)
+    (space_points c.nest);
+  !ok
+
 (* ------------------------------------------------------------------ *)
 (* Oracle 1a: closed-form single-reference footprint vs enumeration    *)
 (* ------------------------------------------------------------------ *)
@@ -235,12 +260,36 @@ let sheared (c : Gen.case) =
 
 (* The schedule's tiles run as boxes, the way [Driver.execute] runs
    them: each domain must touch the elements of its assignment as many
-   times. *)
-let check_tiles pool compiled ~steps (c : Gen.case) sched per_proc =
-  let work = Exec.of_tiles (Codegen.tiles sched) in
+   times.  Over more than one step, [Exec.run] observes one step of
+   this static work and takes its checksum from the timed pass: it must
+   still report the footprints of every step, and on order-insensitive
+   nests the sequential checksum.  The same tiles cut into stolen
+   pieces must be observed for every step (stealing moves pieces
+   between domains, so per-domain footprints vary from run to run and
+   only the rule and the run's totals can be checked). *)
+let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
+    =
+  let tiles = Codegen.tiles sched in
+  let work = Exec.of_tiles tiles in
   let tiled = Exec.measure pool compiled work ~steps ~mode:Measure.Exact in
   let brute, _ = brute_footprints c per_proc in
   let want = Array.map (fun n -> steps * n) (Scheduling.loads per_proc) in
+  let run work =
+    Exec.run ~trace:Trace.disabled ~box:(Exec.run_box compiled) pool compiled
+      work ~steps ~repeats:1 ~mode:Measure.Exact
+  in
+  let sequential = lazy (Exec.checksum (Exec.sequential compiled ~steps)) in
+  let check_checksum what (r : Measure.raw) =
+    if
+      Lazy.force order_free
+      && not (Float.equal r.Measure.checksum (Lazy.force sequential))
+    then
+      fail "runtime-sim-agree" "%s of %s, %d steps: checksum %h, sequential %h"
+        what
+        (tile_str sched.Codegen.tile)
+        steps r.Measure.checksum (Lazy.force sequential)
+    else None
+  in
   if tiled.Exec.footprints <> brute || tiled.Exec.iterations <> want then
     fail "runtime-sim-agree"
       "tiles of %s: footprints %s iterations %s; assignment: footprints %s \
@@ -249,7 +298,46 @@ let check_tiles pool compiled ~steps (c : Gen.case) sched per_proc =
       (ivec_str tiled.Exec.footprints)
       (ivec_str tiled.Exec.iterations)
       (ivec_str brute) (ivec_str want)
-  else None
+  else if steps < 2 then None
+  else
+    let static = run work and stolen = Exec.pieces ~chunk:2 tiles in
+    first_some
+      [
+        (fun () ->
+          if
+            static.Measure.footprints <> tiled.Exec.footprints
+            || static.Measure.distinct_total <> tiled.Exec.distinct_total
+            || static.Measure.exact_footprints <> tiled.Exec.exact
+            || static.Measure.iterations <> want
+          then
+            fail "runtime-sim-agree"
+              "tiles of %s, %d steps: Exec.run footprints %s distinct %d \
+               iterations %s; measured over every step: footprints %s \
+               distinct %d iterations %s"
+              (tile_str sched.Codegen.tile)
+              steps
+              (ivec_str static.Measure.footprints)
+              static.Measure.distinct_total
+              (ivec_str static.Measure.iterations)
+              (ivec_str tiled.Exec.footprints)
+              tiled.Exec.distinct_total (ivec_str want)
+          else None);
+        (fun () -> check_checksum "tiles" static);
+        (fun () ->
+          let observed = Exec.observed_steps stolen ~steps in
+          if observed <> steps then
+            fail "runtime-sim-agree" "stolen pieces observed for %d of %d steps"
+              observed steps
+          else None);
+        (fun () ->
+          let r = run stolen in
+          if r.Measure.distinct_total <> tiled.Exec.distinct_total then
+            fail "runtime-sim-agree"
+              "stolen pieces of %s, %d steps: distinct %d, want %d"
+              (tile_str sched.Codegen.tile)
+              steps r.Measure.distinct_total tiled.Exec.distinct_total
+          else check_checksum "stolen pieces" r);
+      ]
 
 let check_runtime ~pools (c : Gen.case) sched sim per_proc =
   let compiled = Exec.compile c.nest in
@@ -257,6 +345,9 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
   let pool = Pools.get pools c.nprocs in
   let work = Exec.static_of_assignment per_proc in
   let inst = Exec.measure pool compiled work ~steps ~mode:Measure.Exact in
+  let order_free =
+    lazy (Exec.reexecution_safe compiled && writes_conflict_free c)
+  in
   let brute_per, brute_union = brute_footprints c per_proc in
   let sim_per = Sim.footprints sim in
   let mismatch = ref None in
@@ -286,12 +377,13 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
       else
         first_some
           [
-            (fun () -> check_tiles pool compiled ~steps c sched per_proc);
+            (fun () ->
+              check_tiles pool compiled ~steps ~order_free c sched per_proc);
             (fun () ->
               let sheared =
                 Codegen.make c.nest (sheared c) ~nprocs:c.nprocs
               in
-              check_tiles pool compiled ~steps c sheared
+              check_tiles pool compiled ~steps ~order_free c sheared
                 (Codegen.iterations_by_proc sheared));
           ]
 
@@ -405,31 +497,6 @@ let check_optimizer (c : Gen.case) =
 (* ------------------------------------------------------------------ *)
 (* Oracle 6: the resilient runtime recovers from injected faults       *)
 (* ------------------------------------------------------------------ *)
-
-(* Value comparison against the sequential reference is only meaningful
-   when the nest is order-insensitive: idempotent tiles (no read of a
-   written address, no accumulates) and no two iterations writing the
-   same element.  Work stealing and orphan re-execution reorder tiles,
-   so a conflicting pair would differ from lexicographic order even
-   without faults. *)
-let writes_conflict_free (c : Gen.case) =
-  let seen = Hashtbl.create 256 in
-  let ok = ref true in
-  List.iter
-    (fun pt ->
-      List.iter
-        (fun (r : Reference.t) ->
-          if Reference.is_write_like r then begin
-            let key =
-              (r.Reference.array_name,
-               Array.to_list (Affine.apply r.Reference.index pt))
-            in
-            if Hashtbl.mem seen key then ok := false
-            else Hashtbl.add seen key ()
-          end)
-        c.nest.Nest.body)
-    (space_points c.nest);
-  !ok
 
 let check_resilient (c : Gen.case) =
   (* Each scenario spawns pools of its own (one per attempt), so only a

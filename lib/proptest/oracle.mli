@@ -8,7 +8,10 @@
       iteration space exactly once;
     - {b runtime-sim-agree}: [Runtime.Exec]/[Runtime.Measure] bitsets on
       real domains, [Machine.Sim] directory counters and brute-force
-      enumeration all report identical per-processor footprints;
+      enumeration all report identical per-processor footprints, and
+      over several steps [Runtime.Exec.run]'s one-step observation of
+      static tiles reports the footprints of every step and, on
+      order-insensitive nests, the sequential checksum;
     - {b optimizer-dominates}: [Partition.Rectangular.optimize] is never
       worse (under [Partition.Cost.eval_objective]) than an independent
       exhaustive search over feasible processor grids;

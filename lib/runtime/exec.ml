@@ -290,11 +290,13 @@ let measure pool c work ~steps ~mode =
     buffer = storage;
   }
 
-let time_with ~box ~trace pool c work ~steps ~repeats =
+(* The fastest of [repeats] timed passes, with the checksum of the
+   storage that pass produced. *)
+let timed ~box ~trace pool c work ~steps ~repeats =
   check_work c work;
   if repeats < 1 then invalid_arg "Exec.time: repeats < 1";
   let nprocs = Pool.size pool in
-  let best = ref (infinity, [||], [||]) in
+  let best = ref (infinity, [||], [||], 0.0) in
   for _rep = 1 to repeats do
     let storage = alloc c in
     let box = box storage in
@@ -303,20 +305,38 @@ let time_with ~box ~trace pool c work ~steps ~repeats =
     let t0 = Mclock.now () in
     pass ~trace pool work ~steps ~box:(fun _ -> box) ~seconds ~iterations;
     let wall = Mclock.now () -. t0 in
-    ignore (Sys.opaque_identity (checksum storage));
-    let best_wall, _, _ = !best in
-    if wall < best_wall then best := (wall, seconds, iterations)
+    let sum = checksum storage in
+    let best_wall, _, _, _ = !best in
+    if wall < best_wall then best := (wall, seconds, iterations, sum)
   done;
   !best
+
+let time_with ~box ~trace pool c work ~steps ~repeats =
+  let wall, seconds, iterations, _ =
+    timed ~box ~trace pool c work ~steps ~repeats
+  in
+  (wall, seconds, iterations)
 
 let time ?(trace = Trace.disabled) pool c work ~steps ~repeats =
   time_with ~box:(run_box c) ~trace pool c work ~steps ~repeats
 
+(* Static work - every tile on a fixed owner, no stealing - touches the
+   same elements on every step: addresses depend on the Doall indices
+   only, so each domain's cumulative footprint is its first step's.
+   Work dealt at run time can move between domains from step to step,
+   so it is observed for every step. *)
+let observed_steps work ~steps =
+  match work with
+  | Tiled { steal = false; _ } -> min steps 1
+  | Tiled { steal = true; _ } | Dynamic _ -> steps
+
 let run ~trace ~box pool c work ~steps ~repeats ~mode =
-  let wall, seconds, iterations =
-    time_with ~box ~trace pool c work ~steps ~repeats
+  let wall, seconds, iterations, checksum =
+    timed ~box ~trace pool c work ~steps ~repeats
   in
-  let inst = measure pool c work ~steps ~mode in
+  let inst =
+    measure pool c work ~steps:(observed_steps work ~steps) ~mode
+  in
   (* The instrumented pass runs untraced (its observation cost is not
      representative), but its footprints feed the bytes-touched
      counter: distinct elements each domain actually referenced. *)
@@ -330,7 +350,7 @@ let run ~trace ~box pool c work ~steps ~repeats ~mode =
     footprints = inst.footprints;
     exact_footprints = inst.exact;
     distinct_total = inst.distinct_total;
-    checksum = inst.checksum;
+    checksum;
   }
 
 let sequential c ~steps =

@@ -150,7 +150,9 @@ type instrumented = {
 
 val measure :
   Pool.t -> compiled -> work -> steps:int -> mode:Measure.mode -> instrumented
-(** One instrumented (untimed) execution on fresh operands. *)
+(** One instrumented (untimed) execution of exactly [steps] steps on
+    fresh operands, on the interpreter; its checksum and buffer are
+    those of that execution. *)
 
 val time_with :
   box:(storage -> box -> unit) ->
@@ -177,6 +179,15 @@ val time :
     all timestamps on {!Mclock}).  A live [trace] records barrier
     waits, steps, and tile/chunk claims of {e every} repeat. *)
 
+val observed_steps : work -> steps:int -> int
+(** How many of [steps] steps {!run} observes for footprints: [1] for
+    static work ([Tiled] without stealing), else [steps].  Addresses
+    depend on the Doall indices only ({!cref}), so a domain that owns
+    the same tiles every step touches the same elements every step,
+    and its cumulative footprint is its first step's.  Work dealt at
+    run time (stealing, self-scheduling) can move between domains from
+    step to step. *)
+
 val run :
   trace:Trace.t ->
   box:(storage -> box -> unit) ->
@@ -188,9 +199,13 @@ val run :
   mode:Measure.mode ->
   Measure.raw
 (** {!time_with} + {!measure} combined into a {!Measure.raw}.  The
-    timed pass is traced; the instrumented pass (always the
-    interpreter, over the same tiles) only feeds the trace's
-    elements-touched counter from its per-domain footprints. *)
+    timed pass runs all [steps] steps, is traced, and gives the wall
+    time, iterations and checksum: the sum of the buffer the fastest
+    repeat's box bodies (the kernels, when [box] is
+    {!Kernel.run_box}) produced.  The instrumented pass (always the
+    interpreter, over the same work) runs {!observed_steps} steps -
+    one for static work - untraced; its footprints also feed the
+    trace's elements-touched counter. *)
 
 val sequential : compiled -> steps:int -> storage
 (** Reference execution: every iteration in lexicographic order on the

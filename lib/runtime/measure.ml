@@ -203,4 +203,4 @@ let pp_report ppf r =
          else float_of_int (max_footprint r) /. float_of_int predicted)
   | None ->
       Format.fprintf ppf "no model prediction for this policy@,");
-  Format.fprintf ppf "checksum: %.6g@]" r.checksum
+  Format.fprintf ppf "checksum: %s@]" (Json.to_string (Json.Float r.checksum))

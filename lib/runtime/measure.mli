@@ -47,7 +47,8 @@ type raw = {
   footprints : int array;
   exact_footprints : bool;
   distinct_total : int;  (** union footprint over all domains *)
-  checksum : float;  (** sum over the operand buffer, defeats dead code *)
+  checksum : float;
+      (** sum over the operand buffer the best timed repeat produced *)
 }
 (** What {!Exec} hands back; {!report} decorates it. *)
 
@@ -82,4 +83,5 @@ val max_footprint : report -> int
 
 val pp_report : Format.formatter -> report -> unit
 (** Table: one row per domain (time, iterations, footprint), then the
-    totals and the model prediction side by side. *)
+    totals and the model prediction side by side, then the checksum as
+    the shortest decimal that reads back to the same double. *)

@@ -192,6 +192,68 @@ let test_resilient_pped_crash () =
     (Array.for_all2 Float.equal (sequential a) buffer)
 
 (* ------------------------------------------------------------------ *)
+(* Multi-step execution                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Three Doseq steps of stencil5 under every policy, kernels on and
+   off.  The checksum comes from the timed pass and the footprints from
+   one observed step of static work, so both must match the all-steps
+   references.  Stencil5 writes only A and reads only B, so every order
+   gives the sequential buffer.  Under the policies that deal work at
+   run time, per-domain footprints vary from run to run; only the union
+   is fixed. *)
+let test_execute_multistep () =
+  let steps = 3 in
+  let a = Driver.analyze ~nprocs:4 (Programs.stencil5 ~n:33 ()) in
+  let compiled = Runtime.Exec.compile a.Driver.nest in
+  let want = Runtime.Exec.checksum (Runtime.Exec.sequential compiled ~steps) in
+  let measured =
+    Runtime.Pool.with_pool a.Driver.nprocs (fun pool ->
+        Runtime.Exec.measure pool compiled
+          (Runtime.Exec.of_tiles (Codegen.tiles (Driver.schedule a)))
+          ~steps ~mode:Runtime.Measure.Exact)
+  in
+  List.iter
+    (fun (policy, kernels) ->
+      let config =
+        {
+          Driver.default_exec_config with
+          policy;
+          kernels;
+          repeats = 2;
+          steps = Some steps;
+        }
+      in
+      let r = Driver.execute ~config a in
+      let label = r.Runtime.Measure.policy in
+      check (label ^ ": steps") steps r.Runtime.Measure.steps;
+      checkb (label ^ ": checksum = sequential") true
+        (Float.equal want r.Runtime.Measure.checksum);
+      check (label ^ ": distinct total") measured.Runtime.Exec.distinct_total
+        r.Runtime.Measure.distinct_total;
+      check (label ^ ": every iteration once per step")
+        (steps * Nest.iterations a.Driver.nest)
+        (Array.fold_left
+           (fun n (d : Runtime.Measure.domain_stat) -> n + d.iterations)
+           0 r.Runtime.Measure.per_domain);
+      if policy = Driver.Tiled then
+        Alcotest.(check (array int))
+          (label ^ ": footprints = all-steps measure")
+          measured.Runtime.Exec.footprints
+          (Array.map
+             (fun (d : Runtime.Measure.domain_stat) -> d.footprint)
+             r.Runtime.Measure.per_domain))
+    (List.concat_map
+       (fun policy -> [ (policy, false); (policy, true) ])
+       [
+         Driver.Tiled;
+         Driver.Cyclic;
+         Driver.Block_cyclic 7;
+         Driver.Guided;
+         Driver.Work_steal 16;
+       ])
+
+(* ------------------------------------------------------------------ *)
 (* Random-nest integration properties                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -287,6 +349,11 @@ let () =
             test_execute_pped;
           Alcotest.test_case "resilient crash recovery" `Quick
             test_resilient_pped_crash;
+        ] );
+      ( "multi-step",
+        [
+          Alcotest.test_case "policies and kernels over 3 steps" `Quick
+            test_execute_multistep;
         ] );
       ("random nests", random_props);
     ]

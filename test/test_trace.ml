@@ -129,6 +129,41 @@ let test_counters_match_tile_counts () =
   counters_match_tile_counts ~kernels:false;
   counters_match_tile_counts ~kernels:true
 
+(* The elements-touched counters come from one observed step of the
+   static tiles; over a 3-step run they must equal each domain's
+   footprint measured over all 3 steps, kernels on and off. *)
+let test_elements_touched_multistep () =
+  let steps = 3 and nprocs = 4 in
+  let a = Driver.analyze ~nprocs (Programs.stencil5 ~n:33 ()) in
+  let compiled = Runtime.Exec.compile a.Driver.nest in
+  let measured =
+    Runtime.Pool.with_pool nprocs (fun pool ->
+        Runtime.Exec.measure pool compiled
+          (Runtime.Exec.of_tiles
+             (Partition.Codegen.tiles (Driver.schedule a)))
+          ~steps ~mode:Runtime.Measure.Exact)
+  in
+  List.iter
+    (fun kernels ->
+      let trace = Trace.create ~domains:nprocs () in
+      let config =
+        {
+          Driver.default_exec_config with
+          Driver.repeats = 1;
+          steps = Some steps;
+          kernels;
+          trace = Some trace;
+        }
+      in
+      ignore (Driver.execute ~config a);
+      Alcotest.(check (array int))
+        (Printf.sprintf "elements touched = all-steps footprints (kernels %b)"
+           kernels)
+        measured.Runtime.Exec.footprints
+        (Array.init nprocs (fun p ->
+             Trace.counters trace p Trace.Elements_touched)))
+    [ false; true ]
+
 let test_resilient_counters_match_cover () =
   let nest = Programs.stencil5 ~n:17 ~steps:2 () in
   let nprocs = 4 in
@@ -282,6 +317,8 @@ let () =
         [
           Alcotest.test_case "totals match (tile, step, repeat) counts" `Quick
             test_counters_match_tile_counts;
+          Alcotest.test_case "elements touched over 3 steps" `Quick
+            test_elements_touched_multistep;
           Alcotest.test_case "resilient totals match cover-exactly-once"
             `Quick test_resilient_counters_match_cover;
         ] );

@@ -1022,7 +1022,8 @@ let e21 () =
 
 (* ------------------------------------------------------------------ *)
 (* E22: kernel lowering - strided incremental-address loops vs the     *)
-(* point interpreter, sequential and across domain counts              *)
+(* point interpreter, sequential, across domain counts, and per box    *)
+(* under run-time claims                                               *)
 (* ------------------------------------------------------------------ *)
 
 let e22_scale = ref 4
@@ -1064,6 +1065,25 @@ let e22 () =
                     Runtime.Kernel.time pool plan ~boxes ~steps ~repeats:1
                   in
                   w
+            | `Dynamic (chunk, kernel) ->
+                (* The same claims through either body: the difference
+                   is what each pays per box. *)
+                let space = Nest.bounds nest in
+                let work =
+                  Runtime.Exec.Dynamic
+                    { space; chunk = (fun ~remaining:_ -> chunk) }
+                in
+                let box =
+                  if kernel then
+                    Runtime.Kernel.run_box (Runtime.Kernel.plan compiled)
+                  else Runtime.Exec.run_box compiled
+                in
+                fun () ->
+                  let w, _, _ =
+                    Runtime.Exec.time_with ~box ~trace:Runtime.Trace.disabled
+                      pool compiled work ~steps ~repeats:1
+                  in
+                  w
           in
           ignore (once ());
           Array.init trials (fun _ -> once ()))
@@ -1075,6 +1095,10 @@ let e22 () =
       | `Interp -> "interpreter"
       | `Kernel true -> "kernel-generic"
       | `Kernel false -> "kernel"
+      | `Dynamic (chunk, kernel) ->
+          Printf.sprintf "%s-%s"
+            (if kernel then "kernel" else "interpreter")
+            (if chunk = 1 then "cyclic" else Printf.sprintf "block%d" chunk)
     in
     rows :=
       row ~experiment:"E22" ~name ~path:path_name ~nprocs ~steps
@@ -1123,7 +1147,20 @@ let e22 () =
       pf "tiled 8-domain vs 1-domain (kernel): %.2fx%s@." (kernel1 /. kernel8)
         (if host_cores = 1 then
            " - single-core host, parallel speedup is not expected here"
-         else ""))
+         else "");
+      (* Run-time claims cut the space into short boxes (1 point each
+         under cyclic), so these rows price the kernel's per-box set-up
+         against the interpreter's. *)
+      List.iter
+        (fun (chunk, label) ->
+          let interp =
+            measure_row ~nprocs:2 ~path:(`Dynamic (chunk, false))
+              (Printf.sprintf "interpreter %s / 2" label) None
+          in
+          ignore
+            (measure_row ~nprocs:2 ~path:(`Dynamic (chunk, true))
+               (Printf.sprintf "kernel %s / 2" label) (Some interp)))
+        [ (1, "cyclic"); (16, "block:16") ])
     workloads;
   write_rows "BENCH_kernels.json" (List.rev !rows)
 
@@ -1154,22 +1191,20 @@ let run_profile () =
         Faults_detected;
       ]
   in
-  let one ~name ~nest ~steps ~kernels =
+  let one ~name ~nest ~steps =
     let trace = Runtime.Trace.create ~domains:nprocs () in
     let config =
       {
         Driver.default_exec_config with
         Driver.steps = Some steps;
         repeats = 1;
-        kernels;
         trace = Some trace;
       }
     in
     let a = Driver.analyze ~nprocs nest in
     ignore (Driver.execute ~config a);
     let s = Runtime.Trace.summary trace in
-    let path = if kernels then "kernel" else "interpreter" in
-    pf "@.--- %s on %d domains (%s path) ---@." name nprocs path;
+    pf "@.--- %s on %d domains (kernel path) ---@." name nprocs;
     pf "%a@." Runtime.Trace.pp_summary s;
     let events = Runtime.Trace.events trace in
     (* Per-domain busy seconds by span kind, from the raw events. *)
@@ -1197,7 +1232,7 @@ let run_profile () =
                   Json.Int (Runtime.Trace.counters trace p c) ))
               counters)
     in
-    row ~experiment:"profile" ~name ~path ~nprocs ~steps
+    row ~experiment:"profile" ~name ~path:"kernel" ~nprocs ~steps
       [
         ("summary", Runtime.Trace.json_of_summary s);
         ("domains", List (List.init nprocs domain_json));
@@ -1205,10 +1240,8 @@ let run_profile () =
   in
   let items =
     [
-      one ~name:"stencil5" ~nest:(Programs.stencil5 ~n:128 ()) ~steps:2
-        ~kernels:true;
-      one ~name:"matmul" ~nest:(Programs.matmul ~n:64 ()) ~steps:1
-        ~kernels:false;
+      one ~name:"stencil5" ~nest:(Programs.stencil5 ~n:128 ()) ~steps:2;
+      one ~name:"matmul" ~nest:(Programs.matmul ~n:64 ()) ~steps:1;
     ]
   in
   write_rows "BENCH_profile.json" items

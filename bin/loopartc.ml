@@ -219,19 +219,11 @@ let run_cmd =
     let doc = "Override the outer sequential (doseq) trip count." in
     Arg.(value & opt (some int) None & info [ "steps" ] ~docv:"N" ~doc)
   in
-  let kernels_arg =
-    let doc =
-      "Lower tiles to specialized strided kernels (incremental address \
-       bumps, unit-stride-innermost traversal, shape fast paths) instead \
-       of interpreting point by point.  Applies to every box of the timed \
-       pass, under every policy and tile shape, and to resilient runs."
-    in
-    Arg.(value & flag & info [ "kernels" ] ~doc)
-  in
   let validate_arg =
     let doc =
       "Also validate: write-race freedom, runtime-vs-simulator footprint \
-       agreement, and value determinism."
+       agreement, and value determinism; for a deterministic nest, fail \
+       unless the run's checksum equals the sequential interpreter's."
     in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
@@ -302,7 +294,7 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "metrics" ] ~doc)
   in
-  let run source nprocs skewed policy repeats steps kernels validate
+  let run source nprocs skewed policy repeats steps validate
       fault_plan fault_policy deadline_ms report_json trace_file metrics =
     wrap (fun () ->
         let nest = load source in
@@ -321,14 +313,13 @@ let run_cmd =
             Loopart.Driver.policy;
             repeats;
             steps;
-            kernels;
             trace;
           }
         in
         let resilient =
           fault_plan <> None || fault_policy <> None || report_json <> None
         in
-        let failure = ref None in
+        let failure = ref None and checksum = ref Float.nan in
         if resilient then begin
           let resilience =
             {
@@ -355,11 +346,13 @@ let run_cmd =
               Format.printf "report written to %s@." file
           | None -> ());
           if not report.Runtime.Report.completed then
-            failure := Some "resilient run did not complete (see report above)"
+            failure := Some "resilient run did not complete (see report above)";
+          checksum := report.Runtime.Report.checksum
         end
         else begin
           let report = Loopart.Driver.execute ~config ~tile a in
           Format.printf "%a@." Runtime.Measure.pp_report report;
+          checksum := report.Runtime.Measure.checksum;
           (* The resilient report embeds its own metrics summary; plain
              runs print it here on request. *)
           match trace with
@@ -379,9 +372,18 @@ let run_cmd =
             Format.printf "trace written to %s@." file
         | _ -> ());
         (match !failure with Some msg -> failwith msg | None -> ());
-        if validate then
-          Format.printf "%a@." Runtime.Validate.pp
-            (Loopart.Driver.validate ~tile a))
+        if validate then begin
+          let v = Loopart.Driver.validate ~tile a in
+          Format.printf "%a@." Runtime.Validate.pp v;
+          if v.Runtime.Validate.deterministic then begin
+            let steps = Runtime.Exec.steps_of_nest ?override:steps nest in
+            let compiled = Runtime.Exec.compile nest in
+            let seq = Runtime.Exec.sequential compiled ~steps in
+            let same = Float.equal !checksum (Runtime.Exec.checksum seq) in
+            Format.printf "checksum = sequential checksum: %b@." same;
+            if not same then failwith "checksum differs from the sequential run"
+          end
+        end)
   in
   Cmd.v
     (Cmd.info "run"
@@ -393,7 +395,7 @@ let run_cmd =
     Term.(
       term_result
         (const run $ source_arg $ nprocs_arg $ skewed_arg $ policy_arg
-       $ repeats_arg $ steps_arg $ kernels_arg $ validate_arg
+       $ repeats_arg $ steps_arg $ validate_arg
        $ fault_plan_arg $ fault_policy_arg $ deadline_arg $ report_json_arg
        $ trace_arg $ metrics_arg))
 

@@ -95,23 +95,21 @@ let execute ?(config = default_exec_config) ?tile a =
   in
   let compiled = Runtime.Exec.compile nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
-  (* The timed pass runs every step on [box] and gives the checksum;
-     the footprints come from the interpreter observing the same work,
-     for one step when the work is static ([Exec.observed_steps]). *)
-  let box, policy =
-    if config.kernels then
-      let plan = Runtime.Kernel.plan compiled in
-      ( Runtime.Kernel.run_box plan,
-        Printf.sprintf "%s + %s kernel" (policy_name config.policy)
-          (Runtime.Kernel.shape plan) )
-    else (Runtime.Exec.run_box compiled, policy_name config.policy)
-  in
+  (* The timed pass runs every step through the kernel and gives the
+     checksum; the footprints come from the interpreter observing the
+     same work, for one step when the work is static
+     ([Exec.observed_steps]). *)
+  let plan = Runtime.Kernel.plan compiled in
   let raw =
     Runtime.Pool.with_pool a.nprocs (fun pool ->
         Runtime.Exec.run
           ~trace:(Option.value ~default:Runtime.Trace.disabled config.trace)
-          ~box pool compiled work ~steps ~repeats:config.repeats
-          ~mode:config.footprint)
+          ~box:(Runtime.Kernel.run_box plan) pool compiled work ~steps
+          ~repeats:config.repeats ~mode:config.footprint)
+  in
+  let policy =
+    Printf.sprintf "%s + %s kernel" (policy_name config.policy)
+      (Runtime.Kernel.shape plan)
   in
   Runtime.Measure.report ~name:nest.Nest.name ~policy ~steps
     ~repeats:config.repeats
@@ -135,7 +133,7 @@ let execute_resilient ?(config = default_exec_config)
     Runtime.Resilient.tiles_of_schedule (Codegen.make nest tile ~nprocs)
   in
   Runtime.Resilient.execute ~config:resilience ?plan ?trace:config.trace
-    ~kernels:config.kernels ~compiled ~steps ~partition ~nprocs:a.nprocs ()
+    ~compiled ~steps ~partition ~nprocs:a.nprocs ()
 
 let validate ?tile a = Runtime.Validate.check_schedule (schedule ?tile a)
 

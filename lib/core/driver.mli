@@ -64,10 +64,10 @@ type exec_config = {
           selected a [Bigarray] and stays only until its last readers
           drop it *)
   kernels : bool;
-      (** run every box of the timed pass (and of
-          {!execute_resilient}) through {!Runtime.Kernel}'s specialized
-          strided loops instead of the interpreter, under every policy
-          and tile shape *)
+      (** ignored: every box of every run goes through
+          {!Runtime.Kernel}.  The field once chose between the kernels
+          and the interpreter and stays only until its last readers
+          drop it *)
   trace : Runtime.Trace.t option;
       (** record per-domain spans and counters into this recorder during
           the timed passes (size it for [analysis.nprocs]); under the
@@ -76,7 +76,7 @@ type exec_config = {
 
 val default_exec_config : exec_config
 (** [Tiled], 3 repeats, the nest's own step count, [Auto] footprints,
-    [float array] operands, interpreter (no kernels), no trace. *)
+    no trace. *)
 
 val execute :
   ?config:exec_config -> ?tile:Tile.t -> analysis -> Runtime.Measure.report
@@ -85,10 +85,11 @@ val execute :
     the Theorem 2/4 prediction when the policy is [Tiled].  Every
     policy runs boxes: the tiles of {!Partition.Codegen.tiles} ([Tiled]),
     those tiles cut into pieces ([Work_steal]), or the index ranges a
-    self-scheduler claims, decoded into boxes.  With [config.kernels]
-    the timed pass runs the boxes through the lowered kernels.  The
-    checksum is that of the buffer the fastest timed pass produced.
-    The footprints come from the interpreter observing the same work:
+    self-scheduler claims, decoded into boxes.  The timed pass runs
+    every box through {!Runtime.Kernel.run_box}, and the report's
+    policy names the kernel shape.  The checksum is that of the buffer
+    the fastest timed pass produced.  The footprints come from the
+    interpreter observing the same work:
     one step of it under [Tiled], where each domain touches the same
     elements every step, and every step under the other policies,
     which deal work at run time ({!Runtime.Exec.observed_steps}). *)

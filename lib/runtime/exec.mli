@@ -101,8 +101,8 @@ val iter_range : box -> int -> int -> (box -> unit) -> unit
 
 val run_box : compiled -> storage -> box -> unit
 (** The interpreter over a box: the loop body at each of its points, in
-    lexicographic order.  Partial application to the storage builds
-    the point body once. *)
+    lexicographic order, built once per storage.  No run path uses it:
+    it is the reference {!Kernel.run_box} is checked against. *)
 
 type tile = box array
 (** The boxes a tile covers, in execution order. *)
@@ -175,9 +175,10 @@ val time :
   repeats:int ->
   float * float array * int array
 (** [(wall, per_domain_seconds, per_domain_iterations)] of the fastest
-    of [repeats] uninstrumented executions (minimum-of-N wall-clock,
-    all timestamps on {!Mclock}).  A live [trace] records barrier
-    waits, steps, and tile/chunk claims of {e every} repeat. *)
+    of [repeats] uninstrumented executions on the reference {!run_box}
+    (minimum-of-N wall-clock, all timestamps on {!Mclock}).  A live
+    [trace] records barrier waits, steps, and tile/chunk claims of {e
+    every} repeat. *)
 
 val observed_steps : work -> steps:int -> int
 (** How many of [steps] steps {!run} observes for footprints: [1] for
@@ -201,8 +202,7 @@ val run :
 (** {!time_with} + {!measure} combined into a {!Measure.raw}.  The
     timed pass runs all [steps] steps, is traced, and gives the wall
     time, iterations and checksum: the sum of the buffer the fastest
-    repeat's box bodies (the kernels, when [box] is
-    {!Kernel.run_box}) produced.  The instrumented pass (always the
+    repeat's box bodies produced.  The instrumented pass (always the
     interpreter, over the same work) runs {!observed_steps} steps -
     one for static work - untraced; its footprints also feed the
     trace's elements-touched counter. *)

@@ -6,14 +6,22 @@ type shape = Stencil5 | Generic
 
 let shape_name = function Stencil5 -> "stencil5" | Generic -> "generic"
 
+(* [row data n ra wa] runs [n] points of the innermost axis from the
+   running addresses [ra] (reads) and [wa] (writes), and leaves both
+   arrays as it found them. *)
+type row = Exec.storage -> int -> int array -> int array -> unit
+
 type plan = {
   compiled : Exec.compiled;
-  nesting : int;
   reads : Exec.cref array;
   writes : (Exec.cref * bool) array;
   order : int array;  (** traversal order, outermost first *)
   reorderable : bool;
   shape : shape;
+  rstep : int array array;
+      (** [rstep.(k).(i)]: read [i]'s address delta along traversal axis [k] *)
+  wstep : int array array;  (** the same for the writes *)
+  row : row;
 }
 
 let order p = Array.copy p.order
@@ -153,47 +161,6 @@ let detect_shape (reads : Exec.cref array) writes =
       Stencil5
   | _ -> Generic
 
-let plan ?(force_generic = false) ?order compiled =
-  let nest = Exec.nest compiled in
-  let nesting = Nest.nesting nest in
-  let bounds = Nest.bounds nest in
-  let extents = Nest.extents nest in
-  let reads = Exec.reads compiled in
-  let writes = Exec.writes compiled in
-  let reorderable = analyze_reorderable reads writes bounds extents in
-  let order =
-    match order with
-    | Some o ->
-        if not (is_permutation o nesting) then
-          invalid_arg "Kernel.plan: order is not a permutation of the axes";
-        Array.copy o
-    | None -> choose_order ~nesting ~reorderable reads writes extents
-  in
-  let shape = if force_generic then Generic else detect_shape reads writes in
-  { compiled; nesting; reads; writes; order; reorderable; shape }
-
-(* Per-axis address delta of each body reference, in original axis
-   order: exactly the [m] vector of the compiled reference. *)
-let strides p =
-  let nest = Exec.nest p.compiled in
-  let ri = ref 0 and wi = ref 0 in
-  List.map
-    (fun (r : Reference.t) ->
-      let cr =
-        if Reference.is_write_like r then begin
-          let cr, _ = p.writes.(!wi) in
-          incr wi;
-          cr
-        end
-        else begin
-          let cr = p.reads.(!ri) in
-          incr ri;
-          cr
-        end
-      in
-      (r, Array.copy cr.Exec.m))
-    nest.Nest.body
-
 (* ------------------------------------------------------------------ *)
 (* Box execution                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -205,8 +172,8 @@ let strides p =
    (or in-place adds) through every write in body order. *)
 
 (* The five reads share one index map (shape precondition), so their
-   mutual offsets are constant over the box: one bumped cursor and four
-   fixed displacements replace five independent address streams. *)
+   mutual offsets are the differences of their [c]: one bumped cursor
+   and four fixed displacements replace five address streams. *)
 let inner_stencil5 (data : Exec.storage) ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 b0 w0 =
   let b = ref b0 and w = ref w0 in
   for _ = 1 to n do
@@ -228,13 +195,19 @@ let[@inline] store ~is_acc (data : Exec.storage) a v =
   if is_acc then Array.unsafe_set data a (Array.unsafe_get data a +. v)
   else Array.unsafe_set data a v
 
-(* Generic fallback: running addresses live in scratch arrays bumped in
-   place - one add per reference per iteration, against the
-   interpreter's O(nesting) multiply-add per reference.  The cursor
-   bump is fused into the read-sum pass (one sweep over the cursor
-   array per iteration, not two), and the overwhelmingly common
-   single-write body gets its own variant with the accumulate dispatch
-   and the write cursor hoisted out of the array. *)
+(* Move running addresses [n] steps along [delta]. *)
+let bump (a : int array) (delta : int array) n =
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- a.(i) + (n * delta.(i))
+  done
+
+(* Generic fallback: cursors bumped in place in their arrays, then
+   rewound - one add per reference per iteration, against the
+   interpreter's O(nesting) multiply-add per reference.  The bump is
+   fused into the read-sum pass (one sweep over the cursor array per
+   iteration, not two), and the overwhelmingly common single-write
+   body gets its own variant with the accumulate dispatch and the write
+   cursor hoisted out of the array. *)
 let inner_generic1 (data : Exec.storage) ~n ~nr ~(rd : int array) ~dw
     ~is_acc (ra : int array) w0 =
   let w = ref w0 in
@@ -248,10 +221,11 @@ let inner_generic1 (data : Exec.storage) ~n ~nr ~(rd : int array) ~dw
     let v = !s +. 1.0 in
     store ~is_acc data !w v;
     w := !w + dw
-  done
+  done;
+  bump ra rd (-n)
 
 (* Arity-unrolled single-write variants: same shape-agnostic bumped
-   cursors, but held in registers instead of a scratch array once the
+   cursors, but held in registers instead of the cursor array once the
    read count is known.  Kills the per-read loop control and the cursor
    array traffic, which dominate [inner_generic1] for short bodies.
    {!unrolled} inlines each one per store kind. *)
@@ -341,31 +315,29 @@ let[@inline] inner_gen5 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
 
 (* Each unrolled loop inlined twice, so the accumulate test folds away:
    left inside the loop it cost matmul about 20% (2-core x86-64). *)
-let unrolled ~nr ~is_acc :
-    (Exec.storage -> n:int -> rd:int array -> dw:int -> int array -> int -> unit)
-    option =
+let unrolled ~nr ~is_acc ~rd ~dw : row option =
   let pick acc set = Some (if is_acc then acc else set) in
   match nr with
   | 1 ->
       pick
-        (fun d ~n ~rd ~dw ra w -> inner_gen1 ~is_acc:true d ~n ~rd ~dw ra w)
-        (fun d ~n ~rd ~dw ra w -> inner_gen1 ~is_acc:false d ~n ~rd ~dw ra w)
+        (fun d n ra wa -> inner_gen1 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
+        (fun d n ra wa -> inner_gen1 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
   | 2 ->
       pick
-        (fun d ~n ~rd ~dw ra w -> inner_gen2 ~is_acc:true d ~n ~rd ~dw ra w)
-        (fun d ~n ~rd ~dw ra w -> inner_gen2 ~is_acc:false d ~n ~rd ~dw ra w)
+        (fun d n ra wa -> inner_gen2 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
+        (fun d n ra wa -> inner_gen2 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
   | 3 ->
       pick
-        (fun d ~n ~rd ~dw ra w -> inner_gen3 ~is_acc:true d ~n ~rd ~dw ra w)
-        (fun d ~n ~rd ~dw ra w -> inner_gen3 ~is_acc:false d ~n ~rd ~dw ra w)
+        (fun d n ra wa -> inner_gen3 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
+        (fun d n ra wa -> inner_gen3 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
   | 4 ->
       pick
-        (fun d ~n ~rd ~dw ra w -> inner_gen4 ~is_acc:true d ~n ~rd ~dw ra w)
-        (fun d ~n ~rd ~dw ra w -> inner_gen4 ~is_acc:false d ~n ~rd ~dw ra w)
+        (fun d n ra wa -> inner_gen4 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
+        (fun d n ra wa -> inner_gen4 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
   | 5 ->
       pick
-        (fun d ~n ~rd ~dw ra w -> inner_gen5 ~is_acc:true d ~n ~rd ~dw ra w)
-        (fun d ~n ~rd ~dw ra w -> inner_gen5 ~is_acc:false d ~n ~rd ~dw ra w)
+        (fun d n ra wa -> inner_gen5 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
+        (fun d n ra wa -> inner_gen5 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
   | _ -> None
 
 let inner_generic (data : Exec.storage) ~n ~nr ~nw ~(rd : int array)
@@ -383,86 +355,113 @@ let inner_generic (data : Exec.storage) ~n ~nr ~nw ~(rd : int array)
       store ~is_acc:(Array.unsafe_get acc i) data a v;
       Array.unsafe_set wa i (a + Array.unsafe_get wd i)
     done
-  done
+  done;
+  bump ra rd (-n);
+  bump wa wd (-n)
+
+(* The innermost loop for a shape, from the innermost deltas [rd] and
+   [wd]. *)
+let row_of shape (reads : Exec.cref array) writes ~rd ~wd : row =
+  let nr = Array.length reads and nw = Array.length writes in
+  match shape with
+  | Stencil5 ->
+      let d = rd.(0) and dw = wd.(0) in
+      let off i = reads.(i).Exec.c - reads.(0).Exec.c in
+      let o1 = off 1 and o2 = off 2 and o3 = off 3 and o4 = off 4 in
+      fun data n ra wa ->
+        inner_stencil5 data ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 ra.(0) wa.(0)
+  | Generic when nw = 1 -> (
+      let dw = wd.(0) and is_acc = snd writes.(0) in
+      match unrolled ~nr ~is_acc ~rd ~dw with
+      | Some row -> row
+      | None ->
+          fun data n ra wa ->
+            inner_generic1 data ~n ~nr ~rd ~dw ~is_acc ra wa.(0))
+  | Generic ->
+      let acc = Array.map snd writes in
+      fun data n ra wa -> inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ra wa
+
+let plan ?(force_generic = false) ?order compiled =
+  let nest = Exec.nest compiled in
+  let nesting = Nest.nesting nest in
+  let bounds = Nest.bounds nest in
+  let extents = Nest.extents nest in
+  let reads = Exec.reads compiled in
+  let writes = Exec.writes compiled in
+  let reorderable = analyze_reorderable reads writes bounds extents in
+  let order =
+    match order with
+    | Some o ->
+        if not (is_permutation o nesting) then
+          invalid_arg "Kernel.plan: order is not a permutation of the axes";
+        Array.copy o
+    | None -> choose_order ~nesting ~reorderable reads writes extents
+  in
+  let shape = if force_generic then Generic else detect_shape reads writes in
+  (* Per-reference deltas permuted into traversal order, once per plan:
+     a box then costs only its two cursor arrays. *)
+  let along crefs =
+    Array.map (fun k -> Array.map (fun (r : Exec.cref) -> r.m.(k)) crefs) order
+  in
+  let rstep = along reads and wstep = along (Array.map fst writes) in
+  let row =
+    row_of shape reads writes ~rd:rstep.(nesting - 1) ~wd:wstep.(nesting - 1)
+  in
+  { compiled; reads; writes; order; reorderable; shape; rstep; wstep; row }
+
+(* Per-axis address delta of each body reference, in original axis
+   order: exactly the [m] vector of the compiled reference. *)
+let strides p =
+  let reads = Queue.of_seq (Array.to_seq p.reads)
+  and writes = Queue.of_seq (Array.to_seq (Array.map fst p.writes)) in
+  List.map
+    (fun (r : Reference.t) ->
+      let q = if Reference.is_write_like r then writes else reads in
+      (r, Array.copy (Queue.pop q).Exec.m))
+    (Exec.nest p.compiled).Nest.body
+
+let start (r : Exec.cref) (b : box) =
+  let a = ref r.Exec.c in
+  for k = 0 to Array.length b - 1 do
+    a := !a + (r.Exec.m.(k) * fst b.(k))
+  done;
+  !a
+
+(* Traversal axes [k ..] of the box: each outer axis advances the
+   cursors before every point but its first and rewinds them after its
+   last, so every level leaves them as it found them.  An empty axis
+   runs nothing; an empty innermost one gives rows of [n <= 0]. *)
+let rec walk p data (b : box) n ra wa k =
+  if k = Array.length p.order - 1 then p.row data n ra wa
+  else begin
+    let lo, hi = b.(p.order.(k)) in
+    let rs = p.rstep.(k) and ws = p.wstep.(k) in
+    for j = lo to hi do
+      if j > lo then begin
+        bump ra rs 1;
+        bump wa ws 1
+      end;
+      walk p data b n ra wa (k + 1)
+    done;
+    if hi > lo then begin
+      bump ra rs (lo - hi);
+      bump wa ws (lo - hi)
+    end
+  end
 
 let run_box p (data : Exec.storage) (b : box) =
-  let d = p.nesting in
+  let d = Array.length p.order in
   if Array.length b <> d then invalid_arg "Kernel.run_box: box arity mismatch";
-  if Array.exists (fun (lo, hi) -> hi < lo) b then ()
-  else begin
-    let ord = p.order in
-    let ext = Array.map (fun k -> let lo, hi = b.(k) in hi - lo + 1) ord in
-    let nr = Array.length p.reads and nw = Array.length p.writes in
-    let start (r : Exec.cref) =
-      let a = ref r.Exec.c in
-      Array.iteri (fun k (lo, _) -> a := !a + (r.Exec.m.(k) * lo)) b;
-      !a
-    in
-    (* Running addresses (outer axes), and per-ref deltas permuted into
-       traversal order. *)
-    let ra = Array.map start p.reads in
-    let wa = Array.map (fun (w, _) -> start w) p.writes in
-    let rdelta =
-      Array.map (fun (r : Exec.cref) -> Array.map (fun k -> r.Exec.m.(k)) ord) p.reads
-    in
-    let wdelta =
-      Array.map (fun ((w : Exec.cref), _) -> Array.map (fun k -> w.Exec.m.(k)) ord)
-        p.writes
-    in
-    let n = ext.(d - 1) in
-    let rd = Array.map (fun dl -> dl.(d - 1)) rdelta in
-    let wd = Array.map (fun dl -> dl.(d - 1)) wdelta in
-    (* [inner ra wa] runs the innermost row starting at the given
-       addresses; it must not mutate its arguments. *)
-    let inner =
-      match p.shape with
-      | Stencil5 ->
-          let d = rd.(0) and dw = wd.(0) in
-          let o1 = ra.(1) - ra.(0)
-          and o2 = ra.(2) - ra.(0)
-          and o3 = ra.(3) - ra.(0)
-          and o4 = ra.(4) - ra.(0) in
-          fun (ra : int array) (wa : int array) ->
-            inner_stencil5 data ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 ra.(0) wa.(0)
-      | Generic when nw = 1 -> (
-          let dw = wd.(0) and is_acc = snd p.writes.(0) in
-          match unrolled ~nr ~is_acc with
-          | Some f -> fun ra wa -> f data ~n ~rd ~dw ra wa.(0)
-          | None ->
-              let ras = Array.make (max nr 1) 0 in
-              fun ra wa ->
-                Array.blit ra 0 ras 0 nr;
-                inner_generic1 data ~n ~nr ~rd ~dw ~is_acc ras wa.(0))
-      | Generic ->
-          let acc = Array.map snd p.writes in
-          let ras = Array.make (max nr 1) 0 and was = Array.make (max nw 1) 0 in
-          fun ra wa ->
-            Array.blit ra 0 ras 0 nr;
-            Array.blit wa 0 was 0 nw;
-            inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ras was
-    in
-    let rec go k =
-      if k = d - 1 then inner ra wa
-      else begin
-        for _ = 1 to ext.(k) do
-          go (k + 1);
-          for i = 0 to nr - 1 do
-            ra.(i) <- ra.(i) + rdelta.(i).(k)
-          done;
-          for i = 0 to nw - 1 do
-            wa.(i) <- wa.(i) + wdelta.(i).(k)
-          done
-        done;
-        for i = 0 to nr - 1 do
-          ra.(i) <- ra.(i) - (ext.(k) * rdelta.(i).(k))
-        done;
-        for i = 0 to nw - 1 do
-          wa.(i) <- wa.(i) - (ext.(k) * wdelta.(i).(k))
-        done
-      end
-    in
-    go 0
-  end
+  let nr = Array.length p.reads and nw = Array.length p.writes in
+  let ra = Array.make nr 0 and wa = Array.make nw 0 in
+  for i = 0 to nr - 1 do
+    ra.(i) <- start p.reads.(i) b
+  done;
+  for i = 0 to nw - 1 do
+    wa.(i) <- start (fst p.writes.(i)) b
+  done;
+  let lo, hi = b.(p.order.(d - 1)) in
+  walk p data b (hi - lo + 1) ra wa 0
 
 (* ------------------------------------------------------------------ *)
 (* Schedules and parallel execution                                    *)

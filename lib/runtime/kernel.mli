@@ -7,7 +7,8 @@
     ({!Exec.cref}) changes by the compile-time constant [m.(k)] per unit
     step along axis [k].  A plan therefore precomputes the per-axis
     address deltas once, seeds one running address per reference at the
-    box corner, and executes the box with incremental bumps only - plus:
+    box corner, and executes the box with incremental bumps only; every
+    run path executes its boxes here.  Plus:
 
     - {b traversal order}: when a conservative safety analysis proves
       reordering bit-exact (injective write maps, at most one
@@ -32,7 +33,8 @@ type box = Exec.box
 type plan
 
 val plan : ?force_generic:bool -> ?order:int array -> Exec.compiled -> plan
-(** Lower a compiled nest.  [force_generic] disables the stencil
+(** Lower a compiled nest, fixing the traversal-order deltas and the
+    inner loop once.  [force_generic] disables the stencil
     specialization (benchmark baseline for isolating the incremental
     addressing win).  [order] overrides the traversal order ({e
     bypassing} the safety analysis - test/bench use only); it must be a
@@ -59,7 +61,8 @@ val strides : plan -> (Reference.t * int array) list
 val run_box : plan -> Exec.storage -> box -> unit
 (** Execute every iteration of the box once (one parallel step's worth
     of one tile).  Degenerate axes (extent 1) are fine; an empty box
-    ([hi < lo] somewhere) is a no-op. *)
+    ([hi < lo] somewhere) is a no-op.  A box allocates only its two
+    cursor arrays, so domains may share one [run_box plan storage]. *)
 
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
 (** The boxes of {!Partition.Codegen.tiles} grouped by owning processor,

@@ -370,18 +370,14 @@ let job ctx me =
 (* Attempt driver                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let make_ctx cfg plan compiled steps (p : partitioned) ~recover ~kernels ~trace =
+let make_ctx cfg plan kplan compiled steps (p : partitioned) ~recover ~trace =
   let n = p.nprocs in
   let ntiles = Array.length p.tiles in
   if Array.length p.owners <> ntiles then
     invalid_arg "Resilient: owners/tiles length mismatch";
   let storage = Exec.alloc compiled in
   let exec_tile =
-    let box =
-      match kernels with
-      | Some kplan -> Kernel.run_box kplan storage
-      | None -> Exec.run_box compiled storage
-    in
+    let box = Kernel.run_box kplan storage in
     fun t -> Array.iter box p.tiles.(t)
   in
   {
@@ -419,8 +415,8 @@ let make_ctx cfg plan compiled steps (p : partitioned) ~recover ~kernels ~trace 
       };
   }
 
-let run_attempt cfg plan compiled steps ~partition ~size ~recover ~kernels
-    ~trace ~attempt_no ~backoff_ms ~pre_events =
+let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
+    ~attempt_no ~backoff_ms ~pre_events =
   let t0 = now () in
   let attempt ?(events = pre_events) ?(tiles_total = 0) ?(reexec = 0)
       ?(retired = []) outcome =
@@ -445,7 +441,7 @@ let run_attempt cfg plan compiled steps ~partition ~size ~recover ~kernels
         (Printf.sprintf "partition returned %d-way work for %d domains"
            p.nprocs size)
   | p -> (
-      match make_ctx cfg plan compiled steps p ~recover ~kernels ~trace with
+      match make_ctx cfg plan kplan compiled steps p ~recover ~trace with
       | exception exn ->
           failed (Printf.sprintf "bad partition: %s" (Printexc.to_string exn))
       | ctx ->
@@ -488,12 +484,11 @@ let run_attempt cfg plan compiled steps ~partition ~size ~recover ~kernels
 (* Policy loop                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let execute ?(config = default_config) ?(plan = Fault.none)
-    ?(kernels = false) ?(trace = Trace.disabled) ~compiled ~steps ~partition
-    ~nprocs () =
+let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
+    ?(trace = Trace.disabled) ~compiled ~steps ~partition ~nprocs () =
   if nprocs < 1 then invalid_arg "Resilient.execute: nprocs < 1";
   if steps < 1 then invalid_arg "Resilient.execute: steps < 1";
-  let kernels = if kernels then Some (Kernel.plan compiled) else None in
+  let kplan = Kernel.plan compiled in
   let t_job = now () in
   let tile_retry = Exec.reexecution_safe compiled in
   let recover = config.policy <> Fail_fast && tile_retry in
@@ -531,7 +526,7 @@ let execute ?(config = default_config) ?(plan = Fault.none)
   in
   let sequential_fallback () =
     let t0 = now () in
-    let buffer = Exec.sequential compiled ~steps in
+    let buffer = Kernel.sequential kplan ~steps in
     attempts_rev :=
       {
         Report.attempt = next_no ();
@@ -546,15 +541,14 @@ let execute ?(config = default_config) ?(plan = Fault.none)
       }
       :: !attempts_rev;
     finish ~completed:true ~final_nprocs:0 ~buffer
-      ~checksum:(Array.fold_left ( +. ) 0.0 buffer)
-      ~cover:true
+      ~checksum:(Exec.checksum buffer) ~cover:true
   in
   let rec at_size size ~pre_events =
     let rec try_once left ~backoff_ms ~pre_events =
       if backoff_ms > 0 then Unix.sleepf (float_of_int backoff_ms /. 1000.0);
       let att, success =
-        run_attempt config plan compiled steps ~partition ~size ~recover
-          ~kernels ~trace ~attempt_no:(next_no ()) ~backoff_ms ~pre_events
+        run_attempt config plan kplan compiled steps ~partition ~size ~recover
+          ~trace ~attempt_no:(next_no ()) ~backoff_ms ~pre_events
       in
       attempts_rev := att :: !attempts_rev;
       match success with

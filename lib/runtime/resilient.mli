@@ -85,9 +85,9 @@ val execute :
   Report.t * float array
 (** Run [steps] outer iterations of the nest under the policy, starting
     on [nprocs] domains partitioned by [partition ~nprocs] (called again
-    with smaller counts when degrading).  With [kernels], every box runs
-    through {!Kernel}'s specialized strided loops; recovery semantics
-    are unchanged since the tile stays the unit of completion.  With
+    with smaller counts when degrading).  Every box runs through
+    {!Kernel.run_box}; [kernels] is ignored, kept until its last callers
+    drop it.  With
     [trace], workers record tile and re-execution spans, gate waits,
     steals, watchdog probes and fault counters into it (size it for the
     {e initial} [nprocs]; degraded attempts reuse the low domain slots),

@@ -134,7 +134,7 @@ let test_execute_pped () =
   let mn, mx, _ = Codegen.load_balance sched in
   let ntiles = Codegen.num_tiles sched in
   List.iter
-    (fun (policy, kernels, traced) ->
+    (fun (policy, traced) ->
       let trace =
         if traced then Some (Runtime.Trace.create ~domains:2 ()) else None
       in
@@ -142,7 +142,6 @@ let test_execute_pped () =
         {
           Driver.default_exec_config with
           policy;
-          kernels;
           trace;
           repeats = 1;
           steps = Some 1;
@@ -173,11 +172,7 @@ let test_execute_pped () =
           trace
       end)
     (List.concat_map
-       (fun policy ->
-         List.concat_map
-           (fun kernels ->
-             List.map (fun traced -> (policy, kernels, traced)) [ false; true ])
-           [ false; true ])
+       (fun policy -> [ (policy, false); (policy, true) ])
        [ Driver.Tiled; Driver.Work_steal 3; Driver.Cyclic ])
 
 let test_resilient_pped_crash () =
@@ -195,9 +190,9 @@ let test_resilient_pped_crash () =
 (* Multi-step execution                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Three Doseq steps of stencil5 under every policy, kernels on and
-   off.  The checksum comes from the timed pass and the footprints from
-   one observed step of static work, so both must match the all-steps
+(* Three Doseq steps of stencil5 under every policy.  The checksum
+   comes from the kernels' timed pass and the footprints from one
+   observed step of static work, so both must match the all-steps
    references.  Stencil5 writes only A and reads only B, so every order
    gives the sequential buffer.  Under the policies that deal work at
    run time, per-domain footprints vary from run to run; only the union
@@ -214,12 +209,11 @@ let test_execute_multistep () =
           ~steps ~mode:Runtime.Measure.Exact)
   in
   List.iter
-    (fun (policy, kernels) ->
+    (fun policy ->
       let config =
         {
           Driver.default_exec_config with
           policy;
-          kernels;
           repeats = 2;
           steps = Some steps;
         }
@@ -243,15 +237,13 @@ let test_execute_multistep () =
           (Array.map
              (fun (d : Runtime.Measure.domain_stat) -> d.footprint)
              r.Runtime.Measure.per_domain))
-    (List.concat_map
-       (fun policy -> [ (policy, false); (policy, true) ])
-       [
-         Driver.Tiled;
-         Driver.Cyclic;
-         Driver.Block_cyclic 7;
-         Driver.Guided;
-         Driver.Work_steal 16;
-       ])
+    [
+      Driver.Tiled;
+      Driver.Cyclic;
+      Driver.Block_cyclic 7;
+      Driver.Guided;
+      Driver.Work_steal 16;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Random-nest integration properties                                  *)

@@ -5,6 +5,7 @@
    pool. *)
 
 open Loopir
+open Partition
 open Loopart
 
 let check = Alcotest.(check int)
@@ -164,7 +165,8 @@ let test_empty_box_is_noop () =
   let storage = Runtime.Exec.alloc compiled in
   let before = Array.copy storage in
   Runtime.Kernel.run_box plan storage [| (3, 2); (1, 6) |];
-  checkb "empty box leaves operands untouched" true (storage = before);
+  Runtime.Kernel.run_box plan storage [| (1, 6); (3, 2) |];
+  checkb "empty boxes leave operands untouched" true (storage = before);
   check "empty volume" 0 (Runtime.Exec.box_volume [| (3, 2); (1, 6) |])
 
 let test_degenerate_and_partial_boxes () =
@@ -184,6 +186,42 @@ let test_degenerate_and_partial_boxes () =
       (Programs.stencil5 ~n:9 (), [ [| (2, 2); (1, 7) |]; [| (3, 6); (4, 4) |] ]);
       (Programs.stencil5 ~n:9 (), [ [| (5, 5); (5, 5) |] ]);
       (Programs.matmul ~n:6 (), [ [| (0, 5); (2, 2); (0, 5) |] ]);
+    ]
+
+(* Everything but the two running-address arrays is built by the plan:
+   a box, a 1-point one included, allocates exactly those (one header
+   word each), whatever the shape. *)
+let test_box_allocates_only_cursors () =
+  List.iter
+    (fun nest ->
+      let compiled = Runtime.Exec.compile nest in
+      let body =
+        Runtime.Kernel.run_box (Runtime.Kernel.plan compiled)
+          (Runtime.Exec.alloc compiled)
+      in
+      let cursors =
+        Array.length (Runtime.Exec.reads compiled)
+        + Array.length (Runtime.Exec.writes compiled)
+        + 2
+      in
+      List.iter
+        (fun box ->
+          body box;
+          let before = Gc.minor_words () in
+          for _ = 1 to 100 do
+            body box
+          done;
+          check
+            (Printf.sprintf "%s: words per box" nest.Nest.name)
+            (100 * cursors)
+            (int_of_float (Gc.minor_words () -. before)))
+        (List.map
+           (Array.make (Nest.nesting nest))
+           [ (2, 2); (2, 5) ]))
+    [
+      Programs.stencil5 ~n:8 ();
+      Programs.matmul ~n:6 ();
+      Programs.conv3x3 ~n:8 ();
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -284,26 +322,56 @@ let test_parallel_kernel_matches_sequential () =
         (Option.get !storage = Runtime.Exec.sequential compiled ~steps))
     [ (Programs.stencil5 ~n:16 (), 4); (Programs.example3 ~n:12 (), 3) ]
 
-let test_driver_kernels_flag () =
+(* One [run_box plan storage] shared by every domain of a 4-domain
+   pool, the way [Exec.time_with] and [Resilient] share it, over long
+   boxes (stencil5 tiles) and over the 1-point boxes of cyclic
+   self-scheduling.  A body that kept cursor state per partial
+   application would race here. *)
+let test_shared_body () =
+  let nest = Programs.stencil5 ~n:256 ~steps:2 () in
+  let nprocs = 4 and steps = 2 in
+  let compiled = Runtime.Exec.compile nest in
+  let plan = Runtime.Kernel.plan compiled in
+  let reference = Runtime.Exec.sequential compiled ~steps in
+  let tiles = Codegen.tiles (Driver.schedule (Driver.analyze ~nprocs nest)) in
+  List.iter
+    (fun (label, work) ->
+      let storage = ref None and bodies = ref 0 in
+      let box s =
+        storage := Some s;
+        incr bodies;
+        Runtime.Kernel.run_box plan s
+      in
+      Runtime.Pool.with_pool nprocs (fun pool ->
+          ignore
+            (Runtime.Exec.time_with ~box ~trace:Runtime.Trace.disabled pool
+               compiled work ~steps ~repeats:1));
+      check (label ^ ": one body for all domains") 1 !bodies;
+      checkb (label ^ ": shared body = sequential interpreter") true
+        (same_bits (Option.get !storage) reference))
+    [
+      ("tiled", Runtime.Exec.of_tiles tiles);
+      ( "cyclic",
+        Runtime.Exec.Dynamic
+          { space = Nest.bounds nest; chunk = (fun ~remaining:_ -> 1) } );
+    ]
+
+(* Every box of [Driver.execute] runs through the kernel: the policy
+   names its shape, and the checksum is the interpreter's. *)
+let test_driver_runs_kernel () =
   let nest = Programs.stencil5 ~n:16 () in
   let a = Driver.analyze ~nprocs:4 nest in
   let r =
     Driver.execute
-      ~config:
-        {
-          Driver.default_exec_config with
-          Driver.kernels = true;
-          repeats = 1;
-          steps = Some 1;
-        }
+      ~config:{ Driver.default_exec_config with repeats = 1; steps = Some 1 }
       a
   in
-  checkb "policy names the kernel" true
-    (String.length r.Runtime.Measure.policy > 0
-    && String.sub r.Runtime.Measure.policy
-         (String.length r.Runtime.Measure.policy - 6)
-         6
-       = "kernel");
+  checks "policy names the kernel" "compile-time tiles + stencil5 kernel"
+    r.Runtime.Measure.policy;
+  checkb "checksum = sequential interpreter" true
+    (Float.equal r.Runtime.Measure.checksum
+       (Runtime.Exec.checksum
+          (Runtime.Exec.sequential (Runtime.Exec.compile nest) ~steps:1)));
   check "all iterations counted"
     (Array.fold_left ( * ) 1 (Nest.extents nest))
     (Array.fold_left
@@ -311,17 +379,16 @@ let test_driver_kernels_flag () =
          acc + d.Runtime.Measure.iterations)
        0 r.Runtime.Measure.per_domain)
 
-let test_resilient_kernels_match () =
-  let nest = Programs.stencil5 ~n:16 () in
+(* Large enough (n = 128) that the four domains' tiles overlap in
+   time. *)
+let test_resilient_matches_sequential () =
+  let nest = Programs.stencil5 ~n:128 () in
   let a = Driver.analyze ~nprocs:4 nest in
-  let config =
-    { Driver.default_exec_config with Driver.kernels = true }
-  in
-  let report, buffer = Driver.execute_resilient ~config a in
-  checkb "resilient kernel run completed" true report.Runtime.Report.completed;
+  let report, buffer = Driver.execute_resilient a in
+  checkb "resilient run completed" true report.Runtime.Report.completed;
   let compiled = Runtime.Exec.compile nest in
-  checkb "resilient kernel buffer = sequential" true
-    (buffer = Runtime.Exec.sequential compiled ~steps:(steps_of nest))
+  checkb "resilient buffer = sequential" true
+    (same_bits buffer (Runtime.Exec.sequential compiled ~steps:(steps_of nest)))
 
 let () =
   Alcotest.run "kernel"
@@ -347,6 +414,8 @@ let () =
           Alcotest.test_case "empty box is a no-op" `Quick test_empty_box_is_noop;
           Alcotest.test_case "degenerate and partial boxes" `Quick
             test_degenerate_and_partial_boxes;
+          Alcotest.test_case "a box allocates only its cursors" `Quick
+            test_box_allocates_only_cursors;
         ] );
       ( "values",
         [
@@ -359,9 +428,11 @@ let () =
         [
           Alcotest.test_case "pool kernel = sequential interpreter" `Quick
             test_parallel_kernel_matches_sequential;
-          Alcotest.test_case "Driver ~kernels:true" `Quick
-            test_driver_kernels_flag;
-          Alcotest.test_case "Resilient ~kernels:true" `Quick
-            test_resilient_kernels_match;
+          Alcotest.test_case "one body shared by 4 domains" `Quick
+            test_shared_body;
+          Alcotest.test_case "Driver.execute runs the kernel" `Quick
+            test_driver_runs_kernel;
+          Alcotest.test_case "Resilient.execute = sequential" `Quick
+            test_resilient_matches_sequential;
         ] );
     ]

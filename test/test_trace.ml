@@ -91,9 +91,8 @@ let test_ring_overflow_counts_dropped () =
 (* A traced tiled run must record exactly one claim-to-completion span
    per (tile, step, repeat) and the same number on the Tiles_run
    counter - the trace-side mirror of Validate's cover-exactly-once
-   property.  Both tile bodies (interpreter and kernel) run through the
-   same loop, so both must count alike. *)
-let counters_match_tile_counts ~kernels =
+   property. *)
+let test_counters_match_tile_counts () =
   let nest = Programs.stencil5 ~n:33 ~steps:2 () in
   let nprocs = 4 and repeats = 2 in
   let a = Driver.analyze ~nprocs nest in
@@ -105,7 +104,6 @@ let counters_match_tile_counts ~kernels =
     {
       Driver.default_exec_config with
       Driver.repeats;
-      kernels;
       trace = Some trace;
     }
   in
@@ -125,13 +123,9 @@ let counters_match_tile_counts ~kernels =
   (* The instrumented pass feeds the footprint counter. *)
   checkb "elements touched recorded" true (s.Trace.elements_touched > 0)
 
-let test_counters_match_tile_counts () =
-  counters_match_tile_counts ~kernels:false;
-  counters_match_tile_counts ~kernels:true
-
 (* The elements-touched counters come from one observed step of the
    static tiles; over a 3-step run they must equal each domain's
-   footprint measured over all 3 steps, kernels on and off. *)
+   footprint measured over all 3 steps. *)
 let test_elements_touched_multistep () =
   let steps = 3 and nprocs = 4 in
   let a = Driver.analyze ~nprocs (Programs.stencil5 ~n:33 ()) in
@@ -143,26 +137,19 @@ let test_elements_touched_multistep () =
              (Partition.Codegen.tiles (Driver.schedule a)))
           ~steps ~mode:Runtime.Measure.Exact)
   in
-  List.iter
-    (fun kernels ->
-      let trace = Trace.create ~domains:nprocs () in
-      let config =
-        {
-          Driver.default_exec_config with
-          Driver.repeats = 1;
-          steps = Some steps;
-          kernels;
-          trace = Some trace;
-        }
-      in
-      ignore (Driver.execute ~config a);
-      Alcotest.(check (array int))
-        (Printf.sprintf "elements touched = all-steps footprints (kernels %b)"
-           kernels)
-        measured.Runtime.Exec.footprints
-        (Array.init nprocs (fun p ->
-             Trace.counters trace p Trace.Elements_touched)))
-    [ false; true ]
+  let trace = Trace.create ~domains:nprocs () in
+  let config =
+    {
+      Driver.default_exec_config with
+      Driver.repeats = 1;
+      steps = Some steps;
+      trace = Some trace;
+    }
+  in
+  ignore (Driver.execute ~config a);
+  Alcotest.(check (array int))
+    "elements touched = all-steps footprints" measured.Runtime.Exec.footprints
+    (Array.init nprocs (fun p -> Trace.counters trace p Trace.Elements_touched))
 
 let test_resilient_counters_match_cover () =
   let nest = Programs.stencil5 ~n:17 ~steps:2 () in

@@ -115,31 +115,57 @@ let run_box c storage =
   let body p = exec c storage p in
   fun b -> iter_box b body
 
+(* The least and greatest address [r] touches over a box.  [c + m . i]
+   is linear, so each axis adds the smaller and the larger of its two
+   end products independently. *)
+let span (b : box) (r : cref) =
+  let lo = ref r.c and hi = ref r.c in
+  for k = 0 to Array.length r.m - 1 do
+    let l, h = b.(k) in
+    let a = r.m.(k) * l and z = r.m.(k) * h in
+    lo := !lo + Int.min a z;
+    hi := !hi + Int.max a z
+  done;
+  (!lo, !hi)
+
 (* Tiles are idempotent - re-executable after a partial or duplicated
    run - iff no iteration of the Doall body reads an address the body
    writes (self- or cross-iteration) and no write accumulates.  Then
    every write's value is a function of never-written operands only, so
    re-running any subset of iterations in any order reproduces the same
-   final buffer. *)
+   final buffer.
+
+   A write can only clash with a read whose address span overlaps its
+   own.  Layout frames are disjoint, so references to different arrays
+   never overlap and most nests are settled by comparing spans.  Only
+   the writes that meet some read's span are enumerated, and only the
+   reads that meet one of those writes' spans are probed. *)
 let reexecution_safe c =
   Array.for_all (fun (_, accumulate) -> not accumulate) c.writes
-  && (Array.length c.writes = 0
-     ||
-     let space = Nest.bounds c.nest in
-     let written = Hashtbl.create 4096 in
-     iter_box space (fun p ->
-         Array.iter
-           (fun (r, _) -> Hashtbl.replace written (addr r p) ())
-           c.writes);
-     let exception Clash in
-     match
-       iter_box space (fun p ->
-           Array.iter
-             (fun r -> if Hashtbl.mem written (addr r p) then raise Clash)
-             c.reads)
-     with
-     | () -> true
-     | exception Clash -> false)
+  &&
+  let space = Nest.bounds c.nest in
+  let overlap (lo, hi) (lo', hi') = lo <= hi' && lo' <= hi in
+  let meets spans r = Array.exists (overlap (span space r)) spans in
+  let read_spans = Array.map (span space) c.reads in
+  match
+    List.filter (meets read_spans) (Array.to_list (Array.map fst c.writes))
+  with
+  | [] -> true
+  | writes -> (
+      let write_spans = Array.of_list (List.map (span space) writes) in
+      let reads = List.filter (meets write_spans) (Array.to_list c.reads) in
+      let written = Hashtbl.create 4096 in
+      iter_box space (fun p ->
+          List.iter (fun r -> Hashtbl.replace written (addr r p) ()) writes);
+      let exception Clash in
+      match
+        iter_box space (fun p ->
+            List.iter
+              (fun r -> if Hashtbl.mem written (addr r p) then raise Clash)
+              reads)
+      with
+      | () -> true
+      | exception Clash -> false)
 
 (* The instrumented body additionally records every element address in
    the domain's touched set. *)

@@ -76,7 +76,17 @@ val reexecution_safe : compiled -> bool
     body reads an address the body writes, and no write accumulates.
     Exactly then a partially executed or duplicated tile can be re-run
     (by any domain, any number of times) without changing the final
-    buffer - the precondition for tile-level crash recovery. *)
+    buffer - the precondition for tile-level crash recovery.
+
+    The decision is exact but first compares address ranges: each
+    reference's {!span} over the iteration space.  A write whose span
+    overlaps no read's span can never clash, and references to
+    different arrays never overlap (their {!Machine.Layout} frames are
+    disjoint).  When no write meets a read this way the answer is
+    [true] after O(references) work and no enumeration.  Otherwise the
+    exact fallback hashes every address of the writes that meet a read
+    span, over the whole iteration space, and probes the addresses of
+    the reads that meet one of those writes' spans. *)
 
 (** {2 Work: tiles with owners}
 
@@ -98,6 +108,11 @@ val box_volume : box -> int
 val iter_range : box -> int -> int -> (box -> unit) -> unit
 (** {!Partition.Codegen.iter_range}: the at most [2d - 1] boxes of
     positions [lo .. hi - 1] of a box's lexicographic order. *)
+
+val span : box -> cref -> int * int
+(** [(lo, hi)]: the least and greatest address the reference touches
+    over a non-empty box, from [c], [m] and the bounds in O(depth)
+    steps.  Both are attained, at corners of the box. *)
 
 val run_box : compiled -> storage -> box -> unit
 (** The interpreter over a box: the loop body at each of its points, in

@@ -243,6 +243,111 @@ let test_wildcard_sites_fire_once_across_degrades () =
     sites
 
 (* ------------------------------------------------------------------ *)
+(* Re-execution safety                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Exec = Runtime.Exec
+
+let addr (r : Exec.cref) p =
+  let a = ref r.Exec.c in
+  Array.iteri (fun k m -> a := !a + (m * p.(k))) r.Exec.m;
+  !a
+
+(* The reference decision: hash every written address over the whole
+   iteration space, then probe every read address. *)
+let hashed_reexecution_safe c =
+  let writes = Exec.writes c and reads = Exec.reads c in
+  Array.for_all (fun (_, accumulate) -> not accumulate) writes
+  && (Array.length writes = 0
+     ||
+     let space = Loopir.Nest.bounds (Exec.nest c) in
+     let written = Hashtbl.create 4096 in
+     Exec.iter_box space (fun p ->
+         Array.iter (fun (r, _) -> Hashtbl.replace written (addr r p) ()) writes);
+     let clash = ref false in
+     Exec.iter_box space (fun p ->
+         Array.iter
+           (fun r -> if Hashtbl.mem written (addr r p) then clash := true)
+           reads);
+     not !clash)
+
+(* Both decisions agree, and every reference's span is the least and
+   greatest address it touches. *)
+let check_agreement name nest =
+  let c = Exec.compile nest in
+  let space = Loopir.Nest.bounds nest in
+  let exact_span r =
+    let lo = ref max_int and hi = ref min_int in
+    Exec.iter_box space (fun p ->
+        let a = addr r p in
+        lo := min !lo a;
+        hi := max !hi a);
+    (!lo, !hi)
+  in
+  Array.iter
+    (fun r ->
+      Alcotest.(check (pair int int))
+        (name ^ ": span") (exact_span r) (Exec.span space r))
+    (Array.append (Exec.reads c) (Array.map fst (Exec.writes c)));
+  checkb (name ^ ": agrees with hashing") (hashed_reexecution_safe c)
+    (Exec.reexecution_safe c)
+
+let test_safety_gallery () =
+  List.iter (fun (name, nest) -> check_agreement name nest) Programs.all
+
+let test_safety_random () =
+  for id = 0 to 299 do
+    let case = Proptest.Gen.generate ~seed:14 ~id in
+    check_agreement (Printf.sprintf "case %d" id) case.Proptest.Gen.nest
+  done
+
+(* A[2i] = A[2i+1]: the spans overlap, so the decision reaches the
+   exact fallback, but the parities never meet. *)
+let test_safety_interleaved () =
+  let nest =
+    let open Loopir.Dsl in
+    let i = var 0 in
+    nest ~name:"interleaved" [ doall "i" 0 15 ]
+      [ write "A" [ 2 * i ]; read "A" [ (2 * i) + int 1 ] ]
+  in
+  let c = Exec.compile nest in
+  let space = Loopir.Nest.bounds nest in
+  let wlo, whi = Exec.span space (fst (Exec.writes c).(0)) in
+  let rlo, rhi = Exec.span space (Exec.reads c).(0) in
+  checkb "spans overlap" true (wlo <= rhi && rlo <= whi);
+  checkb "safe" true (Exec.reexecution_safe c);
+  check_agreement "interleaved" nest
+
+let test_safety_inplace_unsafe () =
+  List.iter
+    (fun (name, nest) ->
+      checkb name false (Exec.reexecution_safe (Exec.compile nest)))
+    [
+      ("relax_inplace", Programs.relax_inplace ());
+      ("example8_inplace", Programs.example8_inplace ());
+    ]
+
+(* Disjoint arrays are settled by the spans: no address is enumerated,
+   so the decision allocates O(references) words.  Minor words come
+   from [Gc.minor_words], which counts the live minor heap exactly;
+   major words exclude those promoted from it, which are already
+   counted as minor. *)
+let test_safety_disjoint_allocates_little () =
+  let c = Exec.compile (Programs.stencil5 ~n:512 ()) in
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let major0 = direct_major () in
+  let minor0 = Gc.minor_words () in
+  let safe = Exec.reexecution_safe c in
+  let minor = Gc.minor_words () -. minor0 in
+  let words = minor +. direct_major () -. major0 in
+  checkb "safe" true safe;
+  if words *. float_of_int (Sys.word_size / 8) >= 1024.0 then
+    Alcotest.failf "reexecution_safe allocated %.0f words" words
+
+(* ------------------------------------------------------------------ *)
 (* Report serialization                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -304,6 +409,19 @@ let () =
             test_degrade_to_sequential;
           Alcotest.test_case "wildcard sites fire once across degrades" `Quick
             test_wildcard_sites_fire_once_across_degrades;
+        ] );
+      ( "reexecution",
+        [
+          Alcotest.test_case "agrees with hashing on the gallery" `Quick
+            test_safety_gallery;
+          Alcotest.test_case "agrees with hashing on random nests" `Quick
+            test_safety_random;
+          Alcotest.test_case "interleaved writes reach the fallback" `Quick
+            test_safety_interleaved;
+          Alcotest.test_case "in-place nests stay unsafe" `Quick
+            test_safety_inplace_unsafe;
+          Alcotest.test_case "disjoint arrays allocate under 1 KB" `Quick
+            test_safety_disjoint_allocates_little;
         ] );
       ( "report",
         [

@@ -345,37 +345,41 @@ let pped_terms_symbolic ~nesting ~g ~spread =
   Pmat.det lg
   :: List.init nesting (fun i -> Pmat.det (Pmat.replace_row lg i a_row))
 
-let float_det a0 =
-  let n = Array.length a0 in
-  let a = Array.map Array.copy a0 in
+let float_det_in_place a =
+  let n = Array.length a in
   let det = ref 1.0 in
-  (try
-     for c = 0 to n - 1 do
-       (* partial pivoting *)
-       let piv = ref c in
-       for i = c + 1 to n - 1 do
-         if abs_float a.(i).(c) > abs_float a.(!piv).(c) then piv := i
-       done;
-       if abs_float a.(!piv).(c) < 1e-12 then begin
-         det := 0.0;
-         raise Exit
-       end;
-       if !piv <> c then begin
-         let t = a.(!piv) in
-         a.(!piv) <- a.(c);
-         a.(c) <- t;
-         det := -. !det
-       end;
-       det := !det *. a.(c).(c);
-       for i = c + 1 to n - 1 do
-         let f = a.(i).(c) /. a.(c).(c) in
-         for j = c to n - 1 do
-           a.(i).(j) <- a.(i).(j) -. (f *. a.(c).(j))
-         done
-       done
-     done
-   with Exit -> ());
+  let c = ref 0 in
+  while !c < n do
+    let col = !c in
+    (* partial pivoting *)
+    let piv = ref col in
+    for i = col + 1 to n - 1 do
+      if abs_float a.(i).(col) > abs_float a.(!piv).(col) then piv := i
+    done;
+    if abs_float a.(!piv).(col) < 1e-12 then begin
+      det := 0.0;
+      c := n
+    end
+    else begin
+      if !piv <> col then begin
+        let t = a.(!piv) in
+        a.(!piv) <- a.(col);
+        a.(col) <- t;
+        det := -. !det
+      end;
+      det := !det *. a.(col).(col);
+      for i = col + 1 to n - 1 do
+        let f = a.(i).(col) /. a.(col).(col) in
+        for j = col to n - 1 do
+          a.(i).(j) <- a.(i).(j) -. (f *. a.(col).(j))
+        done
+      done;
+      incr c
+    end
+  done;
   !det
+
+let float_det a0 = float_det_in_place (Array.map Array.copy a0)
 
 let pped_cumulative_float ~l ~g ~spread =
   let red = reduce ~g ~spread in

@@ -98,7 +98,9 @@ val pped_cumulative : l:Qmat.t -> g:Imat.t -> spread:Ivec.t -> Rat.t
 
 val pped_cumulative_float :
   l:float array array -> g:Imat.t -> spread:Ivec.t -> float
-(** Float variant used by the numerical tile optimizer. *)
+(** Float variant of {!pped_cumulative}.  The parallelepiped optimizer
+    compiles the same operations once per call; its objective must equal
+    this one, divided by the lattice index, bit for bit. *)
 
 val pped_terms_symbolic :
   nesting:int -> g:Imat.t -> spread:Ivec.t -> Mpoly.t list
@@ -111,7 +113,12 @@ val pped_terms_symbolic :
     other parallelepiped engines. *)
 
 val float_det : float array array -> float
-(** Determinant by partial-pivot LU; exposed for the optimizer. *)
+(** Determinant by partial-pivot LU, on a copy of its argument. *)
+
+val float_det_in_place : float array array -> float
+(** {!float_det} without the copy: the same operations, eliminating in
+    the argument itself (its rows are permuted and overwritten).  The
+    parallelepiped optimizer runs it on scratch matrices. *)
 
 (** {1 Reduction diagnostics} *)
 

@@ -12,7 +12,12 @@
     multi-start coordinate descent over the entries of [L] with
     determinant renormalization, seeded from the rectangular optimum and
     from unit skews of it.  The continuous solution is then rounded to an
-    integer [L] suitable for code generation. *)
+    integer [L] suitable for code generation.
+
+    Each call reduces every class once (sync weight, lattice index,
+    column-selected [G], spread row) and evaluates the objective on
+    scratch matrices of its own; the results are bit-identical to
+    reducing every class at every evaluation. *)
 
 open Matrixkit
 

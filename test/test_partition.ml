@@ -262,20 +262,83 @@ let test_optimizer_beats_naive () =
 (* Parallelepiped optimizer                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The objective as it was before it was compiled: every class reduced
+   on every call, then Theorem 2 divided by the lattice index. *)
+let reference_objective cost l =
+  let n = Nest.nesting cost.Cost.nest in
+  try
+    List.fold_left
+      (fun acc (c : Cost.class_cost) ->
+        let g = c.Cost.cls.Footprint.Uniform.g in
+        if Imat.rank g < n then raise (Footprint.Size.Unsupported "rank");
+        let spread = Footprint.Uniform.spread c.Cost.cls in
+        let red = Footprint.Size.reduce ~g ~spread in
+        let idx = abs (Imat.det red.Footprint.Size.g_reduced) in
+        let v =
+          Footprint.Size.pped_cumulative_float ~l ~g ~spread
+          /. float_of_int idx
+        in
+        acc +. (float_of_int c.Cost.sync_weight *. v))
+      0.0 cost.Cost.classes
+  with Footprint.Size.Unsupported _ -> infinity
+
+(* The identity and a few fixed skewed and dense L's, with inexact
+   entries so that a change in the order of the float operations shows
+   in the low bits. *)
+let sample_ls n =
+  List.map
+    (fun f -> Array.init n (fun i -> Array.init n (f i)))
+    [
+      (fun i j -> if i = j then 1.0 else 0.0);
+      (fun i j -> if i = j then 8.0 else if j = i + 1 then 1.0 /. 3.0 else 0.0);
+      (fun i j -> if i = j then 4.0 +. sqrt 2.0 else if i > j then -2.2 else 0.0);
+      (fun i j ->
+        ((float_of_int (((i * 7) + (j * 3)) mod 5) -. 1.5) /. 7.0)
+        +. if i = j then 10.3 else 0.0);
+    ]
+
 let test_skewed_example3 () =
-  (* Example 3: parallelogram tiles along (1,3) beat rectangles. *)
-  let cost = Cost.of_nest (Loopart.Programs.example3 ()) in
-  match Skewed.optimize cost ~nprocs:10 with
-  | None -> Alcotest.fail "engine applies to example 3"
-  | Some r ->
-      checkb "improves on rectangular" true r.Skewed.improves_on_rect;
-      checkb "continuous cost below rect cost" true
-        (r.Skewed.continuous_cost < r.Skewed.rect_cost)
+  (* Example 3: parallelogram tiles along (1,3) beat rectangles.  The
+     tile at n=512 on 2 processors (the one perfbench's example3-pped
+     runs) is pinned, so that a change in the search shows up here. *)
+  List.iter
+    (fun (n, nprocs, pinned) ->
+      let cost = Cost.of_nest (Loopart.Programs.example3 ~n ()) in
+      match Skewed.optimize cost ~nprocs with
+      | None -> Alcotest.fail "engine applies to example 3"
+      | Some r ->
+          checkb "improves on rectangular" true r.Skewed.improves_on_rect;
+          checkb "continuous cost below rect cost" true
+            (r.Skewed.continuous_cost < r.Skewed.rect_cost);
+          Option.iter
+            (Alcotest.(check (list (list int))) "L"
+               (List.init 2 (fun i ->
+                    List.init 2 (fun j -> Imat.get r.Skewed.l i j))))
+            pinned)
+    [ (100, 10, None); (512, 2, Some [ [ 256; 0 ]; [ 171; 512 ] ]) ]
 
 let test_skewed_unsupported () =
-  (* matmul has projection references: engine must decline. *)
-  let cost = Cost.of_nest (Loopart.Programs.matmul ~n:8 ()) in
-  checkb "returns None" true (Skewed.optimize cost ~nprocs:4 = None)
+  (* Every class with rank(G) < nesting makes the engine decline, never
+     raise: matmul's projections, a constant reference (zero G), a
+     projection R[i], and diag_accumulate's H[i+j], whose reduced G is
+     not square. *)
+  let open Dsl in
+  let i = var 0 and j = var 1 in
+  let two body = nest ~name:"t" [ doall "i" 1 16; doall "j" 1 16 ] body in
+  List.iter
+    (fun (name, nest) ->
+      let cost = Cost.of_nest nest in
+      checkb (name ^ ": returns None") true
+        (Skewed.optimize cost ~nprocs:4 = None);
+      checkb (name ^ ": infinite objective") true
+        (Skewed.objective cost (List.hd (sample_ls (Nest.nesting nest)))
+        = infinity))
+    [
+      ("matmul", Loopart.Programs.matmul ~n:8 ());
+      ("constant", two [ write "A" [ i; j ]; read "S" [ int 0 ] ]);
+      ("projection", two [ write "A" [ i; j ]; read "R" [ i ] ]);
+      ("diag_accumulate", Loopart.Programs.diag_accumulate ~n:16 ());
+    ]
 
 let test_skewed_volume_constraint () =
   let cost = Cost.of_nest (Loopart.Programs.example3 ~n:40 ()) in
@@ -286,6 +349,24 @@ let test_skewed_volume_constraint () =
       let target = 40.0 *. 40.0 /. 8.0 in
       checkb "volume within 25% of target" true
         (abs_float (v -. target) /. target < 0.25)
+
+let test_skewed_compiled_objective () =
+  let accepted = ref 0 in
+  List.iter
+    (fun (name, nest) ->
+      let cost = Cost.of_nest nest in
+      List.iteri
+        (fun k l ->
+          let want = reference_objective cost l in
+          if want <> infinity then incr accepted;
+          Alcotest.(check int64)
+            (Printf.sprintf "%s, L #%d" name k)
+            (Int64.bits_of_float want)
+            (Int64.bits_of_float (Skewed.objective cost l)))
+        (sample_ls (Nest.nesting nest)))
+    Loopart.Programs.all;
+  check "accepted (nest, L) pairs: all but matmul and diag_accumulate"
+    (4 * 13) !accepted
 
 (* ------------------------------------------------------------------ *)
 (* Codegen                                                             *)
@@ -753,6 +834,8 @@ let () =
             test_skewed_unsupported;
           Alcotest.test_case "volume constraint" `Quick
             test_skewed_volume_constraint;
+          Alcotest.test_case "compiled objective" `Quick
+            test_skewed_compiled_objective;
         ] );
       ( "codegen",
         [

@@ -472,7 +472,7 @@ let e10 () =
       pf "example2 R-S slab %s: coherence misses %d, misses %d = distinct \
           elements %d@."
         (Tile.to_string tile) r.Sim.stats.Stats.coherence_misses
-        r.Sim.stats.Stats.misses (Addr.size r.Sim.addrs)
+        r.Sim.stats.Stats.misses r.Sim.distinct_total
   | None -> pf "no slab?@.");
   pf "(our optimizer finds the same partition from the footprint side, \
       and additionally optimizes example10 where no communication-free \

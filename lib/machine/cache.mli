@@ -1,7 +1,10 @@
 (** A single processor's coherent cache.
 
-    Lines hold one array element (Section 2.2's unit-length lines) and
-    carry an MSI state; the directory drives downgrades and invalidations.
+    Every "address" here is a cache-line index: the row-major
+    {!Layout} address of an element divided by the simulator's line size,
+    so at unit lines (Section 2.2) it is the element's layout address.
+    Lines carry an MSI state; the directory drives downgrades and
+    invalidations.
     The default configuration is the paper's analytical model - an
     infinite cache with no conflicts - and a finite set-associative LRU
     cache is available to study the "adjust the tile to fit" remark of
@@ -10,8 +13,9 @@
 type geometry =
   | Infinite
   | Finite of { sets : int; ways : int }
-      (** direct-mapped when [ways = 1]; address maps to set
-          [addr mod sets] *)
+      (** direct-mapped when [ways = 1]; line [addr] maps to set
+          [addr mod sets], so consecutive lines of memory fill
+          consecutive sets *)
 
 type state = Shared | Modified
 

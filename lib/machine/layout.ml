@@ -54,10 +54,6 @@ let address t name (point : Ivec.t) =
   done;
   !acc
 
-let line t ~line_size name point =
-  if line_size < 1 then invalid_arg "Layout.line: line_size < 1";
-  address t name point / line_size
-
 let element_of t addr =
   let found =
     List.find_opt
@@ -78,9 +74,29 @@ let element_of t addr =
       in
       (name, Array.to_list coords)
 
-let frame t name =
-  let e = entry t name in
-  (e.base, Array.copy e.lo, Array.copy e.strides)
+type cref = { c : int; m : int array }
+
+(* Fold [base + sum_j (g(i)_j - lo_j) * stride_j] with [g(i) = i G + a]
+   into [c + m . i]: [c] collects the offset terms, [m.(k)] row [k] of
+   [G] dotted with the strides. *)
+let compile t (r : Reference.t) =
+  let e = entry t r.Reference.array_name in
+  let g = Affine.g r.Reference.index in
+  let offset = Affine.offset r.Reference.index in
+  let d = Array.length e.strides in
+  let c = ref e.base in
+  for j = 0 to d - 1 do
+    c := !c + ((offset.(j) - e.lo.(j)) * e.strides.(j))
+  done;
+  let m =
+    Array.init (Imat.rows g) (fun k ->
+        let acc = ref 0 in
+        for j = 0 to d - 1 do
+          acc := !acc + (Imat.get g k j * e.strides.(j))
+        done;
+        !acc)
+  in
+  { c = !c; m }
 
 let total_elements t = t.total
 

@@ -1,7 +1,9 @@
-(** Row-major array layout: the memory map that makes cache lines longer
-    than one element meaningful (the paper assumes unit lines in
-    Section 2.2 and points at Abraham-Hudak for the extension; this
-    module provides it).
+(** Row-major array layout: the one memory map of the repository.  The
+    runtime ([Runtime.Exec]) indexes its operand buffer with it and the
+    simulator ({!Sim}) keys caches and directories on it, at every cache
+    line size.  It also makes lines longer than one element meaningful
+    (the paper assumes unit lines in Section 2.2 and points at
+    Abraham-Hudak for the extension).
 
     Each array of a nest is laid out row-major over the bounding box of
     the region its references can touch, with its base address aligned up
@@ -21,17 +23,20 @@ val address : t -> string -> Ivec.t -> int
 (** Global element address.  Raises [Invalid_argument] for an unknown
     array or a point outside its bounding box. *)
 
-val line : t -> line_size:int -> string -> Ivec.t -> int
-(** The cache-line index holding the element: [address / line_size]. *)
-
 val element_of : t -> int -> string * int list
 (** Reverse map of {!address}. *)
 
-val frame : t -> string -> int * int array * int array
-(** [(base, lo, strides)] of an array: the address of element [p] is
-    [base + sum_j (p.(j) - lo.(j)) * strides.(j)].  Exposed so an
-    execution backend can fold a whole affine reference [(G, a)] into a
-    single base-plus-dot-product index function. *)
+type cref = { c : int; m : int array }
+(** A compiled affine reference: the element address at iteration [i]
+    is [c + m . i].  [m.(k)] is the constant address delta of one step
+    along loop axis [k]. *)
+
+val compile : t -> Reference.t -> cref
+(** Fold a reference [(G, a)] into its row-major index function, the
+    one address map the runtime and the simulator share.  At every point
+    [i] of the nest's iteration space, [c + m . i] is
+    [address t name (Affine.apply index i)]; unlike {!address}, the
+    compiled form checks no bounds. *)
 
 val total_elements : t -> int
 (** Footprint of the whole layout (sum of bounding-box volumes, plus

@@ -22,7 +22,12 @@ let default =
     line_size = 1;
   }
 
-type result = { stats : Stats.t; addrs : Addr.t; nprocs : int; steps : int }
+type result = {
+  stats : Stats.t;
+  distinct_total : int;
+  nprocs : int;
+  steps : int;
+}
 
 type loss = Lost_invalidation | Lost_eviction
 
@@ -32,25 +37,22 @@ type machine = {
   dir : Directory.t;
   net : Mesh.t;
   stats : Stats.t;
-  addrs : Addr.t;
+  layout : Layout.t;
+  line_size : int;
   placement : Data_partition.placement option;
   loss : (int, loss) Hashtbl.t array;  (* why proc p last lost line a *)
-  line_rep : (int, string * Matrixkit.Ivec.t) Hashtbl.t;
-      (* representative element per cache line, for placement homes *)
 }
 
-(* Home memory module of an address: the placement map when given, the
-   single monolithic module otherwise (represented as [-1]). *)
+(* Home memory module of a line: the placement map's home of the line's
+   first element when a placement is given, the single monolithic module
+   otherwise (represented as [-1]).  Arrays are line-aligned, so a line's
+   first element belongs to the array whose element was touched. *)
 let home_of m line =
   match m.placement with
   | None -> -1
-  | Some pl -> (
-      match Hashtbl.find_opt m.line_rep line with
-      | Some (name, point) -> pl.Data_partition.home name point
-      | None ->
-          (* Unit lines: the line id is the interned element address. *)
-          let name, coords = Addr.element_of m.addrs line in
-          pl.Data_partition.home name (Array.of_list coords))
+  | Some pl ->
+      let name, coords = Layout.element_of m.layout (line * m.line_size) in
+      pl.Data_partition.home name (Array.of_list coords)
 
 let dist m a b =
   if a = -1 || b = -1 then if a = b then 0 else 1 else Mesh.distance m.net a b
@@ -184,14 +186,32 @@ let cursor d (boxes : Codegen.box array) =
   in
   (point, next)
 
-let run_assignment nest ~(per_proc : Codegen.box array array) config =
+(* Compiled addresses check no bounds, so a point outside the iteration
+   space would silently alias another element: refuse such boxes. *)
+let check_boxes nest per_proc =
+  let bounds = Nest.bounds nest in
+  let inside (b : Codegen.box) =
+    Codegen.box_volume b = 0
+    || Array.length b = Array.length bounds
+       && Array.for_all2
+            (fun (lo, hi) (blo, bhi) -> blo <= lo && hi <= bhi)
+            b bounds
+  in
+  if not (Array.for_all (Array.for_all inside) per_proc) then
+    invalid_arg "Sim.run_assignment: box outside the iteration space"
+
+let run_assignment nest ~(per_proc : Codegen.box array array)
+    (config : config) =
   let nprocs = Array.length per_proc in
   if nprocs < 1 then invalid_arg "Sim.run_assignment: no processors";
+  if config.line_size < 1 then invalid_arg "Sim.run: line_size < 1";
+  check_boxes nest per_proc;
   let net =
     match config.topology with
     | Uniform_memory -> Mesh.uniform ~nprocs
     | Mesh2d -> Mesh.mesh ~nprocs
   in
+  let layout = Layout.of_nest ~line_align:config.line_size nest in
   let m =
     {
       nprocs;
@@ -199,16 +219,11 @@ let run_assignment nest ~(per_proc : Codegen.box array array) config =
       dir = Directory.create ();
       net;
       stats = Stats.create ~nprocs;
-      addrs = Addr.create ();
+      layout;
+      line_size = config.line_size;
       placement = config.placement;
       loss = Array.init nprocs (fun _ -> Hashtbl.create 256);
-      line_rep = Hashtbl.create 4096;
     }
-  in
-  if config.line_size < 1 then invalid_arg "Sim.run: line_size < 1";
-  let layout =
-    if config.line_size = 1 then None
-    else Some (Layout.of_nest ~line_align:config.line_size nest)
   in
   let steps =
     match config.seq_steps with
@@ -219,31 +234,31 @@ let run_assignment nest ~(per_proc : Codegen.box array array) config =
         | None -> 1)
   in
   let body =
-    List.map
-      (fun (r : Reference.t) ->
-        ( r.Reference.array_name,
-          r.Reference.index,
-          Reference.is_write_like r,
-          r.Reference.kind = Reference.Accumulate ))
-      nest.Nest.body
+    Array.of_list
+      (List.map
+         (fun (r : Reference.t) ->
+           ( Layout.compile layout r,
+             Reference.is_write_like r,
+             r.Reference.kind = Reference.Accumulate ))
+         nest.Nest.body)
   in
+  (* Distinct elements: one flag per layout element.  The coherence unit
+     is the line holding the element. *)
+  let seen = Bytes.make (Layout.total_elements layout) '\000' in
+  let distinct = ref 0 in
   let execute p (iter : Matrixkit.Ivec.t) =
-    List.iter
-      (fun (name, index, write, sync) ->
-        let point = Affine.apply index iter in
-        (* Elements are always interned (distinct-element statistics);
-           the coherence unit is the cache line. *)
-        ignore (Addr.id m.addrs name point);
-        let line =
-          match layout with
-          | None -> Addr.id m.addrs name point
-          | Some l ->
-              let ln = Layout.line l ~line_size:config.line_size name point in
-              if not (Hashtbl.mem m.line_rep ln) then
-                Hashtbl.replace m.line_rep ln (name, point);
-              ln
-        in
-        access m p line ~write ~sync)
+    Array.iter
+      (fun ({ Layout.c; m = mk }, write, sync) ->
+        let a = ref c in
+        for k = 0 to Array.length mk - 1 do
+          a := !a + (mk.(k) * iter.(k))
+        done;
+        let a = !a in
+        if Bytes.get seen a = '\000' then begin
+          Bytes.set seen a '\001';
+          incr distinct
+        end;
+        access m p (a / config.line_size) ~write ~sync)
       body
   in
   for _step = 1 to steps do
@@ -264,7 +279,7 @@ let run_assignment nest ~(per_proc : Codegen.box array array) config =
     else
       Array.iteri (fun p boxes -> Codegen.iter_boxes boxes (execute p)) per_proc
   done;
-  { stats = m.stats; addrs = m.addrs; nprocs; steps }
+  { stats = m.stats; distinct_total = !distinct; nprocs; steps }
 
 let run (schedule : Codegen.schedule) config =
   run_assignment schedule.Codegen.nest
@@ -276,6 +291,6 @@ let footprints (r : result) = Stats.touched r.stats
 let pp_result ppf (r : result) =
   Format.fprintf ppf
     "@[<v>%a@,distinct elements: %d@,per-proc footprints: [%s]@]" Stats.pp
-    r.stats (Addr.size r.addrs)
+    r.stats r.distinct_total
     (String.concat "; "
        (List.map string_of_int (Array.to_list (footprints r))))

@@ -29,10 +29,12 @@ type config = {
           nest's Doseq trip count, or 1 *)
   interleave : bool;  (** round-robin iterations across processors *)
   line_size : int;
-      (** cache-line length in elements.  1 (the paper's Section 2.2
-          assumption) keys coherence on elements; larger values use the
-          row-major {!Layout} so that the last array dimension is
-          contiguous and false sharing becomes observable *)
+      (** cache-line length in elements.  Every access goes through the
+          row-major {!Layout} the runtime uses (arrays line-aligned), and
+          line [a / line_size] of element address [a] is the coherence
+          unit.  1 is the paper's Section 2.2 assumption; larger values
+          make the last array dimension share lines, so false sharing
+          becomes observable *)
 }
 
 val default : config
@@ -41,7 +43,7 @@ val default : config
 
 type result = {
   stats : Stats.t;
-  addrs : Addr.t;
+  distinct_total : int;  (** distinct elements touched by any processor *)
   nprocs : int;
   steps : int;
 }
@@ -55,10 +57,13 @@ val run_assignment :
     processor's boxes in order and each box lexicographically, read
     through a per-processor cursor; [run] is this applied to
     {!Partition.Codegen.iterations_by_proc}, so it issues each
-    processor's iterations in lexicographic order. *)
+    processor's iterations in lexicographic order.  Raises
+    [Invalid_argument] for a non-empty box outside the nest's iteration
+    space (empty boxes are skipped). *)
 
 val footprints : result -> int array
-(** Measured per-processor cumulative footprints (distinct addresses
-    touched), the quantity Theorems 2/4 predict. *)
+(** Measured per-processor cumulative footprints (distinct cache lines
+    touched, so distinct elements at unit lines), the quantity
+    Theorems 2/4 predict. *)
 
 val pp_result : Format.formatter -> result -> unit

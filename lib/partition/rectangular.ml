@@ -16,14 +16,13 @@ type result = {
 (* Continuous relaxation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let golden_section f lo hi =
-  (* Minimize the unimodal [f] on [lo, hi]. *)
+let golden_section ~steps f lo hi =
   let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
   let a = ref lo and b = ref hi in
   let c = ref (!b -. (phi *. (!b -. !a))) in
   let d = ref (!a +. (phi *. (!b -. !a))) in
   let fc = ref (f !c) and fd = ref (f !d) in
-  for _ = 1 to 80 do
+  for _ = 1 to steps do
     if !fc < !fd then begin
       b := !d;
       d := !c;
@@ -84,7 +83,7 @@ let continuous_minimize objective ~volume ~extents =
               in
               (* Search in log space for scale invariance. *)
               let g t = f (exp t) in
-              let t = golden_section g (log lo) (log hi) in
+              let t = golden_section ~steps:80 g (log lo) (log hi) in
               let s = exp t in
               x.(i) <- xi *. s;
               x.(j) <- xj /. s

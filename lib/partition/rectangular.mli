@@ -30,6 +30,11 @@ type result = {
   cost : Cost.t;
 }
 
+val golden_section : steps:int -> (float -> float) -> float -> float -> float
+(** [golden_section ~steps f lo hi] narrows [[lo, hi]] towards the
+    minimum of a unimodal [f] for [steps] golden-ratio steps and returns
+    the final bracket's midpoint. *)
+
 val continuous_minimize :
   (float array -> float) -> volume:float -> extents:int array -> float array
 (** Minimize an arbitrary posynomial-like objective over real [x] with

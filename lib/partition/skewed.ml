@@ -160,28 +160,9 @@ let refine_entry p ~volume l i j =
     p.cand.(i).(j) <- t;
     eval p ~volume p.cand
   in
-  let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
-  let a = ref (base -. width) and b = ref (base +. width) in
-  let c = ref (!b -. (phi *. (!b -. !a))) in
-  let d = ref (!a +. (phi *. (!b -. !a))) in
-  let fc = ref (f !c) and fd = ref (f !d) in
-  for _ = 1 to 60 do
-    if !fc < !fd then begin
-      b := !d;
-      d := !c;
-      fd := !fc;
-      c := !b -. (phi *. (!b -. !a));
-      fc := f !c
-    end
-    else begin
-      a := !c;
-      c := !d;
-      fc := !fd;
-      d := !a +. (phi *. (!b -. !a));
-      fd := f !d
-    end
-  done;
-  let t = (!a +. !b) /. 2.0 in
+  let t =
+    Rectangular.golden_section ~steps:60 f (base -. width) (base +. width)
+  in
   if f t < eval p ~volume l -. 1e-12 then l.(i).(j) <- t
 
 let descend p ~volume l =

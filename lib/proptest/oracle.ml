@@ -371,9 +371,9 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
       else if inst.Exec.distinct_total <> brute_union then
         fail "runtime-sim-agree" "union footprint: runtime=%d brute=%d"
           inst.Exec.distinct_total brute_union
-      else if Addr.size sim.Sim.addrs <> brute_union then
+      else if sim.Sim.distinct_total <> brute_union then
         fail "runtime-sim-agree" "union footprint: sim=%d brute=%d"
-          (Addr.size sim.Sim.addrs) brute_union
+          sim.Sim.distinct_total brute_union
       else
         first_some
           [
@@ -406,9 +406,9 @@ let check_relabel (c : Gen.case) sim per_proc =
     if sorted sim <> sorted sim' then
       fail "sim-relabel-invariant" "footprint multiset changed: %s vs %s"
         (ivec_str (sorted sim)) (ivec_str (sorted sim'))
-    else if Addr.size sim.Sim.addrs <> Addr.size sim'.Sim.addrs then
+    else if sim.Sim.distinct_total <> sim'.Sim.distinct_total then
       fail "sim-relabel-invariant" "distinct addresses changed: %d vs %d"
-        (Addr.size sim.Sim.addrs) (Addr.size sim'.Sim.addrs)
+        sim.Sim.distinct_total sim'.Sim.distinct_total
     else if
       (s1.Stats.accesses, s1.Stats.reads, s1.Stats.writes, s1.Stats.sync_ops)
       <> (s2.Stats.accesses, s2.Stats.reads, s2.Stats.writes, s2.Stats.sync_ops)

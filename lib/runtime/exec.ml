@@ -1,9 +1,7 @@
 open Loopir
-open Matrixkit
 open Machine
 
-type cref = { c : int; m : int array }
-(* Address of iteration [i] through the reference: [c + m . i]. *)
+type cref = Layout.cref = { c : int; m : int array }
 
 type storage = float array
 
@@ -14,32 +12,12 @@ type compiled = {
   writes : (cref * bool (* accumulate *)) array;
 }
 
-let compile_ref layout nesting (r : Reference.t) =
-  let base, lo, strides = Layout.frame layout r.Reference.array_name in
-  let g = Affine.g r.Reference.index in
-  let offset = Affine.offset r.Reference.index in
-  let d = Array.length strides in
-  let c = ref base in
-  for j = 0 to d - 1 do
-    c := !c + ((offset.(j) - lo.(j)) * strides.(j))
-  done;
-  let m =
-    Array.init nesting (fun k ->
-        let acc = ref 0 in
-        for j = 0 to d - 1 do
-          acc := !acc + (Imat.get g k j * strides.(j))
-        done;
-        !acc)
-  in
-  { c = !c; m }
-
 let compile ?bigarray:_ nest =
   let layout = Layout.of_nest nest in
-  let nesting = Nest.nesting nest in
   let reads, writes =
     List.partition_map
       (fun (r : Reference.t) ->
-        let cr = compile_ref layout nesting r in
+        let cr = Layout.compile layout r in
         if Reference.is_write_like r then
           Right (cr, r.Reference.kind = Reference.Accumulate)
         else Left cr)
@@ -97,8 +75,7 @@ let[@inline] exec c (data : storage) (p : int array) =
     else Array.unsafe_set data a v
   done
 
-let address c (r : Reference.t) =
-  addr (compile_ref c.layout (Nest.nesting c.nest) r)
+let address c (r : Reference.t) = addr (Layout.compile c.layout r)
 
 let plain_write_addresses c (p : int array) =
   Array.to_list c.writes

@@ -2,7 +2,7 @@
     nests over real shared operands on a {!Pool} of OCaml domains.
 
     Each affine reference [(G, a)] is compiled once into a closed-form
-    row-major index function [c + m . i] via {!Machine.Layout.frame}, so
+    row-major index function [c + m . i] by {!Machine.Layout.compile}, so
     the per-iteration work is exactly the address arithmetic plus the
     loads/stores the partitioned loop would perform on the real machine:
     reads are summed, [Write] stores the sum, and [Accumulate] (the
@@ -18,7 +18,7 @@ open Matrixkit
 
 type compiled
 
-type cref = { c : int; m : int array }
+type cref = Machine.Layout.cref = { c : int; m : int array }
 (** A compiled affine reference: the flat element address at iteration
     [i] is [c + m . i].  [m.(k)] is therefore the {e compile-time
     constant} address delta of one step along loop axis [k] - the

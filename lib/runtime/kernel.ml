@@ -32,25 +32,11 @@ let shape p = shape_name p.shape
 (* Traversal-order safety analysis                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Inclusive address interval of a compiled reference over the whole
-   iteration space (so over any clipped tile box a fortiori). *)
-let addr_interval (r : Exec.cref) (bounds : (int * int) array) =
-  let lo = ref r.Exec.c and hi = ref r.Exec.c in
-  Array.iteri
-    (fun k (l, h) ->
-      let m = r.Exec.m.(k) in
-      if m >= 0 then begin
-        lo := !lo + (m * l);
-        hi := !hi + (m * h)
-      end
-      else begin
-        lo := !lo + (m * h);
-        hi := !hi + (m * l)
-      end)
-    bounds;
-  (!lo, !hi)
-
-let disjoint (a1, b1) (a2, b2) = b1 < a2 || b2 < a1
+(* Whether two references' address spans over the whole iteration space
+   (so over any clipped tile box a fortiori) are disjoint. *)
+let disjoint bounds r w =
+  let lo, hi = Exec.span bounds r and lo', hi' = Exec.span bounds w in
+  hi < lo' || hi' < lo
 
 let same_map (r : Exec.cref) (w : Exec.cref) =
   r.Exec.c = w.Exec.c && r.Exec.m = w.Exec.m
@@ -101,16 +87,14 @@ let analyze_reorderable reads writes bounds extents =
        (fun (r : Exec.cref) ->
          Array.for_all
            (fun ((w : Exec.cref), _) ->
-             same_map r w
-             || disjoint (addr_interval r bounds) (addr_interval w bounds))
+             same_map r w || disjoint bounds r w)
            writes)
        reads
   && Array.for_all
        (fun ((w1 : Exec.cref), _) ->
          Array.for_all
            (fun ((w2 : Exec.cref), _) ->
-             w1 == w2 || same_map w1 w2
-             || disjoint (addr_interval w1 bounds) (addr_interval w2 bounds))
+             w1 == w2 || same_map w1 w2 || disjoint bounds w1 w2)
            writes)
        writes
 

@@ -113,16 +113,6 @@ type dstate = { me : int; mutable claims : int }
    or re-arm after firing. *)
 let now () = Mclock.now ()
 
-let locked g f =
-  Mutex.lock g.m;
-  match f () with
-  | v ->
-      Mutex.unlock g.m;
-      v
-  | exception e ->
-      Mutex.unlock g.m;
-      raise e
-
 let record g e = g.events_rev <- e :: g.events_rev
 
 (* Called under the gate lock. *)
@@ -201,7 +191,7 @@ let run_tile ctx ds ~step t =
   | None -> ()
   | Some (site, action) -> (
       Trace.incr ctx.trace ds.me Trace.Faults_injected;
-      locked g (fun () ->
+      Mutex.protect g.m (fun () ->
           record g (Report.Injected { action; site; domain = ds.me; step }));
       match action with
       | Fault.Crash -> raise Injected_crash
@@ -227,7 +217,7 @@ let crashed ctx ds ~step ~tile ~was_busy exn_str =
   let g = ctx.g in
   Trace.incr ctx.trace ds.me Trace.Faults_detected;
   if ctx.recover then begin
-    locked g (fun () ->
+    Mutex.protect g.m (fun () ->
         if was_busy then g.busy <- g.busy - 1;
         g.orphans <- tile :: g.orphans;
         g.dead.(ds.me) <- true;
@@ -239,7 +229,7 @@ let crashed ctx ds ~step ~tile ~was_busy exn_str =
     raise Retired
   end
   else begin
-    locked g (fun () ->
+    Mutex.protect g.m (fun () ->
         if was_busy then g.busy <- g.busy - 1;
         record g (Report.Crashed { domain = ds.me; step; exn = exn_str });
         abort_locked g
@@ -265,14 +255,14 @@ let help_orphan ctx ds ~step =
          run_tile ctx ds ~step t;
          Trace.end_span ctx.trace ds.me;
          Trace.incr ctx.trace ds.me Trace.Tiles_run;
-         locked g (fun () ->
+         Mutex.protect g.m (fun () ->
              g.busy <- g.busy - 1;
              g.reexec_step <- g.reexec_step + 1;
              try_release ctx ~step);
          true
        with
       | Halt ->
-          locked g (fun () -> g.busy <- g.busy - 1);
+          Mutex.protect g.m (fun () -> g.busy <- g.busy - 1);
           raise Halt
       | exn ->
           crashed ctx ds ~step ~tile:t ~was_busy:true (Printexc.to_string exn))
@@ -296,7 +286,7 @@ let watchdog ctx ds ~step ~dl ~snap ~after =
         if Atomic.get ctx.hb.(q) = snap.(q) && !silent < 0 then silent := q
     done;
     if !silent >= 0 then
-      locked g (fun () ->
+      Mutex.protect g.m (fun () ->
           let q = !silent in
           if
             (not (Atomic.get g.aborted))
@@ -320,7 +310,7 @@ let watchdog ctx ds ~step ~dl ~snap ~after =
 
 let gate_enter ctx ds ~step =
   let g = ctx.g in
-  locked g (fun () ->
+  Mutex.protect g.m (fun () ->
       g.entered.(ds.me) <- step;
       g.arrived <- g.arrived + 1;
       try_release ctx ~step);
@@ -450,7 +440,7 @@ let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
              Pool.with_pool size (fun pool ->
                  Pool.run pool (fun me _ -> job ctx me))
            with exn ->
-             locked g (fun () ->
+             Mutex.protect g.m (fun () ->
                  abort_locked g
                    ~reason:
                      (Printf.sprintf "pool failure: %s"

@@ -163,7 +163,7 @@ let test_rs_simulator_confirms_comm_free () =
       let r = Machine.Sim.run sched Machine.Sim.default in
       check "no coherence misses" 0 r.Machine.Sim.stats.Machine.Stats.coherence_misses;
       check "no invalidations" 0 r.Machine.Sim.stats.Machine.Stats.invalidations;
-      check "every miss is a distinct element" (Machine.Addr.size r.Machine.Sim.addrs)
+      check "every miss is a distinct element" r.Machine.Sim.distinct_total
         r.Machine.Sim.stats.Machine.Stats.misses
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,5 @@
-(* Tests for the cache-coherent multiprocessor substrate: address
-   interning, caches, directory, mesh, and the MSI simulator's agreement
+(* Tests for the cache-coherent multiprocessor substrate: the row-major
+   memory map, caches, directory, mesh, and the MSI simulator's agreement
    with the analytical footprint model. *)
 
 open Partition
@@ -7,33 +7,6 @@ open Machine
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-
-(* ------------------------------------------------------------------ *)
-(* Addr                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_addr_interning () =
-  let t = Addr.create () in
-  let a = Addr.id t "A" [| 1; 2 |] in
-  let b = Addr.id t "A" [| 1; 3 |] in
-  let a' = Addr.id t "A" [| 1; 2 |] in
-  check "stable" a a';
-  checkb "distinct" true (a <> b);
-  checkb "array name matters" true (a <> Addr.id t "B" [| 1; 2 |]);
-  check "size" 3 (Addr.size t);
-  Alcotest.(check (pair string (list int)))
-    "reverse" ("A", [ 1; 2 ])
-    (Addr.element_of t a)
-
-let test_addr_growth () =
-  let t = Addr.create () in
-  for i = 0 to 9999 do
-    ignore (Addr.id t "X" [| i |])
-  done;
-  check "10k elements" 10000 (Addr.size t);
-  Alcotest.(check (pair string (list int)))
-    "reverse after growth" ("X", [ 9999 ])
-    (Addr.element_of t 9999)
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -156,9 +129,32 @@ let test_layout_alignment () =
 
 let test_layout_lines () =
   let l = Layout.of_nest ~line_align:4 (layout_nest ()) in
-  let line p = Layout.line l ~line_size:4 "A" p in
+  let line p = Layout.address l "A" p / 4 in
   check "neighbours share a line" (line [| 1; 1 |]) (line [| 1; 2 |]);
   checkb "distant elements differ" true (line [| 1; 1 |] <> line [| 5; 5 |])
+
+(* The compiled map is the bounds-checked one: for every reference of
+   every gallery nest, at every point of its iteration space. *)
+let test_layout_compile () =
+  List.iter
+    (fun (name, nest) ->
+      let l = Layout.of_nest nest in
+      List.iter
+        (fun (r : Loopir.Reference.t) ->
+          let { Layout.c; m } = Layout.compile l r in
+          Codegen.iter_box (Loopir.Nest.bounds nest) (fun i ->
+              let a = ref c in
+              Array.iteri (fun k mk -> a := !a + (mk * i.(k))) m;
+              let want =
+                Layout.address l r.Loopir.Reference.array_name
+                  (Loopir.Affine.apply r.Loopir.Reference.index i)
+              in
+              if !a <> want then
+                Alcotest.failf "%s %s at %s: compiled %d, address %d" name
+                  r.Loopir.Reference.array_name
+                  (Matrixkit.Ivec.to_string i) !a want))
+        nest.Loopir.Nest.body)
+    Loopart.Programs.all
 
 (* ------------------------------------------------------------------ *)
 (* Timing                                                              *)
@@ -417,6 +413,48 @@ let test_sim_interleave_same_footprints () =
     "footprints independent of issue order" (Sim.footprints r1)
     (Sim.footprints r2)
 
+(* A direct-mapped cache indexes sets by row-major address.  A[1,1] and
+   A[2,3] lie [d] = 5 elements apart in A's [1..2] x [1..3] box (first
+   touch would number them 0 and 1), so with [d] sets they evict each
+   other every step and with [d + 1] sets they never do. *)
+let test_sim_direct_mapped_sets () =
+  let nest =
+    let open Loopir.Dsl in
+    let i = var 0 and j = var 1 in
+    nest ~name:"conflict" ~seq:(doseq "t" 1 2)
+      [ doall "i" 1 1; doall "j" 1 1 ]
+      [ read "A" [ i; j ]; read "A" [ i + int 1; j + int 2 ] ]
+  in
+  let l = Layout.of_nest nest in
+  let d = Layout.address l "A" [| 2; 3 |] - Layout.address l "A" [| 1; 1 |] in
+  check "row-major distance" 5 d;
+  let run sets =
+    Sim.run_assignment nest
+      ~per_proc:[| [| Loopir.Nest.bounds nest |] |]
+      { Sim.default with Sim.geometry = Cache.Finite { sets; ways = 1 } }
+  in
+  let same = run d and apart = run (d + 1) in
+  check "same set: both evicted each step" 2
+    same.Sim.stats.Stats.replacement_misses;
+  check "same set: every access misses" 4 same.Sim.stats.Stats.misses;
+  check "different sets: no replacement" 0
+    apart.Sim.stats.Stats.replacement_misses;
+  check "different sets: cold misses only" 2 apart.Sim.stats.Stats.misses
+
+let test_sim_box_outside_space () =
+  let nest = Loopart.Programs.example2 () in
+  let bounds = Loopir.Nest.bounds nest in
+  let run box =
+    Sim.run_assignment nest ~per_proc:[| [| box |] |] Sim.default
+  in
+  let past = Array.map (fun (_, hi) -> (hi + 1, hi + 1)) bounds in
+  Alcotest.check_raises "one past the upper bound"
+    (Invalid_argument "Sim.run_assignment: box outside the iteration space")
+    (fun () -> ignore (run past));
+  let empty = Array.map (fun (lo, _) -> (lo + 1, lo)) bounds in
+  let r = run empty in
+  check "empty box accepted" 0 r.Sim.stats.Stats.accesses
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -479,11 +517,6 @@ let machine_props =
 let () =
   Alcotest.run "machine"
     [
-      ( "addr",
-        [
-          Alcotest.test_case "interning" `Quick test_addr_interning;
-          Alcotest.test_case "growth" `Quick test_addr_growth;
-        ] );
       ( "cache",
         [
           Alcotest.test_case "infinite" `Quick test_infinite_cache;
@@ -496,6 +529,7 @@ let () =
           Alcotest.test_case "addresses" `Quick test_layout_addresses;
           Alcotest.test_case "alignment" `Quick test_layout_alignment;
           Alcotest.test_case "lines" `Quick test_layout_lines;
+          Alcotest.test_case "compile = address" `Quick test_layout_compile;
         ] );
       ( "timing",
         [ Alcotest.test_case "monotone in events" `Quick test_timing_monotone ] );
@@ -536,6 +570,10 @@ let () =
           Alcotest.test_case "false sharing" `Quick test_sim_false_sharing;
           Alcotest.test_case "interleave-insensitive footprints" `Quick
             test_sim_interleave_same_footprints;
+          Alcotest.test_case "direct-mapped sets" `Quick
+            test_sim_direct_mapped_sets;
+          Alcotest.test_case "box outside space" `Quick
+            test_sim_box_outside_space;
         ] );
       ("properties", machine_props);
     ]

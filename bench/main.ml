@@ -768,7 +768,7 @@ let e19 () =
         (soi r.Sim.stats.Stats.replacement_misses)
         (Printf.sprintf "%.1f" (100.0 *. Stats.miss_rate r.Sim.stats)))
     [
-      ("whole tile (thrashes)", Codegen.iterations_by_proc sched);
+      ("whole tile (thrashes)", Scheduling.of_schedule sched);
       ("blocked by subtile", Capacity.blocked_iterations sched ~subtile:sub);
     ];
   pf "(the aspect ratio is unchanged - only the unit of execution \
@@ -1059,7 +1059,7 @@ let e22 () =
                   w
             | `Kernel force_generic ->
                 let plan = Runtime.Kernel.plan ~force_generic compiled in
-                let boxes = Runtime.Kernel.boxes_of_schedule sched in
+                let boxes = Scheduling.of_schedule sched in
                 fun () ->
                   let w, _, _ =
                     Runtime.Kernel.time pool plan ~boxes ~steps ~repeats:1

@@ -8,7 +8,6 @@ type config = {
   topology : topology;
   placement : Data_partition.placement option;
   seq_steps : int option;
-  interleave : bool;
   line_size : int;
 }
 
@@ -18,7 +17,6 @@ let default =
     topology = Uniform_memory;
     placement = None;
     seq_steps = None;
-    interleave = true;
     line_size = 1;
   }
 
@@ -262,28 +260,24 @@ let run_assignment nest ~(per_proc : Codegen.box array array)
       body
   in
   for _step = 1 to steps do
-    if config.interleave then begin
-      let cursors = Array.map (cursor (Nest.nesting nest)) per_proc in
-      let live = ref true in
-      while !live do
-        live := false;
-        Array.iteri
-          (fun p (point, next) ->
-            if next () then begin
-              live := true;
-              execute p point
-            end)
-          cursors
-      done
-    end
-    else
-      Array.iteri (fun p boxes -> Codegen.iter_boxes boxes (execute p)) per_proc
+    let cursors = Array.map (cursor (Nest.nesting nest)) per_proc in
+    let live = ref true in
+    while !live do
+      live := false;
+      Array.iteri
+        (fun p (point, next) ->
+          if next () then begin
+            live := true;
+            execute p point
+          end)
+        cursors
+    done
   done;
   { stats = m.stats; distinct_total = !distinct; nprocs; steps }
 
 let run (schedule : Codegen.schedule) config =
   run_assignment schedule.Codegen.nest
-    ~per_proc:(Codegen.iterations_by_proc schedule)
+    ~per_proc:(Scheduling.of_schedule schedule)
     config
 
 let footprints (r : result) = Stats.touched r.stats

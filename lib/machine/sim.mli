@@ -10,8 +10,7 @@
     coherence traffic.
 
     The simulator is deterministic: iterations are issued round-robin
-    across processors (or processor-by-processor with
-    [interleave = false]), each processor's in the order of its boxes;
+    across processors, each processor's in the order of its boxes;
     ties never depend on hashing order. *)
 
 open Partition
@@ -27,7 +26,6 @@ type config = {
   seq_steps : int option;
       (** override the number of outer sequential iterations; default: the
           nest's Doseq trip count, or 1 *)
-  interleave : bool;  (** round-robin iterations across processors *)
   line_size : int;
       (** cache-line length in elements.  Every access goes through the
           row-major {!Layout} the runtime uses (arrays line-aligned), and
@@ -38,8 +36,8 @@ type config = {
 }
 
 val default : config
-(** Infinite caches, uniform memory, no placement, one pass,
-    interleaved, unit cache lines. *)
+(** Infinite caches, uniform memory, no placement, one pass, unit
+    cache lines. *)
 
 type result = {
   stats : Stats.t;
@@ -49,15 +47,16 @@ type result = {
 }
 
 val run : Codegen.schedule -> config -> result
+(** {!run_assignment} over {!Partition.Scheduling.of_schedule}: each
+    processor issues its tiles in tile-number order, as the generated
+    SPMD code and the runtime run them. *)
 
 val run_assignment :
   Loopir.Nest.t -> per_proc:Codegen.box array array -> config -> result
 (** Run an arbitrary per-processor assignment of boxes (e.g. the
     run-time scheduling baselines of {!Partition.Scheduling}), each
     processor's boxes in order and each box lexicographically, read
-    through a per-processor cursor; [run] is this applied to
-    {!Partition.Codegen.iterations_by_proc}, so it issues each
-    processor's iterations in lexicographic order.  Raises
+    through a per-processor cursor.  Raises
     [Invalid_argument] for a non-empty box outside the nest's iteration
     space (empty boxes are skipped). *)
 

@@ -28,19 +28,26 @@ let subtile cost tile ~capacity =
       in
       shrink ()
 
-(* Each run is cut where its subtile cell changes; a stable sort by
-   cell keeps the pieces of one cell in lexicographic order. *)
+(* Each tile is cut under the subtile anchored at the tile's lower
+   corner; a stable sort by cell keeps the pieces of one cell in
+   lexicographic order. *)
 let blocked_iterations (sched : Codegen.schedule) ~subtile =
-  let origin = Array.make (Tile.nesting subtile) 0 in
-  Array.map
-    (fun runs ->
-      let pieces = ref [] in
-      Array.iter
-        (fun run ->
-          Codegen.runs subtile ~origin run (fun cell piece ->
-              pieces := (Array.copy cell, piece) :: !pieces))
-        runs;
-      List.rev !pieces
-      |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd |> Array.of_list)
-    (Codegen.iterations_by_proc sched)
+  let block boxes =
+    let origin =
+      Array.fold_left
+        (fun lo b -> Array.mapi (fun k l -> min l (fst b.(k))) lo)
+        (Array.map fst boxes.(0))
+        boxes
+    in
+    let pieces = ref [] in
+    Array.iter
+      (fun box ->
+        Codegen.runs subtile ~origin box (fun cell piece ->
+            pieces := (Array.copy cell, piece) :: !pieces))
+      boxes;
+    List.rev !pieces
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd |> Array.of_list
+  in
+  Scheduling.by_owner ~nprocs:sched.Codegen.nprocs
+    (Array.map (fun (o, boxes) -> (o, block boxes)) (Codegen.tiles sched))

@@ -23,10 +23,11 @@ val subtile : Cost.t -> Tile.t -> capacity:int -> Tile.t
 
 val blocked_iterations :
   Codegen.schedule -> subtile:Tile.t -> Codegen.box array array
-(** Each processor's iterations reordered to complete one subtile before
-    starting the next (lexicographic within a subtile, subtiles in
-    lexicographic order of their coordinates): each run of
-    {!Codegen.iterations_by_proc} is cut at subtile boundaries and the
-    pieces are stably sorted by subtile.  Feed to
+(** {!Scheduling.of_schedule} with each tile reordered to complete one
+    subtile before starting the next: the tile is cut under [subtile]
+    anchored at its lower corner, so where the sizes divide a tile
+    yields exactly its whole subtiles.  Tiles keep their tile-number
+    order; within a tile the subtiles follow the lexicographic order of
+    their coordinates, each walked lexicographically.  Feed to
     {!Machine.Sim.run_assignment} to observe the replacement-miss
     reduction. *)

@@ -201,13 +201,6 @@ let num_tiles s =
       |> Int_math.prod
   | Tile.Pped _ -> Array.length (tiles s)
 
-let iterations_by_proc s =
-  let out = Array.make s.nprocs [] and lin = linearize s in
-  runs s.tile ~origin:s.origin (Nest.bounds s.nest) (fun coords box ->
-      let p = proc_of s (lin coords) in
-      out.(p) <- box :: out.(p));
-  Array.map (fun l -> Array.of_list (List.rev l)) out
-
 let emit_pseudocode s =
   let buf = Buffer.create 256 in
   let vars = Nest.vars s.nest in

@@ -32,8 +32,8 @@ val owner : schedule -> Ivec.t -> int
 
 type box = (int * int) array
 (** Inclusive per-axis bounds, indexed by loop axis.  Every iteration
-    assignment is boxes: a tile's, a processor's ({!iterations_by_proc})
-    and a run-time policy's ({!Scheduling}). *)
+    assignment is boxes: a tile's ({!tiles}), a processor's (its tiles,
+    {!Scheduling.of_schedule}) and a run-time policy's ({!Scheduling}). *)
 
 val iter_box : box -> (Ivec.t -> unit) -> unit
 (** Every point of the box in lexicographic order.  The point passed
@@ -73,13 +73,6 @@ val num_tiles : schedule -> int
 (** Number of non-empty tiles covering the iteration space: a product
     of trip counts for rectangular tiles, the length of {!tiles}
     otherwise. *)
-
-val iterations_by_proc : schedule -> box array array
-(** Each processor's iterations in lexicographic order, as the maximal
-    innermost-axis runs of {!runs} over the whole space, grouped by
-    owner: no two consecutive boxes of a processor lie in one tile and
-    touch.  The simulator's issue order (the runtime runs {!tiles} tile
-    by tile instead). *)
 
 val emit_pseudocode : schedule -> string
 (** A human-readable rendition of the generated SPMD loop nest. *)

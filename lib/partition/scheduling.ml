@@ -2,7 +2,13 @@ open Loopir
 
 type assignment = Codegen.box array array
 
-let of_schedule = Codegen.iterations_by_proc
+let by_owner ~nprocs tiles =
+  let by = Array.make nprocs [] in
+  Array.iter (fun (o, boxes) -> by.(o) <- boxes :: by.(o)) tiles;
+  Array.map (fun l -> Array.concat (List.rev l)) by
+
+let of_schedule (s : Codegen.schedule) =
+  by_owner ~nprocs:s.Codegen.nprocs (Codegen.tiles s)
 
 let dealt nest ~nprocs ~chunk_of =
   (* Deal consecutive chunks of the lexicographic order to processors

@@ -24,9 +24,15 @@ type assignment = Codegen.box array array
 (** Per-processor boxes, each processor's in execution order and each
     box walked lexicographically ({!Codegen.iter_boxes}). *)
 
+val by_owner : nprocs:int -> (int * Codegen.box array) array -> assignment
+(** [(owner, boxes)] tiles grouped by owner: processor [p] runs the
+    boxes of its tiles, tile after tile in the order given. *)
+
 val of_schedule : Codegen.schedule -> assignment
-(** The compile-time tiled assignment (for uniform comparison):
-    {!Codegen.iterations_by_proc}. *)
+(** The compile-time tiled assignment: {!by_owner} over
+    {!Codegen.tiles}, so each owner's tiles run in tile-number order - the
+    order the generated SPMD code and the runtime run them in, and the
+    one the simulator issues. *)
 
 val cyclic : Nest.t -> nprocs:int -> assignment
 val block_cyclic : Nest.t -> nprocs:int -> chunk:int -> assignment

@@ -384,7 +384,7 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
                 Codegen.make c.nest (sheared c) ~nprocs:c.nprocs
               in
               check_tiles pool compiled ~steps ~order_free c sheared
-                (Codegen.iterations_by_proc sheared));
+                (Scheduling.of_schedule sheared));
           ]
 
 (* ------------------------------------------------------------------ *)
@@ -709,7 +709,7 @@ let apply_drop_fault fault per_proc =
 let check ~fault ~pools (c : Gen.case) =
   try
     let sched = Codegen.make c.nest (Tile.rect c.tile) ~nprocs:c.nprocs in
-    let per_proc = apply_drop_fault fault (Codegen.iterations_by_proc sched) in
+    let per_proc = apply_drop_fault fault (Scheduling.of_schedule sched) in
     let sim = lazy (Sim.run_assignment c.nest ~per_proc Sim.default) in
     first_some
       [

@@ -193,12 +193,6 @@ let pieces ~chunk tiles =
 let static_of_assignment (a : Partition.Scheduling.assignment) =
   of_tiles (Array.mapi (fun p boxes -> (p, boxes)) a)
 
-let of_boxes (boxes : box array array) =
-  of_tiles
-    (Array.concat
-       (Array.to_list
-          (Array.mapi (fun p -> Array.map (fun b -> (p, [| b |]))) boxes)))
-
 let steps_of_nest ?override nest =
   match override with
   | Some n ->

@@ -146,10 +146,6 @@ val pieces : chunk:int -> (int * tile) array -> work
 val static_of_assignment : Partition.Scheduling.assignment -> work
 (** Domain [p] runs the boxes [a.(p)], in order, as one tile. *)
 
-val of_boxes : box array array -> work
-(** Domain [p] runs the boxes [boxes.(p)] in order, one tile each (the
-    shape of {!Kernel.boxes_of_schedule}). *)
-
 val steps_of_nest : ?override:int -> Nest.t -> int
 (** The outer sequential trip count: [override], else the nest's
     [Doseq] extent, else 1. *)

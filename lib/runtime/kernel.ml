@@ -451,16 +451,11 @@ let run_box p (data : Exec.storage) (b : box) =
 (* Schedules and parallel execution                                    *)
 (* ------------------------------------------------------------------ *)
 
-let boxes_of_schedule sched =
-  let by = Array.make sched.Partition.Codegen.nprocs [] in
-  Array.iter
-    (fun (o, boxes) -> by.(o) <- boxes :: by.(o))
-    (Partition.Codegen.tiles sched);
-  Array.map (fun l -> Array.concat (List.rev l)) by
+let boxes_of_schedule = Partition.Scheduling.of_schedule
 
 let time ?(trace = Trace.disabled) pool p ~boxes ~steps ~repeats =
-  Exec.time_with ~box:(run_box p) ~trace pool p.compiled (Exec.of_boxes boxes)
-    ~steps ~repeats
+  Exec.time_with ~box:(run_box p) ~trace pool p.compiled
+    (Exec.static_of_assignment boxes) ~steps ~repeats
 
 let sequential p ~steps =
   let storage = Exec.alloc p.compiled in

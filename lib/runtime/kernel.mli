@@ -65,9 +65,8 @@ val run_box : plan -> Exec.storage -> box -> unit
     cursor arrays, so domains may share one [run_box plan storage]. *)
 
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
-(** The boxes of {!Partition.Codegen.tiles} grouped by owning processor,
-    each owner's tiles in tile-number order - [result.(p)] is domain
-    [p]'s work for one step. *)
+(** {!Partition.Scheduling.of_schedule}, under its old name: kept only
+    for the pipeline benchmark's callers, and deleted with them. *)
 
 val time :
   ?trace:Trace.t ->
@@ -77,10 +76,10 @@ val time :
   steps:int ->
   repeats:int ->
   float * float array * int array
-(** {!Exec.time} over {!Exec.of_boxes}[ boxes] with every box run by
-    {!run_box}: domain [p] executes [boxes.(p)] in each of [steps]
-    steps of the shared loop ({!Sched}), on fresh operands per repeat;
-    the fastest of [repeats] runs is reported. *)
+(** {!Exec.time} over {!Exec.static_of_assignment}[ boxes] with every
+    box run by {!run_box}: domain [p] executes [boxes.(p)] in each of
+    [steps] steps of the shared loop ({!Sched}), on fresh operands per
+    repeat; the fastest of [repeats] runs is reported. *)
 
 val sequential : plan -> steps:int -> Exec.storage
 (** The whole iteration space as one box on the calling domain, [steps]

@@ -108,18 +108,10 @@ let buffers_equal a b =
         true
       with Exit -> false)
 
-let with_pool_opt pool nprocs f =
-  match pool with
-  | Some p ->
-      if Pool.size p <> nprocs then
-        invalid_arg "Validate: pool size <> assignment width";
-      f p
-  | None -> Pool.with_pool nprocs f
-
-let check_assignment ?pool ?(policy = "static") ?predicted_per_tile nest
-    (assignment : Scheduling.assignment) =
+let check_schedule (schedule : Codegen.schedule) =
+  let nest = schedule.Codegen.nest in
+  let assignment = Scheduling.of_schedule schedule in
   let nprocs = Array.length assignment in
-  if nprocs < 1 then invalid_arg "Validate: empty assignment";
   let compiled = Exec.compile nest in
   let cost = Cost.of_nest nest in
   let written = scan_writes compiled nest assignment in
@@ -138,7 +130,7 @@ let check_assignment ?pool ?(policy = "static") ?predicted_per_tile nest
       { Sim.default with Sim.seq_steps = Some 1 }
   in
   let sim_footprints = Sim.footprints sim in
-  with_pool_opt pool nprocs (fun pool ->
+  Pool.with_pool nprocs (fun pool ->
       let inst =
         Exec.measure pool compiled
           (Exec.static_of_assignment assignment)
@@ -162,11 +154,12 @@ let check_assignment ?pool ?(policy = "static") ?predicted_per_tile nest
       {
         nest_name = nest.Nest.name;
         nprocs;
-        policy;
+        policy = "tiled";
         sim_footprints;
         measured_footprints;
         footprints_agree;
-        predicted_per_tile;
+        predicted_per_tile =
+          Some (Cost.misses_per_tile cost schedule.Codegen.tile);
         measured_max = Array.fold_left max 0 measured_footprints;
         write_races;
         shared_accumulates;
@@ -175,14 +168,6 @@ let check_assignment ?pool ?(policy = "static") ?predicted_per_tile nest
         deterministic;
         values_match;
       })
-
-let check_schedule ?pool (schedule : Codegen.schedule) =
-  let nest = schedule.Codegen.nest in
-  let cost = Cost.of_nest nest in
-  check_assignment ?pool ~policy:"tiled"
-    ~predicted_per_tile:(Cost.misses_per_tile cost schedule.Codegen.tile)
-    nest
-    (Scheduling.of_schedule schedule)
 
 let ok v =
   v.race_free && v.footprints_agree

@@ -1,7 +1,7 @@
 (** Closing the loop between the analytic model, the deterministic
     simulator and the real multicore runtime.
 
-    For a partitioned nest this module checks, on one assignment:
+    For a schedule this module checks, on the tiles it runs:
 
     - {b write-race freedom}: in a [Doall] pass, every element reached
       through a plain [Write] reference is written by at most one
@@ -18,7 +18,6 @@
       bit-identical operands to the sequential reference run, and we
       verify that it does. *)
 
-open Loopir
 open Partition
 
 type verdict = {
@@ -48,22 +47,12 @@ type verdict = {
       (** [Some] iff [deterministic]: the bit-exact comparison result *)
 }
 
-val check_schedule : ?pool:Pool.t -> Codegen.schedule -> verdict
-(** Validate the compile-time tiled assignment of a schedule.  A pool
-    sized to the schedule's processor count is created (and shut down)
-    here unless one is supplied. *)
-
-val check_assignment :
-  ?pool:Pool.t ->
-  ?policy:string ->
-  ?predicted_per_tile:int ->
-  Nest.t ->
-  Scheduling.assignment ->
-  verdict
-(** Validate an arbitrary per-processor assignment of boxes (e.g. the
-    run-time scheduling baselines).  Every check scans the boxes in
-    place; the simulator and the runtime both run them as given, the
-    runtime as one tile per domain ({!Exec.static_of_assignment}). *)
+val check_schedule : Codegen.schedule -> verdict
+(** Validate the compile-time tiled assignment of a schedule,
+    {!Scheduling.of_schedule}, on a pool sized to its processor count,
+    created and shut down here.  Every check scans the boxes in place;
+    the simulator and the runtime both run them as given, the runtime
+    as one tile per domain ({!Exec.static_of_assignment}). *)
 
 val ok : verdict -> bool
 (** Sound and model-consistent: race-free, footprints agree with the

@@ -305,7 +305,7 @@ let prop_schedule_covers_space =
   QCheck2.Test.make ~name:"schedule covers every iteration exactly once"
     ~count:60 gen_nest (fun nest ->
       let a = Driver.analyze ~nprocs:4 nest in
-      Scheduling.total (Codegen.iterations_by_proc (Driver.schedule a))
+      Scheduling.total (Scheduling.of_schedule (Driver.schedule a))
       = Nest.iterations nest)
 
 let random_props =

@@ -284,7 +284,7 @@ let test_parallel_kernel_matches_sequential () =
       let sched = Driver.schedule a in
       let compiled = Runtime.Exec.compile nest in
       let plan = Runtime.Kernel.plan compiled in
-      let boxes = Runtime.Kernel.boxes_of_schedule sched in
+      let boxes = Scheduling.of_schedule sched in
       let steps = steps_of nest in
       (* Kernel.time counts the iterations; the same pass through
          Exec.time_with keeps the storage it allocates for the value
@@ -298,7 +298,8 @@ let test_parallel_kernel_matches_sequential () =
         Runtime.Pool.with_pool nprocs (fun pool ->
             ignore
               (Runtime.Exec.time_with ~box ~trace:Runtime.Trace.disabled pool
-                 compiled (Runtime.Exec.of_boxes boxes) ~steps ~repeats:1);
+                 compiled (Runtime.Exec.static_of_assignment boxes) ~steps
+                 ~repeats:1);
             Runtime.Kernel.time pool plan ~boxes ~steps ~repeats:1)
       in
       Array.iteri

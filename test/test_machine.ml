@@ -404,14 +404,35 @@ let test_sim_false_sharing () =
   checkb "false sharing with wide lines" true
     (wide.Sim.stats.Stats.invalidations > 0)
 
-let test_sim_interleave_same_footprints () =
-  let _, _, sched = analyze_ex2 () in
-  let seq = { Sim.default with Sim.interleave = false } in
-  let r1 = Sim.run (sched (Tile.rect [| 10; 10 |])) Sim.default in
-  let r2 = Sim.run (sched (Tile.rect [| 10; 10 |])) seq in
+(* The simulator issues each processor's tiles one after another, as
+   the generated SPMD code and the runtime run them.  relax_inplace's
+   skewed tile gives each of two processors several parallelepipeds
+   whose body reads what it writes, so the issue order shows in the
+   coherence counts. *)
+let test_sim_issues_tile_order () =
+  let a =
+    Loopart.Driver.analyze ~try_skewed:true ~nprocs:2
+      (Loopart.Programs.relax_inplace ())
+  in
+  let sched = Loopart.Driver.schedule ~tile:(Loopart.Driver.best_tile a) a in
+  checkb "skewed tile" true
+    (match sched.Codegen.tile with Tile.Pped _ -> true | Tile.Rect _ -> false);
+  let by = Array.make 2 [] in
+  Array.iter
+    (fun (o, boxes) -> by.(o) <- by.(o) @ Array.to_list boxes)
+    (Codegen.tiles sched);
+  let tiled =
+    Sim.run_assignment sched.Codegen.nest
+      ~per_proc:(Array.map Array.of_list by)
+      Sim.default
+  in
+  let r = Sim.run sched Sim.default in
+  let counters (r : Sim.result) =
+    { r.Sim.stats with Stats.unique_per_proc = [||] }
+  in
+  checkb "counters" true (counters r = counters tiled);
   Alcotest.(check (array int))
-    "footprints independent of issue order" (Sim.footprints r1)
-    (Sim.footprints r2)
+    "footprints" (Sim.footprints tiled) (Sim.footprints r)
 
 (* A direct-mapped cache indexes sets by row-major address.  A[1,1] and
    A[2,3] lie [d] = 5 elements apart in A's [1..2] x [1..3] box (first
@@ -568,8 +589,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sim_deterministic;
           Alcotest.test_case "cache lines" `Quick test_sim_line_size;
           Alcotest.test_case "false sharing" `Quick test_sim_false_sharing;
-          Alcotest.test_case "interleave-insensitive footprints" `Quick
-            test_sim_interleave_same_footprints;
+          Alcotest.test_case "issues tile order" `Quick
+            test_sim_issues_tile_order;
           Alcotest.test_case "direct-mapped sets" `Quick
             test_sim_direct_mapped_sets;
           Alcotest.test_case "box outside space" `Quick

@@ -375,7 +375,7 @@ let test_skewed_compiled_objective () =
 let test_codegen_rect () =
   let sched = Codegen.make ex2 (Tile.rect [| 100; 1 |]) ~nprocs:100 in
   check "tiles" 100 (Codegen.num_tiles sched);
-  let per = Codegen.iterations_by_proc sched in
+  let per = Scheduling.of_schedule sched in
   check "procs" 100 (Array.length per);
   Array.iter (fun n -> check "balanced" 100 n) (Scheduling.loads per);
   (* Every iteration appears exactly once. *)
@@ -514,13 +514,13 @@ let test_codegen_tiles_alloc () =
   in
   List.iter
     (fun (sched, boxes) ->
-      let a = allocated (fun () -> Codegen.iterations_by_proc sched) in
+      let a = allocated (fun () -> Scheduling.of_schedule sched) in
       check "boxes per processor, summed" boxes
         (Array.fold_left (fun acc b -> acc + Array.length b) 0 a);
       check "every iteration once" (Nest.iterations sched.Codegen.nest)
         (Scheduling.total a);
       ignore (allocated (fun () -> Codegen.load_balance sched)))
-    [ (sched, 854); (stencil, 1024) ]
+    [ (sched, 854); (stencil, 2) ]
 
 let test_codegen_pped_partition () =
   let nest =
@@ -532,7 +532,7 @@ let test_codegen_pped_partition () =
   let sched =
     Codegen.make nest (Tile.pped (Imat.of_rows [ [ 5; 0 ]; [ 2; 5 ] ])) ~nprocs:4
   in
-  let per = Codegen.iterations_by_proc sched in
+  let per = Scheduling.of_schedule sched in
   check "pped covers space exactly once" 100 (Scheduling.total per)
 
 let test_emit_pseudocode () =
@@ -626,16 +626,27 @@ let test_capacity_blocked_order () =
   let sched = Codegen.make nest tile ~nprocs:4 in
   let sub = Capacity.subtile cost tile ~capacity:64 in
   let blocked = Capacity.blocked_iterations sched ~subtile:sub in
-  (* Same iterations, ordered by (subtile cell, point). *)
-  let plain = Codegen.iterations_by_proc sched in
+  (* Same iterations, tile by tile, each tile's ordered by (subtile cell
+     anchored at the tile's corner, point). *)
+  let plain = Scheduling.of_schedule sched in
   let cell = Tile.tile_coords sub in
+  let want = Array.make 4 [] in
+  Array.iter
+    (fun (o, boxes) ->
+      let corner = Array.map fst boxes.(0) in
+      let key i = (cell (Ivec.sub i corner), i) in
+      want.(o) <-
+        want.(o)
+        @ List.sort (fun a b -> compare (key a) (key b)) (points_of boxes))
+    (Codegen.tiles sched);
   Array.iteri
     (fun p boxes ->
-      let l = points_of boxes and want = points_of plain.(p) in
-      check "same count" (List.length want) (List.length l);
-      checkb "same set" true (List.sort compare l = List.sort compare want);
-      checkb "subtile by subtile, lexicographic within" true
-        (l = List.sort (fun a b -> compare (cell a, a) (cell b, b)) want))
+      let l = points_of boxes in
+      check "same count" (List.length want.(p)) (List.length l);
+      checkb "same set" true
+        (List.sort compare l = List.sort compare (points_of plain.(p)));
+      checkb "tile by tile, subtile by subtile, lexicographic within" true
+        (l = want.(p)))
     blocked;
   (* Blocking reduces replacement misses on a small cache. *)
   let run per_proc =
@@ -647,6 +658,36 @@ let test_capacity_blocked_order () =
       .Machine.Sim.stats.Machine.Stats.replacement_misses
   in
   checkb "blocked replaces less" true (run blocked <= run plain)
+
+let test_capacity_whole_subtiles () =
+  (* E19's setup: 1-based matmul 24^3 on 16 processors, one 6x6x24 tile
+     each, blocked for a 128-element cache into 6x6x6 subtiles.  The
+     sizes divide, so each tile must yield exactly its four subtiles,
+     one after another, each walked lexicographically. *)
+  let nest = Loopart.Programs.matmul ~n:24 () in
+  let cost = Cost.of_nest nest in
+  let tile = (Rectangular.optimize cost ~nprocs:16).Rectangular.tile in
+  let sched = Codegen.make nest tile ~nprocs:16 in
+  let sub = Capacity.subtile cost tile ~capacity:128 in
+  checkb "6x6x6 subtile" true (Tile.equal sub (Tile.rect [| 6; 6; 6 |]));
+  let blocked = Capacity.blocked_iterations sched ~subtile:sub in
+  Array.iter
+    (fun (o, boxes) ->
+      check "one tile per processor" 1 (Array.length boxes);
+      let tile_box = boxes.(0) in
+      let subtiles =
+        points_of
+          [| Array.map (fun (lo, hi) -> (0, ((hi - lo + 1) / 6) - 1)) tile_box |]
+        |> List.map (fun c ->
+               Array.mapi
+                 (fun k (lo, _) -> (lo + (6 * c.(k)), lo + (6 * c.(k)) + 5))
+                 tile_box)
+      in
+      check "four subtiles" 4 (List.length subtiles);
+      checkb "exactly its whole subtiles, one after another" true
+        (points_of blocked.(o)
+        = List.concat_map (fun b -> points_of [| b |]) subtiles))
+    (Codegen.tiles sched)
 
 (* ------------------------------------------------------------------ *)
 (* Run-time scheduling baselines                                       *)
@@ -747,10 +788,10 @@ let prop_scheduling_exact_cover =
            (fun r -> Int_math.ceil_div r nprocs))
 
 let test_of_schedule_matches_owner () =
-  (* The tiled assignment must be exactly the owner map, processor by
-     processor, in lexicographic order, as maximal runs per tile.  Under
-     rectangles (one clipped, off a non-zero origin), a parallelepiped,
-     an [L] with [det L < 0] and a 3-D [L]. *)
+  (* The tiled assignment is each processor's tiles, in tile-number
+     order, and every point it holds is the processor's by the owner
+     map.  Under rectangles (one clipped, off a non-zero origin), a
+     parallelepiped, an [L] with [det L < 0] and a 3-D [L]. *)
   let plane = fst (List.nth pped_cases 0) in
   let cube = fst (List.nth pped_cases 3) in
   List.iter
@@ -759,26 +800,32 @@ let test_of_schedule_matches_owner () =
       let sched = Codegen.make nest tile ~nprocs in
       let a = Scheduling.of_schedule sched in
       let own = Codegen.owner sched and id = Codegen.tile_id sched in
-      let lex = lex_points nest in
+      let tiles = Codegen.tiles sched in
       Array.iteri
         (fun p boxes ->
-          checkb (name ^ ": owner's points, lexicographic") true
-            (points_of boxes = List.filter (fun i -> own i = p) lex);
-          Array.iteri
-            (fun k b ->
-              if k > 0 then begin
-                let prev = boxes.(k - 1) and d = Array.length b in
-                let touch =
-                  Array.sub prev 0 (d - 1) = Array.sub b 0 (d - 1)
-                  && snd prev.(d - 1) + 1 = fst b.(d - 1)
-                in
-                checkb (name ^ ": no mergeable neighbours in one tile") false
-                  (touch && id (Array.map fst prev) = id (Array.map fst b))
-              end)
-            boxes)
+          let mine =
+            List.filter (fun (o, _) -> o = p) (Array.to_list tiles)
+          in
+          checkb (name ^ ": the owner's tiles, one after another") true
+            (boxes = Array.concat (List.map snd mine));
+          let ids =
+            List.map (fun (_, tb) -> id (Array.map fst tb.(0))) mine
+          in
+          checkb (name ^ ": in tile-number order") true
+            (List.sort_uniq compare ids = ids);
+          List.iter2
+            (fun (_, tb) t ->
+              checkb (name ^ ": a tile's points share its number") true
+                (List.for_all (fun i -> id i = t) (points_of tb)))
+            mine ids;
+          checkb (name ^ ": every point is the processor's") true
+            (List.for_all (fun i -> own i = p) (points_of boxes)))
         a;
       check (name ^ ": covers the space") (Nest.iterations nest)
-        (Scheduling.total a))
+        (Scheduling.total a);
+      checkb (name ^ ": each point once") true
+        (List.sort compare (List.concat_map points_of (Array.to_list a))
+        = lex_points nest))
     [
       (Loopart.Programs.example2 ~n:30 (), Tile.rect [| 7; 5 |], 5);
       (plane, Tile.rect [| 4; 6 |], 3);
@@ -852,6 +899,8 @@ let () =
       ( "capacity",
         [
           Alcotest.test_case "subtile" `Quick test_capacity_subtile;
+          Alcotest.test_case "whole subtiles" `Quick
+            test_capacity_whole_subtiles;
           Alcotest.test_case "blocked order" `Quick
             test_capacity_blocked_order;
         ] );

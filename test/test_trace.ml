@@ -230,7 +230,7 @@ let test_overhead_budget () =
   let sched = Driver.schedule a in
   let compiled = Runtime.Exec.compile nest in
   let plan = Runtime.Kernel.plan compiled in
-  let boxes = Runtime.Kernel.boxes_of_schedule sched in
+  let boxes = Partition.Scheduling.of_schedule sched in
   let steps = Runtime.Exec.steps_of_nest nest in
   Runtime.Pool.with_pool nprocs (fun pool ->
       let once trace () =

@@ -367,15 +367,12 @@ let e8 () =
       let traffic = Cost.traffic_per_tile cost tile in
       let sched = Codegen.make nest tile ~nprocs:64 in
       let r = Sim.run sched Sim.default in
-      (* Busiest (most interior) processor, per steady-state step. *)
+      (* Busiest (most interior) processor, per steady-state step: a
+         footprint is not coherence traffic, so approximate the steady
+         traffic by footprint - volume. *)
       let max_coh =
-        let per = Array.make 64 0 in
-        Array.iteri
-          (fun p tbl -> per.(p) <- Hashtbl.length tbl)
-          r.Sim.stats.Stats.unique_per_proc;
-        (* unique_per_proc is the footprint, not coherence; approximate the
-           busiest processor's steady traffic by footprint - volume. *)
-        Array.fold_left max 0 per - (sizes.(0) * sizes.(1) * sizes.(2))
+        Array.fold_left max 0 (Sim.footprints r)
+        - (sizes.(0) * sizes.(1) * sizes.(2))
       in
       row4
         (String.concat "x" (List.map soi (Array.to_list sizes)))
@@ -875,16 +872,29 @@ let e21 () =
   let exec_config =
     { Driver.default_exec_config with Driver.steps = Some steps }
   in
-  (* Baseline: the plain runtime on the same tiled work-stealing queues,
-     one full job including domain spawn and operand allocation - the
-     same costs the resilient wall clock carries. *)
+  (* Baseline: the resilient run's work without resilience - the
+     schedule's whole tiles on work-stealing queues, every box through
+     the kernel - one full job including domain spawn and operand
+     allocation, the same costs the resilient wall clock carries.  Like
+     Resilient.execute, the kernel plan is built before the clock
+     starts. *)
   let compiled = Runtime.Exec.compile nest in
-  let sched = Driver.schedule a in
-  let work = Runtime.Exec.pieces ~chunk:1 (Codegen.tiles sched) in
+  let tiles = Codegen.tiles (Driver.schedule a) in
+  let work =
+    Runtime.Exec.Tiled
+      {
+        tiles = Array.map snd tiles;
+        owners = Array.map fst tiles;
+        steal = true;
+      }
+  in
+  let box = Runtime.Kernel.run_box (Runtime.Kernel.plan compiled) in
   let run_plain () =
     let t0 = Runtime.Mclock.now () in
     Runtime.Pool.with_pool nprocs (fun pool ->
-        ignore (Runtime.Exec.time pool compiled work ~steps ~repeats:1));
+        ignore
+          (Runtime.Exec.time_with ~box ~trace:Runtime.Trace.disabled pool
+             compiled work ~steps ~repeats:1));
     Runtime.Mclock.now () -. t0
   in
   let resilient ?plan () =

@@ -45,6 +45,14 @@ let iterations t =
     (fun acc e -> Intmath.Int_math.mul_exact acc e)
     1 (extents t)
 
+let steps ?override t =
+  match (override, t.seq) with
+  | Some n, _ ->
+      if n < 1 then invalid_arg "Nest.steps: steps < 1";
+      n
+  | None, Some l -> l.upper - l.lower + 1
+  | None, None -> 1
+
 let arrays t =
   List.fold_left
     (fun acc (r : Reference.t) ->

@@ -34,6 +34,10 @@ val extents : t -> int array
 val iterations : t -> int
 (** Total size of the parallel iteration space. *)
 
+val steps : ?override:int -> t -> int
+(** The outer sequential trip count: [override], else the [Doseq]
+    extent, else 1.  Raises [Invalid_argument] for an [override] below 1. *)
+
 val arrays : t -> string list
 (** Distinct array names, in order of first appearance. *)
 

@@ -1,6 +1,6 @@
 (** Row-major array layout: the one memory map of the repository.  The
     runtime ([Runtime.Exec]) indexes its operand buffer with it and the
-    simulator ({!Sim}) keys caches and directories on it, at every cache
+    simulator ({!Sim}) indexes its line table with it, at every cache
     line size.  It also makes lines longer than one element meaningful
     (the paper assumes unit lines in Section 2.2 and points at
     Abraham-Hudak for the extension).

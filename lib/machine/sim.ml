@@ -27,18 +27,13 @@ type result = {
   steps : int;
 }
 
-type loss = Lost_invalidation | Lost_eviction
-
 type machine = {
-  nprocs : int;
-  caches : Cache.t array;
-  dir : Directory.t;
+  cache : Cache.t;
   net : Mesh.t;
   stats : Stats.t;
   layout : Layout.t;
   line_size : int;
   placement : Data_partition.placement option;
-  loss : (int, loss) Hashtbl.t array;  (* why proc p last lost line a *)
 }
 
 (* Home memory module of a line: the placement map's home of the line's
@@ -59,104 +54,103 @@ let message m src dst =
   m.stats.Stats.network_messages <- m.stats.Stats.network_messages + 1;
   m.stats.Stats.network_hops <- m.stats.Stats.network_hops + dist m src dst
 
-let mark_loss m p addr reason = Hashtbl.replace m.loss.(p) addr reason
+let invalidate m q line ~home =
+  Cache.invalidate m.cache q line;
+  m.stats.Stats.invalidations <- m.stats.Stats.invalidations + 1;
+  message m home q;
+  (* acknowledgement *)
+  message m q home
 
-let invalidate_sharers m addr ~except ~home =
+let fill m p line state =
+  match Cache.fill m.cache p line state with
+  | Some (victim, Cache.Modified) ->
+      m.stats.Stats.writebacks <- m.stats.Stats.writebacks + 1;
+      message m p (home_of m victim)
+  | Some _ | None -> ()
+
+(* Write upgrade of a Shared line: no data transfer, but the directory
+   must invalidate the other sharers. *)
+let upgrade m p line =
+  m.stats.Stats.upgrades <- m.stats.Stats.upgrades + 1;
+  let home = home_of m line in
+  message m p home;
   List.iter
-    (fun q ->
-      if q <> except then begin
-        Cache.invalidate m.caches.(q) addr;
-        m.stats.Stats.invalidations <- m.stats.Stats.invalidations + 1;
-        mark_loss m q addr Lost_invalidation;
-        message m home q;
-        (* acknowledgement *)
-        message m q home
-      end)
-    (Directory.sharers m.dir addr)
+    (fun q -> if q <> p then invalidate m q line ~home)
+    (Cache.sharers m.cache line);
+  Cache.set_state m.cache p line Cache.Modified;
+  (* grant *)
+  message m home p
 
-let handle_eviction m p = function
-  | None -> ()
-  | Some victim ->
-      (* The victim is already gone from the cache; the directory still
-         records whether it was dirty there. *)
-      (if Directory.owner m.dir victim = Some p then begin
-         m.stats.Stats.writebacks <- m.stats.Stats.writebacks + 1;
-         message m p (home_of m victim)
-       end);
-      Directory.remove m.dir victim p;
-      mark_loss m p victim Lost_eviction
+let miss m p line ~write =
+  let st = m.stats in
+  st.Stats.misses <- st.Stats.misses + 1;
+  let home = home_of m line in
+  (* request *)
+  message m p home;
+  (match Cache.owner m.cache line with
+  | Some q ->
+      (* Dirty remotely: forward, owner writes back / transfers. *)
+      message m home q;
+      message m q p;
+      st.Stats.writebacks <- st.Stats.writebacks + 1;
+      if write then begin
+        Cache.invalidate m.cache q line;
+        st.Stats.invalidations <- st.Stats.invalidations + 1
+      end
+      else Cache.set_state m.cache q line Cache.Shared
+  | None ->
+      if write then
+        List.iter
+          (fun q -> invalidate m q line ~home)
+          (Cache.sharers m.cache line);
+      (* data reply *)
+      message m home p);
+  if home = p then st.Stats.local_fills <- st.Stats.local_fills + 1
+  else st.Stats.remote_fills <- st.Stats.remote_fills + 1;
+  fill m p line (if write then Cache.Modified else Cache.Shared)
 
-let classify_miss m p addr =
-  match Hashtbl.find_opt m.loss.(p) addr with
-  | Some Lost_invalidation ->
-      m.stats.Stats.coherence_misses <- m.stats.Stats.coherence_misses + 1
-  | Some Lost_eviction ->
-      m.stats.Stats.replacement_misses <- m.stats.Stats.replacement_misses + 1
-  | None -> m.stats.Stats.cold_misses <- m.stats.Stats.cold_misses + 1
-
-let fill_accounting m p home =
-  if home = p then m.stats.Stats.local_fills <- m.stats.Stats.local_fills + 1
-  else m.stats.Stats.remote_fills <- m.stats.Stats.remote_fills + 1
-
-let access m p addr ~write ~sync =
+let access m p line ~write ~sync =
   let st = m.stats in
   st.Stats.accesses <- st.Stats.accesses + 1;
   if write then st.Stats.writes <- st.Stats.writes + 1
   else st.Stats.reads <- st.Stats.reads + 1;
   if sync then st.Stats.sync_ops <- st.Stats.sync_ops + 1;
-  Hashtbl.replace st.Stats.unique_per_proc.(p) addr ();
-  let cache = m.caches.(p) in
-  match Cache.lookup cache addr with
-  | Some Cache.Modified -> st.Stats.hits <- st.Stats.hits + 1
-  | Some Cache.Shared when not write -> st.Stats.hits <- st.Stats.hits + 1
-  | Some Cache.Shared ->
-      (* Write upgrade: no data transfer, but the directory must
-         invalidate the other sharers. *)
+  match Cache.state m.cache p line with
+  | (Cache.Shared | Cache.Modified) as held ->
       st.Stats.hits <- st.Stats.hits + 1;
-      st.Stats.upgrades <- st.Stats.upgrades + 1;
-      let home = home_of m addr in
-      message m p home;
-      invalidate_sharers m addr ~except:p ~home;
-      Directory.set_owner m.dir addr p;
-      Cache.set_state cache addr Cache.Modified;
-      (* grant *)
-      message m home p
-  | None ->
-      st.Stats.misses <- st.Stats.misses + 1;
-      classify_miss m p addr;
-      let home = home_of m addr in
-      (* request *)
-      message m p home;
-      (match Directory.owner m.dir addr with
-      | Some q when q <> p ->
-          (* Dirty remotely: forward, owner writes back / transfers. *)
-          message m home q;
-          message m q p;
-          st.Stats.writebacks <- st.Stats.writebacks + 1;
-          if write then begin
-            Cache.invalidate m.caches.(q) addr;
-            st.Stats.invalidations <- st.Stats.invalidations + 1;
-            mark_loss m q addr Lost_invalidation;
-            Directory.clear m.dir addr
-          end
-          else begin
-            Cache.set_state m.caches.(q) addr Cache.Shared;
-            Directory.downgrade_owner m.dir addr
-          end
-      | Some _ | None ->
-          if write then invalidate_sharers m addr ~except:p ~home;
-          (* data reply *)
-          message m home p);
-      fill_accounting m p home;
-      Hashtbl.remove m.loss.(p) addr;
-      if write then begin
-        Directory.set_owner m.dir addr p;
-        handle_eviction m p (Cache.insert cache addr Cache.Modified)
-      end
-      else begin
-        Directory.add_sharer m.dir addr p;
-        handle_eviction m p (Cache.insert cache addr Cache.Shared)
-      end
+      Cache.touch m.cache p line;
+      if write && held = Cache.Shared then upgrade m p line
+  | Cache.Never ->
+      st.Stats.cold_misses <- st.Stats.cold_misses + 1;
+      st.Stats.unique_per_proc.(p) <- st.Stats.unique_per_proc.(p) + 1;
+      miss m p line ~write
+  | Cache.Lost_invalidation ->
+      st.Stats.coherence_misses <- st.Stats.coherence_misses + 1;
+      miss m p line ~write
+  | Cache.Lost_eviction ->
+      st.Stats.replacement_misses <- st.Stats.replacement_misses + 1;
+      miss m p line ~write
+
+let machine nest ~nprocs (config : config) =
+  if config.line_size < 1 then invalid_arg "Sim.run: line_size < 1";
+  let layout = Layout.of_nest ~line_align:config.line_size nest in
+  let lines =
+    (Layout.total_elements layout + config.line_size - 1) / config.line_size
+  in
+  {
+    cache = Cache.create config.geometry ~nprocs ~lines;
+    net =
+      (match config.topology with
+      | Uniform_memory -> Mesh.uniform ~nprocs
+      | Mesh2d -> Mesh.mesh ~nprocs);
+    stats = Stats.create ~nprocs;
+    layout;
+    line_size = config.line_size;
+    placement = config.placement;
+  }
+
+let cache m = m.cache
+let stats m = m.stats
 
 (* A processor's iterations one at a time: its boxes in order, each in
    lexicographic order.  [next ()] moves [point] to the next iteration
@@ -202,35 +196,10 @@ let run_assignment nest ~(per_proc : Codegen.box array array)
     (config : config) =
   let nprocs = Array.length per_proc in
   if nprocs < 1 then invalid_arg "Sim.run_assignment: no processors";
-  if config.line_size < 1 then invalid_arg "Sim.run: line_size < 1";
   check_boxes nest per_proc;
-  let net =
-    match config.topology with
-    | Uniform_memory -> Mesh.uniform ~nprocs
-    | Mesh2d -> Mesh.mesh ~nprocs
-  in
-  let layout = Layout.of_nest ~line_align:config.line_size nest in
-  let m =
-    {
-      nprocs;
-      caches = Array.init nprocs (fun _ -> Cache.create config.geometry);
-      dir = Directory.create ();
-      net;
-      stats = Stats.create ~nprocs;
-      layout;
-      line_size = config.line_size;
-      placement = config.placement;
-      loss = Array.init nprocs (fun _ -> Hashtbl.create 256);
-    }
-  in
-  let steps =
-    match config.seq_steps with
-    | Some n -> n
-    | None -> (
-        match nest.Nest.seq with
-        | Some l -> l.Nest.upper - l.Nest.lower + 1
-        | None -> 1)
-  in
+  let steps = Nest.steps ?override:config.seq_steps nest in
+  let m = machine nest ~nprocs config in
+  let layout = m.layout in
   let body =
     Array.of_list
       (List.map
@@ -245,19 +214,19 @@ let run_assignment nest ~(per_proc : Codegen.box array array)
   let seen = Bytes.make (Layout.total_elements layout) '\000' in
   let distinct = ref 0 in
   let execute p (iter : Matrixkit.Ivec.t) =
-    Array.iter
-      (fun ({ Layout.c; m = mk }, write, sync) ->
-        let a = ref c in
-        for k = 0 to Array.length mk - 1 do
-          a := !a + (mk.(k) * iter.(k))
-        done;
-        let a = !a in
-        if Bytes.get seen a = '\000' then begin
-          Bytes.set seen a '\001';
-          incr distinct
-        end;
-        access m p (a / config.line_size) ~write ~sync)
-      body
+    for r = 0 to Array.length body - 1 do
+      let { Layout.c; m = mk }, write, sync = body.(r) in
+      let a = ref c in
+      for k = 0 to Array.length mk - 1 do
+        a := !a + (mk.(k) * iter.(k))
+      done;
+      let a = !a in
+      if Bytes.get seen a = '\000' then begin
+        Bytes.set seen a '\001';
+        incr distinct
+      end;
+      access m p (a / config.line_size) ~write ~sync
+    done
   in
   for _step = 1 to steps do
     let cursors = Array.map (cursor (Nest.nesting nest)) per_proc in

@@ -9,9 +9,20 @@
     (Figure 9) re-executes the parallel body to expose steady-state
     coherence traffic.
 
+    Each processor's copy of a line is recorded once, in the {!Cache}
+    line table: one byte per (line, processor), so a run holds
+    [P * ceil (Layout.total_elements / line_size)] bytes of cache state
+    (7.5 MB for E8's 117,912 lines at P = 64), plus [P * sets * ways]
+    words of LRU order when the caches are finite.  The directory is a
+    view of the table - a line's sharers are the processors holding it,
+    its owner the one holding it [Modified] - and the byte also gives a
+    miss its class: never held (cold), lost to an invalidation
+    (coherence) or to an eviction (replacement).  A processor's
+    footprint is its count of cold misses.
+
     The simulator is deterministic: iterations are issued round-robin
     across processors, each processor's in the order of its boxes;
-    ties never depend on hashing order. *)
+    sharers are visited in ascending processor order. *)
 
 open Partition
 
@@ -24,8 +35,9 @@ type config = {
       (** home memory module per element; [None] models the monolithic
           uniform-access memory of Figure 2 *)
   seq_steps : int option;
-      (** override the number of outer sequential iterations; default: the
-          nest's Doseq trip count, or 1 *)
+      (** override the number of outer sequential iterations
+          ({!Loopir.Nest.steps}: default the nest's Doseq trip count, or 1;
+          an override below 1 raises [Invalid_argument]) *)
   line_size : int;
       (** cache-line length in elements.  Every access goes through the
           row-major {!Layout} the runtime uses (arrays line-aligned), and
@@ -59,6 +71,22 @@ val run_assignment :
     through a per-processor cursor.  Raises
     [Invalid_argument] for a non-empty box outside the nest's iteration
     space (empty boxes are skipped). *)
+
+type machine
+(** The simulated machine: the caches' line table and the event
+    counters. *)
+
+val machine : Loopir.Nest.t -> nprocs:int -> config -> machine
+(** A fresh machine over the nest's {!Layout}: every line [Never], every
+    counter 0.  [seq_steps] is not read. *)
+
+val access : machine -> int -> int -> write:bool -> sync:bool -> unit
+(** [access m p line ~write ~sync]: processor [p] reads ([write] false)
+    or writes [line] through the MSI protocol, counting the events;
+    [sync] marks an accumulate. *)
+
+val cache : machine -> Cache.t
+val stats : machine -> Stats.t
 
 val footprints : result -> int array
 (** Measured per-processor cumulative footprints (distinct cache lines

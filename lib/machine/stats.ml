@@ -15,7 +15,7 @@ type t = {
   mutable remote_fills : int;
   mutable network_messages : int;
   mutable network_hops : int;
-  unique_per_proc : (int, unit) Hashtbl.t array;
+  unique_per_proc : int array;
 }
 
 let create ~nprocs =
@@ -36,10 +36,10 @@ let create ~nprocs =
     remote_fills = 0;
     network_messages = 0;
     network_hops = 0;
-    unique_per_proc = Array.init nprocs (fun _ -> Hashtbl.create 1024);
+    unique_per_proc = Array.make nprocs 0;
   }
 
-let touched t = Array.map Hashtbl.length t.unique_per_proc
+let touched t = Array.copy t.unique_per_proc
 
 let miss_rate t =
   if t.accesses = 0 then 0.0

@@ -19,9 +19,9 @@ type t = {
   mutable remote_fills : int;
   mutable network_messages : int;
   mutable network_hops : int;
-  unique_per_proc : (int, unit) Hashtbl.t array;
-      (** distinct addresses touched by each processor: the measured
-          cumulative footprint *)
+  unique_per_proc : int array;
+      (** distinct lines touched by each processor, which is its count of
+          cold misses: the measured cumulative footprint *)
 }
 
 val create : nprocs:int -> t

@@ -193,15 +193,7 @@ let pieces ~chunk tiles =
 let static_of_assignment (a : Partition.Scheduling.assignment) =
   of_tiles (Array.mapi (fun p boxes -> (p, boxes)) a)
 
-let steps_of_nest ?override nest =
-  match override with
-  | Some n ->
-      if n < 1 then invalid_arg "Exec.steps_of_nest: steps < 1";
-      n
-  | None -> (
-      match nest.Nest.seq with
-      | Some l -> l.Nest.upper - l.Nest.lower + 1
-      | None -> 1)
+let steps_of_nest = Nest.steps
 
 let check_work c work =
   let d = Nest.nesting c.nest in

@@ -147,8 +147,8 @@ val static_of_assignment : Partition.Scheduling.assignment -> work
 (** Domain [p] runs the boxes [a.(p)], in order, as one tile. *)
 
 val steps_of_nest : ?override:int -> Nest.t -> int
-(** The outer sequential trip count: [override], else the nest's
-    [Doseq] extent, else 1. *)
+(** {!Loopir.Nest.steps}: [override], else the nest's [Doseq] extent,
+    else 1. *)
 
 type instrumented = {
   footprints : int array;  (** distinct elements touched per domain *)

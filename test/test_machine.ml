@@ -12,58 +12,145 @@ let checkb = Alcotest.(check bool)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let line_state =
+  Alcotest.testable
+    (fun ppf s ->
+      Format.pp_print_string ppf
+        (match s with
+        | Cache.Never -> "Never"
+        | Cache.Shared -> "Shared"
+        | Cache.Modified -> "Modified"
+        | Cache.Lost_invalidation -> "Lost_invalidation"
+        | Cache.Lost_eviction -> "Lost_eviction"))
+    ( = )
+
+let check_state = Alcotest.check line_state
+
 let test_infinite_cache () =
-  let c = Cache.create Cache.Infinite in
-  checkb "empty" true (Cache.lookup c 42 = None);
-  ignore (Cache.insert c 42 Cache.Shared);
-  checkb "present" true (Cache.lookup c 42 = Some Cache.Shared);
-  Cache.set_state c 42 Cache.Modified;
-  checkb "state change" true (Cache.lookup c 42 = Some Cache.Modified);
-  Cache.invalidate c 42;
-  checkb "gone" true (Cache.lookup c 42 = None)
+  let c = Cache.create Cache.Infinite ~nprocs:1 ~lines:64 in
+  check_state "empty" Cache.Never (Cache.state c 0 42);
+  checkb "no victim" true (Cache.fill c 0 42 Cache.Shared = None);
+  check_state "present" Cache.Shared (Cache.state c 0 42);
+  Cache.set_state c 0 42 Cache.Modified;
+  check_state "state change" Cache.Modified (Cache.state c 0 42);
+  Cache.invalidate c 0 42;
+  checkb "gone" false (Cache.resident c 0 42);
+  check_state "lost" Cache.Lost_invalidation (Cache.state c 0 42)
 
 let test_finite_cache_lru () =
-  (* One set, two ways: the third insert evicts the least recent. *)
-  let c = Cache.create (Cache.Finite { sets = 1; ways = 2 }) in
-  checkb "no victim 1" true (Cache.insert c 1 Cache.Shared = None);
-  checkb "no victim 2" true (Cache.insert c 2 Cache.Shared = None);
+  (* One set, two ways: the third fill evicts the least recent. *)
+  let c =
+    Cache.create (Cache.Finite { sets = 1; ways = 2 }) ~nprocs:1 ~lines:4
+  in
+  checkb "no victim 1" true (Cache.fill c 0 1 Cache.Shared = None);
+  checkb "no victim 2" true (Cache.fill c 0 2 Cache.Modified = None);
   (* Touch 1 so 2 becomes LRU. *)
-  ignore (Cache.lookup c 1);
-  (match Cache.insert c 3 Cache.Shared with
-  | Some v -> check "evicts 2" 2 v
+  Cache.touch c 0 1;
+  (match Cache.fill c 0 3 Cache.Shared with
+  | Some (v, held) ->
+      check "evicts 2" 2 v;
+      check_state "held dirty" Cache.Modified held
   | None -> Alcotest.fail "expected eviction");
-  checkb "1 survives" true (Cache.resident c 1);
-  checkb "3 present" true (Cache.resident c 3);
-  check "occupancy" 2 (Cache.occupancy c)
+  check_state "2 lost" Cache.Lost_eviction (Cache.state c 0 2);
+  checkb "1 survives" true (Cache.resident c 0 1);
+  checkb "3 present" true (Cache.resident c 0 3);
+  check "occupancy" 2 (Cache.occupancy c 0)
 
 let test_finite_cache_sets () =
-  (* Two sets: even and odd addresses do not conflict. *)
-  let c = Cache.create (Cache.Finite { sets = 2; ways = 1 }) in
-  ignore (Cache.insert c 2 Cache.Shared);
-  ignore (Cache.insert c 3 Cache.Shared);
-  checkb "both resident" true (Cache.resident c 2 && Cache.resident c 3);
-  (match Cache.insert c 4 Cache.Shared with
-  | Some v -> check "same-set eviction" 2 v
-  | None -> Alcotest.fail "expected eviction")
+  (* Two sets: even and odd lines do not conflict, and each processor's
+     sets are its own. *)
+  let c =
+    Cache.create (Cache.Finite { sets = 2; ways = 1 }) ~nprocs:2 ~lines:6
+  in
+  ignore (Cache.fill c 0 2 Cache.Shared);
+  ignore (Cache.fill c 0 3 Cache.Shared);
+  ignore (Cache.fill c 1 4 Cache.Shared);
+  checkb "both resident" true (Cache.resident c 0 2 && Cache.resident c 0 3);
+  (match Cache.fill c 0 4 Cache.Shared with
+  | Some (v, _) -> check "same-set eviction" 2 v
+  | None -> Alcotest.fail "expected eviction");
+  checkb "other processor keeps 4" true (Cache.resident c 1 4)
 
 (* ------------------------------------------------------------------ *)
-(* Directory                                                           *)
+(* Line table                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_directory () =
-  let d = Directory.create () in
-  Alcotest.(check (list int)) "empty" [] (Directory.sharers d 7);
-  Directory.add_sharer d 7 1;
-  Directory.add_sharer d 7 3;
-  Alcotest.(check (list int)) "two sharers" [ 1; 3 ] (Directory.sharers d 7);
-  Directory.set_owner d 7 2;
-  Alcotest.(check (list int)) "owner displaces" [ 2 ] (Directory.sharers d 7);
-  Alcotest.(check (option int)) "owner" (Some 2) (Directory.owner d 7);
-  Directory.downgrade_owner d 7;
-  Alcotest.(check (option int)) "downgraded" None (Directory.owner d 7);
-  Alcotest.(check (list int)) "still sharing" [ 2 ] (Directory.sharers d 7);
-  Directory.remove d 7 2;
-  Alcotest.(check (list int)) "removed" [] (Directory.sharers d 7)
+(* The MSI protocol on a hand-written sequence.  After each access the
+   test checks the line's bytes, the directory view (sharers and owner)
+   and which miss class, if any, the access counted. *)
+let test_line_table () =
+  let nest =
+    let open Loopir.Dsl in
+    nest ~name:"line" [ doall "i" 0 3 ] [ read "A" [ var 0 ] ]
+  in
+  let classes (st : Stats.t) =
+    [ st.cold_misses; st.coherence_misses; st.replacement_misses ]
+  in
+  let step m p line ~write cls bytes sharers owner =
+    let what =
+      Printf.sprintf "P%d %s line %d" p
+        (if write then "writes" else "reads")
+        line
+    in
+    let before = classes (Sim.stats m) in
+    Sim.access m p line ~write ~sync:false;
+    let got =
+      match List.map2 ( - ) (classes (Sim.stats m)) before with
+      | [ 0; 0; 0 ] -> "hit"
+      | [ 1; 0; 0 ] -> "cold"
+      | [ 0; 1; 0 ] -> "coherence"
+      | [ 0; 0; 1 ] -> "replacement"
+      | _ -> "several"
+    in
+    Alcotest.(check string) (what ^ ": miss class") cls got;
+    let c = Sim.cache m in
+    Alcotest.(check (list line_state))
+      (what ^ ": bytes") bytes
+      (List.init (List.length bytes) (fun q -> Cache.state c q line));
+    Alcotest.(check (list int)) (what ^ ": sharers") sharers
+      (Cache.sharers c line);
+    Alcotest.(check (option int)) (what ^ ": owner") owner
+      (Cache.owner c line)
+  in
+  let open Cache in
+  let m = Sim.machine nest ~nprocs:3 Sim.default in
+  let st = Sim.stats m in
+  step m 0 1 ~write:false "cold" [ Shared; Never; Never ] [ 0 ] None;
+  step m 2 1 ~write:false "cold" [ Shared; Never; Shared ] [ 0; 2 ] None;
+  step m 1 1 ~write:false "cold" [ Shared; Shared; Shared ] [ 0; 1; 2 ] None;
+  (* A write upgrade invalidates the two other sharers. *)
+  step m 1 1 ~write:true "hit"
+    [ Lost_invalidation; Modified; Lost_invalidation ]
+    [ 1 ] (Some 1);
+  check "upgrade" 1 st.Stats.upgrades;
+  check "two invalidations" 2 st.Stats.invalidations;
+  (* Reading the remotely dirty line downgrades the owner and writes it
+     back. *)
+  step m 0 1 ~write:false "coherence"
+    [ Shared; Shared; Lost_invalidation ]
+    [ 0; 1 ] None;
+  check "downgrade writes back" 1 st.Stats.writebacks;
+  step m 2 1 ~write:false "coherence" [ Shared; Shared; Shared ] [ 0; 1; 2 ]
+    None;
+  step m 2 1 ~write:false "hit" [ Shared; Shared; Shared ] [ 0; 1; 2 ] None;
+  check "no writeback from clean copies" 1 st.Stats.writebacks;
+  (* A finite cache of one line per processor: a second line evicts the
+     first, and the re-read is a replacement miss. *)
+  let m =
+    Sim.machine nest ~nprocs:2
+      { Sim.default with Sim.geometry = Finite { sets = 1; ways = 1 } }
+  in
+  let st = Sim.stats m in
+  step m 0 1 ~write:true "cold" [ Modified; Never ] [ 0 ] (Some 0);
+  step m 0 2 ~write:false "cold" [ Shared; Never ] [ 0 ] None;
+  check_state "evicted" Lost_eviction (state (Sim.cache m) 0 1);
+  Alcotest.(check (list int)) "evicted: no sharers" []
+    (sharers (Sim.cache m) 1);
+  check "dirty eviction writes back" 1 st.Stats.writebacks;
+  step m 0 1 ~write:false "replacement" [ Shared; Never ] [ 0 ] None;
+  check_state "evicted clean" Lost_eviction (state (Sim.cache m) 0 2);
+  check "clean eviction writes nothing back" 1 st.Stats.writebacks;
+  check "footprint = cold misses" 2 (Stats.touched st).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Mesh                                                                *)
@@ -427,10 +514,7 @@ let test_sim_issues_tile_order () =
       Sim.default
   in
   let r = Sim.run sched Sim.default in
-  let counters (r : Sim.result) =
-    { r.Sim.stats with Stats.unique_per_proc = [||] }
-  in
-  checkb "counters" true (counters r = counters tiled);
+  checkb "stats" true (r.Sim.stats = tiled.Sim.stats);
   Alcotest.(check (array int))
     "footprints" (Sim.footprints tiled) (Sim.footprints r)
 
@@ -475,6 +559,17 @@ let test_sim_box_outside_space () =
   let empty = Array.map (fun (lo, _) -> (lo + 1, lo)) bounds in
   let r = run empty in
   check "empty box accepted" 0 r.Sim.stats.Stats.accesses
+
+(* The Doseq trip count has one rule (Nest.steps): an override below 1
+   is refused, not simulated as zero steps with all-zero footprints. *)
+let test_sim_zero_steps () =
+  let _, _, sched = analyze_ex2 () in
+  Alcotest.check_raises "seq_steps = Some 0"
+    (Invalid_argument "Nest.steps: steps < 1")
+    (fun () ->
+      ignore
+        (Sim.run (sched (Tile.rect [| 20; 5 |]))
+           { Sim.default with Sim.seq_steps = Some 0 }))
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -544,7 +639,8 @@ let () =
           Alcotest.test_case "finite LRU" `Quick test_finite_cache_lru;
           Alcotest.test_case "finite sets" `Quick test_finite_cache_sets;
         ] );
-      ("directory", [ Alcotest.test_case "protocol states" `Quick test_directory ]);
+      ( "line table",
+        [ Alcotest.test_case "protocol states" `Quick test_line_table ] );
       ( "layout",
         [
           Alcotest.test_case "addresses" `Quick test_layout_addresses;
@@ -593,6 +689,7 @@ let () =
             test_sim_issues_tile_order;
           Alcotest.test_case "direct-mapped sets" `Quick
             test_sim_direct_mapped_sets;
+          Alcotest.test_case "zero steps" `Quick test_sim_zero_steps;
           Alcotest.test_case "box outside space" `Quick
             test_sim_box_outside_space;
         ] );

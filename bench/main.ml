@@ -1122,6 +1122,8 @@ let e22 () =
     [
       ("stencil5", Programs.stencil5 ~n:(128 * scale) (), 2);
       ("matmul", Programs.matmul ~n:(64 * scale) (), 1);
+      (* 9 reads, one write: the array-cursor loop. *)
+      ("conv3x3", Programs.conv3x3 ~n:(128 * scale) (), 1);
     ]
   in
   pf "host exposes %d core%s (Domain.recommended_domain_count)@." host_cores
@@ -1175,9 +1177,9 @@ let e22 () =
   write_rows "BENCH_kernels.json" (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
-(* --profile: traced runs of the two E22 workloads, broken down into   *)
-(* per-phase busy time per domain, dumped next to the BENCH_*.json     *)
-(* files                                                               *)
+(* --profile: traced runs of E22's stencil5 and matmul, broken down   *)
+(* into per-phase busy time per domain, dumped next to the            *)
+(* BENCH_*.json files                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let profile_requested = ref false

@@ -54,7 +54,7 @@ let default_exec_config =
     policy = Tiled;
     repeats = 3;
     steps = None;
-    footprint = Runtime.Measure.Auto;
+    footprint = Runtime.Measure.Exact;
     bigarray = false;
     kernels = false;
     trace = None;
@@ -105,7 +105,7 @@ let execute ?(config = default_exec_config) ?tile a =
         Runtime.Exec.run
           ~trace:(Option.value ~default:Runtime.Trace.disabled config.trace)
           ~box:(Runtime.Kernel.run_box plan) pool compiled work ~steps
-          ~repeats:config.repeats ~mode:config.footprint)
+          ~repeats:config.repeats)
   in
   let policy =
     Printf.sprintf "%s + %s kernel" (policy_name config.policy)

@@ -59,6 +59,9 @@ type exec_config = {
   repeats : int;  (** timed runs; minimum is reported *)
   steps : int option;  (** override the outer [Doseq] trip count *)
   footprint : Runtime.Measure.mode;
+      (** ignored: footprints are always exact distinct-element counts.
+          The field once chose the instrument and stays only until its
+          last readers drop it *)
   bigarray : bool;
       (** ignored: operands are always a [float array].  The field once
           selected a [Bigarray] and stays only until its last readers
@@ -75,8 +78,7 @@ type exec_config = {
 }
 
 val default_exec_config : exec_config
-(** [Tiled], 3 repeats, the nest's own step count, [Auto] footprints,
-    no trace. *)
+(** [Tiled], 3 repeats, the nest's own step count, no trace. *)
 
 val execute :
   ?config:exec_config -> ?tile:Tile.t -> analysis -> Runtime.Measure.report
@@ -105,7 +107,7 @@ val execute_resilient :
     watchdog timeouts, tile-level crash recovery and policy-driven
     retry/degradation.  [plan] injects faults for testing; when degrading
     shrinks the pool, the partition is re-optimized for the smaller
-    processor count.  [config.repeats] and [config.footprint] are
+    processor count.  [config.repeats] is
     ignored (a resilient run is a single monitored execution). *)
 
 val validate : ?tile:Tile.t -> analysis -> Runtime.Validate.verdict

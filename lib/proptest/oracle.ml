@@ -271,12 +271,12 @@ let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
     =
   let tiles = Codegen.tiles sched in
   let work = Exec.of_tiles tiles in
-  let tiled = Exec.measure pool compiled work ~steps ~mode:Measure.Exact in
+  let tiled = Exec.measure pool compiled work ~steps in
   let brute, _ = brute_footprints c per_proc in
   let want = Array.map (fun n -> steps * n) (Scheduling.loads per_proc) in
   let run work =
     Exec.run ~trace:Trace.disabled ~box:(Exec.run_box compiled) pool compiled
-      work ~steps ~repeats:1 ~mode:Measure.Exact
+      work ~steps ~repeats:1
   in
   let sequential = lazy (Exec.checksum (Exec.sequential compiled ~steps)) in
   let check_checksum what (r : Measure.raw) =
@@ -307,7 +307,6 @@ let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
           if
             static.Measure.footprints <> tiled.Exec.footprints
             || static.Measure.distinct_total <> tiled.Exec.distinct_total
-            || static.Measure.exact_footprints <> tiled.Exec.exact
             || static.Measure.iterations <> want
           then
             fail "runtime-sim-agree"
@@ -344,7 +343,7 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
   let steps = Exec.steps_of_nest c.nest in
   let pool = Pools.get pools c.nprocs in
   let work = Exec.static_of_assignment per_proc in
-  let inst = Exec.measure pool compiled work ~steps ~mode:Measure.Exact in
+  let inst = Exec.measure pool compiled work ~steps in
   let order_free =
     lazy (Exec.reexecution_safe compiled && writes_conflict_free c)
   in
@@ -366,8 +365,6 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
       if inst.Exec.iterations <> want then
         fail "runtime-sim-agree" "procs executed %s iterations, want %s"
           (ivec_str inst.Exec.iterations) (ivec_str want)
-      else if not inst.Exec.exact then
-        fail "runtime-sim-agree" "bitset fell back to estimation"
       else if inst.Exec.distinct_total <> brute_union then
         fail "runtime-sim-agree" "union footprint: runtime=%d brute=%d"
           inst.Exec.distinct_total brute_union

@@ -246,20 +246,17 @@ type instrumented = {
   footprints : int array;
   iterations : int array;
   distinct_total : int;
-  exact : bool;
   checksum : float;
   buffer : float array;
 }
 
-let measure pool c work ~steps ~mode =
+let measure ?mode:_ pool c work ~steps =
   check_work c work;
   let nprocs = Pool.size pool in
   let universe = total_elements c in
   let storage = alloc c in
   let run_body p = exec c storage p in
-  let touched =
-    Array.init nprocs (fun _ -> Measure.touched mode ~universe)
-  in
+  let touched = Array.init nprocs (fun _ -> Measure.touched ~universe) in
   let observers = Array.map (observe_point c) touched in
   let seconds = Array.make nprocs 0.0 in
   let iterations = Array.make nprocs 0 in
@@ -274,7 +271,6 @@ let measure pool c work ~steps ~mode =
     footprints = Array.map Measure.touched_count touched;
     iterations;
     distinct_total = Measure.union_count touched;
-    exact = Array.for_all Measure.is_exact touched;
     checksum = checksum storage;
     buffer = storage;
   }
@@ -319,13 +315,11 @@ let observed_steps work ~steps =
   | Tiled { steal = false; _ } -> min steps 1
   | Tiled { steal = true; _ } | Dynamic _ -> steps
 
-let run ~trace ~box pool c work ~steps ~repeats ~mode =
+let run ~trace ~box pool c work ~steps ~repeats =
   let wall, seconds, iterations, checksum =
     timed ~box ~trace pool c work ~steps ~repeats
   in
-  let inst =
-    measure pool c work ~steps:(observed_steps work ~steps) ~mode
-  in
+  let inst = measure pool c work ~steps:(observed_steps work ~steps) in
   (* The instrumented pass runs untraced (its observation cost is not
      representative), but its footprints feed the bytes-touched
      counter: distinct elements each domain actually referenced. *)
@@ -337,7 +331,6 @@ let run ~trace ~box pool c work ~steps ~repeats ~mode =
     seconds;
     iterations;
     footprints = inst.footprints;
-    exact_footprints = inst.exact;
     distinct_total = inst.distinct_total;
     checksum;
   }

@@ -154,16 +154,17 @@ type instrumented = {
   footprints : int array;  (** distinct elements touched per domain *)
   iterations : int array;
   distinct_total : int;
-  exact : bool;  (** footprints counted exactly (vs Bloom estimate) *)
   checksum : float;
   buffer : storage;  (** the operands the pass ran on, for value checks *)
 }
 
 val measure :
-  Pool.t -> compiled -> work -> steps:int -> mode:Measure.mode -> instrumented
+  ?mode:Measure.mode -> Pool.t -> compiled -> work -> steps:int -> instrumented
 (** One instrumented (untimed) execution of exactly [steps] steps on
     fresh operands, on the interpreter; its checksum and buffer are
-    those of that execution. *)
+    those of that execution.  Footprints are exact distinct-element
+    counts ({!Measure.touched}).  [mode] is ignored: it once chose the
+    instrument and stays only until its last readers drop it. *)
 
 val time_with :
   box:(storage -> box -> unit) ->
@@ -208,7 +209,6 @@ val run :
   work ->
   steps:int ->
   repeats:int ->
-  mode:Measure.mode ->
   Measure.raw
 (** {!time_with} + {!measure} combined into a {!Measure.raw}.  The
     timed pass runs all [steps] steps, is traced, and gives the wall

@@ -3,11 +3,9 @@
     measured analogue of the cumulative footprints Theorems 2/4 predict
     and {!Machine.Sim} counts exactly.
 
-    Footprints are counted by a {!touched} set per domain.  Small
-    element spaces use an exact bitset over the {!Machine.Layout}
-    address range; spaces too large to bitset fall back to a Bloom
-    filter whose cardinality estimate [-m/k ln(1 - ones/m)] is within a
-    few permille at the occupancies we produce.
+    Footprints are counted exactly by a {!touched} set per domain: one
+    bit per element of the {!Machine.Layout} address range, so a domain
+    costs [universe / 8] bytes.
 
     Each per-domain set pads its payload with a cache-line-sized guard
     region on both sides, so instruments allocated back to back never
@@ -15,23 +13,23 @@
     instrumented pass). *)
 
 type mode =
-  | Auto  (** exact up to {!exact_limit} elements, Bloom beyond *)
   | Exact
-  | Bloom of int  (** number of filter bits (rounded up to a byte) *)
-
-val exact_limit : int
-(** Universe size (elements) up to which [Auto] stays exact. *)
+      (** the only instrument.  The type stays only until its last
+          readers drop it *)
 
 type touched
 
-val touched : mode -> universe:int -> touched
+val touched : universe:int -> touched
+(** An empty set over addresses [0 .. universe - 1]. *)
+
 val touch : touched -> int -> unit
+(** Add an address; it must lie in the set's universe (unchecked). *)
+
 val touched_count : touched -> int
-val is_exact : touched -> bool
 
 val union_count : touched array -> int
-(** Cardinality of the union: bit-or of the underlying sets (all created
-    with the same mode and universe).  [0] for an empty array. *)
+(** Cardinality of the union.  [0] for an empty array; raises
+    [Invalid_argument] unless every set has the same universe. *)
 
 type domain_stat = {
   domain : int;
@@ -45,7 +43,6 @@ type raw = {
   seconds : float array;  (** per-domain, from the best repeat *)
   iterations : int array;
   footprints : int array;
-  exact_footprints : bool;
   distinct_total : int;  (** union footprint over all domains *)
   checksum : float;
       (** sum over the operand buffer the best timed repeat produced *)
@@ -65,7 +62,6 @@ type report = {
   per_domain : domain_stat array;
   wall_seconds : float;
   distinct_total : int;
-  exact_footprints : bool;
   checksum : float;
 }
 

@@ -134,18 +134,10 @@ let check_schedule (schedule : Codegen.schedule) =
       let inst =
         Exec.measure pool compiled
           (Exec.static_of_assignment assignment)
-          ~steps:1 ~mode:Measure.Auto
+          ~steps:1
       in
       let measured_footprints = inst.Exec.footprints in
-      let footprints_agree =
-        if inst.Exec.exact then measured_footprints = sim_footprints
-        else
-          Array.for_all2
-            (fun a b ->
-              let a = float_of_int a and b = float_of_int b in
-              Float.abs (a -. b) <= 0.02 *. Float.max 1.0 b)
-            measured_footprints sim_footprints
-      in
+      let footprints_agree = measured_footprints = sim_footprints in
       let values_match =
         if deterministic then
           Some (buffers_equal inst.Exec.buffer (Exec.sequential compiled ~steps:1))

@@ -206,7 +206,7 @@ let test_execute_multistep () =
     Runtime.Pool.with_pool a.Driver.nprocs (fun pool ->
         Runtime.Exec.measure pool compiled
           (Runtime.Exec.of_tiles (Codegen.tiles (Driver.schedule a)))
-          ~steps ~mode:Runtime.Measure.Exact)
+          ~steps)
   in
   List.iter
     (fun policy ->

@@ -152,30 +152,37 @@ let test_deques_cover_and_steal () =
 (* Measure: footprint counters                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_touched_exact_and_bloom () =
-  let exact = Runtime.Measure.touched Runtime.Measure.Exact ~universe:1000 in
-  List.iter (Runtime.Measure.touch exact) [ 3; 7; 3; 999; 7; 0 ];
-  check "exact distinct count" 4 (Runtime.Measure.touched_count exact);
-  checkb "exact mode" true (Runtime.Measure.is_exact exact);
-  let bloom =
-    Runtime.Measure.touched (Runtime.Measure.Bloom 65536) ~universe:1000
-  in
-  for i = 0 to 499 do
-    Runtime.Measure.touch bloom (i * 2);
-    Runtime.Measure.touch bloom (i * 2) (* duplicates must not count *)
-  done;
-  let est = Runtime.Measure.touched_count bloom in
-  checkb "bloom estimate within 2%" true (abs (est - 500) <= 10);
-  checkb "bloom is estimated" false (Runtime.Measure.is_exact bloom)
+let touched_of ~universe l =
+  let t = Runtime.Measure.touched ~universe in
+  List.iter (Runtime.Measure.touch t) l;
+  t
+
+let test_touched_exact () =
+  check "exact distinct count" 4
+    (Runtime.Measure.touched_count
+       (touched_of ~universe:1000 [ 3; 7; 3; 999; 7; 0 ]));
+  (* Beyond 2^24 elements, where an estimate once replaced the count. *)
+  let universe = (1 lsl 24) + 64 in
+  let a = touched_of ~universe [ 0; 1 lsl 24; universe - 1; 0; universe - 1 ]
+  and b = touched_of ~universe [ 1 lsl 24; 5; 5 ] in
+  check "exact count over 2^24 elements" 3 (Runtime.Measure.touched_count a);
+  check "exact union over 2^24 elements" 4
+    (Runtime.Measure.union_count [| a; b |]);
+  checkb "union of different universes rejected" true
+    (match
+       Runtime.Measure.union_count
+         [| touched_of ~universe:1000 [ 1 ]; touched_of ~universe:1001 [ 1 ] |]
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_union_count () =
-  let mk l =
-    let t = Runtime.Measure.touched Runtime.Measure.Exact ~universe:64 in
-    List.iter (Runtime.Measure.touch t) l;
-    t
-  in
   check "union of overlapping sets" 5
-    (Runtime.Measure.union_count [| mk [ 1; 2; 3 ]; mk [ 3; 4; 5 ] |])
+    (Runtime.Measure.union_count
+       [|
+         touched_of ~universe:64 [ 1; 2; 3 ];
+         touched_of ~universe:64 [ 3; 4; 5 ];
+       |])
 
 (* ------------------------------------------------------------------ *)
 (* Runtime vs simulator: the validation protocol                       *)
@@ -349,8 +356,7 @@ let () =
         ] );
       ( "measure",
         [
-          Alcotest.test_case "exact and bloom counters" `Quick
-            test_touched_exact_and_bloom;
+          Alcotest.test_case "exact counters" `Quick test_touched_exact;
           Alcotest.test_case "union cardinality" `Quick test_union_count;
         ] );
       ( "validation",

@@ -135,7 +135,7 @@ let test_elements_touched_multistep () =
         Runtime.Exec.measure pool compiled
           (Runtime.Exec.of_tiles
              (Partition.Codegen.tiles (Driver.schedule a)))
-          ~steps ~mode:Runtime.Measure.Exact)
+          ~steps)
   in
   let trace = Trace.create ~domains:nprocs () in
   let config =

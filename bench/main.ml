@@ -1154,7 +1154,7 @@ let e22 () =
       let kernel8 =
         measure_row ~nprocs:8 ~path:(`Kernel false) "kernel / 8" (Some kernel1)
       in
-      pf "generic strided loop vs interpreter: %.2fx (target >= 5x)@."
+      pf "generic strided loop vs interpreter: %.2fx@."
         (interp1 /. generic1);
       pf "tiled 8-domain vs 1-domain (kernel): %.2fx%s@." (kernel1 /. kernel8)
         (if host_cores = 1 then

@@ -498,19 +498,30 @@ let check_optimizer (c : Gen.case) =
 let check_resilient (c : Gen.case) =
   (* Each scenario spawns pools of its own (one per attempt), so only a
      2% sample of cases pays for it. *)
+  let compiled = lazy (Exec.compile c.nest) in
   let scenario =
     if c.id mod 50 = 0 then Some `Crash
     else if c.id mod 50 = 25 && c.nprocs >= 2 then Some `Stall
+    else if
+      c.id mod 50 = 12 && c.nprocs >= 3
+      && Exec.reexecution_safe (Lazy.force compiled)
+    then Some `Orphan_stall
     else None
   in
   match scenario with
   | None -> None
   | Some kind ->
-      let compiled = Exec.compile c.nest in
+      let compiled = Lazy.force compiled in
       let steps = Exec.steps_of_nest c.nest in
+      (* The orphan stall runs one whole-space tile: the domain that
+         claims it crashes, and the survivor re-executing the orphan
+         stalls while a third domain watches from the gate. *)
+      let tile =
+        if kind = `Orphan_stall then Tile.rect (Nest.extents c.nest)
+        else Tile.rect c.tile
+      in
       let partition ~nprocs =
-        Resilient.tiles_of_schedule
-          (Codegen.make c.nest (Tile.rect c.tile) ~nprocs)
+        Resilient.tiles_of_schedule (Codegen.make c.nest tile ~nprocs)
       in
       let plan_str, deadline_ms =
         (* The stall far exceeds the deadline: completion proves the
@@ -518,6 +529,7 @@ let check_resilient (c : Gen.case) =
         match kind with
         | `Crash -> ("crash;crash", 10_000)
         | `Stall -> ("stall:2000", 100)
+        | `Orphan_stall -> ("crash;stall:2000", 100)
       in
       let plan =
         match Fault.of_string plan_str with
@@ -550,10 +562,11 @@ let check_resilient (c : Gen.case) =
           (match List.rev report.Report.attempts with
           | { Report.outcome = Report.Failed r; _ } :: _ -> r
           | _ -> "no failure reason")
-      else if kind = `Stall && Report.timed_out_count report = 0 then
+      else if kind <> `Crash && Report.timed_out_count report = 0 then
         fail "resilient-recovery"
-          "2000 ms stall under a 100 ms deadline completed without a \
+          "2000 ms stall (%s) under a 100 ms deadline completed without a \
            Timed_out event"
+          plan_str
       else if
         (* One-shot injection: every plan entry fires at most once
            across the whole job - concurrent claimers, retried attempts

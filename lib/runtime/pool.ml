@@ -201,40 +201,35 @@ module Deques = struct
         Mutex.unlock q.lock)
       d
 
-  let take_front q chunk =
+  let take_front q =
     Mutex.lock q.lock;
     let r =
       if q.head >= q.tail then None
       else begin
-        let lo = q.head in
-        let hi = min q.tail (lo + chunk) in
-        q.head <- hi;
-        Some (lo, hi)
+        q.head <- q.head + 1;
+        Some (q.head - 1)
       end
     in
     Mutex.unlock q.lock;
     r
 
-  let take_back q chunk =
+  let take_back q =
     Mutex.lock q.lock;
     let r =
       if q.head >= q.tail then None
       else begin
-        let hi = q.tail in
-        let lo = max q.head (hi - chunk) in
-        q.tail <- lo;
-        Some (lo, hi)
+        q.tail <- q.tail - 1;
+        Some q.tail
       end
     in
     Mutex.unlock q.lock;
     r
 
-  let pop d ~me ~chunk =
-    if chunk < 1 then invalid_arg "Pool.Deques.pop: chunk < 1";
-    match take_front d.(me) chunk with
-    | Some (lo, hi) -> Some (me, lo, hi)
+  let pop d ~me =
+    match take_front d.(me) with
+    | Some i -> Some (me, i)
     | None ->
-        (* Steal from the back of the fullest victim so chunks keep
+        (* Steal from the back of the fullest victim so items keep
            coming off the far end of large queues. *)
         let n = Array.length d in
         let best = ref (-1) and best_load = ref 0 in
@@ -251,8 +246,8 @@ module Deques = struct
           (* The victim may drain between the scan and the steal; fall
              back to any non-empty queue before giving up. *)
           let rec attempt victim tried =
-            match take_back d.(victim) chunk with
-            | Some (lo, hi) -> Some (victim, lo, hi)
+            match take_back d.(victim) with
+            | Some i -> Some (victim, i)
             | None ->
                 let next = (victim + 1) mod n in
                 if tried >= n then None

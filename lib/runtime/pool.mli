@@ -92,10 +92,10 @@ module Counter : sig
 end
 
 module Deques : sig
-  (** Per-domain chunked work-stealing deques.  Each domain pops chunks
-      from the front of its own queue (preserving the locality order the
-      compile-time tile gave it) and steals chunks from the back of the
-      fullest victim when its own queue runs dry. *)
+  (** Per-domain work-stealing deques.  Each domain pops items from
+      the front of its own queue (preserving the locality order the
+      compile-time tile gave it) and steals single items from the back
+      of the fullest victim when its own queue runs dry. *)
 
   type d
 
@@ -103,10 +103,10 @@ module Deques : sig
   (** One deque per domain; deque [p] initially holds the indices
       [0 .. lengths.(p) - 1] of domain [p]'s preferred items. *)
 
-  val pop : d -> me:int -> chunk:int -> (int * int * int) option
-  (** [(owner, lo, hi)]: a grabbed range of indices [lo..hi-1] into
-      [owner]'s item array - [owner = me] from the own front, otherwise
-      stolen from a victim's back.  [None] when every queue is empty. *)
+  val pop : d -> me:int -> (int * int) option
+  (** [(owner, i)]: a grabbed index [i] into [owner]'s item array -
+      [owner = me] from the own front, otherwise stolen from a victim's
+      back.  [None] when every queue is empty. *)
 
   val reset : d -> unit
   (** Refill every deque for the next sequential step. *)

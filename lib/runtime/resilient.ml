@@ -41,15 +41,11 @@ type config = { policy : policy; deadline_ms : int; stall_poll_ms : int }
 let default_config =
   { policy = default_retry; deadline_ms = 1000; stall_poll_ms = 5 }
 
-type partitioned = { nprocs : int; tiles : Exec.tile array; owners : int array }
+type partitioned = { tiles : Exec.tile array; owners : int array }
 
 let tiles_of_schedule sched =
   let tiles = Partition.Codegen.tiles sched in
-  {
-    nprocs = sched.Partition.Codegen.nprocs;
-    tiles = Array.map snd tiles;
-    owners = Array.map fst tiles;
-  }
+  { tiles = Array.map snd tiles; owners = Array.map fst tiles }
 
 (* ------------------------------------------------------------------ *)
 (* Per-attempt machinery                                               *)
@@ -59,31 +55,30 @@ exception Injected_crash
 exception Injected_corruption
 
 (* Internal control flow, never escapes [execute]. *)
-exception Retired  (* this domain is dead; unwind its step loop *)
+exception Retire  (* this domain is dead; unwind its step loop *)
 exception Halt  (* the attempt was aborted; unwind quietly *)
 
-(* The end-of-step gate: a mutex-protected dynamic barrier.  [parties]
-   shrinks when a domain retires; the release condition additionally
-   demands the orphan list empty and no arrived domain busy re-executing
-   an orphan, so a step never ends with work outstanding.  Waiters poll
-   [epoch] with {!Pool.backoff} (no condition variable: they must keep
-   servicing orphans and running the watchdog while they wait). *)
+(* A domain's place in the current step.  [Running] claims tiles,
+   [Waiting] sits at the gate, [Helping] re-executes an orphan from the
+   gate, [Retired] crashed for good. *)
+type phase = Running | Waiting | Helping | Retired
+
+(* The end-of-step gate: a mutex-protected dynamic barrier.  It opens
+   once some domain is [Waiting], every domain is [Waiting] or
+   [Retired] and no orphan is left, so a step never ends with work
+   outstanding.  Waiters poll [epoch] with {!Pool.backoff} (no
+   condition variable: they must keep servicing orphans and running
+   the watchdog while they wait). *)
 type gate = {
   m : Mutex.t;
   epoch : int Atomic.t;  (** completed steps; step [s] released when >= s *)
   aborted : bool Atomic.t;
   faulted : bool Atomic.t;  (** a plan entry fired in this attempt *)
-  mutable parties : int;  (** live domains *)
-  mutable arrived : int;  (** live domains waiting at the gate *)
-  mutable busy : int;  (** arrived domains currently running an orphan *)
-  entered : int array;  (** last step each domain arrived for *)
-  dead : bool array;
+  phase : phase array;  (** per domain, written under [m] *)
   mutable orphans : int list;  (** tile ids awaiting re-execution *)
   mutable failure : string option;
   mutable events_rev : Report.event list;
-  mutable retired : int list;
   mutable reexec_step : int;
-  mutable reexec_total : int;
   mutable cover_ok : bool;
 }
 
@@ -97,7 +92,7 @@ type ctx = {
   recover : bool;  (** tile-level crash recovery enabled *)
   tiles : Exec.tile array;
   source : Sched.source;  (** tiles by owner, with stealing *)
-  hb : int Atomic.t array;  (** per-domain heartbeat: tiles completed *)
+  hb : int Atomic.t array;  (** per domain: tiles run and orphans taken *)
   done_count : int Atomic.t array;  (** per-tile completions this step *)
   clock : Mclock.t;  (** guarded monotonic clock the watchdog reads *)
   trace : Trace.t;
@@ -124,17 +119,18 @@ let do_release ctx ~step =
   done;
   if g.reexec_step > 0 then begin
     record g (Report.Tiles_reexecuted { count = g.reexec_step; step });
-    g.reexec_total <- g.reexec_total + g.reexec_step;
     g.reexec_step <- 0
   end;
   Sched.reset ctx.source;
-  g.arrived <- 0;
+  Array.iteri (fun q ph -> if ph = Waiting then g.phase.(q) <- Running) g.phase;
   Atomic.set g.epoch step
 
 let try_release ctx ~step =
   let g = ctx.g in
   if
-    g.parties > 0 && g.arrived >= g.parties && g.busy = 0 && g.orphans = []
+    Array.mem Waiting g.phase
+    && Array.for_all (fun ph -> ph = Waiting || ph = Retired) g.phase
+    && g.orphans = []
     && (not (Atomic.get g.aborted))
     && Atomic.get g.epoch < step
   then do_release ctx ~step
@@ -213,96 +209,90 @@ let run_tile ctx ds ~step t =
    executing, so a survivor can re-run the tile without write races.
    Without recovery (non-idempotent tiles, or Fail_fast) the whole
    attempt aborts. *)
-let crashed ctx ds ~step ~tile ~was_busy exn_str =
+let crashed ctx ds ~step ~tile exn_str =
   let g = ctx.g in
   Trace.incr ctx.trace ds.me Trace.Faults_detected;
-  if ctx.recover then begin
-    Mutex.protect g.m (fun () ->
-        if was_busy then g.busy <- g.busy - 1;
+  Mutex.protect g.m (fun () ->
+      record g (Report.Crashed { domain = ds.me; step; exn = exn_str });
+      if ctx.recover then begin
         g.orphans <- tile :: g.orphans;
-        g.dead.(ds.me) <- true;
-        g.parties <- g.parties - 1;
-        if was_busy then g.arrived <- g.arrived - 1;
-        g.retired <- ds.me :: g.retired;
-        record g (Report.Crashed { domain = ds.me; step; exn = exn_str });
-        try_release ctx ~step);
-    raise Retired
-  end
-  else begin
-    Mutex.protect g.m (fun () ->
-        if was_busy then g.busy <- g.busy - 1;
-        record g (Report.Crashed { domain = ds.me; step; exn = exn_str });
+        g.phase.(ds.me) <- Retired;
+        try_release ctx ~step
+      end
+      else
         abort_locked g
           ~reason:
             (Printf.sprintf "domain %d crashed at step %d: %s" ds.me step
                exn_str));
-    raise Halt
-  end
+  raise (if ctx.recover then Retire else Halt)
+
+let guarded ctx ds ~step t =
+  try run_tile ctx ds ~step t with
+  | Halt -> raise Halt
+  | exn -> crashed ctx ds ~step ~tile:t (Printexc.to_string exn)
 
 (* While waiting at the gate, service one orphaned tile if any.  The
-   helper is already counted in [arrived]; [busy] keeps the gate shut
-   until it finishes. *)
+   helper's [Helping] phase keeps the gate shut until it finishes, and
+   taking the orphan ticks its heartbeat: a watcher's snapshot from
+   while it waited must not count against the orphan's run. *)
 let help_orphan ctx ds ~step =
   let g = ctx.g in
   Mutex.lock g.m;
   match g.orphans with
-  | t :: rest when (not g.dead.(ds.me)) && not (Atomic.get g.aborted) ->
+  | t :: rest when g.phase.(ds.me) = Waiting && not (Atomic.get g.aborted) ->
       g.orphans <- rest;
-      g.busy <- g.busy + 1;
+      g.phase.(ds.me) <- Helping;
+      Atomic.incr ctx.hb.(ds.me);
       Mutex.unlock g.m;
-      (try
-         Trace.begin_span ctx.trace ds.me Trace.Reexec ~arg:t;
-         run_tile ctx ds ~step t;
-         Trace.end_span ctx.trace ds.me;
-         Trace.incr ctx.trace ds.me Trace.Tiles_run;
-         Mutex.protect g.m (fun () ->
-             g.busy <- g.busy - 1;
-             g.reexec_step <- g.reexec_step + 1;
-             try_release ctx ~step);
-         true
-       with
-      | Halt ->
-          Mutex.protect g.m (fun () -> g.busy <- g.busy - 1);
-          raise Halt
-      | exn ->
-          crashed ctx ds ~step ~tile:t ~was_busy:true (Printexc.to_string exn))
+      Trace.begin_span ctx.trace ds.me Trace.Reexec ~arg:t;
+      guarded ctx ds ~step t;
+      Trace.end_span ctx.trace ds.me;
+      Trace.incr ctx.trace ds.me Trace.Tiles_run;
+      Mutex.protect g.m (fun () ->
+          g.phase.(ds.me) <- Waiting;
+          g.reexec_step <- g.reexec_step + 1;
+          try_release ctx ~step);
+      true
   | _ ->
       Mutex.unlock g.m;
       false
 
-(* The stall deadline is a one-shot {!Mclock.Deadline}: [fire] consumes
-   it with a CAS, so even if several waiters probe concurrently - or the
-   underlying time source misbehaves across its expiry - exactly one
-   probe observes the expiry.  A probe that finds every domain making
-   progress re-arms it; a probe that finds a silent straggler leaves it
-   consumed (the attempt aborts anyway). *)
+(* The watchdog, run by domains waiting at the gate: it watches every
+   [Running] or [Helping] domain.  The stall deadline is a one-shot
+   {!Mclock.Deadline}: [fire] consumes it with a CAS, so even if several
+   waiters probe concurrently - or the underlying time source misbehaves
+   across its expiry - exactly one probe observes the expiry.  A probe
+   that finds every watched domain making progress re-arms it; a probe
+   that finds a silent one leaves it consumed (the attempt aborts
+   anyway).  The probe re-checks [epoch] under the lock, so a late
+   watcher never judges the next step's domains. *)
 let watchdog ctx ds ~step ~dl ~snap ~after =
   if Mclock.Deadline.fire dl then begin
     Trace.instant ctx.trace ds.me Trace.Watchdog ~arg:step;
     let g = ctx.g in
-    let silent = ref (-1) in
-    for q = 0 to Array.length ctx.hb - 1 do
-      if (not g.dead.(q)) && g.entered.(q) < step then
-        if Atomic.get ctx.hb.(q) = snap.(q) && !silent < 0 then silent := q
-    done;
-    if !silent >= 0 then
+    let silent q =
+      (g.phase.(q) = Running || g.phase.(q) = Helping)
+      && Atomic.get ctx.hb.(q) = snap.(q)
+    in
+    let rearm =
       Mutex.protect g.m (fun () ->
-          let q = !silent in
-          if
-            (not (Atomic.get g.aborted))
-            && (not g.dead.(q))
-            && g.entered.(q) < step
-          then begin
-            record g (Report.Timed_out { domain = q; step });
-            Trace.incr ctx.trace ds.me Trace.Faults_detected;
-            abort_locked g
-              ~reason:
-                (Printf.sprintf
-                   "watchdog: domain %d heartbeat silent beyond %d ms at step \
-                    %d"
-                   q ctx.cfg.deadline_ms step)
-          end)
-    else begin
+          if Atomic.get g.aborted || Atomic.get g.epoch >= step then false
+          else
+            let domains = List.init (Array.length snap) Fun.id in
+            match List.find_opt silent domains with
+            | None -> true
+            | Some q ->
+                record g (Report.Timed_out { domain = q; step });
+                Trace.incr ctx.trace ds.me Trace.Faults_detected;
+                abort_locked g
+                  ~reason:
+                    (Printf.sprintf
+                       "watchdog: domain %d heartbeat silent beyond %d ms at \
+                        step %d"
+                       q ctx.cfg.deadline_ms step);
+                false)
+    in
+    if rearm then begin
       Array.iteri (fun i h -> snap.(i) <- Atomic.get h) ctx.hb;
       Mclock.Deadline.reset dl ~after
     end
@@ -311,8 +301,7 @@ let watchdog ctx ds ~step ~dl ~snap ~after =
 let gate_enter ctx ds ~step =
   let g = ctx.g in
   Mutex.protect g.m (fun () ->
-      g.entered.(ds.me) <- step;
-      g.arrived <- g.arrived + 1;
+      g.phase.(ds.me) <- Waiting;
       try_release ctx ~step);
   let after = float_of_int ctx.cfg.deadline_ms /. 1000.0 in
   let dl = Mclock.Deadline.arm ctx.clock ~after in
@@ -342,26 +331,21 @@ let gate_enter ctx ds ~step =
    attempt ({!crashed}). *)
 let job ctx me =
   let ds = { me; claims = 0 } in
-  let tile step t =
-    try run_tile ctx ds ~step t with
-    | Halt -> raise Halt
-    | exn ->
-        crashed ctx ds ~step ~tile:t ~was_busy:false (Printexc.to_string exn)
-  in
   try
-    Sched.run ~trace:ctx.trace ctx.source ~me ~steps:ctx.steps ~tile
+    Sched.run ~trace:ctx.trace ctx.source ~me ~steps:ctx.steps
+      ~tile:(fun step t -> guarded ctx ds ~step t)
       ~chunk:(fun _ _ -> ())
       ~step_end:(fun step ->
         gate_enter ctx ds ~step;
         ds.claims <- 0)
-  with Retired | Halt -> ()
+  with Retire | Halt -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Attempt driver                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let make_ctx cfg plan kplan compiled steps (p : partitioned) ~recover ~trace =
-  let n = p.nprocs in
+let make_ctx cfg plan kplan compiled steps (p : partitioned) ~size ~recover
+    ~trace =
   let ntiles = Array.length p.tiles in
   if Array.length p.owners <> ntiles then
     invalid_arg "Resilient: owners/tiles length mismatch";
@@ -379,8 +363,8 @@ let make_ctx cfg plan kplan compiled steps (p : partitioned) ~recover ~trace =
     steps;
     recover;
     tiles = p.tiles;
-    source = Sched.tiles ~steal:true ~nprocs:n p.owners;
-    hb = Array.init n (fun _ -> Atomic.make 0);
+    source = Sched.tiles ~steal:true ~nprocs:size p.owners;
+    hb = Array.init size (fun _ -> Atomic.make 0);
     done_count = Array.init ntiles (fun _ -> Atomic.make 0);
     clock = Mclock.create ();
     trace;
@@ -390,33 +374,32 @@ let make_ctx cfg plan kplan compiled steps (p : partitioned) ~recover ~trace =
         epoch = Atomic.make 0;
         aborted = Atomic.make false;
         faulted = Atomic.make false;
-        parties = n;
-        arrived = 0;
-        busy = 0;
-        entered = Array.make n 0;
-        dead = Array.make n false;
+        phase = Array.make size Running;
         orphans = [];
         failure = None;
         events_rev = [];
-        retired = [];
         reexec_step = 0;
-        reexec_total = 0;
         cover_ok = true;
       };
   }
 
 let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
-    ~attempt_no ~backoff_ms ~pre_events =
+    ~attempt_no ~backoff_ms ~opening =
   let t0 = now () in
-  let attempt ?(events = pre_events) ?(tiles_total = 0) ?(reexec = 0)
-      ?(retired = []) outcome =
+  let attempt ?(events = []) ?(tiles_total = 0) ?(retired = []) outcome =
+    let events = opening @ events in
     {
       Report.attempt = attempt_no;
       nprocs = size;
       outcome;
       events;
       tiles_total;
-      tiles_reexecuted = reexec;
+      tiles_reexecuted =
+        List.fold_left
+          (fun n -> function
+            | Report.Tiles_reexecuted { count; _ } -> n + count
+            | _ -> n)
+          0 events;
       retired_domains = retired;
       backoff_ms;
       wall_seconds = now () -. t0;
@@ -426,12 +409,8 @@ let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
   match partition ~nprocs:size with
   | exception exn ->
       failed (Printf.sprintf "partition failed: %s" (Printexc.to_string exn))
-  | p when p.nprocs <> size ->
-      failed
-        (Printf.sprintf "partition returned %d-way work for %d domains"
-           p.nprocs size)
   | p -> (
-      match make_ctx cfg plan kplan compiled steps p ~recover ~trace with
+      match make_ctx cfg plan kplan compiled steps p ~size ~recover ~trace with
       | exception exn ->
           failed (Printf.sprintf "bad partition: %s" (Printexc.to_string exn))
       | ctx ->
@@ -445,23 +424,17 @@ let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
                    ~reason:
                      (Printf.sprintf "pool failure: %s"
                         (Printexc.to_string exn))));
-          let completed =
-            (not (Atomic.get g.aborted))
-            && g.failure = None
-            && Atomic.get g.epoch >= steps
-          in
           let attempt =
-            attempt
-              ~events:(pre_events @ List.rev g.events_rev)
-              ~tiles_total:(Array.length ctx.tiles) ~reexec:g.reexec_total
-              ~retired:(List.rev g.retired)
+            attempt ~events:(List.rev g.events_rev)
+              ~tiles_total:(Array.length ctx.tiles)
+              ~retired:
+                (List.filter
+                   (fun q -> g.phase.(q) = Retired)
+                   (List.init size Fun.id))
           in
-          if completed then
+          if (not (Atomic.get g.aborted)) && Atomic.get g.epoch >= steps then
             ( attempt Report.Completed,
-              Some
-                ( ctx.storage,
-                  Exec.checksum ctx.storage,
-                  g.cover_ok ) )
+              Some (ctx.storage, Exec.checksum ctx.storage, g.cover_ok) )
           else
             let reason =
               Option.value
@@ -474,6 +447,34 @@ let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
 (* Policy loop                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Every pool attempt the policy allows, in order: its pool size, the
+   backoff before it, and the events that open it.  Each size gets
+   [tries] attempts with doubling backoff; [Degrade] halves the size
+   down to one domain. *)
+let attempt_list policy nprocs =
+  let tries, backoff0 =
+    match policy with
+    | Fail_fast -> (1, 0)
+    | Retry { attempts; backoff_ms } -> (max 1 attempts, max 0 backoff_ms)
+    | Degrade -> (2, 25)
+  in
+  let rec at size opening k backoff =
+    if k = tries then []
+    else
+      let next = if backoff = 0 then max 1 backoff0 else backoff * 2 in
+      (size, backoff, opening) :: at size [] (k + 1) next
+  in
+  let rec sizes size opening =
+    at size opening 0 0
+    @
+    if policy = Degrade && size > 1 then
+      let smaller = size / 2 in
+      sizes smaller
+        [ Report.Degraded { from_procs = size; to_procs = smaller } ]
+    else []
+  in
+  sizes nprocs []
+
 let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
     ?(trace = Trace.disabled) ~compiled ~steps ~partition ~nprocs () =
   if nprocs < 1 then invalid_arg "Resilient.execute: nprocs < 1";
@@ -483,12 +484,6 @@ let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
   let tile_retry = Exec.reexecution_safe compiled in
   let recover = config.policy <> Fail_fast && tile_retry in
   let attempts_rev = ref [] in
-  let counter = ref 0 in
-  let next_no () =
-    let n = !counter in
-    incr counter;
-    n
-  in
   let finish ~completed ~final_nprocs ~buffer ~checksum ~cover =
     ( {
         Report.name = (Exec.nest compiled).Loopir.Nest.name;
@@ -508,60 +503,38 @@ let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
       },
       buffer )
   in
-  let tries_per_size, backoff0 =
-    match config.policy with
-    | Fail_fast -> (1, 0)
-    | Retry { attempts; backoff_ms } -> (max 1 attempts, max 0 backoff_ms)
-    | Degrade -> (2, 25)
+  let rec run = function
+    | [] when config.policy = Degrade ->
+        let t0 = now () in
+        let buffer = Kernel.sequential kplan ~steps in
+        attempts_rev :=
+          {
+            Report.attempt = List.length !attempts_rev;
+            nprocs = 0;
+            outcome = Report.Completed;
+            events = [ Report.Sequential_fallback ];
+            tiles_total = 0;
+            tiles_reexecuted = 0;
+            retired_domains = [];
+            backoff_ms = 0;
+            wall_seconds = now () -. t0;
+          }
+          :: !attempts_rev;
+        finish ~completed:true ~final_nprocs:0 ~buffer
+          ~checksum:(Exec.checksum buffer) ~cover:true
+    | [] ->
+        finish ~completed:false ~final_nprocs:nprocs ~buffer:[||] ~checksum:0.0
+          ~cover:false
+    | (size, backoff_ms, opening) :: rest -> (
+        if backoff_ms > 0 then Unix.sleepf (float_of_int backoff_ms /. 1000.0);
+        let att, success =
+          run_attempt config plan kplan compiled steps ~partition ~size ~recover
+            ~trace ~attempt_no:(List.length !attempts_rev) ~backoff_ms ~opening
+        in
+        attempts_rev := att :: !attempts_rev;
+        match success with
+        | Some (buffer, checksum, cover) ->
+            finish ~completed:true ~final_nprocs:size ~buffer ~checksum ~cover
+        | None -> run rest)
   in
-  let sequential_fallback () =
-    let t0 = now () in
-    let buffer = Kernel.sequential kplan ~steps in
-    attempts_rev :=
-      {
-        Report.attempt = next_no ();
-        nprocs = 0;
-        outcome = Report.Completed;
-        events = [ Report.Sequential_fallback ];
-        tiles_total = 0;
-        tiles_reexecuted = 0;
-        retired_domains = [];
-        backoff_ms = 0;
-        wall_seconds = now () -. t0;
-      }
-      :: !attempts_rev;
-    finish ~completed:true ~final_nprocs:0 ~buffer
-      ~checksum:(Exec.checksum buffer) ~cover:true
-  in
-  let rec at_size size ~pre_events =
-    let rec try_once left ~backoff_ms ~pre_events =
-      if backoff_ms > 0 then Unix.sleepf (float_of_int backoff_ms /. 1000.0);
-      let att, success =
-        run_attempt config plan kplan compiled steps ~partition ~size ~recover
-          ~trace ~attempt_no:(next_no ()) ~backoff_ms ~pre_events
-      in
-      attempts_rev := att :: !attempts_rev;
-      match success with
-      | Some (buffer, checksum, cover) ->
-          finish ~completed:true ~final_nprocs:size ~buffer ~checksum ~cover
-      | None ->
-          if left > 1 then
-            try_once (left - 1)
-              ~backoff_ms:(if backoff_ms = 0 then max 1 backoff0 else backoff_ms * 2)
-              ~pre_events:[]
-          else (
-            match config.policy with
-            | Fail_fast | Retry _ ->
-                finish ~completed:false ~final_nprocs:size ~buffer:[||]
-                  ~checksum:0.0 ~cover:false
-            | Degrade ->
-                if size > 1 then
-                  let smaller = size / 2 in
-                  at_size smaller
-                    ~pre_events:
-                      [ Report.Degraded { from_procs = size; to_procs = smaller } ]
-                else sequential_fallback ())
-    in
-    try_once tries_per_size ~backoff_ms:0 ~pre_events
-  in
-  at_size nprocs ~pre_events:[]
+  run (attempt_list config.policy nprocs)

@@ -11,10 +11,13 @@
       plan the hook is a single consumed-array scan per tile claim; the
       plain {!Exec}/{!Pool} paths never see it at all;
     - {b watchdog}: workers publish a per-tile heartbeat; domains
-      waiting at the end-of-step gate monitor the stragglers and convert
-      a heartbeat silent for longer than the configured deadline into a
-      structured {!Report.Timed_out} event that fails the attempt - no
-      infinite spin;
+      waiting at the end-of-step gate watch every domain still running
+      its tiles or re-executing an orphan, and convert a heartbeat
+      silent for longer than the configured deadline into a structured
+      {!Report.Timed_out} event that fails the attempt - no infinite
+      spin.  Only a waiting domain watches, so a lone survivor is not
+      watched: with 2 domains and one crash, a stall on the survivor
+      is bounded only by its own length;
     - {b tile-level recovery}: when the nest's tiles are idempotent
       ({!Exec.reexecution_safe}), a crashed domain retires, its claimed
       tile is orphaned, and surviving domains re-execute it before the
@@ -61,9 +64,8 @@ val default_config : config
     stall poll. *)
 
 type partitioned = {
-  nprocs : int;
   tiles : Exec.tile array;  (** tile id -> its boxes, in order *)
-  owners : int array;  (** tile id -> preferred domain, [< nprocs] *)
+  owners : int array;  (** tile id -> preferred domain, below the pool size *)
 }
 (** Tile-granular work: the unit of claiming, stealing, completion
     tracking and recovery. *)
@@ -85,7 +87,8 @@ val execute :
   Report.t * float array
 (** Run [steps] outer iterations of the nest under the policy, starting
     on [nprocs] domains partitioned by [partition ~nprocs] (called again
-    with smaller counts when degrading).  Every box runs through
+    with smaller counts when degrading; an owner outside the pool fails
+    the attempt as a bad partition).  Every box runs through
     {!Kernel.run_box}; [kernels] is ignored, kept until its last callers
     drop it.  With
     [trace], workers record tile and re-execution spans, gate waits,

@@ -39,10 +39,10 @@ let run ~trace source ~me ~steps ~tile ~chunk ~step_end =
       | Own ids -> Array.iter (claimed step) ids.(me)
       | Stolen (d, ids) ->
           let rec drain () =
-            match Pool.Deques.pop d ~me ~chunk:1 with
+            match Pool.Deques.pop d ~me with
             | None -> ()
-            | Some (owner, lo, _) ->
-                let t = ids.(owner).(lo) in
+            | Some (owner, i) ->
+                let t = ids.(owner).(i) in
                 if owner <> me then begin
                   Trace.incr trace me Trace.Steals;
                   Trace.instant trace me Trace.Steal ~arg:t

@@ -22,7 +22,7 @@ let buffers_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Float.equal x y) a b
 
-let run ?policy ?(deadline_ms = 1000) ?plan nest ~nprocs =
+let run ?policy ?(deadline_ms = 1000) ?plan ?tile nest ~nprocs =
   let plan =
     match plan with
     | None -> Fault.none
@@ -40,7 +40,7 @@ let run ?policy ?(deadline_ms = 1000) ?plan nest ~nprocs =
     }
   in
   let a = Driver.analyze ~nprocs nest in
-  Driver.execute_resilient ~resilience ~plan a
+  Driver.execute_resilient ~resilience ~plan ?tile a
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans                                                         *)
@@ -169,6 +169,38 @@ let test_stall_timed_out_then_retried () =
   (* The injected stall is 10 s; the watchdog plus the abort-polling
      sleeper must cut that short by an order of magnitude. *)
   checkb "watchdog cut the stall short" true (wall < 5.0);
+  checkb "bit-identical to sequential" true
+    (buffers_equal buffer (ground_truth nest))
+
+(* One whole-space tile on 3 domains: the domain that claims it crashes
+   (plan entry 0), the survivor that takes the orphan makes its claim 0
+   there and stalls (entry 1), and the third domain, waiting at the
+   gate, must time the re-executing survivor out. *)
+let test_stall_during_orphan_reexecution_timed_out () =
+  let nest = stencil () in
+  let t0 = Runtime.Mclock.now () in
+  let report, buffer =
+    run nest ~nprocs:3 ~deadline_ms:100
+      ~policy:(Resilient.Retry { attempts = 2; backoff_ms = 5 })
+      ~plan:"crash;stall:2000"
+      ~tile:(Partition.Tile.rect (Loopir.Nest.extents nest))
+  in
+  let wall = Runtime.Mclock.now () -. t0 in
+  checkb "completed" true report.Report.completed;
+  checki "two attempts" 2 (List.length report.Report.attempts);
+  (match report.Report.attempts with
+  | first :: _ ->
+      checkb "attempt 0 failed" true
+        (match first.Report.outcome with
+        | Report.Failed _ -> true
+        | Report.Completed -> false);
+      checki "attempt 0 timed out once" 1
+        (List.length
+           (List.filter
+              (function Report.Timed_out _ -> true | _ -> false)
+              first.Report.events))
+  | [] -> Alcotest.fail "no attempts");
+  checkb "watchdog cut the 2 s stall short" true (wall < 1.0);
   checkb "bit-identical to sequential" true
     (buffers_equal buffer (ground_truth nest))
 
@@ -403,6 +435,8 @@ let () =
             test_fail_fast_fails_cleanly;
           Alcotest.test_case "stall timed out then retried" `Quick
             test_stall_timed_out_then_retried;
+          Alcotest.test_case "stall during orphan re-execution timed out"
+            `Quick test_stall_during_orphan_reexecution_timed_out;
           Alcotest.test_case "accumulate retries whole attempt" `Quick
             test_accumulate_retries_whole_attempt;
           Alcotest.test_case "degrade to sequential" `Quick

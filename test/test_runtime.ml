@@ -132,14 +132,12 @@ let test_deques_cover_and_steal () =
   let d = Runtime.Pool.Deques.create ~lengths:[| 10; 0; 6 |] in
   let seen = Hashtbl.create 16 in
   let rec drain me =
-    match Runtime.Pool.Deques.pop d ~me ~chunk:4 with
+    match Runtime.Pool.Deques.pop d ~me with
     | None -> ()
-    | Some (owner, lo, hi) ->
-        for i = lo to hi - 1 do
-          let key = (owner, i) in
-          checkb "no double grab" false (Hashtbl.mem seen key);
-          Hashtbl.replace seen key ()
-        done;
+    | Some (owner, i) ->
+        if me = 1 then checkb "domain 1 only steals" true (owner <> 1);
+        checkb "no double grab" false (Hashtbl.mem seen (owner, i));
+        Hashtbl.replace seen (owner, i) ();
         drain me
   in
   (* Domain 1 has an empty queue: everything it gets is stolen. *)

@@ -320,6 +320,7 @@ let run_cmd =
           fault_plan <> None || fault_policy <> None || report_json <> None
         in
         let failure = ref None and checksum = ref Float.nan in
+        let footprints = ref None in
         if resilient then begin
           let resilience =
             {
@@ -353,6 +354,12 @@ let run_cmd =
           let report = Loopart.Driver.execute ~config ~tile a in
           Format.printf "%a@." Runtime.Measure.pp_report report;
           checksum := report.Runtime.Measure.checksum;
+          footprints :=
+            Some
+              (Array.map
+                 (fun (d : Runtime.Measure.domain_stat) ->
+                   d.Runtime.Measure.footprint)
+                 report.Runtime.Measure.per_domain);
           (* The resilient report embeds its own metrics summary; plain
              runs print it here on request. *)
           match trace with
@@ -375,6 +382,16 @@ let run_cmd =
         if validate then begin
           let v = Loopart.Driver.validate ~tile a in
           Format.printf "%a@." Runtime.Validate.pp v;
+          (* Under the compile-time tiles the run's footprints, observed
+             through the kernel, must be the validator's, counted by the
+             interpreter over the same assignment. *)
+          (match (policy, !footprints) with
+          | Loopart.Driver.Tiled, Some run ->
+              let same = run = v.Runtime.Validate.measured_footprints in
+              Format.printf "footprints = validated footprints: %b@." same;
+              if not same then
+                failwith "footprints differ from the validated footprints"
+          | _ -> ());
           if v.Runtime.Validate.deterministic then begin
             let steps = Runtime.Exec.steps_of_nest ?override:steps nest in
             let compiled = Runtime.Exec.compile nest in

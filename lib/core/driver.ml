@@ -96,15 +96,16 @@ let execute ?(config = default_exec_config) ?tile a =
   let compiled = Runtime.Exec.compile nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
   (* The timed pass runs every step through the kernel and gives the
-     checksum; the footprints come from the interpreter observing the
-     same work, for one step when the work is static
-     ([Exec.observed_steps]). *)
+     checksum; the footprints come from the kernel's cursors observing
+     the same work, with no operands, for one step when the work is
+     static ([Exec.observed_steps]). *)
   let plan = Runtime.Kernel.plan compiled in
   let raw =
     Runtime.Pool.with_pool a.nprocs (fun pool ->
         Runtime.Exec.run
           ~trace:(Option.value ~default:Runtime.Trace.disabled config.trace)
-          ~box:(Runtime.Kernel.run_box plan) pool compiled work ~steps
+          ~box:(Runtime.Kernel.run_box plan)
+          ~observe:(Runtime.Kernel.observe plan) pool compiled work ~steps
           ~repeats:config.repeats)
   in
   let policy =

@@ -90,8 +90,9 @@ val execute :
     self-scheduler claims, decoded into boxes.  The timed pass runs
     every box through {!Runtime.Kernel.run_box}, and the report's
     policy names the kernel shape.  The checksum is that of the buffer
-    the fastest timed pass produced.  The footprints come from the
-    interpreter observing the same work:
+    the fastest timed pass produced.  The footprints come from
+    {!Runtime.Kernel.observe} walking the same work with the kernel's
+    cursors and no operands:
     one step of it under [Tiled], where each domain touches the same
     elements every step, and every step under the other policies,
     which deal work at run time ({!Runtime.Exec.observed_steps}). *)

@@ -259,14 +259,17 @@ let sheared (c : Gen.case) =
          if i = j then c.tile.(i) else if i = j + 1 then 1 else 0))
 
 (* The schedule's tiles run as boxes, the way [Driver.execute] runs
-   them: each domain must touch the elements of its assignment as many
-   times.  Over more than one step, [Exec.run] observes one step of
-   this static work and takes its checksum from the timed pass: it must
-   still report the footprints of every step, and on order-insensitive
-   nests the sequential checksum.  The same tiles cut into stolen
-   pieces must be observed for every step (stealing moves pieces
-   between domains, so per-domain footprints vary from run to run and
-   only the rule and the run's totals can be checked). *)
+   them: [Kernel.run_box] in the timed pass and [Kernel.observe] in the
+   observing one.  Each domain must touch the elements of its assignment
+   as many times, and the observer must count what the interpreter's
+   all-steps [Exec.measure] counts.  Over more than one step,
+   [Exec.run] observes one step of this static work and takes its
+   checksum from the timed pass: it must still report the footprints of
+   every step and, on order-insensitive nests, the sequential checksum.
+   The same tiles cut into stolen pieces must be observed for every step
+   (stealing moves pieces between domains, so per-domain footprints
+   vary from run to run and only the rule and the run's totals can be
+   checked). *)
 let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
     =
   let tiles = Codegen.tiles sched in
@@ -274,9 +277,10 @@ let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
   let tiled = Exec.measure pool compiled work ~steps in
   let brute, _ = brute_footprints c per_proc in
   let want = Array.map (fun n -> steps * n) (Scheduling.loads per_proc) in
+  let plan = Kernel.plan compiled in
   let run work =
-    Exec.run ~trace:Trace.disabled ~box:(Exec.run_box compiled) pool compiled
-      work ~steps ~repeats:1
+    Exec.run ~trace:Trace.disabled ~box:(Kernel.run_box plan)
+      ~observe:(Kernel.observe plan) pool compiled work ~steps ~repeats:1
   in
   let sequential = lazy (Exec.checksum (Exec.sequential compiled ~steps)) in
   let check_checksum what (r : Measure.raw) =
@@ -298,7 +302,6 @@ let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
       (ivec_str tiled.Exec.footprints)
       (ivec_str tiled.Exec.iterations)
       (ivec_str brute) (ivec_str want)
-  else if steps < 2 then None
   else
     let static = run work and stolen = Exec.pieces ~chunk:2 tiles in
     first_some

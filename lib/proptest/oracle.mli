@@ -8,10 +8,13 @@
       iteration space exactly once;
     - {b runtime-sim-agree}: [Runtime.Exec]/[Runtime.Measure] bitsets on
       real domains, [Machine.Sim] directory counters and brute-force
-      enumeration all report identical per-processor footprints, and
-      over several steps [Runtime.Exec.run]'s one-step observation of
-      static tiles reports the footprints of every step and, on
-      order-insensitive nests, the sequential checksum;
+      enumeration all report identical per-processor footprints;
+      [Runtime.Exec.run] with [Runtime.Kernel.run_box] and
+      [Runtime.Kernel.observe] (the [Driver.execute] path), on the
+      rectangular and the sheared tiles and on stolen pieces of them,
+      reports the interpreter's all-steps footprints and distinct
+      total - over several steps from a one-step observation of static
+      tiles - and, on order-insensitive nests, the sequential checksum;
     - {b optimizer-dominates}: [Partition.Rectangular.optimize] is never
       worse (under [Partition.Cost.eval_objective]) than an independent
       exhaustive search over feasible processor grids;

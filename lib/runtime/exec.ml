@@ -37,9 +37,19 @@ let writes c = c.writes
 
 (* Deterministic nonzero initial operand values so checksums and value
    comparisons are meaningful from the first step. *)
-let init_value i = float_of_int ((i land 63) + 1) *. 0.125
+let[@inline] init_value i = float_of_int ((i land 63) + 1) *. 0.125
 
-let alloc c = Array.init (total_elements c) init_value
+(* A plain loop storing unboxed floats: [Array.init] would box each
+   value on its way through the closure. *)
+let reset (a : storage) =
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set a i (init_value i)
+  done
+
+let alloc c =
+  let a = Array.create_float (total_elements c) in
+  reset a;
+  a
 
 (* A plain loop with an unboxed accumulator, in index order. *)
 let checksum (a : storage) =
@@ -276,15 +286,17 @@ let measure ?mode:_ pool c work ~steps =
   }
 
 (* The fastest of [repeats] timed passes, with the checksum of the
-   storage that pass produced. *)
+   storage that pass produced.  Every repeat runs on the one buffer,
+   reset to the initial operands before it. *)
 let timed ~box ~trace pool c work ~steps ~repeats =
   check_work c work;
   if repeats < 1 then invalid_arg "Exec.time: repeats < 1";
   let nprocs = Pool.size pool in
+  let storage = alloc c in
+  let box = box storage in
   let best = ref (infinity, [||], [||], 0.0) in
-  for _rep = 1 to repeats do
-    let storage = alloc c in
-    let box = box storage in
+  for rep = 1 to repeats do
+    if rep > 1 then reset storage;
     let seconds = Array.make nprocs 0.0 in
     let iterations = Array.make nprocs 0 in
     let t0 = Mclock.now () in
@@ -315,23 +327,36 @@ let observed_steps work ~steps =
   | Tiled { steal = false; _ } -> min steps 1
   | Tiled { steal = true; _ } | Dynamic _ -> steps
 
-let run ~trace ~box pool c work ~steps ~repeats =
+(* Each domain's touched set after [steps] steps of the work, every box
+   through [observe touched.(p)]: no operands, so no loads, stores or
+   checksum. *)
+let observed pool c work ~observe ~steps =
+  let nprocs = Pool.size pool in
+  let universe = total_elements c in
+  let touched = Array.init nprocs (fun _ -> Measure.touched ~universe) in
+  pass ~trace:Trace.disabled pool work ~steps
+    ~box:(fun p -> observe touched.(p))
+    ~seconds:(Array.make nprocs 0.0) ~iterations:(Array.make nprocs 0);
+  touched
+
+let run ~trace ~box ~observe pool c work ~steps ~repeats =
   let wall, seconds, iterations, checksum =
     timed ~box ~trace pool c work ~steps ~repeats
   in
-  let inst = measure pool c work ~steps:(observed_steps work ~steps) in
-  (* The instrumented pass runs untraced (its observation cost is not
-     representative), but its footprints feed the bytes-touched
-     counter: distinct elements each domain actually referenced. *)
-  Array.iteri
-    (fun p f -> Trace.add trace p Trace.Elements_touched f)
-    inst.footprints;
+  let touched =
+    observed pool c work ~observe ~steps:(observed_steps work ~steps)
+  in
+  let footprints = Array.map Measure.touched_count touched in
+  (* The observing pass runs untraced (its cost is not the run's), but
+     its footprints feed the bytes-touched counter: distinct elements
+     each domain actually referenced. *)
+  Array.iteri (fun p f -> Trace.add trace p Trace.Elements_touched f) footprints;
   {
     Measure.wall_seconds = wall;
     seconds;
     iterations;
-    footprints = inst.footprints;
-    distinct_total = inst.distinct_total;
+    footprints;
+    distinct_total = Measure.union_count touched;
     checksum;
   }
 

@@ -61,7 +61,8 @@ type storage = float array
 
 val alloc : compiled -> storage
 (** Fresh operands with the deterministic initial values every execution
-    path (including {!sequential}) starts from. *)
+    path (including {!sequential}) starts from, stored by a plain loop
+    into an uninitialised float array. *)
 
 val checksum : storage -> float
 (** The sum of the buffer in index order. *)
@@ -163,7 +164,9 @@ val measure :
 (** One instrumented (untimed) execution of exactly [steps] steps on
     fresh operands, on the interpreter; its checksum and buffer are
     those of that execution.  Footprints are exact distinct-element
-    counts ({!Measure.touched}).  [mode] is ignored: it once chose the
+    counts ({!Measure.touched}).  No run path calls it: it is the
+    reference the observing pass of {!run} is checked against
+    (fuzz oracle 3, {!Validate}).  [mode] is ignored: it once chose the
     instrument and stays only until its last readers drop it. *)
 
 val time_with :
@@ -176,7 +179,8 @@ val time_with :
   repeats:int ->
   float * float array * int array
 (** {!time} with every box run by [box storage] - {!run_box} for the
-    interpreter, {!Kernel.run_box} for the strided kernels. *)
+    interpreter, {!Kernel.run_box} for the strided kernels.  [box] is
+    applied to the call's one buffer once. *)
 
 val time :
   ?trace:Trace.t ->
@@ -188,9 +192,11 @@ val time :
   float * float array * int array
 (** [(wall, per_domain_seconds, per_domain_iterations)] of the fastest
     of [repeats] uninstrumented executions on the reference {!run_box}
-    (minimum-of-N wall-clock, all timestamps on {!Mclock}).  A live
-    [trace] records barrier waits, steps, and tile/chunk claims of {e
-    every} repeat. *)
+    (minimum-of-N wall-clock, all timestamps on {!Mclock}).  The
+    repeats share one buffer, reset to the initial operands by a plain
+    loop before every repeat but the first, so each starts from the
+    values {!alloc} gives.  A live [trace] records barrier waits, steps,
+    and tile/chunk claims of {e every} repeat. *)
 
 val observed_steps : work -> steps:int -> int
 (** How many of [steps] steps {!run} observes for footprints: [1] for
@@ -204,19 +210,22 @@ val observed_steps : work -> steps:int -> int
 val run :
   trace:Trace.t ->
   box:(storage -> box -> unit) ->
+  observe:(Measure.touched -> box -> unit) ->
   Pool.t ->
   compiled ->
   work ->
   steps:int ->
   repeats:int ->
   Measure.raw
-(** {!time_with} + {!measure} combined into a {!Measure.raw}.  The
-    timed pass runs all [steps] steps, is traced, and gives the wall
-    time, iterations and checksum: the sum of the buffer the fastest
-    repeat's box bodies produced.  The instrumented pass (always the
-    interpreter, over the same work) runs {!observed_steps} steps -
-    one for static work - untraced; its footprints also feed the
-    trace's elements-touched counter. *)
+(** {!time_with} plus an observing pass, combined into a
+    {!Measure.raw}.  The timed pass runs all [steps] steps, is traced,
+    and gives the wall time, iterations and checksum: the sum of the
+    buffer the fastest repeat's box bodies produced.  The observing
+    pass steps through the same work for {!observed_steps} steps - one
+    for static work - untraced, with each box run as [observe
+    touched.(p)] on domain [p]'s set ({!Kernel.observe}): no operands,
+    loads, stores or checksum.  Its footprints also feed the trace's
+    elements-touched counter. *)
 
 val sequential : compiled -> steps:int -> storage
 (** Reference execution: every iteration in lexicographic order on the

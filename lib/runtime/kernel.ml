@@ -6,10 +6,11 @@ type shape = Stencil5 | Generic
 
 let shape_name = function Stencil5 -> "stencil5" | Generic -> "generic"
 
-(* [row data n ra wa] runs [n] points of the innermost axis from the
+(* [row x n ra wa] runs [n] points of the innermost axis from the
    running addresses [ra] (reads) and [wa] (writes), and leaves both
-   arrays as it found them. *)
-type row = Exec.storage -> int -> int array -> int array -> unit
+   arrays as it found them: [x] is the operand buffer for the executing
+   rows and the touched set for the observing one. *)
+type 'a row = 'a -> int -> int array -> int array -> unit
 
 type plan = {
   compiled : Exec.compiled;
@@ -21,7 +22,8 @@ type plan = {
   rstep : int array array;
       (** [rstep.(k).(i)]: read [i]'s address delta along traversal axis [k] *)
   wstep : int array array;  (** the same for the writes *)
-  row : row;
+  row : Exec.storage row;
+  observe_row : Measure.touched row;
 }
 
 let order p = Array.copy p.order
@@ -299,7 +301,7 @@ let[@inline] inner_gen5 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
 
 (* Each unrolled loop inlined twice, so the accumulate test folds away:
    left inside the loop it cost matmul about 20% (2-core x86-64). *)
-let unrolled ~nr ~is_acc ~rd ~dw : row option =
+let unrolled ~nr ~is_acc ~rd ~dw : Exec.storage row option =
   let pick acc set = Some (if is_acc then acc else set) in
   match nr with
   | 1 ->
@@ -345,7 +347,7 @@ let inner_generic (data : Exec.storage) ~n ~nr ~nw ~(rd : int array)
 
 (* The innermost loop for a shape, from the innermost deltas [rd] and
    [wd]. *)
-let row_of shape (reads : Exec.cref array) writes ~rd ~wd : row =
+let row_of shape (reads : Exec.cref array) writes ~rd ~wd : Exec.storage row =
   let nr = Array.length reads and nw = Array.length writes in
   match shape with
   | Stencil5 ->
@@ -364,6 +366,21 @@ let row_of shape (reads : Exec.cref array) writes ~rd ~wd : row =
   | Generic ->
       let acc = Array.map snd writes in
       fun data n ra wa -> inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ra wa
+
+(* The observing row: the bit of every address each reference's cursor
+   passes over the [n] points, and no load or store. *)
+let observe_row ~(rd : int array) ~(wd : int array) : Measure.touched row =
+  let touch_run touched n (a : int array) (delta : int array) =
+    for i = 0 to Array.length a - 1 do
+      let a0 = Array.unsafe_get a i and d = Array.unsafe_get delta i in
+      for j = 0 to n - 1 do
+        Measure.touch touched (a0 + (j * d))
+      done
+    done
+  in
+  fun touched n ra wa ->
+    touch_run touched n ra rd;
+    touch_run touched n wa wd
 
 let plan ?(force_generic = false) ?order compiled =
   let nest = Exec.nest compiled in
@@ -388,10 +405,11 @@ let plan ?(force_generic = false) ?order compiled =
     Array.map (fun k -> Array.map (fun (r : Exec.cref) -> r.m.(k)) crefs) order
   in
   let rstep = along reads and wstep = along (Array.map fst writes) in
-  let row =
-    row_of shape reads writes ~rd:rstep.(nesting - 1) ~wd:wstep.(nesting - 1)
-  in
-  { compiled; reads; writes; order; reorderable; shape; rstep; wstep; row }
+  let rd = rstep.(nesting - 1) and wd = wstep.(nesting - 1) in
+  let row = row_of shape reads writes ~rd ~wd in
+  let observe_row = observe_row ~rd ~wd in
+  { compiled; reads; writes; order; reorderable; shape; rstep; wstep; row;
+    observe_row }
 
 (* Per-axis address delta of each body reference, in original axis
    order: exactly the [m] vector of the compiled reference. *)
@@ -414,9 +432,11 @@ let start (r : Exec.cref) (b : box) =
 (* Traversal axes [k ..] of the box: each outer axis advances the
    cursors before every point but its first and rewinds them after its
    last, so every level leaves them as it found them.  An empty axis
-   runs nothing; an empty innermost one gives rows of [n <= 0]. *)
-let rec walk p data (b : box) n ra wa k =
-  if k = Array.length p.order - 1 then p.row data n ra wa
+   runs nothing; an empty innermost one gives rows of [n <= 0].  [row]
+   and [x] travel as two arguments, not one partial application, so a
+   box allocates nothing beyond its cursors. *)
+let rec walk p (row : 'a row) (x : 'a) (b : box) n ra wa k =
+  if k = Array.length p.order - 1 then row x n ra wa
   else begin
     let lo, hi = b.(p.order.(k)) in
     let rs = p.rstep.(k) and ws = p.wstep.(k) in
@@ -425,7 +445,7 @@ let rec walk p data (b : box) n ra wa k =
         bump ra rs 1;
         bump wa ws 1
       end;
-      walk p data b n ra wa (k + 1)
+      walk p row x b n ra wa (k + 1)
     done;
     if hi > lo then begin
       bump ra rs (lo - hi);
@@ -433,9 +453,11 @@ let rec walk p data (b : box) n ra wa k =
     end
   end
 
-let run_box p (data : Exec.storage) (b : box) =
+(* Seed one cursor per reference at the box corner and walk the box in
+   traversal order, running [row x] on every innermost row. *)
+let traverse p (row : 'a row) (x : 'a) (b : box) =
   let d = Array.length p.order in
-  if Array.length b <> d then invalid_arg "Kernel.run_box: box arity mismatch";
+  if Array.length b <> d then invalid_arg "Kernel: box arity mismatch";
   let nr = Array.length p.reads and nw = Array.length p.writes in
   let ra = Array.make nr 0 and wa = Array.make nw 0 in
   for i = 0 to nr - 1 do
@@ -445,7 +467,12 @@ let run_box p (data : Exec.storage) (b : box) =
     wa.(i) <- start (fst p.writes.(i)) b
   done;
   let lo, hi = b.(p.order.(d - 1)) in
-  walk p data b (hi - lo + 1) ra wa 0
+  walk p row x b (hi - lo + 1) ra wa 0
+
+let run_box p (data : Exec.storage) (b : box) = traverse p p.row data b
+
+let observe p (touched : Measure.touched) (b : box) =
+  traverse p p.observe_row touched b
 
 (* ------------------------------------------------------------------ *)
 (* Schedules and parallel execution                                    *)

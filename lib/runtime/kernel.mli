@@ -8,7 +8,10 @@
     step along axis [k].  A plan therefore precomputes the per-axis
     address deltas once, seeds one running address per reference at the
     box corner, and executes the box with incremental bumps only; every
-    run path executes its boxes here.  Plus:
+    run path executes its boxes here.  The same cursor walk also
+    observes a box ({!observe}): it sets the bit of every address the
+    cursors pass, with no operand, which is how {!Exec.run} counts a
+    run's footprints.  Plus:
 
     - {b traversal order}: when a conservative safety analysis proves
       reordering bit-exact (injective write maps, at most one
@@ -64,6 +67,14 @@ val run_box : plan -> Exec.storage -> box -> unit
     ([hi < lo] somewhere) is a no-op.  A box allocates only its two
     cursor arrays, so domains may share one [run_box plan storage]. *)
 
+val observe : plan -> Measure.touched -> box -> unit
+(** Add to the set every element address the box's iterations
+    reference: one bit per reference per point, in {!run_box}'s
+    traversal order and from its cursors, with no load or store - the
+    set the interpreter's instrumented body ({!Exec.measure}) records
+    over the same box.  An empty box adds nothing.  Like {!run_box}, a
+    box allocates only its two cursor arrays. *)
+
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
 (** {!Partition.Scheduling.of_schedule}, under its old name: kept only
     for the pipeline benchmark's callers, and deleted with them. *)
@@ -78,8 +89,9 @@ val time :
   float * float array * int array
 (** {!Exec.time} over {!Exec.static_of_assignment}[ boxes] with every
     box run by {!run_box}: domain [p] executes [boxes.(p)] in each of
-    [steps] steps of the shared loop ({!Sched}), on fresh operands per
-    repeat; the fastest of [repeats] runs is reported. *)
+    [steps] steps of the shared loop ({!Sched}), on one buffer reset to
+    the initial operands before every repeat; the fastest of [repeats]
+    runs is reported. *)
 
 val sequential : plan -> steps:int -> Exec.storage
 (** The whole iteration space as one box on the calling domain, [steps]

@@ -10,7 +10,7 @@
     Each per-domain set pads its payload with a cache-line-sized guard
     region on both sides, so instruments allocated back to back never
     share a line between two writing domains (no false sharing in the
-    instrumented pass). *)
+    observing pass). *)
 
 type mode =
   | Exact
@@ -35,7 +35,7 @@ type domain_stat = {
   domain : int;
   iterations : int;  (** parallel iterations executed, summed over steps *)
   seconds : float;  (** wall-clock inside the job, best timed repeat *)
-  footprint : int;  (** distinct elements touched (instrumented pass) *)
+  footprint : int;  (** distinct elements touched (observing pass) *)
 }
 
 type raw = {

@@ -1,8 +1,8 @@
 (** The one parallel step loop every executor runs.
 
-    {!Exec}'s timed and instrumented passes, {!Kernel.time} and the
-    fault-tolerant {!Resilient} executor all step through their work
-    here.  The loop owns what they share: claiming work from a
+    {!Exec}'s timed, observing and instrumented passes, {!Kernel.time}
+    and the fault-tolerant {!Resilient} executor all step through their
+    work here.  The loop owns what they share: claiming work from a
     {!source}, the tile/chunk/step/barrier {!Trace} spans, and the call
     to the step end.  Callers supply only the bodies - what running a
     tile or a chunk means - and the step end itself: one

@@ -71,13 +71,43 @@ let test_strides_match_address () =
         (Runtime.Kernel.strides plan))
     Programs.all
 
+(* The interpreter's touched set over some boxes: every reference's
+   address at every point, the set [Exec.measure] records. *)
+let interpreted_set compiled boxes =
+  let set =
+    Runtime.Measure.touched ~universe:(Runtime.Exec.total_elements compiled)
+  in
+  let addrs =
+    List.map (Runtime.Exec.address compiled) (Runtime.Exec.nest compiled).Nest.body
+  in
+  List.iter
+    (fun b ->
+      Runtime.Exec.iter_box b (fun p ->
+          List.iter (fun addr -> Runtime.Measure.touch set (addr p)) addrs))
+    boxes;
+  set
+
+let observed_set plan compiled boxes =
+  let set =
+    Runtime.Measure.touched ~universe:(Runtime.Exec.total_elements compiled)
+  in
+  List.iter (Runtime.Kernel.observe plan set) boxes;
+  set
+
+(* Two sets are equal iff each has as many elements as their union. *)
+let same_set label a b =
+  let n = Runtime.Measure.touched_count a in
+  check (label ^ ": count") (Runtime.Measure.touched_count b) n;
+  check (label ^ ": union") n (Runtime.Measure.union_count [| a; b |])
+
 (* ------------------------------------------------------------------ *)
 (* Traversal order                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* For nests the analysis proves reorderable, every axis permutation
    must reproduce the interpreter's buffer bit for bit - including
-   matmul, whose accumulate chains run along the (single) k fiber. *)
+   matmul, whose accumulate chains run along the (single) k fiber - and
+   observe the interpreter's touched set. *)
 let test_permutations_preserve_results () =
   List.iter
     (fun nest ->
@@ -89,15 +119,17 @@ let test_permutations_preserve_results () =
         (Printf.sprintf "%s is reorderable" name)
         true
         (Runtime.Kernel.reorderable (Runtime.Kernel.plan compiled));
+      let whole = [ Nest.bounds nest ] in
+      let touched = interpreted_set compiled whole in
       List.iter
         (fun order ->
           let plan = Runtime.Kernel.plan ~order compiled in
-          checkb
-            (Printf.sprintf "%s under order %s" name
-               (String.concat ""
-                  (List.map string_of_int (Array.to_list order))))
-            true
-            (Runtime.Kernel.sequential plan ~steps = reference))
+          let label =
+            Printf.sprintf "%s under order %s" name
+              (String.concat "" (List.map string_of_int (Array.to_list order)))
+          in
+          checkb label true (Runtime.Kernel.sequential plan ~steps = reference);
+          same_set label (observed_set plan compiled whole) touched)
         (axis_permutations (Nest.nesting nest)))
     [
       Programs.stencil5 ~n:12 ();
@@ -164,65 +196,133 @@ let test_empty_box_is_noop () =
   let plan = Runtime.Kernel.plan compiled in
   let storage = Runtime.Exec.alloc compiled in
   let before = Array.copy storage in
-  Runtime.Kernel.run_box plan storage [| (3, 2); (1, 6) |];
-  Runtime.Kernel.run_box plan storage [| (1, 6); (3, 2) |];
+  let empty = [ [| (3, 2); (1, 6) |]; [| (1, 6); (3, 2) |] ] in
+  List.iter (Runtime.Kernel.run_box plan storage) empty;
   checkb "empty boxes leave operands untouched" true (storage = before);
+  check "empty boxes observe nothing" 0
+    (Runtime.Measure.touched_count (observed_set plan compiled empty));
   check "empty volume" 0 (Runtime.Exec.box_volume [| (3, 2); (1, 6) |])
 
 let test_degenerate_and_partial_boxes () =
   (* Extent-1 axes, single-point boxes, and a partial cover must all
-     agree with the interpreter over the same boxes. *)
+     agree with the interpreter over the same boxes, in values and in
+     the elements they touch. *)
   List.iter
     (fun (nest, boxes) ->
       let compiled = Runtime.Exec.compile nest in
       let plan = Runtime.Kernel.plan compiled in
       let storage = Runtime.Exec.alloc compiled in
+      let label =
+        Printf.sprintf "%s over %d boxes" nest.Nest.name (List.length boxes)
+      in
       List.iter (Runtime.Kernel.run_box plan storage) boxes;
-      checkb
-        (Printf.sprintf "%s over %d boxes" nest.Nest.name (List.length boxes))
-        true
-        (storage = run_boxes_interp compiled boxes ~steps:1))
+      checkb label true (storage = run_boxes_interp compiled boxes ~steps:1);
+      same_set label
+        (observed_set plan compiled boxes)
+        (interpreted_set compiled boxes))
     [
       (Programs.stencil5 ~n:9 (), [ [| (2, 2); (1, 7) |]; [| (3, 6); (4, 4) |] ]);
       (Programs.stencil5 ~n:9 (), [ [| (5, 5); (5, 5) |] ]);
-      (Programs.matmul ~n:6 (), [ [| (0, 5); (2, 2); (0, 5) |] ]);
+      (Programs.matmul ~n:6 (), [ [| (1, 6); (2, 2); (1, 6) |] ]);
+      (Programs.matmul ~n:6 (), [ [| (1, 3); (4, 2); (1, 6) |] ]);
     ]
 
 (* Everything but the two running-address arrays is built by the plan:
    a box, a 1-point one included, allocates exactly those (one header
-   word each), whatever the shape. *)
+   word each), whatever the shape - whether it runs the box or only
+   observes it. *)
 let test_box_allocates_only_cursors () =
   List.iter
     (fun nest ->
       let compiled = Runtime.Exec.compile nest in
-      let body =
-        Runtime.Kernel.run_box (Runtime.Kernel.plan compiled)
-          (Runtime.Exec.alloc compiled)
-      in
+      let plan = Runtime.Kernel.plan compiled in
       let cursors =
         Array.length (Runtime.Exec.reads compiled)
         + Array.length (Runtime.Exec.writes compiled)
         + 2
       in
       List.iter
-        (fun box ->
-          body box;
-          let before = Gc.minor_words () in
-          for _ = 1 to 100 do
-            body box
-          done;
-          check
-            (Printf.sprintf "%s: words per box" nest.Nest.name)
-            (100 * cursors)
-            (int_of_float (Gc.minor_words () -. before)))
-        (List.map
-           (Array.make (Nest.nesting nest))
-           [ (2, 2); (2, 5) ]))
+        (fun (what, body) ->
+          List.iter
+            (fun box ->
+              body box;
+              let before = Gc.minor_words () in
+              for _ = 1 to 100 do
+                body box
+              done;
+              check
+                (Printf.sprintf "%s: words per %s box" nest.Nest.name what)
+                (100 * cursors)
+                (int_of_float (Gc.minor_words () -. before)))
+            (List.map
+               (Array.make (Nest.nesting nest))
+               [ (2, 2); (2, 5) ]))
+        [
+          ("run", Runtime.Kernel.run_box plan (Runtime.Exec.alloc compiled));
+          ( "observed",
+            Runtime.Kernel.observe plan
+              (Runtime.Measure.touched
+                 ~universe:(Runtime.Exec.total_elements compiled)) );
+        ])
     [
       Programs.stencil5 ~n:8 ();
       Programs.matmul ~n:6 ();
       Programs.conv3x3 ~n:8 ();
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Observed footprints                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Per domain, over the boxes of its [Codegen.tiles], the observer sets
+   exactly the interpreter's bits: on every gallery nest at P = 2, 3
+   and 4 under the rectangular tile, and on the two-deep ones also
+   under the parallelepiped tile where the skewed engine finds it
+   (example3's sheared tiles among them; the three-deep searches take
+   most of a second each), in each plan's own traversal order
+   (matmul's rotated one included).  The union over the domains must
+   agree too. *)
+let test_observe_gallery_tiles () =
+  List.iter
+    (fun (name, nest) ->
+      let compiled = Runtime.Exec.compile nest in
+      let plan = Runtime.Kernel.plan compiled in
+      List.iter
+        (fun (nprocs, try_skewed) ->
+          let a = Driver.analyze ~try_skewed ~nprocs nest in
+          let sched = Driver.schedule ~tile:(Driver.best_tile a) a in
+          if name = "example3" && try_skewed && nprocs = 2 then
+            checkb "example3 takes a parallelepiped tile" true
+              (match sched.Codegen.tile with
+              | Tile.Pped _ -> true
+              | Tile.Rect _ -> false);
+          let tiles = Codegen.tiles sched in
+          let mine p =
+            Array.to_list tiles
+            |> List.concat_map (fun (owner, boxes) ->
+                   if owner = p then Array.to_list boxes else [])
+          in
+          let label p =
+            Printf.sprintf "%s, P=%d%s, domain %s" name nprocs
+              (if try_skewed then " skewed" else "")
+              p
+          in
+          let observed = Array.init nprocs (fun p -> observed_set plan compiled (mine p))
+          and interpreted =
+            Array.init nprocs (fun p -> interpreted_set compiled (mine p))
+          in
+          Array.iteri
+            (fun p o -> same_set (label (string_of_int p)) o interpreted.(p))
+            observed;
+          check (label "union")
+            (Runtime.Measure.union_count interpreted)
+            (Runtime.Measure.union_count observed))
+        (List.concat_map
+           (fun nprocs ->
+             (nprocs, false)
+             :: (if Nest.nesting nest = 2 then [ (nprocs, true) ] else []))
+           [ 2; 3; 4 ]))
+    Programs.all
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)
@@ -357,6 +457,45 @@ let test_shared_body () =
           { space = Nest.bounds nest; chunk = (fun ~remaining:_ -> 1) } );
     ]
 
+(* The repeats of one timed call share one buffer, reset to the initial
+   operands before each: on matmul, whose accumulates would carry one
+   repeat's sums into the next, the first box of every repeat must find
+   [Exec.alloc]'s values, and the whole call applies [box] once. *)
+let test_repeats_reset_buffer () =
+  let nest = Programs.matmul ~n:8 () in
+  let compiled = Runtime.Exec.compile nest in
+  let plan = Runtime.Kernel.plan compiled in
+  let initial = Runtime.Exec.alloc compiled in
+  let boxes =
+    Scheduling.of_schedule (Driver.schedule (Driver.analyze ~nprocs:1 nest))
+  in
+  let per_repeat = Array.length boxes.(0) and repeats = 3 in
+  let buffers = ref 0 and calls = ref 0 and fresh = ref [] in
+  let box s =
+    incr buffers;
+    let run = Runtime.Kernel.run_box plan s in
+    fun b ->
+      if !calls mod per_repeat = 0 then fresh := same_bits s initial :: !fresh;
+      incr calls;
+      run b
+  in
+  let r =
+    Runtime.Pool.with_pool 1 (fun pool ->
+        Runtime.Exec.run ~trace:Runtime.Trace.disabled ~box
+          ~observe:(Runtime.Kernel.observe plan) pool compiled
+          (Runtime.Exec.static_of_assignment boxes)
+          ~steps:1 ~repeats)
+  in
+  check "one buffer per call" 1 !buffers;
+  check "boxes run" (repeats * per_repeat) !calls;
+  Alcotest.(check (list bool))
+    "every repeat starts from the initial operands"
+    (List.init repeats (fun _ -> true))
+    (List.rev !fresh);
+  checkb "checksum = sequential interpreter" true
+    (Float.equal r.Runtime.Measure.checksum
+       (Runtime.Exec.checksum (Runtime.Exec.sequential compiled ~steps:1)))
+
 (* Every box of [Driver.execute] runs through the kernel: the policy
    names its shape, and the checksum is the interpreter's. *)
 let test_driver_runs_kernel () =
@@ -418,6 +557,11 @@ let () =
           Alcotest.test_case "a box allocates only its cursors" `Quick
             test_box_allocates_only_cursors;
         ] );
+      ( "observe",
+        [
+          Alcotest.test_case "gallery tiles at P = 2, 3, 4" `Quick
+            test_observe_gallery_tiles;
+        ] );
       ( "values",
         [
           Alcotest.test_case "gallery kernel = interpreter" `Quick
@@ -431,6 +575,8 @@ let () =
             test_parallel_kernel_matches_sequential;
           Alcotest.test_case "one body shared by 4 domains" `Quick
             test_shared_body;
+          Alcotest.test_case "repeats reset one buffer" `Quick
+            test_repeats_reset_buffer;
           Alcotest.test_case "Driver.execute runs the kernel" `Quick
             test_driver_runs_kernel;
           Alcotest.test_case "Resilient.execute = sequential" `Quick

@@ -42,6 +42,16 @@ let nprocs_arg =
   let doc = "Number of processors to partition for." in
   Arg.(value & opt int 16 & info [ "p"; "processors" ] ~docv:"P" ~doc)
 
+(* A count that must be at least 1, refused while the command line is
+   parsed: the error names the flag and nothing has run yet. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let skewed_arg =
   let doc = "Also try general parallelepiped (skewed) tiles." in
   Arg.(value & flag & info [ "skewed" ] ~doc)
@@ -213,11 +223,12 @@ let run_cmd =
   in
   let repeats_arg =
     let doc = "Timed repetitions; the minimum wall-clock is reported." in
-    Arg.(value & opt int 3 & info [ "repeats" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 3 & info [ "repeats" ] ~docv:"N" ~doc)
   in
   let steps_arg =
     let doc = "Override the outer sequential (doseq) trip count." in
-    Arg.(value & opt (some int) None & info [ "steps" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (some positive_int) None & info [ "steps" ] ~docv:"N" ~doc)
   in
   let validate_arg =
     let doc =

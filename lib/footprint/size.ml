@@ -370,7 +370,7 @@ let float_det_in_place a =
       det := !det *. a.(col).(col);
       for i = col + 1 to n - 1 do
         let f = a.(i).(col) /. a.(col).(col) in
-        for j = col to n - 1 do
+        for j = col to Array.length a.(col) - 1 do
           a.(i).(j) <- a.(i).(j) -. (f *. a.(col).(j))
         done
       done;

@@ -98,9 +98,9 @@ val pped_cumulative : l:Qmat.t -> g:Imat.t -> spread:Ivec.t -> Rat.t
 
 val pped_cumulative_float :
   l:float array array -> g:Imat.t -> spread:Ivec.t -> float
-(** Float variant of {!pped_cumulative}.  The parallelepiped optimizer
-    compiles the same operations once per call; its objective must equal
-    this one, divided by the lattice index, bit for bit. *)
+(** Float variant of {!pped_cumulative}.  The parallelepiped optimizer's
+    reported costs are this one divided by the lattice index; its search
+    evaluates the same value by Cramer's rule. *)
 
 val pped_terms_symbolic :
   nesting:int -> g:Imat.t -> spread:Ivec.t -> Mpoly.t list
@@ -118,7 +118,11 @@ val float_det : float array array -> float
 val float_det_in_place : float array array -> float
 (** {!float_det} without the copy: the same operations, eliminating in
     the argument itself (its rows are permuted and overwritten).  The
-    parallelepiped optimizer runs it on scratch matrices. *)
+    argument may be wider than it is tall: the determinant is that of
+    its leading square block, and the columns past it are eliminated
+    with the rows, so appended right-hand sides come out forward
+    substituted (unless the block is singular).  The parallelepiped
+    optimizer runs it on a scratch matrix. *)
 
 (** {1 Reduction diagnostics} *)
 

@@ -1,3 +1,4 @@
+open Intmath
 open Matrixkit
 open Loopir
 open Footprint
@@ -16,9 +17,10 @@ type result = {
    that does not depend on [L]. *)
 type compiled_class = {
   weight : float;  (* sync weight *)
-  index : float;  (* lattice index [|det G'|] *)
-  g1 : float array array;  (* column-selected G, square nonsingular *)
-  spread : float array;  (* reduced spread row *)
+  index : float;  (* lattice index [|det G1|] *)
+  g : Imat.t;
+  spread : Ivec.t;
+  u : float array;  (* the reduced spread row in G1's basis: [u G1 = a] *)
 }
 
 (* The compiled objective plus the scratch matrices every evaluation
@@ -27,29 +29,28 @@ type compiled_class = {
 type compiled = {
   classes : compiled_class array;
   extents : float array;
-  lr : float array array;  (* the renormalized L *)
-  lg : float array array;  (* L G1 *)
-  work : float array array;  (* float_det's elimination matrix *)
+  work : float array array;  (* [L^T] with one [u^T] column per class *)
   cand : float array array;  (* refine_entry's candidate L *)
 }
 
 (* [None] when rank(G) < nesting: a constant reference, a projection or a
-   rank-deficient class.  Otherwise the column-selected G is square
+   rank-deficient class.  Otherwise the column-selected G1 is square
    nonsingular, so it has no zero row and is its own reduction. *)
 let compile_class n (c : Cost.class_cost) =
   let g = c.Cost.cls.Uniform.g in
   if Imat.rank g < n then None
   else
-    let red = Size.reduce ~g ~spread:(Uniform.spread c.Cost.cls) in
-    let g1 = red.Size.g_reduced in
+    let spread = Uniform.spread c.Cost.cls in
+    let red = Size.reduce ~g ~spread in
+    let g1 = Qmat.of_imat red.Size.g_reduced in
+    let a = Array.map Rat.of_int red.Size.spread_reduced in
     Some
       {
         weight = float_of_int c.Cost.sync_weight;
-        index = float_of_int (abs (Imat.det g1));
-        g1 =
-          Array.init n (fun k ->
-              Array.init n (fun j -> float_of_int (Imat.get g1 k j)));
-        spread = Array.map float_of_int red.Size.spread_reduced;
+        index = float_of_int (abs (Imat.det red.Size.g_reduced));
+        g;
+        spread;
+        u = Array.map Rat.to_float (Qmat.mul_row a (Option.get (Qmat.inv g1)));
       }
 
 let compile cost =
@@ -58,63 +59,44 @@ let compile cost =
   let classes = List.filter_map (compile_class n) cost.Cost.classes in
   if List.compare_lengths classes cost.Cost.classes <> 0 then None
   else
-    let mat () = Array.make_matrix n n 0.0 in
     Some
       {
         classes = Array.of_list classes;
         extents = Array.map float_of_int (Nest.extents nest);
-        lr = mat ();
-        lg = mat ();
-        work = mat ();
-        cand = mat ();
+        work = Array.make_matrix n (n + List.length classes) 0.0;
+        cand = Array.make_matrix n n 0.0;
       }
 
-let blit_mat src dst =
-  Array.iteri (fun i row -> Array.blit row 0 dst.(i) 0 (Array.length row)) src
-
-(* [det LG] with row [replace] (none when out of range) swapped for the
-   spread row. *)
-let det_lg p ~replace spread =
-  let n = Array.length p.lg in
-  for i = 0 to n - 1 do
-    Array.blit (if i = replace then spread else p.lg.(i)) 0 p.work.(i) 0 n
-  done;
-  Size.float_det_in_place p.work
-
-(* Theorem 2 per class, divided by its lattice index and weighted:
-   [Size.pped_cumulative_float]'s operations in its order, on scratch. *)
+(* Theorem 2 per class, divided by its lattice index and weighted. *)
 let objective_at p l =
-  let n = Array.length l in
-  let total = ref 0.0 in
-  for ci = 0 to Array.length p.classes - 1 do
-    let c = p.classes.(ci) in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let acc = ref 0.0 in
-        for k = 0 to n - 1 do
-          acc := !acc +. (l.(i).(k) *. c.g1.(k).(j))
-        done;
-        p.lg.(i).(j) <- !acc
-      done
-    done;
-    let v = ref (abs_float (det_lg p ~replace:(-1) c.spread)) in
-    for i = 0 to n - 1 do
-      v := !v +. abs_float (det_lg p ~replace:i c.spread)
-    done;
-    total := !total +. (c.weight *. (!v /. c.index))
-  done;
-  !total
+  Array.fold_left
+    (fun total c ->
+      let v = Size.pped_cumulative_float ~l ~g:c.g ~spread:c.spread in
+      total +. (c.weight *. (v /. c.index)))
+    0.0 p.classes
 
 let objective cost l =
   match compile cost with None -> infinity | Some p -> objective_at p l
 
 let copy_mat m = Array.map Array.copy m
 
-(* The tile must fit inside the iteration space: the bounding box of the
-   tile (sum of |edge| per dimension) may not exceed the extents.  Without
+let blit_mat src dst =
+  Array.iteri (fun i row -> Array.blit row 0 dst.(i) 0 (Array.length row)) src
+
+(* [l] scaled by [s] with [|det (s l)| = volume]; [None] when [l] is
+   numerically singular. *)
+let renormalize ~volume l =
+  let d = abs_float (Size.float_det l) in
+  if d < 1e-9 then None
+  else
+    let s = (volume /. d) ** (1.0 /. float_of_int (Array.length l)) in
+    Some (Array.map (Array.map (fun x -> x *. s)) l)
+
+(* The tile [s l] must fit inside the iteration space: its bounding box
+   (sum of |edge| per dimension) may not exceed the extents.  Without
    this constraint the solver degenerates to infinitely long, thin tiles
    along a communication-free direction. *)
-let box_penalty ~extents l =
+let box_penalty ~extents ~s l =
   let n = Array.length l in
   let pen = ref 0.0 in
   for k = 0 to n - 1 do
@@ -122,33 +104,52 @@ let box_penalty ~extents l =
     for i = 0 to n - 1 do
       bbox := !bbox +. abs_float l.(i).(k)
     done;
-    let ratio = !bbox /. extents.(k) in
-    if ratio > 1.0 then pen := !pen +. ((ratio -. 1.0) ** 2.0)
+    let excess = (s *. !bbox /. extents.(k)) -. 1.0 in
+    if excess > 0.0 then pen := !pen +. (excess *. excess)
   done;
   !pen
 
-(* Scale [l] into [dst] so that [|det dst| = volume]; false when [l] is
-   numerically singular. *)
-let renormalize p ~volume l ~dst =
-  let n = Array.length l in
-  blit_mat l p.work;
-  let d = abs_float (Size.float_det_in_place p.work) in
-  if d < 1e-9 then false
-  else begin
-    let s = (volume /. d) ** (1.0 /. float_of_int n) in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        dst.(i).(j) <- l.(i).(j) *. s
-      done
-    done;
-    true
-  end
-
+(* The objective at [s l], [|det (s l)| = volume], without a
+   determinant per term.  Replacing row i of [L G1] by the spread row
+   [a = u G1] gives [(L with row i <- u) G1], and by Cramer's rule
+   [det (L with row i <- u) = det L * x_i] where [x L = u].  So a class
+   costs [w |det L| (1 + |x|_1)] after division by its lattice index,
+   and at [s l] that is [w volume (1 + |x|_1 / s)], [x] solved at [l].
+   One elimination of [l^T], carrying every class's [u^T], gives
+   [det l] and the forward-substituted right-hand sides; each class
+   then takes one back substitution. *)
 let eval p ~volume l =
-  if not (renormalize p ~volume l ~dst:p.lr) then infinity
+  let n = Array.length l in
+  let a = p.work in
+  let nc = Array.length p.classes in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      a.(i).(j) <- l.(j).(i)
+    done;
+    for ci = 0 to nc - 1 do
+      a.(i).(n + ci) <- p.classes.(ci).u.(i)
+    done
+  done;
+  let d = abs_float (Size.float_det_in_place a) in
+  if d < 1e-9 then infinity
   else
-    let base = objective_at p p.lr in
-    base *. (1.0 +. (100.0 *. box_penalty ~extents:p.extents p.lr))
+    let s = (volume /. d) ** (1.0 /. float_of_int n) in
+    let total = ref 0.0 in
+    for ci = 0 to nc - 1 do
+      let col = n + ci in
+      let norm = ref 0.0 in
+      for k = n - 1 downto 0 do
+        let acc = ref a.(k).(col) in
+        for j = k + 1 to n - 1 do
+          acc := !acc -. (a.(k).(j) *. a.(j).(col))
+        done;
+        a.(k).(col) <- !acc /. a.(k).(k);
+        norm := !norm +. abs_float a.(k).(col)
+      done;
+      total :=
+        !total +. (p.classes.(ci).weight *. volume *. (1.0 +. (!norm /. s)))
+    done;
+    !total *. (1.0 +. (100.0 *. box_penalty ~extents:p.extents ~s l))
 
 (* Golden-section over one entry of L; all evaluations renormalize the
    determinant, so the search is effectively over tile shape. *)
@@ -183,16 +184,17 @@ let descend p ~volume l =
   done;
   !prev
 
-let round_to_int p ~volume l =
-  (* Round entries; small entries snap to the nearest integer, then the
-     result is checked for nonsingularity. *)
-  if not (renormalize p ~volume l ~dst:p.lr) then None
-  else
-    let n = Array.length l in
-    let m =
-      Imat.make n n (fun i j -> int_of_float (Float.round p.lr.(i).(j)))
-    in
-    if Imat.det m = 0 then None else Some m
+(* Renormalize, then round every entry to the nearest integer; [None]
+   when either [L] is singular. *)
+let round_to_int ~volume l =
+  match renormalize ~volume l with
+  | None -> None
+  | Some lr ->
+      let n = Array.length l in
+      let m =
+        Imat.make n n (fun i j -> int_of_float (Float.round lr.(i).(j)))
+      in
+      if Imat.det m = 0 then None else Some m
 
 let optimize cost ~nprocs =
   match compile cost with
@@ -241,8 +243,8 @@ let optimize cost ~nprocs =
       match !best with
       | None -> None
       | Some (l, continuous_cost) -> (
-          ignore (renormalize p ~volume l ~dst:l);
-          match round_to_int p ~volume l with
+          let l = Option.value (renormalize ~volume l) ~default:l in
+          match round_to_int ~volume l with
           | None -> None
           | Some li ->
               let rounded_cost =

@@ -14,10 +14,20 @@
     from unit skews of it.  The continuous solution is then rounded to an
     integer [L] suitable for code generation.
 
-    Each call reduces every class once (sync weight, lattice index,
-    column-selected [G], spread row) and evaluates the objective on
-    scratch matrices of its own; the results are bit-identical to
-    reducing every class at every evaluation. *)
+    The search does not take Theorem 2's [n+1] determinants per class.
+    With [u = a G1^-1] for the class's column-selected [G1] and reduced
+    spread row [a], replacing row [i] of [L G1] by [a] gives
+    [(L with row i <- u) G1], whose determinant is [det L * x_i * det G1]
+    by Cramer's rule, where [x L = u].  A class's term divided by its
+    lattice index is therefore [w |det L| (1 + |x|_1)], and at the
+    renormalized [s L] it is [w V (1 + |x|_1 / s)].  Each call computes
+    every class's [u] once, exactly ({!Qmat.inv}); each evaluation
+    eliminates [L^T] once, with the [u]s appended, on a scratch matrix
+    of its own, then back-substitutes once per class.  Its values equal
+    Theorem 2 up to rounding.  {!objective}, [rounded_cost] and
+    [rect_cost] keep the determinant form: {!Footprint.Size}'s
+    [pped_cumulative_float] divided by the lattice index, summed over
+    the classes. *)
 
 open Matrixkit
 

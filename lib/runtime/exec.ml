@@ -205,10 +205,24 @@ let static_of_assignment (a : Partition.Scheduling.assignment) =
 
 let steps_of_nest = Nest.steps
 
+(* Every box must lie inside the iteration space: the box bodies
+   ({!run_box}, [Kernel.run_box], [Kernel.observe]) address operands
+   unchecked, so a box outside it would read and write past its
+   arrays. *)
 let check_work c work =
-  let d = Nest.nesting c.nest in
+  let space = Nest.bounds c.nest in
   let check_box (b : box) =
-    if Array.length b <> d then invalid_arg "Exec: box arity mismatch"
+    if Array.length b <> Array.length space then
+      invalid_arg "Exec: box arity mismatch";
+    for k = 0 to Array.length b - 1 do
+      let lo, hi = b.(k) and slo, shi = space.(k) in
+      if lo < slo || hi > shi then
+        invalid_arg
+          (Printf.sprintf
+             "Exec: box bounds %d..%d on axis %d outside the iteration \
+              space %d..%d"
+             lo hi k slo shi)
+    done
   in
   match work with
   | Tiled { tiles; owners; _ } ->
@@ -290,7 +304,7 @@ let measure ?mode:_ pool c work ~steps =
    reset to the initial operands before it. *)
 let timed ~box ~trace pool c work ~steps ~repeats =
   check_work c work;
-  if repeats < 1 then invalid_arg "Exec.time: repeats < 1";
+  if repeats < 1 then invalid_arg "Exec.run/Exec.time: repeats < 1";
   let nprocs = Pool.size pool in
   let storage = alloc c in
   let box = box storage in

@@ -118,7 +118,9 @@ val span : box -> cref -> int * int
 val run_box : compiled -> storage -> box -> unit
 (** The interpreter over a box: the loop body at each of its points, in
     lexicographic order, built once per storage.  No run path uses it:
-    it is the reference {!Kernel.run_box} is checked against. *)
+    it is the reference {!Kernel.run_box} is checked against.  Like
+    {!Kernel.run_box}, it does not check the box: one outside
+    [Nest.bounds] reads and writes past the operands. *)
 
 type tile = box array
 (** The boxes a tile covers, in execution order. *)
@@ -134,6 +136,11 @@ type work =
           runs as the boxes {!iter_range} decodes it to.  Chunk
           [fun ~remaining:_ -> 1] is cyclic, a constant is
           block-cyclic, [ceil remaining/P] is guided self-scheduling *)
+
+(** {!measure} and every timed call ({!time}, {!time_with}, {!run})
+    first check the work once, outside the timed region: each box (a
+    [Dynamic] work's [space]) must have the nest's depth and lie inside
+    [Nest.bounds], else [Invalid_argument]. *)
 
 val of_tiles : (int * tile) array -> work
 (** [(owner, boxes)] tiles, as {!Partition.Codegen.tiles} returns them,

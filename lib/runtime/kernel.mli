@@ -65,7 +65,10 @@ val run_box : plan -> Exec.storage -> box -> unit
 (** Execute every iteration of the box once (one parallel step's worth
     of one tile).  Degenerate axes (extent 1) are fine; an empty box
     ([hi < lo] somewhere) is a no-op.  A box allocates only its two
-    cursor arrays, so domains may share one [run_box plan storage]. *)
+    cursor arrays, so domains may share one [run_box plan storage].
+    The box is not checked: one outside [Nest.bounds] reads and writes
+    past the operands ({!Exec.run} and {!Exec.measure} reject such work
+    before any box runs). *)
 
 val observe : plan -> Measure.touched -> box -> unit
 (** Add to the set every element address the box's iterations
@@ -73,7 +76,8 @@ val observe : plan -> Measure.touched -> box -> unit
     traversal order and from its cursors, with no load or store - the
     set the interpreter's instrumented body ({!Exec.measure}) records
     over the same box.  An empty box adds nothing.  Like {!run_box}, a
-    box allocates only its two cursor arrays. *)
+    box allocates only its two cursor arrays and is not checked: one
+    outside [Nest.bounds] sets bits past the set. *)
 
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
 (** {!Partition.Scheduling.of_schedule}, under its old name: kept only

@@ -227,6 +227,37 @@ let test_degenerate_and_partial_boxes () =
       (Programs.matmul ~n:6 (), [ [| (1, 3); (4, 2); (1, 6) |] ]);
     ]
 
+(* The box bodies address operands unchecked, so [Exec.run] and
+   [Exec.measure] reject a box outside the iteration space before any
+   of them runs: here matmul's (0..5, 2, 0..5) on 1..6, as tiled work
+   and as a self-scheduled space. *)
+let test_box_outside_space_rejected () =
+  let nest = Programs.matmul ~n:6 () in
+  let compiled = Runtime.Exec.compile nest in
+  let plan = Runtime.Kernel.plan compiled in
+  let outside = [| (0, 5); (2, 2); (0, 5) |] in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a box outside the space ran" what
+    | exception Invalid_argument _ -> ()
+  in
+  Runtime.Pool.with_pool 1 (fun pool ->
+      List.iter
+        (fun (kind, work) ->
+          raises ("Exec.run, " ^ kind) (fun () ->
+              Runtime.Exec.run ~trace:Runtime.Trace.disabled
+                ~box:(Runtime.Kernel.run_box plan)
+                ~observe:(Runtime.Kernel.observe plan) pool compiled work
+                ~steps:1 ~repeats:1);
+          raises ("Exec.measure, " ^ kind) (fun () ->
+              Runtime.Exec.measure pool compiled work ~steps:1))
+        [
+          ("tiled", Runtime.Exec.of_tiles [| (0, [| outside |]) |]);
+          ( "dynamic",
+            Runtime.Exec.Dynamic
+              { space = outside; chunk = (fun ~remaining:_ -> 1) } );
+        ])
+
 (* Everything but the two running-address arrays is built by the plan:
    a box, a 1-point one included, allocates exactly those (one header
    word each), whatever the shape - whether it runs the box or only
@@ -278,8 +309,8 @@ let test_box_allocates_only_cursors () =
    exactly the interpreter's bits: on every gallery nest at P = 2, 3
    and 4 under the rectangular tile, and on the two-deep ones also
    under the parallelepiped tile where the skewed engine finds it
-   (example3's sheared tiles among them; the three-deep searches take
-   most of a second each), in each plan's own traversal order
+   (example3's sheared tiles among them; the three-deep nests are left
+   out to keep the test short), in each plan's own traversal order
    (matmul's rotated one included).  The union over the domains must
    agree too. *)
 let test_observe_gallery_tiles () =
@@ -556,6 +587,8 @@ let () =
             test_degenerate_and_partial_boxes;
           Alcotest.test_case "a box allocates only its cursors" `Quick
             test_box_allocates_only_cursors;
+          Alcotest.test_case "a box outside the space is rejected" `Quick
+            test_box_outside_space_rejected;
         ] );
       ( "observe",
         [

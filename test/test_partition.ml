@@ -368,6 +368,68 @@ let test_skewed_compiled_objective () =
   check "accepted (nest, L) pairs: all but matmul and diag_accumulate"
     (4 * 13) !accepted
 
+(* The search evaluates Theorem 2 by Cramer's rule, not determinant by
+   determinant: its value at the continuous optimum must still be the
+   reference objective there, times the box-penalty factor, on every
+   gallery nest the engine accepts and on generated nests whose reduced
+   G has |det| > 1, where u = a G1^-1 is not integral. *)
+let test_skewed_search_value () =
+  let box_factor cost l =
+    let extents = Nest.extents cost.Cost.nest in
+    let pen = ref 0.0 in
+    Array.iteri
+      (fun k e ->
+        let bbox =
+          Array.fold_left (fun acc row -> acc +. abs_float row.(k)) 0.0 l
+        in
+        let ratio = bbox /. float_of_int e in
+        if ratio > 1.0 then pen := !pen +. ((ratio -. 1.0) ** 2.0))
+      extents;
+    1.0 +. (100.0 *. !pen)
+  in
+  let check_value name cost nprocs =
+    match Skewed.optimize cost ~nprocs with
+    | None -> false
+    | Some r ->
+        let l = r.Skewed.continuous_l in
+        let want = reference_objective cost l *. box_factor cost l in
+        let got = r.Skewed.continuous_cost in
+        if abs_float (got -. want) > 1e-9 *. abs_float want then
+          Alcotest.failf "%s, P=%d: search value %.17g, Theorem 2 %.17g" name
+            nprocs got want;
+        true
+  in
+  let accepted = ref 0 in
+  List.iter
+    (fun (name, nest) ->
+      let cost = Cost.of_nest nest in
+      List.iter
+        (fun nprocs -> if check_value name cost nprocs then incr accepted)
+        [ 2; 3; 4; 8; 10; 16 ])
+    Loopart.Programs.all;
+  check "accepted (nest, P) pairs: all but matmul and diag_accumulate"
+    (13 * 6) !accepted;
+  let lattice = ref 0 in
+  for id = 0 to 299 do
+    let c = Proptest.Gen.generate ~seed:42 ~id in
+    let cost = Cost.of_nest c.Proptest.Gen.nest in
+    let non_unimodular (cc : Cost.class_cost) =
+      let g = cc.Cost.cls.Footprint.Uniform.g in
+      Imat.rank g = Nest.nesting c.Proptest.Gen.nest
+      &&
+      let spread = Footprint.Uniform.spread cc.Cost.cls in
+      let red = Footprint.Size.reduce ~g ~spread in
+      abs (Imat.det red.Footprint.Size.g_reduced) > 1
+      && not (Ivec.is_zero red.Footprint.Size.spread_reduced)
+    in
+    if
+      List.exists non_unimodular cost.Cost.classes
+      && check_value (Printf.sprintf "Gen seed 42 case %d" id) cost
+           c.Proptest.Gen.nprocs
+    then incr lattice
+  done;
+  checkb "at least 4 generated nests with |det G1| > 1" true (!lattice >= 4)
+
 (* ------------------------------------------------------------------ *)
 (* Codegen                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -883,6 +945,8 @@ let () =
             test_skewed_volume_constraint;
           Alcotest.test_case "compiled objective" `Quick
             test_skewed_compiled_objective;
+          Alcotest.test_case "search value is Theorem 2" `Quick
+            test_skewed_search_value;
         ] );
       ( "codegen",
         [

@@ -38,10 +38,6 @@ let source_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
 
-let nprocs_arg =
-  let doc = "Number of processors to partition for." in
-  Arg.(value & opt int 16 & info [ "p"; "processors" ] ~docv:"P" ~doc)
-
 (* A count that must be at least 1, refused while the command line is
    parsed: the error names the flag and nothing has run yet. *)
 let positive_int =
@@ -51,6 +47,10 @@ let positive_int =
     | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let nprocs_arg =
+  let doc = "Number of processors to partition for." in
+  Arg.(value & opt positive_int 16 & info [ "p"; "processors" ] ~docv:"P" ~doc)
 
 let skewed_arg =
   let doc = "Also try general parallelepiped (skewed) tiles." in

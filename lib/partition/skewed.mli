@@ -47,6 +47,10 @@ val objective : Cost.t -> float array array -> float
 
 val optimize : Cost.t -> nprocs:int -> result option
 (** [None] when any class has rank(G) < nesting (the parallelepiped
-    engine does not apply; use {!Rectangular}). *)
+    engine does not apply; use {!Rectangular}).  Also [None] when the
+    engine applies but the continuous optimum, renormalized to
+    [|det L| = iterations / P] and rounded entry by entry, is a singular
+    integer [L] - for example a one-point space over 4 processors, whose
+    quarter-iteration tile rounds to a degenerate matrix. *)
 
 val pp_result : Format.formatter -> result -> unit

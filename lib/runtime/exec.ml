@@ -141,26 +141,27 @@ let reexecution_safe c =
   | writes -> (
       let write_spans = Array.of_list (List.map (span space) writes) in
       let reads = List.filter (meets write_spans) (Array.to_list c.reads) in
-      let written = Hashtbl.create 4096 in
+      let written = Measure.touched ~universe:(total_elements c) in
       iter_box space (fun p ->
-          List.iter (fun r -> Hashtbl.replace written (addr r p) ()) writes);
+          List.iter (fun r -> Measure.touch written (addr r p)) writes);
       let exception Clash in
       match
         iter_box space (fun p ->
             List.iter
-              (fun r -> if Hashtbl.mem written (addr r p) then raise Clash)
+              (fun r -> if Measure.mem written (addr r p) then raise Clash)
               reads)
       with
       | () -> true
       | exception Clash -> false)
 
 (* The instrumented body additionally records every element address in
-   the domain's touched set. *)
-let observe_point c touched =
-  let note (r : cref) p = Measure.touch touched (addr r p) in
-  fun p ->
-    Array.iter (fun r -> note r p) c.reads;
-    Array.iter (fun (r, _) -> note r p) c.writes
+   one of the domain's sets: the one for its reference's kind. *)
+let observe_point c ~reads ~writes ~accumulates p =
+  Array.iter (fun r -> Measure.touch reads (addr r p)) c.reads;
+  Array.iter
+    (fun (r, accumulate) ->
+      Measure.touch (if accumulate then accumulates else writes) (addr r p))
+    c.writes
 
 type tile = box array
 
@@ -272,6 +273,9 @@ type instrumented = {
   distinct_total : int;
   checksum : float;
   buffer : float array;
+  read_sets : Measure.touched array;
+  write_sets : Measure.touched array;
+  accumulate_sets : Measure.touched array;
 }
 
 let measure ?mode:_ pool c work ~steps =
@@ -279,24 +283,33 @@ let measure ?mode:_ pool c work ~steps =
   let nprocs = Pool.size pool in
   let universe = total_elements c in
   let storage = alloc c in
-  let run_body p = exec c storage p in
-  let touched = Array.init nprocs (fun _ -> Measure.touched ~universe) in
-  let observers = Array.map (observe_point c) touched in
+  let sets () = Array.init nprocs (fun _ -> Measure.touched ~universe) in
+  let read_sets = sets () and write_sets = sets () in
+  let accumulate_sets = sets () in
   let seconds = Array.make nprocs 0.0 in
   let iterations = Array.make nprocs 0 in
   let visit p point =
-    observers.(p) point;
-    run_body point
+    observe_point c ~reads:read_sets.(p) ~writes:write_sets.(p)
+      ~accumulates:accumulate_sets.(p) point;
+    exec c storage point
   in
   pass ~trace:Trace.disabled pool work ~steps
     ~box:(fun p b -> iter_box b (visit p))
     ~seconds ~iterations;
   {
-    footprints = Array.map Measure.touched_count touched;
+    footprints =
+      Array.init nprocs (fun p ->
+          Measure.union_count
+            [| read_sets.(p); write_sets.(p); accumulate_sets.(p) |]);
     iterations;
-    distinct_total = Measure.union_count touched;
+    distinct_total =
+      Measure.union_count
+        (Array.concat [ read_sets; write_sets; accumulate_sets ]);
     checksum = checksum storage;
     buffer = storage;
+    read_sets;
+    write_sets;
+    accumulate_sets;
   }
 
 (* The fastest of [repeats] timed passes, with the checksum of the

@@ -45,7 +45,7 @@ val writes : compiled -> (cref * bool) array
 val address : compiled -> Reference.t -> Ivec.t -> int
 (** The flat element address the compiled reference touches at an
     iteration.  Partial application compiles the reference once, so
-    validation loops should apply it to the reference first. *)
+    loops should apply it to the reference first. *)
 
 (** {2 Raw storage access}
 
@@ -85,9 +85,9 @@ val reexecution_safe : compiled -> bool
     different arrays never overlap (their {!Machine.Layout} frames are
     disjoint).  When no write meets a read this way the answer is
     [true] after O(references) work and no enumeration.  Otherwise the
-    exact fallback hashes every address of the writes that meet a read
-    span, over the whole iteration space, and probes the addresses of
-    the reads that meet one of those writes' spans. *)
+    exact fallback sets a bit ({!Measure.touched}) for every address of
+    the writes that meet a read span, over the whole iteration space,
+    and probes it with the reads that meet one of those writes' spans. *)
 
 (** {2 Work: tiles with owners}
 
@@ -159,20 +159,24 @@ val steps_of_nest : ?override:int -> Nest.t -> int
     else 1. *)
 
 type instrumented = {
-  footprints : int array;  (** distinct elements touched per domain *)
+  footprints : int array;  (** per domain, its three sets' union count *)
   iterations : int array;
-  distinct_total : int;
+  distinct_total : int;  (** all the sets' union count *)
   checksum : float;
   buffer : storage;  (** the operands the pass ran on, for value checks *)
+  read_sets : Measure.touched array;  (** per domain: elements it loads *)
+  write_sets : Measure.touched array;  (** per domain: its [Write] stores *)
+  accumulate_sets : Measure.touched array;  (** per domain: its [l$] adds *)
 }
 
 val measure :
   ?mode:Measure.mode -> Pool.t -> compiled -> work -> steps:int -> instrumented
 (** One instrumented (untimed) execution of exactly [steps] steps on
     fresh operands, on the interpreter; its checksum and buffer are
-    those of that execution.  Footprints are exact distinct-element
-    counts ({!Measure.touched}).  No run path calls it: it is the
-    reference the observing pass of {!run} is checked against
+    those of that execution.  Each domain records every address it
+    touches in its {!Measure.touched} set for the reference's kind;
+    footprints count their unions exactly.  No run path calls it: it is
+    the reference the observing pass of {!run} is checked against
     (fuzz oracle 3, {!Validate}).  [mode] is ignored: it once chose the
     instrument and stays only until its last readers drop it. *)
 

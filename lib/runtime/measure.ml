@@ -20,6 +20,10 @@ let touch { bits; _ } i =
   if old land mask = 0 then
     Bytes.unsafe_set bits byte (Char.unsafe_chr (old lor mask))
 
+let mem { bits; _ } i =
+  Char.code (Bytes.unsafe_get bits (pad + (i lsr 3))) land (1 lsl (i land 7))
+  <> 0
+
 let popcount_byte = Array.init 256 (fun b ->
     let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
     go b 0)

@@ -25,6 +25,9 @@ val touched : universe:int -> touched
 val touch : touched -> int -> unit
 (** Add an address; it must lie in the set's universe (unchecked). *)
 
+val mem : touched -> int -> bool
+(** Whether the set holds an address of its universe (unchecked). *)
+
 val touched_count : touched -> int
 
 val union_count : touched array -> int

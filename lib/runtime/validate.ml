@@ -19,76 +19,43 @@ type verdict = {
   values_match : bool option;
 }
 
-type elem_state = {
-  array_name : string;
-  mutable writer : int;  (** first writing processor *)
-  mutable multi : bool;  (** written by more than one processor *)
-  mutable plain : bool;  (** some write was a plain [Write] *)
-}
-
-(* One Doall pass over the assignment, classifying every element reached
-   through a write-like reference. *)
-let scan_writes compiled nest (assignment : Scheduling.assignment) =
-  let written : (int, elem_state) Hashtbl.t = Hashtbl.create 4096 in
-  List.iter
-    (fun (r : Reference.t) ->
-      if Reference.is_write_like r then begin
-        let addr = Exec.address compiled r in
-        let plain = r.Reference.kind <> Reference.Accumulate in
-        Array.iteri
-          (fun p boxes ->
-            Codegen.iter_boxes boxes (fun point ->
-                let a = addr point in
-                match Hashtbl.find_opt written a with
-                | None ->
-                    Hashtbl.add written a
-                      {
-                        array_name = r.Reference.array_name;
-                        writer = p;
-                        multi = false;
-                        plain;
-                      }
-                | Some e ->
-                    e.plain <- e.plain || plain;
-                    if e.writer <> p then e.multi <- true))
-          assignment
-      end)
-    nest.Nest.body;
-  written
-
-let cross_read_after_write compiled nest written
-    (assignment : Scheduling.assignment) =
-  List.exists
-    (fun (r : Reference.t) ->
-      (not (Reference.is_write_like r))
-      &&
-      let addr = Exec.address compiled r in
-      let racy = ref false in
-      Array.iteri
-        (fun p boxes ->
-          if not !racy then
-            Codegen.iter_boxes boxes (fun point ->
-                match Hashtbl.find_opt written (addr point) with
-                | Some e when e.multi || e.writer <> p -> racy := true
-                | Some _ | None -> ()))
-        assignment;
-      !racy)
-    nest.Nest.body
-
-let bump tbl name =
-  Hashtbl.replace tbl name (1 + Option.value ~default:0 (Hashtbl.find_opt tbl name))
-
-let per_array_counts written =
-  let races = Hashtbl.create 7 and shared = Hashtbl.create 7 in
-  Hashtbl.iter
-    (fun _ e ->
-      if e.multi then
-        if e.plain then bump races e.array_name else bump shared e.array_name)
-    written;
-  let to_list tbl =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+(* Every element of the operand space, classified by the domains whose
+   sets hold it.  An element reached by two or more domains through
+   write-like references is contended: a write race when some domain
+   writes it through a plain [Write], else a shared accumulate.  A read
+   of an element that another domain writes makes the order visible.
+   Returns the per-array race and shared-accumulate counts, sorted by
+   name, and whether any such cross read occurs. *)
+let classify layout { Exec.read_sets; write_sets; accumulate_sets; _ } =
+  let nprocs = Array.length write_sets in
+  let races = ref [] and shared = ref [] and cross_read = ref false in
+  (* An array's addresses are contiguous, so counting runs of one name in
+     address order counts per array. *)
+  let flag counts a =
+    let name, _ = Layout.element_of layout a in
+    counts :=
+      match !counts with
+      | (n, k) :: rest when n = name -> (n, k + 1) :: rest
+      | l -> (name, 1) :: l
   in
-  (to_list races, to_list shared)
+  for a = 0 to Layout.total_elements layout - 1 do
+    let writers = ref 0 and writer = ref 0 and plain = ref false in
+    for p = 0 to nprocs - 1 do
+      let w = Measure.mem write_sets.(p) a in
+      if w || Measure.mem accumulate_sets.(p) a then begin
+        incr writers;
+        writer := p;
+        plain := !plain || w
+      end
+    done;
+    if !writers >= 2 then flag (if !plain then races else shared) a;
+    if !writers >= 1 then
+      for p = 0 to nprocs - 1 do
+        if (!writers >= 2 || !writer <> p) && Measure.mem read_sets.(p) a then
+          cross_read := true
+      done
+  done;
+  (List.sort compare !races, List.sort compare !shared, !cross_read)
 
 let reduction_arrays (cost : Cost.t) =
   List.filter_map
@@ -99,29 +66,12 @@ let reduction_arrays (cost : Cost.t) =
     cost.Cost.classes
   |> List.sort_uniq compare
 
-let buffers_equal a b =
-  Array.length a = Array.length b
-  && (try
-        Array.iteri
-          (fun i x -> if x <> b.(i) then raise Exit)
-          a;
-        true
-      with Exit -> false)
-
 let check_schedule (schedule : Codegen.schedule) =
   let nest = schedule.Codegen.nest in
   let assignment = Scheduling.of_schedule schedule in
   let nprocs = Array.length assignment in
   let compiled = Exec.compile nest in
   let cost = Cost.of_nest nest in
-  let written = scan_writes compiled nest assignment in
-  let write_races, shared_accumulates = per_array_counts written in
-  let race_free = write_races = [] in
-  let deterministic =
-    race_free
-    && shared_accumulates = []
-    && not (cross_read_after_write compiled nest written assignment)
-  in
   (* Footprints are per-Doall quantities: one outer step on both sides
      keeps the comparison exact and cheap (re-execution touches no new
      elements). *)
@@ -136,11 +86,18 @@ let check_schedule (schedule : Codegen.schedule) =
           (Exec.static_of_assignment assignment)
           ~steps:1
       in
+      let write_races, shared_accumulates, cross_read =
+        classify (Layout.of_nest nest) inst
+      in
+      let race_free = write_races = [] in
+      let deterministic =
+        race_free && shared_accumulates = [] && not cross_read
+      in
       let measured_footprints = inst.Exec.footprints in
       let footprints_agree = measured_footprints = sim_footprints in
       let values_match =
         if deterministic then
-          Some (buffers_equal inst.Exec.buffer (Exec.sequential compiled ~steps:1))
+          Some (inst.Exec.buffer = Exec.sequential compiled ~steps:1)
         else None
       in
       {

@@ -16,7 +16,18 @@
     - {b determinism / values}: when no element written by one processor
       is read or written by another, the parallel execution must produce
       bit-identical operands to the sequential reference run, and we
-      verify that it does. *)
+      verify that it does.
+
+    The race and determinism checks are set algebra on the three sets
+    per domain [p] that one instrumented pass ({!Exec.measure}) records:
+    [R_p] (reads), [W_p] (plain writes) and [A_p] (accumulates).  An
+    element is {e multi} when two or more domains hold it in [W_p ∪ A_p],
+    and {e plain} when some [W_p] holds it.  A write race is multi ∧
+    plain, a contended accumulate multi ∧ ¬plain, and a cross read a
+    non-empty [R_p ∩ ⋃_{q≠p} (W_q ∪ A_q)] for some [p].  Flagged
+    elements are attributed to arrays by {!Machine.Layout.element_of}.
+    The sets take [3 · P · (universe / 8 + 256)] bytes, whatever the
+    number of iterations. *)
 
 open Partition
 
@@ -50,9 +61,10 @@ type verdict = {
 val check_schedule : Codegen.schedule -> verdict
 (** Validate the compile-time tiled assignment of a schedule,
     {!Scheduling.of_schedule}, on a pool sized to its processor count,
-    created and shut down here.  Every check scans the boxes in place;
-    the simulator and the runtime both run them as given, the runtime
-    as one tile per domain ({!Exec.static_of_assignment}). *)
+    created and shut down here.  The simulator and the runtime both run
+    the boxes as given, the runtime as one tile per domain
+    ({!Exec.static_of_assignment}) in one instrumented step, whose sets
+    answer every other check. *)
 
 val ok : verdict -> bool
 (** Sound and model-consistent: race-free, footprints agree with the

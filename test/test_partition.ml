@@ -340,6 +340,19 @@ let test_skewed_unsupported () =
       ("diag_accumulate", Loopart.Programs.diag_accumulate ~n:16 ());
     ]
 
+let test_skewed_singular_rounding () =
+  (* The engine applies (every G has full rank, the objective is finite)
+     but a quarter of a one-point space rounds to a singular integer L:
+     declined, not raised. *)
+  let nest =
+    Parse.nest_of_string ~name:"point"
+      "doall i = 1 to 1\ndoall j = 1 to 1\nA[i,j] = B[i,j] + B[i+1,j]\n"
+  in
+  let cost = Cost.of_nest nest in
+  checkb "finite objective" true
+    (Float.is_finite (Skewed.objective cost (List.hd (sample_ls 2))));
+  checkb "returns None" true (Skewed.optimize cost ~nprocs:4 = None)
+
 let test_skewed_volume_constraint () =
   let cost = Cost.of_nest (Loopart.Programs.example3 ~n:40 ()) in
   match Skewed.optimize cost ~nprocs:8 with
@@ -941,6 +954,8 @@ let () =
             test_skewed_example3;
           Alcotest.test_case "declines projections" `Quick
             test_skewed_unsupported;
+          Alcotest.test_case "declines a singular rounding" `Quick
+            test_skewed_singular_rounding;
           Alcotest.test_case "volume constraint" `Quick
             test_skewed_volume_constraint;
           Alcotest.test_case "compiled objective" `Quick

@@ -242,6 +242,60 @@ let test_reduction_contention_is_reported () =
   checkb "contended accumulates reported" true
     (v.Runtime.Validate.shared_accumulates <> [])
 
+(* Verdicts that find something are counted element by element: a tile
+   that splits [j] leaves both domains writing every [A[i]]. *)
+let test_positive_verdicts_are_exact () =
+  let n = 8 and split = Tile.rect [| 8; 4 |] in
+  let validate nest = Driver.validate ~tile:split (Driver.analyze ~nprocs:2 nest) in
+  let counts = Alcotest.(check (list (pair string int))) in
+  let v =
+    validate
+      (Parse.nest_of_string ~name:"rowsum"
+         "doall i = 1 to 8\ndoall j = 1 to 8\nA[i] = X[i,j]\n")
+  in
+  counts "every A[i] is a write race" [ ("A", n) ] v.Runtime.Validate.write_races;
+  counts "no accumulates" [] v.Runtime.Validate.shared_accumulates;
+  checkb "not race free" false v.Runtime.Validate.race_free;
+  checkb "verdict fails" false (Runtime.Validate.ok v);
+  (* A plain write and an accumulate colliding on different arrays:
+     S[i+j] is reached by both domains for i+j in 6 .. 12. *)
+  let v =
+    let open Dsl in
+    let i = var 0 and j = var 1 in
+    validate
+      (nest ~name:"mixed"
+         [ doall "i" 1 8; doall "j" 1 8 ]
+         [ write "A" [ i ]; accumulate "S" [ i + j ]; read "X" [ i; j ] ])
+  in
+  counts "plain writes race" [ ("A", n) ] v.Runtime.Validate.write_races;
+  counts "accumulates contend" [ ("S", n - 1) ]
+    v.Runtime.Validate.shared_accumulates;
+  checkb "not deterministic" false v.Runtime.Validate.deterministic;
+  (* On one array, an element that one domain writes and another only
+     accumulates is a race: A[1..4] is written by domain 0 alone. *)
+  let v =
+    let open Dsl in
+    let i = var 0 and j = var 1 in
+    validate
+      (nest ~name:"overlap"
+         [ doall "i" 1 8; doall "j" 1 8 ]
+         [ write "A" [ j ]; accumulate "A" [ i ]; read "X" [ i; j ] ])
+  in
+  counts "a plain write makes a race" [ ("A", n) ]
+    v.Runtime.Validate.write_races;
+  counts "no accumulate is merely shared" []
+    v.Runtime.Validate.shared_accumulates;
+  (* relax_inplace writes only its own tile but reads its neighbours'. *)
+  let v =
+    Driver.validate
+      (Driver.analyze ~nprocs:4 (Programs.relax_inplace ~n:19 ~steps:2 ()))
+  in
+  checkb "cross reads are race free" true v.Runtime.Validate.race_free;
+  checkb "cross reads are not deterministic" false
+    v.Runtime.Validate.deterministic;
+  Alcotest.(check (option bool)) "value check skipped" None
+    v.Runtime.Validate.values_match
+
 let test_dynamic_policies_execute_everything () =
   let nest = Programs.example2 ~n:40 () in
   let trip = Nest.iterations nest in
@@ -367,6 +421,8 @@ let () =
             test_values_match_sequential;
           Alcotest.test_case "reduction contention reported" `Quick
             test_reduction_contention_is_reported;
+          Alcotest.test_case "positive verdicts are exact" `Quick
+            test_positive_verdicts_are_exact;
           Alcotest.test_case "dynamic policies execute everything" `Quick
             test_dynamic_policies_execute_everything;
         ] );

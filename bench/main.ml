@@ -808,6 +808,11 @@ let e20 () =
             Option.fold ~none:Json.Null
               ~some:(fun v -> Json.Int v)
               r.predicted_per_domain );
+          ( "barriers",
+            String
+              (match r.barriers with
+              | Runtime.Measure.Barrier_free -> "none"
+              | Every_step _ -> "every step") );
         ]
       :: !rows;
     r

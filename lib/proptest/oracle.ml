@@ -693,6 +693,57 @@ let check_kernel (c : Gen.case) =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Oracle 9: barrier-free steps agree with the interpreter             *)
+(* ------------------------------------------------------------------ *)
+
+(* The case's rectangular tile scheduled on 2 and 3 real domains, run
+   the way [Driver.execute] runs it.  [Exec.run] must skip its step
+   barriers exactly when [Validate.classify], on the sets of the
+   interpreter's all-steps [Exec.measure] over the same work, finds no
+   race, no contended accumulate and no cross read.  Whenever it skips
+   them, its checksum must be that of [Exec.measure] - the interpreter
+   with a barrier every step - bit for bit. *)
+let check_barrier_free ~pools (c : Gen.case) =
+  let compiled = Exec.compile c.nest in
+  let steps = Exec.steps_of_nest c.nest in
+  let plan = Kernel.plan compiled in
+  let layout = Layout.of_nest c.nest in
+  let elements = List.fold_left (fun acc (_, n) -> acc + n) 0 in
+  let at nprocs () =
+    let pool = Pools.get pools nprocs in
+    let work =
+      Exec.of_tiles
+        (Codegen.tiles (Codegen.make c.nest (Tile.rect c.tile) ~nprocs))
+    in
+    let inst = Exec.measure pool compiled work ~steps in
+    let k = Validate.classify layout inst in
+    let want = k.Validate.races = [] && k.contended = [] && not k.cross_read in
+    let r =
+      Exec.run ~trace:Trace.disabled ~box:(Kernel.run_box plan)
+        ~observe:(Kernel.observe plan) pool compiled work ~steps ~repeats:1
+    in
+    let free = r.Measure.barriers = Measure.Barrier_free in
+    if free <> want then
+      fail "barrier-free-agree"
+        "tile %s on %d procs: Exec.run barrier-free %b, but Validate finds \
+         %d racing and %d contended elements, cross read %b"
+        (tile_str (Tile.rect c.tile))
+        nprocs free (elements k.races) (elements k.contended) k.cross_read
+    else if
+      free
+      && Int64.bits_of_float r.Measure.checksum
+         <> Int64.bits_of_float inst.Exec.checksum
+    then
+      fail "barrier-free-agree"
+        "tile %s on %d procs, %d steps: barrier-free checksum %h, \
+         interpreter with barriers %h"
+        (tile_str (Tile.rect c.tile))
+        nprocs steps r.Measure.checksum inst.Exec.checksum
+    else None
+  in
+  first_some [ at 2; at 3 ]
+
+(* ------------------------------------------------------------------ *)
 (* Putting it together                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -734,6 +785,7 @@ let check ~fault ~pools (c : Gen.case) =
         (fun () -> check_optimizer c);
         (fun () -> check_resilient c);
         (fun () -> check_kernel c);
+        (fun () -> check_barrier_free ~pools c);
       ]
   with e ->
     Some

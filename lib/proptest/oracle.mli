@@ -26,7 +26,13 @@
       byte-identical final buffers to the point interpreter run over the
       same tile boxes - including dependent-column nests and accumulate
       references, where traversal reordering would be unsound unless
-      the plan's safety analysis forbids it.
+      the plan's safety analysis forbids it;
+    - {b barrier-free-agree}: on 2 and 3 real domains under the case's
+      rectangular tile, [Runtime.Exec.run] skips its step barriers
+      exactly when [Runtime.Validate.classify] on the interpreter's
+      sets finds no race, no contended accumulate and no cross read,
+      and a barrier-free run's checksum is the interpreter's with a
+      barrier every step, bit for bit.
 
     A fault can be injected to prove the harness detects and shrinks real
     bugs: [Spread_off_by_one] perturbs the class spread/translation vector

@@ -234,10 +234,11 @@ let check_work c work =
 
 (* One execution of the work ([steps] steps) through the shared loop.
    [box p] is domain [p]'s body for one box: a tile runs its boxes in
-   order, a dynamic chunk the boxes its index range decodes to.  Each
-   step ends at one barrier whose last arriver resets the claim
-   source. *)
-let pass ~trace pool work ~steps ~box ~seconds ~iterations =
+   order, a dynamic chunk the boxes its index range decodes to.  With
+   [barriers], each step ends at one barrier whose last arriver resets
+   the claim source; without, each domain runs its steps back to back
+   (static work only: its source needs no reset). *)
+let pass ~trace ~barriers pool work ~steps ~box ~seconds ~iterations =
   let tiles, ranges, source =
     match work with
     | Tiled { tiles; owners; steal } ->
@@ -261,8 +262,9 @@ let pass ~trace pool work ~steps ~box ~seconds ~iterations =
         mine := !mine + (hi - lo)
       in
       let release () = Sched.reset source in
-      Sched.run ~trace source ~me ~steps ~tile ~chunk ~step_end:(fun _ ->
-          Pool.Barrier.arrive barrier ~sense ~yielded ~release);
+      let step_end _ = Pool.Barrier.arrive barrier ~sense ~yielded ~release in
+      Sched.run ~trace source ~me ~steps ~tile ~chunk
+        ~step_end:(if barriers then Some step_end else None);
       Trace.add trace me Trace.Backoff_yields !yielded;
       seconds.(me) <- Mclock.now () -. t0;
       iterations.(me) <- !mine)
@@ -293,7 +295,7 @@ let measure ?mode:_ pool c work ~steps =
       ~accumulates:accumulate_sets.(p) point;
     exec c storage point
   in
-  pass ~trace:Trace.disabled pool work ~steps
+  pass ~trace:Trace.disabled ~barriers:true pool work ~steps
     ~box:(fun p b -> iter_box b (visit p))
     ~seconds ~iterations;
   {
@@ -315,9 +317,7 @@ let measure ?mode:_ pool c work ~steps =
 (* The fastest of [repeats] timed passes, with the checksum of the
    storage that pass produced.  Every repeat runs on the one buffer,
    reset to the initial operands before it. *)
-let timed ~box ~trace pool c work ~steps ~repeats =
-  check_work c work;
-  if repeats < 1 then invalid_arg "Exec.run/Exec.time: repeats < 1";
+let timed ~box ~trace ~barriers pool c work ~steps ~repeats =
   let nprocs = Pool.size pool in
   let storage = alloc c in
   let box = box storage in
@@ -327,7 +327,8 @@ let timed ~box ~trace pool c work ~steps ~repeats =
     let seconds = Array.make nprocs 0.0 in
     let iterations = Array.make nprocs 0 in
     let t0 = Mclock.now () in
-    pass ~trace pool work ~steps ~box:(fun _ -> box) ~seconds ~iterations;
+    pass ~trace ~barriers pool work ~steps ~box:(fun _ -> box) ~seconds
+      ~iterations;
     let wall = Mclock.now () -. t0 in
     let sum = checksum storage in
     let best_wall, _, _, _ = !best in
@@ -335,9 +336,16 @@ let timed ~box ~trace pool c work ~steps ~repeats =
   done;
   !best
 
+(* Checked once, before any pass: the box bodies address operands
+   unchecked. *)
+let check_timed c work ~repeats =
+  check_work c work;
+  if repeats < 1 then invalid_arg "Exec.run/Exec.time: repeats < 1"
+
 let time_with ~box ~trace pool c work ~steps ~repeats =
+  check_timed c work ~repeats;
   let wall, seconds, iterations, _ =
-    timed ~box ~trace pool c work ~steps ~repeats
+    timed ~box ~trace ~barriers:true pool c work ~steps ~repeats
   in
   (wall, seconds, iterations)
 
@@ -349,31 +357,46 @@ let time ?(trace = Trace.disabled) pool c work ~steps ~repeats =
    only, so each domain's cumulative footprint is its first step's.
    Work dealt at run time can move between domains from step to step,
    so it is observed for every step. *)
-let observed_steps work ~steps =
-  match work with
-  | Tiled { steal = false; _ } -> min steps 1
-  | Tiled { steal = true; _ } | Dynamic _ -> steps
+let static = function
+  | Tiled { steal = false; _ } -> true
+  | Tiled { steal = true; _ } | Dynamic _ -> false
 
-(* Each domain's touched set after [steps] steps of the work, every box
-   through [observe touched.(p)]: no operands, so no loads, stores or
-   checksum. *)
+let observed_steps work ~steps = if static work then min steps 1 else steps
+
+(* Each domain's read and write sets after [steps] steps of the work,
+   every box through [observe ~reads ~writes]: no operands, so no
+   loads, stores or checksum. *)
 let observed pool c work ~observe ~steps =
   let nprocs = Pool.size pool in
   let universe = total_elements c in
-  let touched = Array.init nprocs (fun _ -> Measure.touched ~universe) in
-  pass ~trace:Trace.disabled pool work ~steps
-    ~box:(fun p -> observe touched.(p))
+  let sets () = Array.init nprocs (fun _ -> Measure.touched ~universe) in
+  let reads = sets () and writes = sets () in
+  pass ~trace:Trace.disabled ~barriers:true pool work ~steps
+    ~box:(fun p -> observe ~reads:reads.(p) ~writes:writes.(p))
     ~seconds:(Array.make nprocs 0.0) ~iterations:(Array.make nprocs 0);
-  touched
+  (reads, writes)
 
+(* Static work touches the same elements every step, so when no element
+   crosses domains in the observed step none crosses in any: each
+   element is then accessed by one domain only, in the order it had
+   with barriers, or only read, and the steps need no barrier. *)
 let run ~trace ~box ~observe pool c work ~steps ~repeats =
-  let wall, seconds, iterations, checksum =
-    timed ~box ~trace pool c work ~steps ~repeats
-  in
-  let touched =
+  check_timed c work ~repeats;
+  let reads, writes =
     observed pool c work ~observe ~steps:(observed_steps work ~steps)
   in
-  let footprints = Array.map Measure.touched_count touched in
+  let { Measure.footprints; distinct; flow_in; crossing } =
+    Measure.sharing ~reads ~writes
+  in
+  let barriers =
+    if static work && crossing = 0 then Measure.Barrier_free
+    else Measure.Every_step crossing
+  in
+  let wall, seconds, iterations, checksum =
+    timed ~box ~trace
+      ~barriers:(barriers <> Measure.Barrier_free)
+      pool c work ~steps ~repeats
+  in
   (* The observing pass runs untraced (its cost is not the run's), but
      its footprints feed the bytes-touched counter: distinct elements
      each domain actually referenced. *)
@@ -383,8 +406,10 @@ let run ~trace ~box ~observe pool c work ~steps ~repeats =
     seconds;
     iterations;
     footprints;
-    distinct_total = Measure.union_count touched;
+    distinct_total = distinct;
     checksum;
+    flow_in;
+    barriers;
   }
 
 let sequential c ~steps =

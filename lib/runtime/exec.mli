@@ -11,7 +11,8 @@
     A nest's optional [Doseq] loop (Figure 9) becomes real re-execution:
     the pool's sense-reversing barrier separates the outer steps without
     respawning domains, which is where steady-state coherence traffic
-    appears on actual hardware. *)
+    appears on actual hardware.  {!run} drops that barrier where no
+    element crosses domains: there is no such traffic to order. *)
 
 open Loopir
 open Matrixkit
@@ -175,9 +176,11 @@ val measure :
     fresh operands, on the interpreter; its checksum and buffer are
     those of that execution.  Each domain records every address it
     touches in its {!Measure.touched} set for the reference's kind;
-    footprints count their unions exactly.  No run path calls it: it is
-    the reference the observing pass of {!run} is checked against
-    (fuzz oracle 3, {!Validate}).  [mode] is ignored: it once chose the
+    footprints count their unions exactly.  Every step ends at a
+    barrier.  No run path calls it: it is the reference the observing
+    pass of {!run} is checked against (fuzz oracle 3, {!Validate}), and
+    its checksum the one a barrier-free {!run} must reproduce (fuzz
+    oracle 9).  [mode] is ignored: it once chose the
     instrument and stays only until its last readers drop it. *)
 
 val time_with :
@@ -210,33 +213,46 @@ val time :
     and tile/chunk claims of {e every} repeat. *)
 
 val observed_steps : work -> steps:int -> int
-(** How many of [steps] steps {!run} observes for footprints: [1] for
-    static work ([Tiled] without stealing), else [steps].  Addresses
-    depend on the Doall indices only ({!cref}), so a domain that owns
-    the same tiles every step touches the same elements every step,
-    and its cumulative footprint is its first step's.  Work dealt at
-    run time (stealing, self-scheduling) can move between domains from
-    step to step. *)
+(** How many of [steps] steps {!run} observes: [1] for static work
+    ([Tiled] without stealing), else [steps].  Addresses depend on the
+    Doall indices only ({!cref}), so a domain that owns the same tiles
+    every step touches the same elements every step, and its cumulative
+    read and write sets are its first step's.  Work dealt at run time
+    (stealing, self-scheduling) can move between domains from step to
+    step. *)
 
 val run :
   trace:Trace.t ->
   box:(storage -> box -> unit) ->
-  observe:(Measure.touched -> box -> unit) ->
+  observe:(reads:Measure.touched -> writes:Measure.touched -> box -> unit) ->
   Pool.t ->
   compiled ->
   work ->
   steps:int ->
   repeats:int ->
   Measure.raw
-(** {!time_with} plus an observing pass, combined into a
-    {!Measure.raw}.  The timed pass runs all [steps] steps, is traced,
-    and gives the wall time, iterations and checksum: the sum of the
-    buffer the fastest repeat's box bodies produced.  The observing
-    pass steps through the same work for {!observed_steps} steps - one
-    for static work - untraced, with each box run as [observe
-    touched.(p)] on domain [p]'s set ({!Kernel.observe}): no operands,
-    loads, stores or checksum.  Its footprints also feed the trace's
-    elements-touched counter. *)
+(** An observing pass, then the timed pass of {!time_with}, combined
+    into a {!Measure.raw}.
+
+    The observing pass comes first.  It steps through the work for
+    {!observed_steps} steps - one for static work - untraced, with each
+    box run as [observe ~reads:reads.(p) ~writes:writes.(p)] on domain
+    [p]'s two sets ({!Kernel.observe}): no operands, loads, stores or
+    checksum.  The footprints are each domain's union of the two, and
+    {!Measure.sharing} of the rows gives the per-domain flow-in and the
+    elements that cross domains.  The footprints also feed the trace's
+    elements-touched counter.
+
+    The timed pass runs all [steps] steps, is traced, and gives the wall
+    time, iterations and checksum: the sum of the buffer the fastest
+    repeat's box bodies produced.  When the work is static and no
+    element crosses domains ({!Measure.Barrier_free}), its steps run
+    with no barrier and no [Barrier] span: each domain runs its steps
+    back to back.  The buffer is bit-identical to a run with barriers,
+    since every written element is accessed by one domain only, in the
+    order it had with them, and every other element is only read.  All
+    other work ends every step at a barrier.  {!time} and {!time_with}
+    observe nothing; they and {!measure} keep a barrier every step. *)
 
 val sequential : compiled -> steps:int -> storage
 (** Reference execution: every iteration in lexicographic order on the

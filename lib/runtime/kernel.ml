@@ -23,7 +23,7 @@ type plan = {
       (** [rstep.(k).(i)]: read [i]'s address delta along traversal axis [k] *)
   wstep : int array array;  (** the same for the writes *)
   row : Exec.storage row;
-  observe_row : Measure.touched row;
+  observe_row : (Measure.touched * Measure.touched) row;
 }
 
 let order p = Array.copy p.order
@@ -368,8 +368,10 @@ let row_of shape (reads : Exec.cref array) writes ~rd ~wd : Exec.storage row =
       fun data n ra wa -> inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ra wa
 
 (* The observing row: the bit of every address each reference's cursor
-   passes over the [n] points, and no load or store. *)
-let observe_row ~(rd : int array) ~(wd : int array) : Measure.touched row =
+   passes over the [n] points, in the read set for a read and the write
+   set for a write or accumulate, and no load or store. *)
+let observe_row ~(rd : int array) ~(wd : int array) :
+    (Measure.touched * Measure.touched) row =
   let touch_run touched n (a : int array) (delta : int array) =
     for i = 0 to Array.length a - 1 do
       let a0 = Array.unsafe_get a i and d = Array.unsafe_get delta i in
@@ -378,9 +380,9 @@ let observe_row ~(rd : int array) ~(wd : int array) : Measure.touched row =
       done
     done
   in
-  fun touched n ra wa ->
-    touch_run touched n ra rd;
-    touch_run touched n wa wd
+  fun (reads, writes) n ra wa ->
+    touch_run reads n ra rd;
+    touch_run writes n wa wd
 
 let plan ?(force_generic = false) ?order compiled =
   let nest = Exec.nest compiled in
@@ -471,8 +473,11 @@ let traverse p (row : 'a row) (x : 'a) (b : box) =
 
 let run_box p (data : Exec.storage) (b : box) = traverse p p.row data b
 
-let observe p (touched : Measure.touched) (b : box) =
-  traverse p p.observe_row touched b
+(* The pair is built once per application to the sets, so a box still
+   allocates only its cursors. *)
+let observe p ~reads ~writes =
+  let sets = (reads, writes) in
+  fun (b : box) -> traverse p p.observe_row sets b
 
 (* ------------------------------------------------------------------ *)
 (* Schedules and parallel execution                                    *)

@@ -10,8 +10,9 @@
     box corner, and executes the box with incremental bumps only; every
     run path executes its boxes here.  The same cursor walk also
     observes a box ({!observe}): it sets the bit of every address the
-    cursors pass, with no operand, which is how {!Exec.run} counts a
-    run's footprints.  Plus:
+    cursors pass, with no operand, in a read set or a write set - which
+    is how {!Exec.run} counts a run's footprints and decides whether
+    its steps need a barrier.  Plus:
 
     - {b traversal order}: when a conservative safety analysis proves
       reordering bit-exact (injective write maps, at most one
@@ -70,14 +71,18 @@ val run_box : plan -> Exec.storage -> box -> unit
     past the operands ({!Exec.run} and {!Exec.measure} reject such work
     before any box runs). *)
 
-val observe : plan -> Measure.touched -> box -> unit
-(** Add to the set every element address the box's iterations
-    reference: one bit per reference per point, in {!run_box}'s
-    traversal order and from its cursors, with no load or store - the
-    set the interpreter's instrumented body ({!Exec.measure}) records
-    over the same box.  An empty box adds nothing.  Like {!run_box}, a
-    box allocates only its two cursor arrays and is not checked: one
-    outside [Nest.bounds] sets bits past the set. *)
+val observe :
+  plan -> reads:Measure.touched -> writes:Measure.touched -> box -> unit
+(** Add every element address the box's iterations reference: one bit
+    per reference per point, in {!run_box}'s traversal order and from
+    its cursors, with no load or store.  A read's addresses go to
+    [reads], a write's or accumulate's to [writes]; a caller that wants
+    one set passes it twice.  [reads] is the interpreter's read set
+    over the same box ({!Exec.measure}), [writes] the union of its
+    write and accumulate sets.  An empty box adds nothing.  Like
+    {!run_box}, a box allocates only its two cursor arrays once
+    [observe] is applied to its sets, and is not checked: one outside
+    [Nest.bounds] sets bits past the sets. *)
 
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
 (** {!Partition.Scheduling.of_schedule}, under its old name: kept only

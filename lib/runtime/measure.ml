@@ -42,17 +42,87 @@ let ones ts =
 
 let touched_count t = ones [| t |]
 
+let same_universe what ts =
+  if Array.exists (fun t -> t.universe <> ts.(0).universe) ts then
+    invalid_arg ("Measure." ^ what ^ ": mismatched sets")
+
 let union_count ts =
   if Array.length ts = 0 then 0
-  else if Array.exists (fun t -> t.universe <> ts.(0).universe) ts then
-    invalid_arg "Measure.union_count: mismatched sets"
-  else ones ts
+  else begin
+    same_universe "union_count" ts;
+    ones ts
+  end
+
+let union ts =
+  if Array.length ts = 0 then invalid_arg "Measure.union: no sets";
+  same_universe "union" ts;
+  let u = Bytes.copy ts.(0).bits in
+  Array.iter
+    (fun t ->
+      for j = pad to Bytes.length u - pad - 1 do
+        Bytes.unsafe_set u j
+          (Char.unsafe_chr
+             (Char.code (Bytes.unsafe_get u j)
+             lor Char.code (Bytes.unsafe_get t.bits j)))
+      done)
+    ts;
+  { bits = u; universe = ts.(0).universe }
+
+type sharing = {
+  footprints : int array;
+  distinct : int;
+  flow_in : int array;
+  crossing : int;
+}
+
+(* One pass over the payload bytes.  Per byte, [w1]/[t1] hold the bits
+   some domain writes/touches and [w2]/[t2] the bits two or more do.  An
+   element crosses iff some domain writes it and two or more touch it
+   ([w1 land t2]); the bits written by a domain other than [p] are
+   [w2 lor (w1 land lnot w_p)].  A byte where nothing crosses has no
+   flow-in either, since a flow-in bit is touched by its reader and its
+   writer, so only those bytes are read a second time. *)
+let sharing ~reads ~writes =
+  let n = Array.length reads in
+  if Array.length writes <> n then invalid_arg "Measure.sharing: row counts";
+  let footprints = Array.make n 0 and flow_in = Array.make n 0 in
+  let distinct = ref 0 and crossing = ref 0 in
+  if n > 0 then begin
+    same_universe "sharing" (Array.append reads writes);
+    let byte t j = Char.code (Bytes.unsafe_get t.bits j) in
+    for j = pad to pad + ((reads.(0).universe + 7) / 8) - 1 do
+      let w1 = ref 0 and w2 = ref 0 and t1 = ref 0 and t2 = ref 0 in
+      for p = 0 to n - 1 do
+        let wp = byte writes.(p) j in
+        let tp = byte reads.(p) j lor wp in
+        footprints.(p) <- footprints.(p) + popcount_byte.(tp);
+        w2 := !w2 lor (!w1 land wp);
+        w1 := !w1 lor wp;
+        t2 := !t2 lor (!t1 land tp);
+        t1 := !t1 lor tp
+      done;
+      distinct := !distinct + popcount_byte.(!t1);
+      let cross = !w1 land !t2 in
+      if cross <> 0 then begin
+        crossing := !crossing + popcount_byte.(cross);
+        for p = 0 to n - 1 do
+          let others = !w2 lor (!w1 land lnot (byte writes.(p) j)) in
+          flow_in.(p) <-
+            flow_in.(p) + popcount_byte.(byte reads.(p) j land others)
+        done
+      end
+    done
+  end;
+  { footprints; distinct = !distinct; flow_in; crossing = !crossing }
+
+type barriers = Barrier_free | Every_step of int
 
 type domain_stat = {
   domain : int;
   iterations : int;
   seconds : float;
   footprint : int;
+  flow_in : int;
 }
 
 type raw = {
@@ -62,6 +132,8 @@ type raw = {
   footprints : int array;
   distinct_total : int;
   checksum : float;
+  flow_in : int array;
+  barriers : barriers;
 }
 
 type report = {
@@ -76,6 +148,7 @@ type report = {
   wall_seconds : float;
   distinct_total : int;
   checksum : float;
+  barriers : barriers;
 }
 
 let report ~name ~policy ~steps ~repeats ~total_elements ?predicted_per_domain
@@ -96,10 +169,12 @@ let report ~name ~policy ~steps ~repeats ~total_elements ?predicted_per_domain
             iterations = raw.iterations.(p);
             seconds = raw.seconds.(p);
             footprint = raw.footprints.(p);
+            flow_in = raw.flow_in.(p);
           });
     wall_seconds = raw.wall_seconds;
     distinct_total = raw.distinct_total;
     checksum = raw.checksum;
+    barriers = raw.barriers;
   }
 
 let max_footprint r =
@@ -111,12 +186,12 @@ let pp_report ppf r =
   if r.steps > 1 then Format.fprintf ppf ", %d sequential steps" r.steps;
   Format.fprintf ppf " (min of %d run%s) ===@," r.repeats
     (if r.repeats = 1 then "" else "s");
-  Format.fprintf ppf "%-8s %12s %12s %12s@," "domain" "time (ms)" "iterations"
-    "footprint";
+  Format.fprintf ppf "%-8s %12s %12s %12s %12s@," "domain" "time (ms)"
+    "iterations" "footprint" "flow-in";
   Array.iter
     (fun d ->
-      Format.fprintf ppf "%-8d %12.3f %12d %12d@," d.domain
-        (d.seconds *. 1000.0) d.iterations d.footprint)
+      Format.fprintf ppf "%-8d %12.3f %12d %12d %12d@," d.domain
+        (d.seconds *. 1000.0) d.iterations d.footprint d.flow_in)
     r.per_domain;
   Format.fprintf ppf "wall: %.3f ms; distinct elements touched: %d of %d@,"
     (r.wall_seconds *. 1000.0)
@@ -130,4 +205,12 @@ let pp_report ppf r =
          else float_of_int (max_footprint r) /. float_of_int predicted)
   | None ->
       Format.fprintf ppf "no model prediction for this policy@,");
+  (match r.barriers with
+  | Barrier_free ->
+      Format.fprintf ppf "step barriers: none (no element crosses domains)@,"
+  | Every_step 0 ->
+      Format.fprintf ppf "step barriers: every step (work dealt at run time)@,"
+  | Every_step n ->
+      Format.fprintf ppf "step barriers: every step (%d %s)@," n
+        (if n = 1 then "element crosses" else "elements cross"));
   Format.fprintf ppf "checksum: %s@]" (Json.to_string (Json.Float r.checksum))

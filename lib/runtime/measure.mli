@@ -3,9 +3,11 @@
     measured analogue of the cumulative footprints Theorems 2/4 predict
     and {!Machine.Sim} counts exactly.
 
-    Footprints are counted exactly by a {!touched} set per domain: one
-    bit per element of the {!Machine.Layout} address range, so a domain
-    costs [universe / 8] bytes.
+    Footprints are counted exactly by {!touched} sets per domain: one
+    bit per element of the {!Machine.Layout} address range, so a set
+    costs [universe / 8] bytes.  The same sets, split into reads and
+    writes, tell which elements cross domains ({!sharing}) and so
+    whether a run's steps need a barrier.
 
     Each per-domain set pads its payload with a cache-line-sized guard
     region on both sides, so instruments allocated back to back never
@@ -34,11 +36,48 @@ val union_count : touched array -> int
 (** Cardinality of the union.  [0] for an empty array; raises
     [Invalid_argument] unless every set has the same universe. *)
 
+val union : touched array -> touched
+(** A fresh set holding the union.  Raises [Invalid_argument] on an
+    empty array or mismatched universes. *)
+
+(** {2 What crosses domains}
+
+    Given per domain [p] the elements it reads, [R_p], and the elements
+    it writes or accumulates, [W_p], an element {e crosses domains} when
+    one domain writes it and another reads or writes it.  Exactly then
+    the order of two domains' accesses to it is visible in the result,
+    so a step needs a barrier only when some element crosses.  The
+    read half of it is the flow-in set of Ferry, Derrien and
+    Rajopadhye: [R_p ∩ ⋃_{q≠p} W_q], what [p] reads that another domain
+    produced. *)
+
+type sharing = {
+  footprints : int array;  (** per domain: [|R_p ∪ W_p|] *)
+  distinct : int;  (** [|⋃_p (R_p ∪ W_p)|] *)
+  flow_in : int array;  (** per domain: [|R_p ∩ ⋃_{q≠p} W_q|] *)
+  crossing : int;  (** elements that cross domains *)
+}
+
+val sharing : reads:touched array -> writes:touched array -> sharing
+(** What the rows [reads.(p)], [writes.(p)] hold and share, counted in
+    one byte-wise pass.  Raises [Invalid_argument] unless there are as
+    many read rows as write rows over one universe. *)
+
+type barriers =
+  | Barrier_free
+      (** static work on which no element crosses domains: the steps
+          run with no barrier between them *)
+  | Every_step of int
+      (** one barrier ends every step; the elements that cross domains
+          over the observed steps ([0] when only dealing the work at run
+          time keeps the barriers) *)
+
 type domain_stat = {
   domain : int;
   iterations : int;  (** parallel iterations executed, summed over steps *)
   seconds : float;  (** wall-clock inside the job, best timed repeat *)
   footprint : int;  (** distinct elements touched (observing pass) *)
+  flow_in : int;  (** elements it reads that another domain writes *)
 }
 
 type raw = {
@@ -49,6 +88,8 @@ type raw = {
   distinct_total : int;  (** union footprint over all domains *)
   checksum : float;
       (** sum over the operand buffer the best timed repeat produced *)
+  flow_in : int array;  (** per domain, {!sharing} of the observing pass *)
+  barriers : barriers;  (** what ended the timed pass's steps *)
 }
 (** What {!Exec} hands back; {!report} decorates it. *)
 
@@ -66,6 +107,7 @@ type report = {
   wall_seconds : float;
   distinct_total : int;
   checksum : float;
+  barriers : barriers;
 }
 
 val report :
@@ -81,6 +123,8 @@ val report :
 val max_footprint : report -> int
 
 val pp_report : Format.formatter -> report -> unit
-(** Table: one row per domain (time, iterations, footprint), then the
-    totals and the model prediction side by side, then the checksum as
-    the shortest decimal that reads back to the same double. *)
+(** Table: one row per domain (time, iterations, footprint, flow-in),
+    then the totals and the model prediction side by side, the step
+    barriers ([step barriers: none (no element crosses domains)] or
+    [step barriers: every step (N elements cross)]), and the checksum
+    as the shortest decimal that reads back to the same double. *)

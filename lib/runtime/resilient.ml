@@ -335,9 +335,11 @@ let job ctx me =
     Sched.run ~trace:ctx.trace ctx.source ~me ~steps:ctx.steps
       ~tile:(fun step t -> guarded ctx ds ~step t)
       ~chunk:(fun _ _ -> ())
-      ~step_end:(fun step ->
-        gate_enter ctx ds ~step;
-        ds.claims <- 0)
+      ~step_end:
+        (Some
+           (fun step ->
+             gate_enter ctx ds ~step;
+             ds.claims <- 0))
   with Retire | Halt -> ()
 
 (* ------------------------------------------------------------------ *)

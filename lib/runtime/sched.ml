@@ -63,9 +63,12 @@ let run ~trace source ~me ~steps ~tile ~chunk ~step_end =
           in
           drain ());
       Trace.end_span trace me;
-      Trace.begin_span trace me Trace.Barrier ~arg:step;
-      step_end step;
-      Trace.end_span trace me
+      match step_end with
+      | None -> ()
+      | Some step_end ->
+          Trace.begin_span trace me Trace.Barrier ~arg:step;
+          step_end step;
+          Trace.end_span trace me
     done
   with e ->
     Trace.unwind trace me ~depth:d0;

@@ -6,8 +6,8 @@
     {!source}, the tile/chunk/step/barrier {!Trace} spans, and the call
     to the step end.  Callers supply only the bodies - what running a
     tile or a chunk means - and the step end itself: one
-    {!Pool.Barrier.arrive} whose last arriver {!reset}s the source, or
-    the resilient gate. *)
+    {!Pool.Barrier.arrive} whose last arriver {!reset}s the source, the
+    resilient gate, or none where no data crosses domains. *)
 
 type source
 (** Where a domain's next piece of work comes from in each step. *)
@@ -34,12 +34,14 @@ val run :
   steps:int ->
   tile:(int -> int -> unit) ->
   chunk:(int -> int -> unit) ->
-  step_end:(int -> unit) ->
+  step_end:(int -> unit) option ->
   unit
 (** Domain [me]'s part of [steps] steps: in each, claim until the
     source runs dry - [tile step t] per claimed tile inside a [Tile]
     span (one [Tiles_run] count each), [chunk lo hi] per shared chunk
     inside a [Chunk] span - then call [step_end step] inside a
-    [Barrier] span.  A stolen tile also records a [Steal] instant.  On
+    [Barrier] span.  With no [step_end] the next step follows at once,
+    with no [Barrier] span: only for work whose domains share no
+    written element and whose source needs no {!reset}.  A stolen tile also records a [Steal] instant.  On
     an exception the domain's open spans are closed before it
     propagates. *)

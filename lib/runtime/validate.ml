@@ -19,18 +19,23 @@ type verdict = {
   values_match : bool option;
 }
 
+type conflicts = {
+  races : (string * int) list;
+  contended : (string * int) list;
+  cross_read : bool;
+}
+
 (* Every element of the operand space, classified by the domains whose
    sets hold it.  An element reached by two or more domains through
    write-like references is contended: a write race when some domain
-   writes it through a plain [Write], else a shared accumulate.  A read
-   of an element that another domain writes makes the order visible.
-   Returns the per-array race and shared-accumulate counts, sorted by
-   name, and whether any such cross read occurs. *)
+   writes it through a plain [Write], else a shared accumulate.  An
+   array's addresses are contiguous, so counting runs of one name in
+   address order counts per array.  A read of an element that another
+   domain writes or accumulates (a non-empty flow-in) makes the order
+   visible. *)
 let classify layout { Exec.read_sets; write_sets; accumulate_sets; _ } =
   let nprocs = Array.length write_sets in
-  let races = ref [] and shared = ref [] and cross_read = ref false in
-  (* An array's addresses are contiguous, so counting runs of one name in
-     address order counts per array. *)
+  let races = ref [] and contended = ref [] in
   let flag counts a =
     let name, _ = Layout.element_of layout a in
     counts :=
@@ -39,23 +44,26 @@ let classify layout { Exec.read_sets; write_sets; accumulate_sets; _ } =
       | l -> (name, 1) :: l
   in
   for a = 0 to Layout.total_elements layout - 1 do
-    let writers = ref 0 and writer = ref 0 and plain = ref false in
+    let writers = ref 0 and plain = ref false in
     for p = 0 to nprocs - 1 do
       let w = Measure.mem write_sets.(p) a in
       if w || Measure.mem accumulate_sets.(p) a then begin
         incr writers;
-        writer := p;
         plain := !plain || w
       end
     done;
-    if !writers >= 2 then flag (if !plain then races else shared) a;
-    if !writers >= 1 then
-      for p = 0 to nprocs - 1 do
-        if (!writers >= 2 || !writer <> p) && Measure.mem read_sets.(p) a then
-          cross_read := true
-      done
+    if !writers >= 2 then flag (if !plain then races else contended) a
   done;
-  (List.sort compare !races, List.sort compare !shared, !cross_read)
+  let writes =
+    Array.map2 (fun w a -> Measure.union [| w; a |]) write_sets accumulate_sets
+  in
+  {
+    races = List.sort compare !races;
+    contended = List.sort compare !contended;
+    cross_read =
+      Array.exists (fun n -> n > 0)
+        (Measure.sharing ~reads:read_sets ~writes).Measure.flow_in;
+  }
 
 let reduction_arrays (cost : Cost.t) =
   List.filter_map
@@ -86,7 +94,8 @@ let check_schedule (schedule : Codegen.schedule) =
           (Exec.static_of_assignment assignment)
           ~steps:1
       in
-      let write_races, shared_accumulates, cross_read =
+      let { races = write_races; contended = shared_accumulates; cross_read }
+          =
         classify (Layout.of_nest nest) inst
       in
       let race_free = write_races = [] in

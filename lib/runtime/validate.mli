@@ -58,6 +58,20 @@ type verdict = {
       (** [Some] iff [deterministic]: the bit-exact comparison result *)
 }
 
+type conflicts = {
+  races : (string * int) list;  (** array -> elements, multi ∧ plain *)
+  contended : (string * int) list;  (** array -> elements, multi ∧ ¬plain *)
+  cross_read : bool;
+      (** some domain's flow-in is non-empty: {!Measure.sharing} of the
+          read sets against [W_p ∪ A_p] *)
+}
+
+val classify : Machine.Layout.t -> Exec.instrumented -> conflicts
+(** The set algebra above over one instrumented pass's sets, the
+    arrays sorted by name.  The pass's steps need a barrier exactly when
+    some conflict is found: an element crosses domains
+    ({!Measure.sharing}) iff it races, is contended or is cross-read. *)
+
 val check_schedule : Codegen.schedule -> verdict
 (** Validate the compile-time tiled assignment of a schedule,
     {!Scheduling.of_schedule}, on a pool sized to its processor count,

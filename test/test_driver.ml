@@ -246,6 +246,94 @@ let test_execute_multistep () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Step barriers                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let run_barriers ?tile ~policy a =
+  let config =
+    { Driver.default_exec_config with policy; repeats = 1; steps = Some 2 }
+  in
+  let r = Driver.execute ~config ?tile a in
+  (r.Runtime.Measure.barriers = Runtime.Measure.Barrier_free, r)
+
+(* Under the compile-time tiles, the nests whose tiles read one array
+   and write another run their steps with no barrier, and so does
+   example3's parallelepiped; the in-place nests, whose tiles read what
+   a neighbour writes, and diag_accumulate, whose tiles accumulate into
+   shared elements, keep theirs.  Every nest run barrier-free reports
+   no flow-in. *)
+let test_barrier_decision () =
+  let gallery name = Option.get (Programs.find name) in
+  let expect ?tile ~free name a =
+    let got, r = run_barriers ?tile ~policy:Driver.Tiled a in
+    let label = Printf.sprintf "%s on %d domains" name a.Driver.nprocs in
+    checkb (label ^ ": barrier-free") free got;
+    if free then
+      Array.iter
+        (fun (d : Runtime.Measure.domain_stat) ->
+          check (label ^ ": no flow-in") 0 d.Runtime.Measure.flow_in)
+        r.Runtime.Measure.per_domain
+  in
+  List.iter
+    (fun (name, free) ->
+      List.iter
+        (fun nprocs ->
+          expect ~free name (Driver.analyze ~nprocs (gallery name)))
+        [ 2; 4 ])
+    [
+      ("stencil5", true);
+      ("example3", true);
+      ("example6", true);
+      ("example8", true);
+      ("conv3x3", true);
+      ("stencil27", true);
+      ("relax_inplace", false);
+      ("example8_inplace", false);
+      ("diag_accumulate", false);
+    ];
+  let a, tile = pped_analysis () in
+  expect ~tile ~free:true "example3 skewed" a
+
+(* The decision is Validate's, over the same tiles: a run skips its
+   barriers exactly when the validator finds the nest deterministic
+   (no race, no contended accumulate, no cross read). *)
+let test_barriers_follow_validate () =
+  List.iter
+    (fun (name, nest) ->
+      List.iter
+        (fun nprocs ->
+          let a = Driver.analyze ~nprocs nest in
+          let free, _ = run_barriers ~policy:Driver.Tiled a in
+          checkb
+            (Printf.sprintf "%s on %d domains" name nprocs)
+            (Driver.validate a).Runtime.Validate.deterministic free)
+        [ 2; 3 ])
+    Programs.all
+
+(* Work dealt at run time can move between domains from step to step,
+   so every policy but the static tiles keeps a barrier every step, on
+   every gallery nest. *)
+let test_dynamic_keeps_barriers () =
+  List.iter
+    (fun (name, nest) ->
+      let a = Driver.analyze ~nprocs:2 nest in
+      List.iter
+        (fun policy ->
+          let free, r = run_barriers ~policy a in
+          checkb
+            (Printf.sprintf "%s, %s: barriers kept" name
+               r.Runtime.Measure.policy)
+            false free)
+        [
+          Driver.Cyclic;
+          Driver.Block_cyclic 8;
+          Driver.Guided;
+          Driver.Work_steal 4;
+          Driver.Work_steal 64;
+        ])
+    Programs.all
+
+(* ------------------------------------------------------------------ *)
 (* Random-nest integration properties                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -346,6 +434,15 @@ let () =
         [
           Alcotest.test_case "policies and kernels over 3 steps" `Quick
             test_execute_multistep;
+        ] );
+      ( "barriers",
+        [
+          Alcotest.test_case "which nests run barrier-free" `Quick
+            test_barrier_decision;
+          Alcotest.test_case "barrier-free iff validated deterministic" `Quick
+            test_barriers_follow_validate;
+          Alcotest.test_case "dynamic policies keep barriers" `Quick
+            test_dynamic_keeps_barriers;
         ] );
       ("random nests", random_props);
     ]

@@ -91,7 +91,7 @@ let observed_set plan compiled boxes =
   let set =
     Runtime.Measure.touched ~universe:(Runtime.Exec.total_elements compiled)
   in
-  List.iter (Runtime.Kernel.observe plan set) boxes;
+  List.iter (Runtime.Kernel.observe plan ~reads:set ~writes:set) boxes;
   set
 
 (* Two sets are equal iff each has as many elements as their union. *)
@@ -291,9 +291,11 @@ let test_box_allocates_only_cursors () =
         [
           ("run", Runtime.Kernel.run_box plan (Runtime.Exec.alloc compiled));
           ( "observed",
-            Runtime.Kernel.observe plan
-              (Runtime.Measure.touched
-                 ~universe:(Runtime.Exec.total_elements compiled)) );
+            let set =
+              Runtime.Measure.touched
+                ~universe:(Runtime.Exec.total_elements compiled)
+            in
+            Runtime.Kernel.observe plan ~reads:set ~writes:set );
         ])
     [
       Programs.stencil5 ~n:8 ();

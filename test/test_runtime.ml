@@ -182,6 +182,33 @@ let test_union_count () =
          touched_of ~universe:64 [ 3; 4; 5 ];
        |])
 
+(* Three domains over 20 elements, across a byte boundary.  Element 3
+   is written by 0 and read by 1, 12 written by 0 and 1, 5 written by 1
+   and read by 2: those three cross.  17 is written and read by 2 alone
+   and 9 is only read, so they do not.  Domain 1 reads 3 from domain 0
+   and domain 2 reads 5 from domain 1: one flow-in element each. *)
+let test_sharing () =
+  let set = touched_of ~universe:20 in
+  let reads = [| set [ 1; 2; 9 ]; set [ 3; 4 ]; set [ 5; 9; 17 ] |]
+  and writes = [| set [ 3; 12 ]; set [ 5; 12 ]; set [ 17 ] |] in
+  let s = Runtime.Measure.sharing ~reads ~writes in
+  Alcotest.(check (array int))
+    "footprints" [| 5; 4; 3 |] s.Runtime.Measure.footprints;
+  check "distinct" 8 s.Runtime.Measure.distinct;
+  check "elements that cross" 3 s.Runtime.Measure.crossing;
+  Alcotest.(check (array int))
+    "flow-in" [| 0; 1; 1 |] s.Runtime.Measure.flow_in;
+  check "union of the writes" 4
+    (Runtime.Measure.touched_count (Runtime.Measure.union writes));
+  let alone =
+    Runtime.Measure.sharing ~reads:[| set [ 3 ] |] ~writes:[| set [ 3 ] |]
+  in
+  check "one domain: nothing crosses" 0 alone.Runtime.Measure.crossing;
+  checkb "row counts must agree" true
+    (match Runtime.Measure.sharing ~reads ~writes:[| set [] |] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Runtime vs simulator: the validation protocol                       *)
 (* ------------------------------------------------------------------ *)
@@ -410,6 +437,7 @@ let () =
         [
           Alcotest.test_case "exact counters" `Quick test_touched_exact;
           Alcotest.test_case "union cardinality" `Quick test_union_count;
+          Alcotest.test_case "what crosses domains" `Quick test_sharing;
         ] );
       ( "validation",
         [

@@ -123,6 +123,45 @@ let test_counters_match_tile_counts () =
   (* The instrumented pass feeds the footprint counter. *)
   checkb "elements touched recorded" true (s.Trace.elements_touched > 0)
 
+(* A run whose static tiles share no written element steps without
+   barriers: its trace holds no [Barrier] span, and still one [Tile]
+   span per (tile, step, repeat).  A run that keeps its barriers - the
+   in-place relaxation reads what its neighbours write - holds one
+   [Barrier] span per (domain, step, repeat). *)
+let test_barrier_spans () =
+  let nprocs = 4 and steps = 3 and repeats = 2 in
+  List.iter
+    (fun (nest, free) ->
+      let a = Driver.analyze ~nprocs nest in
+      let ntiles = Partition.Codegen.num_tiles (Driver.schedule a) in
+      let trace = Trace.create ~domains:nprocs () in
+      let config =
+        {
+          Driver.default_exec_config with
+          Driver.repeats;
+          steps = Some steps;
+          trace = Some trace;
+        }
+      in
+      let r = Driver.execute ~config a in
+      let label what = Printf.sprintf "%s: %s" nest.Loopir.Nest.name what in
+      checkb (label "barrier-free") free
+        (r.Runtime.Measure.barriers = Runtime.Measure.Barrier_free);
+      let spans kind =
+        List.length
+          (List.filter (fun e -> e.Trace.kind = kind) (Trace.events trace))
+      in
+      checki (label "no ring overflow") 0 (Trace.summary trace).Trace.dropped;
+      checki (label "one tile span per (tile, step, repeat)")
+        (ntiles * steps * repeats) (spans Trace.Tile);
+      checki (label "barrier spans")
+        (if free then 0 else nprocs * steps * repeats)
+        (spans Trace.Barrier))
+    [
+      (Programs.stencil5 ~n:33 (), true);
+      (Programs.relax_inplace ~n:33 (), false);
+    ]
+
 (* The elements-touched counters come from one observed step of the
    static tiles; over a 3-step run they must equal each domain's
    footprint measured over all 3 steps. *)
@@ -306,6 +345,8 @@ let () =
             test_counters_match_tile_counts;
           Alcotest.test_case "elements touched over 3 steps" `Quick
             test_elements_touched_multistep;
+          Alcotest.test_case "barrier spans only where data crosses" `Quick
+            test_barrier_spans;
           Alcotest.test_case "resilient totals match cover-exactly-once"
             `Quick test_resilient_counters_match_cover;
         ] );

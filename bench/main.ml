@@ -978,7 +978,7 @@ let e21 () =
     | Error _ -> "no overhead beyond the spread");
   if host_cores < nprocs then
     pf "  (host exposes %d core(s) for %d domains: end-of-step gate waits \
-        serialize,@.   which inflates the watchdog's share of the wall \
+        serialize,@.   which inflates the gate's share of the wall \
         clock)@."
       host_cores nprocs;
   let crash = Option.get !last_crash in

@@ -278,9 +278,9 @@ let run_cmd =
   let deadline_arg =
     let doc =
       "Watchdog deadline: a domain whose heartbeat is silent this long is \
-       declared timed out (resilient runs only)."
+       declared timed out (resilient runs only; at least 1)."
     in
-    Arg.(value & opt int 1000 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt positive_int 1000 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
   let report_json_arg =
     let doc =
@@ -293,7 +293,7 @@ let run_cmd =
   let trace_arg =
     let doc =
       "Record per-domain execution spans (tiles, barrier waits, steals, \
-       watchdog probes) and write them as Chrome trace_event JSON to \
+       watchdog verdicts) and write them as Chrome trace_event JSON to \
        $(docv) (load in chrome://tracing or ui.perfetto.dev)."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)

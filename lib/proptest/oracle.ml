@@ -506,7 +506,7 @@ let check_resilient (c : Gen.case) =
     if c.id mod 50 = 0 then Some `Crash
     else if c.id mod 50 = 25 && c.nprocs >= 2 then Some `Stall
     else if
-      c.id mod 50 = 12 && c.nprocs >= 3
+      c.id mod 50 = 12 && c.nprocs >= 2
       && Exec.reexecution_safe (Lazy.force compiled)
     then Some `Orphan_stall
     else None
@@ -518,7 +518,8 @@ let check_resilient (c : Gen.case) =
       let steps = Exec.steps_of_nest c.nest in
       (* The orphan stall runs one whole-space tile: the domain that
          claims it crashes, and the survivor re-executing the orphan
-         stalls while a third domain watches from the gate. *)
+         stalls while the calling domain watches - on 2 domains, a lone
+         survivor that no domain at the gate could watch. *)
       let tile =
         if kind = `Orphan_stall then Tile.rect (Nest.extents c.nest)
         else Tile.rect c.tile

@@ -3,8 +3,8 @@ exception Aborted
 (* Spin with capped exponential backoff: on an oversubscribed host
    (more domains than cores) a pure spin waits out whole scheduling
    quanta, so after a bounded number of relaxes we yield, then sleep
-   increasingly long - capped so a waiter still polls often enough for
-   abort flags and watchdog checks to stay responsive. *)
+   increasingly long - capped so a waiter still polls its abort flag
+   often enough to stay responsive. *)
 let backoff ?yielded spins =
   if spins < 64 then Domain.cpu_relax ()
   else begin
@@ -67,6 +67,7 @@ type t = {
   mutable stop : bool;
   mutable first_exn : exn option;
   mutable domains : unit Domain.t array;
+  mutable bell : (Unix.file_descr * Unix.file_descr) option;  (** see [run] *)
 }
 
 let worker t p =
@@ -96,7 +97,10 @@ let worker t p =
           Mutex.unlock t.mutex);
       Mutex.lock t.mutex;
       t.remaining <- t.remaining - 1;
-      if t.remaining = 0 then Condition.broadcast t.finished;
+      if t.remaining = 0 then begin
+        Condition.broadcast t.finished;
+        Option.iter (fun (_, w) -> ignore (Unix.write_substring w "." 0 1)) t.bell
+      end;
       Mutex.unlock t.mutex
     end
   done
@@ -115,6 +119,7 @@ let create n =
       stop = false;
       first_exn = None;
       domains = [||];
+      bell = None;
     }
   in
   t.domains <- Array.init n (fun p -> Domain.spawn (fun () -> worker t p));
@@ -122,20 +127,34 @@ let create n =
 
 let size t = t.n
 
-let run t f =
+let run ?watch t f =
   Mutex.lock t.mutex;
   if t.stop then begin
     Mutex.unlock t.mutex;
     invalid_arg "Pool.run: pool is shut down"
   end;
+  (match Option.map (fun _ -> Unix.pipe ~cloexec:true ()) watch with
+  | exception e -> Mutex.unlock t.mutex; raise e
+  | bell -> t.bell <- bell);
   t.job <- Some (f, Barrier.create t.n);
   t.epoch <- t.epoch + 1;
   t.remaining <- t.n;
   t.first_exn <- None;
   Condition.broadcast t.work;
   while t.remaining > 0 do
-    Condition.wait t.finished t.mutex
+    match (watch, t.bell) with
+    | Some (period, probe), Some (r, _) ->
+        (* Sleep until the last worker rings the bell or [period] ends;
+           should select fail (a descriptor past FD_SETSIZE), poll. *)
+        Mutex.unlock t.mutex;
+        (try ignore (Unix.select [ r ] [] [] period)
+         with Unix.Unix_error _ -> backoff max_int);
+        probe ();
+        Mutex.lock t.mutex
+    | _ -> Condition.wait t.finished t.mutex
   done;
+  Option.iter (fun (r, w) -> Unix.close r; Unix.close w) t.bell;
+  t.bell <- None;
   let exn = t.first_exn in
   t.job <- None;
   t.first_exn <- None;

@@ -22,7 +22,7 @@ val backoff : ?yielded:int ref -> int -> unit
     so far: a few [Domain.cpu_relax]es, then yields, then sleeps that
     double up to a 1.6 ms cap.  The cap keeps oversubscribed waiters
     responsive: a parked domain still wakes often enough to service
-    abort flags and run watchdog checks ({!Resilient}).  Reset the
+    abort flags and orphaned tiles ({!Resilient}).  Reset the
     counter whenever the poll makes progress.  [yielded] is incremented
     each time the step actually gives up the CPU (yield or sleep, not a
     [cpu_relax]) - the hook {!Trace}'s backoff-yield counter is fed
@@ -57,12 +57,15 @@ module Barrier : sig
       arriver resets the claim source for the next step. *)
 end
 
-val run : t -> (int -> Barrier.b -> unit) -> unit
+val run :
+  ?watch:float * (unit -> unit) -> t -> (int -> Barrier.b -> unit) -> unit
 (** [run t f] executes [f p barrier] on domain [p] for every
     [p < size t] and waits for all of them.  The barrier is fresh for
     this job and sized [size t].  If any [f p] raises, the remaining
     workers are released (their barrier waits raise {!Aborted}) and the
-    first exception is re-raised here. *)
+    first exception is re-raised here.  With [watch = (period, probe)]
+    the caller also wakes every [period] seconds to call [probe ()],
+    which must not raise: {!Resilient}'s watchdog. *)
 
 val shutdown : t -> unit
 (** Join all domains.  The pool is unusable afterwards. *)

@@ -66,9 +66,8 @@ type phase = Running | Waiting | Helping | Retired
 (* The end-of-step gate: a mutex-protected dynamic barrier.  It opens
    once some domain is [Waiting], every domain is [Waiting] or
    [Retired] and no orphan is left, so a step never ends with work
-   outstanding.  Waiters poll [epoch] with {!Pool.backoff} (no
-   condition variable: they must keep servicing orphans and running
-   the watchdog while they wait). *)
+   outstanding.  Waiters poll [epoch] with {!Pool.backoff}, servicing
+   orphans while they wait. *)
 type gate = {
   m : Mutex.t;
   epoch : int Atomic.t;  (** completed steps; step [s] released when >= s *)
@@ -92,39 +91,18 @@ type ctx = {
   recover : bool;  (** tile-level crash recovery enabled *)
   tiles : Exec.tile array;
   source : Sched.source;  (** tiles by owner, with stealing *)
-  hb : int Atomic.t array;  (** per domain: tiles run and orphans taken *)
+  hb : int Atomic.t array;  (** per domain: tiles, orphans taken, releases *)
   done_count : int Atomic.t array;  (** per-tile completions this step *)
-  clock : Mclock.t;  (** guarded monotonic clock the watchdog reads *)
   trace : Trace.t;
   g : gate;
 }
 
 type dstate = { me : int; mutable claims : int }
 
-(* Every timestamp here - deadlines, heartbeat ages, attempt and job
-   wall clocks - is monotonic.  The watchdog additionally goes through
-   a guarded {!Mclock.t} and one-shot {!Mclock.Deadline}s, so even a
-   misbehaving time source could not make a stall deadline fire twice
-   or re-arm after firing. *)
-let now () = Mclock.now ()
-
 let record g e = g.events_rev <- e :: g.events_rev
 
-(* Called under the gate lock. *)
-let do_release ctx ~step =
-  let g = ctx.g in
-  for t = 0 to Array.length ctx.tiles - 1 do
-    if Atomic.get ctx.done_count.(t) <> 1 then g.cover_ok <- false;
-    Atomic.set ctx.done_count.(t) 0
-  done;
-  if g.reexec_step > 0 then begin
-    record g (Report.Tiles_reexecuted { count = g.reexec_step; step });
-    g.reexec_step <- 0
-  end;
-  Sched.reset ctx.source;
-  Array.iteri (fun q ph -> if ph = Waiting then g.phase.(q) <- Running) g.phase;
-  Atomic.set g.epoch step
-
+(* Called under the gate lock.  Releasing a domain into [Running] ticks
+   its heartbeat, as taking an orphan does ({!watcher}). *)
 let try_release ctx ~step =
   let g = ctx.g in
   if
@@ -133,7 +111,22 @@ let try_release ctx ~step =
     && g.orphans = []
     && (not (Atomic.get g.aborted))
     && Atomic.get g.epoch < step
-  then do_release ctx ~step
+  then begin
+    for t = 0 to Array.length ctx.tiles - 1 do
+      if Atomic.get ctx.done_count.(t) <> 1 then g.cover_ok <- false;
+      Atomic.set ctx.done_count.(t) 0
+    done;
+    if g.reexec_step > 0 then begin
+      record g (Report.Tiles_reexecuted { count = g.reexec_step; step });
+      g.reexec_step <- 0
+    end;
+    Sched.reset ctx.source;
+    Array.iteri
+      (fun q ph ->
+        if ph = Waiting then (g.phase.(q) <- Running; Atomic.incr ctx.hb.(q)))
+      g.phase;
+    Atomic.set g.epoch step
+  end
 
 let abort_locked g ~reason =
   if not (Atomic.get g.aborted) then begin
@@ -143,11 +136,10 @@ let abort_locked g ~reason =
 
 let interruptible_stall ctx ms =
   let slice = float_of_int (max 1 ctx.cfg.stall_poll_ms) /. 1000.0 in
-  let until = now () +. (float_of_int ms /. 1000.0) in
+  let until = Mclock.now () +. (float_of_int ms /. 1000.0) in
   let rec loop () =
-    if Atomic.get ctx.g.aborted then raise Halt;
-    let remain = until -. now () in
-    if remain > 0.0 then begin
+    let remain = until -. Mclock.now () in
+    if remain > 0.0 && not (Atomic.get ctx.g.aborted) then begin
       Unix.sleepf (Float.min slice remain);
       loop ()
     end
@@ -233,7 +225,7 @@ let guarded ctx ds ~step t =
 
 (* While waiting at the gate, service one orphaned tile if any.  The
    helper's [Helping] phase keeps the gate shut until it finishes, and
-   taking the orphan ticks its heartbeat: a watcher's snapshot from
+   taking the orphan ticks its heartbeat: the watcher's snapshot from
    while it waited must not count against the orphan's run. *)
 let help_orphan ctx ds ~step =
   let g = ctx.g in
@@ -257,71 +249,18 @@ let help_orphan ctx ds ~step =
       Mutex.unlock g.m;
       false
 
-(* The watchdog, run by domains waiting at the gate: it watches every
-   [Running] or [Helping] domain.  The stall deadline is a one-shot
-   {!Mclock.Deadline}: [fire] consumes it with a CAS, so even if several
-   waiters probe concurrently - or the underlying time source misbehaves
-   across its expiry - exactly one probe observes the expiry.  A probe
-   that finds every watched domain making progress re-arms it; a probe
-   that finds a silent one leaves it consumed (the attempt aborts
-   anyway).  The probe re-checks [epoch] under the lock, so a late
-   watcher never judges the next step's domains. *)
-let watchdog ctx ds ~step ~dl ~snap ~after =
-  if Mclock.Deadline.fire dl then begin
-    Trace.instant ctx.trace ds.me Trace.Watchdog ~arg:step;
-    let g = ctx.g in
-    let silent q =
-      (g.phase.(q) = Running || g.phase.(q) = Helping)
-      && Atomic.get ctx.hb.(q) = snap.(q)
-    in
-    let rearm =
-      Mutex.protect g.m (fun () ->
-          if Atomic.get g.aborted || Atomic.get g.epoch >= step then false
-          else
-            let domains = List.init (Array.length snap) Fun.id in
-            match List.find_opt silent domains with
-            | None -> true
-            | Some q ->
-                record g (Report.Timed_out { domain = q; step });
-                Trace.incr ctx.trace ds.me Trace.Faults_detected;
-                abort_locked g
-                  ~reason:
-                    (Printf.sprintf
-                       "watchdog: domain %d heartbeat silent beyond %d ms at \
-                        step %d"
-                       q ctx.cfg.deadline_ms step);
-                false)
-    in
-    if rearm then begin
-      Array.iteri (fun i h -> snap.(i) <- Atomic.get h) ctx.hb;
-      Mclock.Deadline.reset dl ~after
-    end
-  end
-
 let gate_enter ctx ds ~step =
   let g = ctx.g in
   Mutex.protect g.m (fun () ->
       g.phase.(ds.me) <- Waiting;
       try_release ctx ~step);
-  let after = float_of_int ctx.cfg.deadline_ms /. 1000.0 in
-  let dl = Mclock.Deadline.arm ctx.clock ~after in
-  let snap = Array.map Atomic.get ctx.hb in
-  let spins = ref 0 in
-  let yielded = ref 0 in
+  let spins = ref 0 and yielded = ref 0 in
   Fun.protect
     ~finally:(fun () -> Trace.add ctx.trace ds.me Trace.Backoff_yields !yielded)
     (fun () ->
       while Atomic.get g.epoch < step && not (Atomic.get g.aborted) do
-        if help_orphan ctx ds ~step then begin
-          Mclock.Deadline.reset dl ~after;
-          Array.iteri (fun i h -> snap.(i) <- Atomic.get h) ctx.hb;
-          spins := 0
-        end
-        else begin
-          Pool.backoff ~yielded !spins;
-          incr spins;
-          watchdog ctx ds ~step ~dl ~snap ~after
-        end
+        if help_orphan ctx ds ~step then spins := 0
+        else (Pool.backoff ~yielded !spins; incr spins)
       done);
   if Atomic.get g.aborted then raise Halt
 
@@ -341,6 +280,42 @@ let job ctx me =
              gate_enter ctx ds ~step;
              ds.claims <- 0))
   with Retire | Halt -> ()
+
+(* The watchdog, probed by the calling domain through {!Pool.run}'s
+   [watch] hook every deadline (or second, if shorter): it times out a
+   [Running] or [Helping] domain whose heartbeat has not moved since the
+   previous probe.  Every switch into those phases ticks the heartbeat,
+   so such a domain was silent for the whole window.  The verdict is
+   taken under the gate lock, while the attempt is live. *)
+let watcher ctx =
+  let g = ctx.g in
+  let after = float_of_int ctx.cfg.deadline_ms /. 1000.0 in
+  let snap = Array.map Atomic.get ctx.hb in
+  let dl = Mclock.Deadline.arm (Mclock.create ()) ~after in
+  let silent q =
+    (g.phase.(q) = Running || g.phase.(q) = Helping)
+    && Atomic.get ctx.hb.(q) = snap.(q)
+  in
+  let probe () =
+    if Mclock.Deadline.fire dl then begin
+      Mutex.protect g.m (fun () ->
+          let step = Atomic.get g.epoch + 1 in
+          if (not (Atomic.get g.aborted)) && step <= ctx.steps then
+            match Seq.find silent (Seq.init (Array.length snap) Fun.id) with
+            | None -> ()
+            | Some q ->
+                record g (Report.Timed_out { domain = q; step });
+                abort_locked g
+                  ~reason:
+                    (Printf.sprintf
+                       "watchdog: domain %d heartbeat silent beyond %d ms at \
+                        step %d"
+                       q ctx.cfg.deadline_ms step));
+      Array.iteri (fun q h -> snap.(q) <- Atomic.get h) ctx.hb;
+      Mclock.Deadline.reset dl ~after
+    end
+  in
+  (Float.min after 1.0, probe)
 
 (* ------------------------------------------------------------------ *)
 (* Attempt driver                                                      *)
@@ -368,7 +343,6 @@ let make_ctx cfg plan kplan compiled steps (p : partitioned) ~size ~recover
     source = Sched.tiles ~steal:true ~nprocs:size p.owners;
     hb = Array.init size (fun _ -> Atomic.make 0);
     done_count = Array.init ntiles (fun _ -> Atomic.make 0);
-    clock = Mclock.create ();
     trace;
     g =
       {
@@ -385,27 +359,32 @@ let make_ctx cfg plan kplan compiled steps (p : partitioned) ~size ~recover
       };
   }
 
+(* An attempt's record, its wall clock measured from [t0]. *)
+let attempt_record ~attempt_no ~nprocs ~backoff_ms ~t0 ?(events = [])
+    ?(tiles_total = 0) ?(retired = []) outcome =
+  {
+    Report.attempt = attempt_no;
+    nprocs;
+    outcome;
+    events;
+    tiles_total;
+    tiles_reexecuted =
+      List.fold_left
+        (fun n -> function
+          | Report.Tiles_reexecuted { count; _ } -> n + count
+          | _ -> n)
+        0 events;
+    retired_domains = retired;
+    backoff_ms;
+    wall_seconds = Mclock.now () -. t0;
+  }
+
 let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
     ~attempt_no ~backoff_ms ~opening =
-  let t0 = now () in
-  let attempt ?(events = []) ?(tiles_total = 0) ?(retired = []) outcome =
-    let events = opening @ events in
-    {
-      Report.attempt = attempt_no;
-      nprocs = size;
-      outcome;
-      events;
-      tiles_total;
-      tiles_reexecuted =
-        List.fold_left
-          (fun n -> function
-            | Report.Tiles_reexecuted { count; _ } -> n + count
-            | _ -> n)
-          0 events;
-      retired_domains = retired;
-      backoff_ms;
-      wall_seconds = now () -. t0;
-    }
+  let t0 = Mclock.now () in
+  let attempt ?(events = []) =
+    attempt_record ~attempt_no ~nprocs:size ~backoff_ms ~t0
+      ~events:(opening @ events)
   in
   let failed reason = (attempt (Report.Failed reason), None) in
   match partition ~nprocs:size with
@@ -419,13 +398,21 @@ let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
           let g = ctx.g in
           (try
              Pool.with_pool size (fun pool ->
-                 Pool.run pool (fun me _ -> job ctx me))
+                 Pool.run ~watch:(watcher ctx) pool (fun me _ -> job ctx me))
            with exn ->
              Mutex.protect g.m (fun () ->
                  abort_locked g
                    ~reason:
                      (Printf.sprintf "pool failure: %s"
                         (Printexc.to_string exn))));
+          (* Workers own the trace lanes: trace the watchdog's verdict now. *)
+          List.iter
+            (function
+              | Report.Timed_out { domain; step } ->
+                  Trace.instant trace domain Trace.Watchdog ~arg:step;
+                  Trace.incr trace domain Trace.Faults_detected
+              | _ -> ())
+            g.events_rev;
           let attempt =
             attempt ~events:(List.rev g.events_rev)
               ~tiles_total:(Array.length ctx.tiles)
@@ -481,8 +468,10 @@ let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
     ?(trace = Trace.disabled) ~compiled ~steps ~partition ~nprocs () =
   if nprocs < 1 then invalid_arg "Resilient.execute: nprocs < 1";
   if steps < 1 then invalid_arg "Resilient.execute: steps < 1";
+  if config.deadline_ms < 1 then
+    invalid_arg "Resilient.execute: deadline_ms < 1";
   let kplan = Kernel.plan compiled in
-  let t_job = now () in
+  let t_job = Mclock.now () in
   let tile_retry = Exec.reexecution_safe compiled in
   let recover = config.policy <> Fail_fast && tile_retry in
   let attempts_rev = ref [] in
@@ -497,7 +486,7 @@ let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
         attempts = List.rev !attempts_rev;
         completed;
         final_nprocs;
-        total_wall_seconds = now () -. t_job;
+        total_wall_seconds = Mclock.now () -. t_job;
         checksum;
         covered_exactly_once = cover;
         metrics =
@@ -507,20 +496,12 @@ let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
   in
   let rec run = function
     | [] when config.policy = Degrade ->
-        let t0 = now () in
+        let t0 = Mclock.now () in
         let buffer = Kernel.sequential kplan ~steps in
         attempts_rev :=
-          {
-            Report.attempt = List.length !attempts_rev;
-            nprocs = 0;
-            outcome = Report.Completed;
-            events = [ Report.Sequential_fallback ];
-            tiles_total = 0;
-            tiles_reexecuted = 0;
-            retired_domains = [];
-            backoff_ms = 0;
-            wall_seconds = now () -. t0;
-          }
+          attempt_record ~attempt_no:(List.length !attempts_rev) ~nprocs:0
+            ~backoff_ms:0 ~t0 ~events:[ Report.Sequential_fallback ]
+            Report.Completed
           :: !attempts_rev;
         finish ~completed:true ~final_nprocs:0 ~buffer
           ~checksum:(Exec.checksum buffer) ~cover:true

@@ -10,14 +10,11 @@
       adversity the rest of the machinery is tested against.  Without a
       plan the hook is a single consumed-array scan per tile claim; the
       plain {!Exec}/{!Pool} paths never see it at all;
-    - {b watchdog}: workers publish a per-tile heartbeat; domains
-      waiting at the end-of-step gate watch every domain still running
-      its tiles or re-executing an orphan, and convert a heartbeat
-      silent for longer than the configured deadline into a structured
-      {!Report.Timed_out} event that fails the attempt - no infinite
-      spin.  Only a waiting domain watches, so a lone survivor is not
-      watched: with 2 domains and one crash, a stall on the survivor
-      is bounded only by its own length;
+    - {b watchdog}: workers publish a per-tile heartbeat; the calling
+      domain, while it waits, watches every domain running its tiles or
+      re-executing an orphan, and turns a heartbeat silent beyond the
+      configured deadline into a {!Report.Timed_out} event that fails
+      the attempt - no hang, even when a crash leaves a lone survivor;
     - {b tile-level recovery}: when the nest's tiles are idempotent
       ({!Exec.reexecution_safe}), a crashed domain retires, its claimed
       tile is orphaned, and surviving domains re-execute it before the
@@ -53,7 +50,7 @@ type config = {
   policy : policy;
   deadline_ms : int;
       (** watchdog: a straggler whose heartbeat is silent this long is
-          declared timed out *)
+          declared timed out; at least 1 *)
   stall_poll_ms : int;
       (** granularity at which injected stalls re-check for an aborted
           attempt, so a watchdog verdict wakes the sleeper promptly *)
@@ -90,10 +87,10 @@ val execute :
     with smaller counts when degrading; an owner outside the pool fails
     the attempt as a bad partition).  Every box runs through
     {!Kernel.run_box}; [kernels] is ignored, kept until its last callers
-    drop it.  With
-    [trace], workers record tile and re-execution spans, gate waits,
-    steals, watchdog probes and fault counters into it (size it for the
-    {e initial} [nprocs]; degraded attempts reuse the low domain slots),
-    and the report carries a {!Trace.summary}.  Returns the structured
-    report and the final operand buffer (meaningful when
-    [(fst r).Report.completed]). *)
+    drop it.  With [trace], workers record tile and re-execution spans,
+    gate waits, steals, watchdog verdicts and fault counters into it
+    (size it for the {e initial} [nprocs]; degraded attempts reuse the
+    low domain slots), and the report carries a {!Trace.summary}.
+    Returns the report and the final operand buffer (meaningful when
+    [(fst r).Report.completed]); [Invalid_argument] if [nprocs], [steps]
+    or [config.deadline_ms] is below 1. *)

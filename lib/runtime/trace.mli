@@ -20,7 +20,7 @@
     execution nested inside ([Exec]), barrier and gate waits
     ([Barrier]), dynamic-scheduling chunk claims ([Chunk]), orphan
     re-execution during crash recovery ([Reexec]), and whole-step
-    sweeps ([Step]); instants mark steals ([Steal]) and watchdog probes
+    sweeps ([Step]); instants mark steals ([Steal]) and watchdog verdicts
     ([Watchdog]).  Counters tally tiles run, steals, backoff yields,
     distinct elements touched (fed from {!Measure} footprints), and
     faults injected/detected.
@@ -35,7 +35,7 @@ type kind =
   | Barrier  (** waiting at a step barrier or the resilient gate *)
   | Chunk  (** one dynamic-scheduling chunk claim; arg = start index *)
   | Steal  (** instant: a chunk or tile taken from another domain *)
-  | Watchdog  (** instant: a watchdog deadline check ran its scan *)
+  | Watchdog  (** instant: the watchdog timed this domain out; arg = step *)
   | Reexec  (** re-execution of an orphaned tile; arg = tile id *)
   | Step  (** one outer sequential step's compute sweep; arg = step *)
 
@@ -78,7 +78,7 @@ val begin_span : t -> int -> kind -> arg:int -> unit
 val end_span : t -> int -> unit
 
 val instant : t -> int -> kind -> arg:int -> unit
-(** A zero-duration event (steal, watchdog probe). *)
+(** A zero-duration event (steal, watchdog verdict). *)
 
 val incr : t -> int -> counter -> unit
 val add : t -> int -> counter -> int -> unit

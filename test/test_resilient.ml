@@ -22,7 +22,7 @@ let buffers_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Float.equal x y) a b
 
-let run ?policy ?(deadline_ms = 1000) ?plan ?tile nest ~nprocs =
+let run ?policy ?(deadline_ms = 1000) ?plan ?tile ?trace nest ~nprocs =
   let plan =
     match plan with
     | None -> Fault.none
@@ -40,7 +40,8 @@ let run ?policy ?(deadline_ms = 1000) ?plan ?tile nest ~nprocs =
     }
   in
   let a = Driver.analyze ~nprocs nest in
-  Driver.execute_resilient ~resilience ~plan ?tile a
+  let config = { Driver.default_exec_config with Driver.trace } in
+  Driver.execute_resilient ~config ~resilience ~plan ?tile a
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans                                                         *)
@@ -172,18 +173,21 @@ let test_stall_timed_out_then_retried () =
   checkb "bit-identical to sequential" true
     (buffers_equal buffer (ground_truth nest))
 
-(* One whole-space tile on 3 domains: the domain that claims it crashes
-   (plan entry 0), the survivor that takes the orphan makes its claim 0
-   there and stalls (entry 1), and the third domain, waiting at the
-   gate, must time the re-executing survivor out. *)
-let test_stall_during_orphan_reexecution_timed_out () =
+(* Plan [crash;stall:2000] under a 100 ms deadline and [Retry]: the
+   domain that claims first crashes (entry 0) and a survivor's claim 0
+   stalls (entry 1).  However many domains are left, the watchdog on the
+   calling domain must time the stall out: attempt 0 fails with exactly
+   one Timed_out, the retry completes bit-identically, the job ends long
+   before the stall would, and the trace counts both detections and
+   holds the verdict's instant. *)
+let check_crash_then_stall ?tile ~nprocs () =
   let nest = stencil () in
+  let trace = Runtime.Trace.create ~domains:nprocs () in
   let t0 = Runtime.Mclock.now () in
   let report, buffer =
-    run nest ~nprocs:3 ~deadline_ms:100
+    run nest ~nprocs ~deadline_ms:100 ?tile ~trace
       ~policy:(Resilient.Retry { attempts = 2; backoff_ms = 5 })
       ~plan:"crash;stall:2000"
-      ~tile:(Partition.Tile.rect (Loopir.Nest.extents nest))
   in
   let wall = Runtime.Mclock.now () -. t0 in
   checkb "completed" true report.Report.completed;
@@ -202,7 +206,30 @@ let test_stall_during_orphan_reexecution_timed_out () =
   | [] -> Alcotest.fail "no attempts");
   checkb "watchdog cut the 2 s stall short" true (wall < 1.0);
   checkb "bit-identical to sequential" true
-    (buffers_equal buffer (ground_truth nest))
+    (buffers_equal buffer (ground_truth nest));
+  checki "faults detected: crash and timeout" 2
+    (Runtime.Trace.summary trace).Runtime.Trace.faults_detected;
+  checki "one watchdog instant" 1
+    (List.length
+       (List.filter
+          (fun e -> e.Runtime.Trace.kind = Runtime.Trace.Watchdog)
+          (Runtime.Trace.events trace)))
+
+(* One whole-space tile on 3 domains: the survivor that takes the
+   orphan stalls while re-executing it. *)
+let test_stall_during_orphan_reexecution_timed_out () =
+  check_crash_then_stall ~nprocs:3
+    ~tile:(Partition.Tile.rect (Loopir.Nest.extents (stencil ())))
+    ()
+
+(* 2 domains: the crash leaves a lone survivor, which stalls on its own
+   first claim, whichever tile that is; no domain is left at the gate. *)
+let test_lone_survivor_stall_timed_out () = check_crash_then_stall ~nprocs:2 ()
+
+let test_deadline_below_one_refused () =
+  Alcotest.check_raises "deadline_ms = 0"
+    (Invalid_argument "Resilient.execute: deadline_ms < 1") (fun () ->
+      ignore (run (stencil ()) ~nprocs:2 ~deadline_ms:0))
 
 (* ------------------------------------------------------------------ *)
 (* Non-idempotent nests: attempt-level retry only                      *)
@@ -437,6 +464,10 @@ let () =
             test_stall_timed_out_then_retried;
           Alcotest.test_case "stall during orphan re-execution timed out"
             `Quick test_stall_during_orphan_reexecution_timed_out;
+          Alcotest.test_case "lone survivor's stall timed out" `Quick
+            test_lone_survivor_stall_timed_out;
+          Alcotest.test_case "deadline below 1 ms refused" `Quick
+            test_deadline_below_one_refused;
           Alcotest.test_case "accumulate retries whole attempt" `Quick
             test_accumulate_retries_whole_attempt;
           Alcotest.test_case "degrade to sequential" `Quick

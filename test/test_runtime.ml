@@ -106,6 +106,40 @@ let test_with_pool_shuts_down_on_exception () =
   in
   checkb "body exception escapes with_pool" true escaped
 
+(* A watched run probes while its job runs, and returns as soon as the
+   job ends, long before a probe is due. *)
+let test_watched_run () =
+  Runtime.Pool.with_pool 2 (fun pool ->
+      let probes = Atomic.make 0 in
+      let watch = (0.002, fun () -> Atomic.incr probes) in
+      Runtime.Pool.run ~watch pool (fun _ _ -> Unix.sleepf 0.05);
+      checkb "probed while the job ran" true (Atomic.get probes >= 5);
+      let t0 = Runtime.Mclock.now () in
+      Runtime.Pool.run ~watch:(10.0, ignore) pool (fun _ _ -> ());
+      checkb "woken by the job's end" true (Runtime.Mclock.now () -. t0 < 5.0))
+
+(* With descriptors past FD_SETSIZE the run's select fails, and the
+   caller polls instead: the job still ends and is still watched. *)
+let test_watched_run_past_fd_setsize () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let rec hold n acc =
+    match Unix.dup null with
+    | fd when n > 1 -> hold (n - 1) (fd :: acc)
+    | fd -> fd :: acc
+    | exception Unix.Unix_error (Unix.EMFILE, _, _) -> acc
+  in
+  let held = hold 1100 [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close (null :: held))
+    (fun () ->
+      Runtime.Pool.with_pool 2 (fun pool ->
+          let probes = Atomic.make 0 in
+          Runtime.Pool.run
+            ~watch:(0.002, fun () -> Atomic.incr probes)
+            pool
+            (fun _ _ -> Unix.sleepf 0.05);
+          checkb "probed while the job ran" true (Atomic.get probes >= 5)))
+
 let test_counter_covers_range () =
   let c = Runtime.Pool.Counter.create ~total:100 in
   let seen = Array.make 100 0 in
@@ -428,6 +462,9 @@ let () =
             test_pool_survivors_observe_abort;
           Alcotest.test_case "with_pool shuts down on exception" `Quick
             test_with_pool_shuts_down_on_exception;
+          Alcotest.test_case "watched run" `Quick test_watched_run;
+          Alcotest.test_case "watched run past FD_SETSIZE" `Quick
+            test_watched_run_past_fd_setsize;
           Alcotest.test_case "counter covers range" `Quick
             test_counter_covers_range;
           Alcotest.test_case "deques cover and steal" `Quick

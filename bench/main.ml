@@ -1149,9 +1149,19 @@ let e22 () =
         wall
       in
       let interp1 = measure_row ~nprocs:1 ~path:`Interp "interpreter / 1" None in
+      (* [force_generic] only replaces a specialized shape: on a nest
+         the kernel already runs generically, both rows would time the
+         same code. *)
+      let compiled = Runtime.Exec.compile nest in
+      let shape force_generic =
+        Runtime.Kernel.shape (Runtime.Kernel.plan ~force_generic compiled)
+      in
       let generic1 =
-        measure_row ~nprocs:1 ~path:(`Kernel true) "kernel-generic / 1"
-          (Some interp1)
+        if shape true <> shape false then
+          Some
+            (measure_row ~nprocs:1 ~path:(`Kernel true) "kernel-generic / 1"
+               (Some interp1))
+        else None
       in
       let kernel1 =
         measure_row ~nprocs:1 ~path:(`Kernel false) "kernel / 1" (Some interp1)
@@ -1159,8 +1169,13 @@ let e22 () =
       let kernel8 =
         measure_row ~nprocs:8 ~path:(`Kernel false) "kernel / 8" (Some kernel1)
       in
-      pf "generic strided loop vs interpreter: %.2fx@."
-        (interp1 /. generic1);
+      (match generic1 with
+      | Some generic1 ->
+          pf "generic strided loop vs interpreter: %.2fx@."
+            (interp1 /. generic1)
+      | None ->
+          pf "no kernel-generic row: the kernel runs the %s shape already@."
+            (shape false));
       pf "tiled 8-domain vs 1-domain (kernel): %.2fx%s@." (kernel1 /. kernel8)
         (if host_cores = 1 then
            " - single-core host, parallel speedup is not expected here"

@@ -232,9 +232,11 @@ let run_cmd =
   in
   let validate_arg =
     let doc =
-      "Also validate: write-race freedom, runtime-vs-simulator footprint \
-       agreement, and value determinism; for a deterministic nest, fail \
-       unless the run's checksum equals the sequential interpreter's."
+      "Also validate the compile-time tiles, whatever the policy: \
+       write-race freedom, runtime-vs-simulator footprint agreement, and \
+       value determinism.  Of the run itself, fail unless its footprints \
+       equal the validated ones (tiled policy) and, for a deterministic \
+       nest, its checksum equals the sequential interpreter's."
     in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
@@ -335,7 +337,6 @@ let run_cmd =
         if resilient then begin
           let resilience =
             {
-              Runtime.Resilient.default_config with
               Runtime.Resilient.deadline_ms;
               policy =
                 Option.value
@@ -395,14 +396,20 @@ let run_cmd =
           Format.printf "%a@." Runtime.Validate.pp v;
           (* Under the compile-time tiles the run's footprints, observed
              through the kernel, must be the validator's, counted by the
-             interpreter over the same assignment. *)
+             interpreter over the same assignment.  Another policy ran a
+             different schedule from the one validated. *)
           (match (policy, !footprints) with
           | Loopart.Driver.Tiled, Some run ->
               let same = run = v.Runtime.Validate.measured_footprints in
               Format.printf "footprints = validated footprints: %b@." same;
               if not same then
                 failwith "footprints differ from the validated footprints"
-          | _ -> ());
+          | Loopart.Driver.Tiled, None -> ()
+          | _ ->
+              Format.printf
+                "note: the validation above is of the compile-time tiles, \
+                 not of this run's schedule; of this run only the checksum \
+                 is checked (deterministic nests)@.");
           if v.Runtime.Validate.deterministic then begin
             let steps = Runtime.Exec.steps_of_nest ?override:steps nest in
             let compiled = Runtime.Exec.compile nest in

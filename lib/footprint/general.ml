@@ -39,105 +39,58 @@ let count_linear_form_2 ~a ~b ~l1 ~l2 =
       if b <= a then count_coprime a b l1 l2 else count_coprime b a l2 l1
 
 (* ------------------------------------------------------------------ *)
-(* n-variable forms: bitset sweep with a lookup table                  *)
+(* n-variable forms: the lookup-table entry, computed on demand        *)
 (* ------------------------------------------------------------------ *)
-
-module Bitset = struct
-  type t = { bits : Bytes.t; size : int }
-
-  let create size = { bits = Bytes.make ((size + 7) / 8) '\000'; size }
-
-  let set t i =
-    let b = Char.code (Bytes.get t.bits (i lsr 3)) in
-    Bytes.set t.bits (i lsr 3) (Char.chr (b lor (1 lsl (i land 7))))
-
-  let get t i = Char.code (Bytes.get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-  let count t =
-    let n = ref 0 in
-    for i = 0 to t.size - 1 do
-      if get t i then incr n
-    done;
-    !n
-end
 
 let sweep_budget = 1 lsl 20
 
-(* Canonical key: positive coefficients divided by their gcd, paired with
-   their bounds, zero terms dropped, sorted.  The count is invariant
-   under all of these. *)
+(* Canonical terms: positive coefficients divided by their gcd, paired
+   with their bounds, zero terms and fixed variables dropped.  The count
+   is invariant under all of these. *)
 let canonical coeffs lambda =
   let terms = ref [] in
   Array.iteri
-    (fun k c -> if c <> 0 && lambda.(k) > 0 then terms := (abs c, lambda.(k)) :: !terms
-      else if c <> 0 && lambda.(k) = 0 then () (* fixed variable adds offset only *))
+    (fun k c ->
+      if c <> 0 && lambda.(k) > 0 then terms := (abs c, lambda.(k)) :: !terms)
     coeffs;
   let g = Int_math.gcd_list (List.map fst !terms) in
-  let terms =
-    if g > 1 then List.map (fun (c, l) -> (c / g, l)) !terms else !terms
+  if g > 1 then List.map (fun (c, l) -> (c / g, l)) !terms else !terms
+
+(* The values over [0 .. range] reachable as [sum_k c_k x_k], folding
+   the variables in one at a time: [dst] is the union over [x] in
+   [0 .. l] of [src] shifted by [c * x]. *)
+let sweep terms range =
+  let fold src (c, l) =
+    let dst = Bitset.create ~universe:(range + 1) in
+    for i = 0 to range do
+      if Bitset.mem src i then begin
+        let pos = ref i in
+        for _ = 0 to min l ((range - i) / c) do
+          Bitset.add dst !pos;
+          pos := !pos + c
+        done
+      end
+    done;
+    dst
   in
-  List.sort compare terms
-
-let table : (((int * int) list), int) Hashtbl.t = Hashtbl.create 256
-
-let memo_stats () = Hashtbl.length table
-
-let sweep terms =
-  let range =
-    List.fold_left (fun acc (c, l) -> acc + (c * l)) 0 terms
-  in
-  if range + 1 > sweep_budget then None
-  else begin
-    let set = Bitset.create (range + 1) in
-    Bitset.set set 0;
-    (* Fold the variables in one at a time. *)
-    let current = ref set in
-    List.iter
-      (fun (c, l) ->
-        (* dst = union over x in [0, l] of (src shifted by c*x). *)
-        let src = !current in
-        let dst = Bitset.create (range + 1) in
-        for i = 0 to range do
-          if Bitset.get src i then begin
-            let x = ref 0 in
-            let pos = ref i in
-            while !x <= l && !pos <= range do
-              Bitset.set dst !pos;
-              incr x;
-              pos := !pos + c
-            done
-          end
-        done;
-        current := dst)
-      terms;
-    Some (Bitset.count !current)
-  end
+  let origin = Bitset.create ~universe:(range + 1) in
+  Bitset.add origin 0;
+  Bitset.cardinal (List.fold_left fold origin terms)
 
 let count_linear_form ~coeffs ~lambda =
   if Array.length coeffs <> Array.length lambda then
     invalid_arg "General.count_linear_form: length mismatch";
   if Array.exists (fun l -> l < 0) lambda then
     invalid_arg "General.count_linear_form: negative bound";
-  let terms = canonical coeffs lambda in
-  match terms with
+  match canonical coeffs lambda with
   | [] -> 1
   | [ (_, l) ] -> l + 1
   | [ (a, l1); (b, l2) ] -> count_linear_form_2 ~a ~b ~l1 ~l2
-  | _ -> (
-      match Hashtbl.find_opt table terms with
-      | Some n -> n
-      | None -> (
-          match sweep terms with
-          | Some n ->
-              Hashtbl.replace table terms n;
-              n
-          | None ->
-              (* Range beyond the table budget: the asymptotic count
-                 (every residue hit across the full range). *)
-              let range =
-                List.fold_left (fun acc (c, l) -> acc + (c * l)) 0 terms
-              in
-              range + 1))
+  | terms ->
+      let range = List.fold_left (fun acc (c, l) -> acc + (c * l)) 0 terms in
+      (* Beyond the sweep budget, the asymptotic count: every residue hit
+         across the full range. *)
+      if range + 1 > sweep_budget then range + 1 else sweep terms range
 
 (* ------------------------------------------------------------------ *)
 (* Rank-1 footprints                                                   *)

@@ -9,8 +9,8 @@
 
     - an exact O(|b|) closed-form count for two-variable linear forms
       [{a*x + b*y}] (the l = 2, d = 1 case),
-    - an exact recursive residue count for longer forms
-      [{sum_k a_k x_k}], memoized (the paper's lookup table), and
+    - an exact residue sweep for longer forms [{sum_k a_k x_k}], which
+      computes the paper's lookup-table entry on demand, and
     - the glue that upgrades {!Size.rect_single} for rank-1 projections.
 
     All counts are over the box [0 <= x_k <= lambda_k]. *)
@@ -23,10 +23,9 @@ val count_linear_form_2 : a:int -> b:int -> l1:int -> l2:int -> int
 val count_linear_form : coeffs:int array -> lambda:int array -> int
 (** Exact distinct-value count of [sum_k coeffs_k * x_k] over the box.
     Cost grows with the coefficient magnitudes and nesting, not with the
-    box volume; results are memoized in a global table. *)
-
-val memo_stats : unit -> int
-(** Number of entries currently cached (exposed for tests). *)
+    box volume.  This is the paper's lookup-table entry, computed on
+    demand by a residue sweep over the value range (up to an internal
+    budget, then the range itself). *)
 
 val rect_single : lambda:int array -> g:Matrixkit.Imat.t -> int option
 (** Exact footprint size over a rectangular tile when the column-reduced

@@ -196,14 +196,35 @@ let rect_cumulative_poly_class ~nesting ~g ~offsets =
 
 let enumeration_budget = 1 lsl 21
 
-let enumerate_distinct ~lambda_red ~g_reduced =
+let compare_images (a : int array) (b : int array) =
+  let rec go k =
+    if k = Array.length a then 0
+    else
+      let c = Int.compare a.(k) b.(k) in
+      if c <> 0 then c else go (k + 1)
+  in
+  go 0
+
+(* The distinct images of the box [0 .. lambda_red] under the reduced G,
+   together with their translates by each of [translates]: every image,
+   sorted, counted by runs.  A bitset would not do: the image's bounding
+   box is unbounded by the point count (G rows (1000,0), (0,1000), (1,1)
+   map 227k points of a (60,60,60) box into 3.6e9 cells). *)
+let distinct_images ~lambda_red ~g_reduced ~translates =
   let n = Array.length lambda_red in
-  let seen = Hashtbl.create 1024 in
+  let points = Array.fold_left (fun acc l -> acc * (l + 1)) 1 lambda_red in
+  let images = Array.make (points * (1 + List.length translates)) [||] in
+  let next = ref 0 in
+  let push img =
+    images.(!next) <- img;
+    incr next
+  in
   let point = Array.make n 0 in
   let rec go i =
     if i = n then begin
       let img = Imat.mul_row point g_reduced in
-      Hashtbl.replace seen (Array.to_list img) ()
+      push img;
+      List.iter (fun t -> push (Ivec.add img t)) translates
     end
     else
       for v = 0 to lambda_red.(i) do
@@ -212,7 +233,13 @@ let enumerate_distinct ~lambda_red ~g_reduced =
       done
   in
   go 0;
-  Hashtbl.length seen
+  Array.stable_sort compare_images images;
+  let runs = ref 0 in
+  Array.iteri
+    (fun k img ->
+      if k = 0 || compare_images images.(k - 1) img <> 0 then incr runs)
+    images;
+  !runs
 
 let lambda_of_rows lambda rows =
   Array.of_list (List.map (fun i -> lambda.(i)) rows)
@@ -220,6 +247,17 @@ let lambda_of_rows lambda rows =
 let eval_poly_at_lambda poly lambda =
   let env = Array.map (fun l -> l + 1) lambda in
   Rat.floor (Mpoly.eval_int poly env)
+
+(* A rank-deficient reduced G: exact by enumeration within the budget,
+   the polynomial at [lambda] beyond it. *)
+let enumerated_or_poly red ~lambda ~translates poly =
+  let lambda_red = lambda_of_rows lambda red.kept_rows in
+  let points =
+    Array.fold_left (fun acc l -> Int_math.mul_exact acc (l + 1)) 1 lambda_red
+  in
+  if points <= enumeration_budget then
+    distinct_images ~lambda_red ~g_reduced:red.g_reduced ~translates
+  else eval_poly_at_lambda (poly ()) lambda
 
 let rect_single ~lambda ~g =
   if Array.length lambda <> Imat.rows g then
@@ -229,43 +267,16 @@ let rect_single ~lambda ~g =
   if is_zero_matrix g then 1
   else
     let red = reduce ~g ~spread:(Ivec.zero (Imat.cols g)) in
-    let lambda_red = lambda_of_rows lambda red.kept_rows in
     if red.full_row_rank then
-      Array.fold_left (fun acc l -> Int_math.mul_exact acc (l + 1)) 1 lambda_red
+      List.fold_left
+        (fun acc i -> Int_math.mul_exact acc (lambda.(i) + 1))
+        1 red.kept_rows
     else
       match General.rect_single ~lambda ~g with
       | Some exact -> exact (* rank-1 projections have a closed form *)
       | None ->
-          let points =
-            Array.fold_left
-              (fun acc l -> Int_math.mul_exact acc (l + 1))
-              1 lambda_red
-          in
-          if points <= enumeration_budget then
-            enumerate_distinct ~lambda_red ~g_reduced:red.g_reduced
-          else
-            eval_poly_at_lambda
-              (rect_single_poly ~nesting:(Imat.rows g) ~g)
-              lambda
-
-let enumerate_union_distinct ~lambda_red ~g_reduced ~spread_red =
-  let n = Array.length lambda_red in
-  let seen = Hashtbl.create 1024 in
-  let point = Array.make n 0 in
-  let rec go i =
-    if i = n then begin
-      let img = Imat.mul_row point g_reduced in
-      Hashtbl.replace seen (Array.to_list img) ();
-      Hashtbl.replace seen (Array.to_list (Ivec.add img spread_red)) ()
-    end
-    else
-      for v = 0 to lambda_red.(i) do
-        point.(i) <- v;
-        go (i + 1)
-      done
-  in
-  go 0;
-  Hashtbl.length seen
+          enumerated_or_poly red ~lambda ~translates:[] (fun () ->
+              rect_single_poly ~nesting:(Imat.rows g) ~g)
 
 let rect_cumulative ~exact ~lambda ~g ~spread =
   if Array.length lambda <> Imat.rows g then
@@ -273,31 +284,21 @@ let rect_cumulative ~exact ~lambda ~g ~spread =
   if is_zero_matrix g then 1
   else
     let red = reduce ~g ~spread in
-    let nesting = Imat.rows g in
+    let poly () = rect_cumulative_poly ~nesting:(Imat.rows g) ~g ~spread in
     if exact && red.full_row_rank then begin
       let lambda_red = lambda_of_rows lambda red.kept_rows in
       let bounded = Lattice.make red.g_reduced lambda_red in
       Lattice.union_size_translate bounded red.spread_reduced
     end
-    else if exact then begin
+    else if exact then
       (* Rank-deficient reduced G (projections like A[i+j], dependent
          rows): Lemma 3 does not apply, but the union is still countable
          by enumeration for small tiles.  The Theorem 4 linearization is
          badly wrong exactly at degenerate tiles - a trip-count-1 tile
          with two coinciding references must report the single footprint,
          not single + |u| terms. *)
-      let lambda_red = lambda_of_rows lambda red.kept_rows in
-      let points =
-        Array.fold_left (fun acc l -> Int_math.mul_exact acc (l + 1)) 1
-          lambda_red
-      in
-      if points <= enumeration_budget then
-        enumerate_union_distinct ~lambda_red ~g_reduced:red.g_reduced
-          ~spread_red:red.spread_reduced
-      else eval_poly_at_lambda (rect_cumulative_poly ~nesting ~g ~spread) lambda
-    end
-    else
-      eval_poly_at_lambda (rect_cumulative_poly ~nesting ~g ~spread) lambda
+      enumerated_or_poly red ~lambda ~translates:[ red.spread_reduced ] poly
+    else eval_poly_at_lambda (poly ()) lambda
 
 (* ------------------------------------------------------------------ *)
 (* Hyperparallelepiped engines                                         *)

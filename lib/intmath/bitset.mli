@@ -1,0 +1,39 @@
+(** Sets over a bounded universe [0 .. universe - 1], one bit per
+    element: every distinct-element count over addresses or values that
+    fit a known range - the runtime's per-domain footprint rows, the
+    simulator's distinct counter, the general-[G] residue sweep.
+
+    A set pads its payload with a cache-line-sized guard region on both
+    sides, so sets allocated back to back and written by different
+    domains never share a line (no false sharing).  The record is
+    [private] so that a pass over many sets (the runtime's
+    [Measure.sharing]) can read payload bytes directly: bit [i] is bit [i land 7] of
+    [Bytes.get bits (pad + i lsr 3)]. *)
+
+type t = private { bits : Bytes.t; universe : int }
+
+val pad : int
+(** Bytes of guard region before (and after) the payload. *)
+
+val popcount : string
+(** [Char.code popcount.[b]] is the number of set bits in byte [b]. *)
+
+val create : universe:int -> t
+(** An empty set over [0 .. universe - 1].  Raises [Invalid_argument]
+    on a negative universe. *)
+
+val add : t -> int -> unit
+(** Add an element; it must lie in the universe (unchecked). *)
+
+val mem : t -> int -> bool
+(** Whether the set holds an element of its universe (unchecked). *)
+
+val cardinal : t -> int
+
+val union_count : t array -> int
+(** Cardinality of the union.  [0] for an empty array; raises
+    [Invalid_argument] unless every set has the same universe. *)
+
+val union : t array -> t
+(** A fresh set holding the union.  Raises [Invalid_argument] on an
+    empty array or mismatched universes. *)

@@ -209,10 +209,9 @@ let run_assignment nest ~(per_proc : Codegen.box array array)
              r.Reference.kind = Reference.Accumulate ))
          nest.Nest.body)
   in
-  (* Distinct elements: one flag per layout element.  The coherence unit
+  (* Distinct elements: one bit per layout element.  The coherence unit
      is the line holding the element. *)
-  let seen = Bytes.make (Layout.total_elements layout) '\000' in
-  let distinct = ref 0 in
+  let seen = Intmath.Bitset.create ~universe:(Layout.total_elements layout) in
   let execute p (iter : Matrixkit.Ivec.t) =
     for r = 0 to Array.length body - 1 do
       let { Layout.c; m = mk }, write, sync = body.(r) in
@@ -221,10 +220,7 @@ let run_assignment nest ~(per_proc : Codegen.box array array)
         a := !a + (mk.(k) * iter.(k))
       done;
       let a = !a in
-      if Bytes.get seen a = '\000' then begin
-        Bytes.set seen a '\001';
-        incr distinct
-      end;
+      Intmath.Bitset.add seen a;
       access m p (a / config.line_size) ~write ~sync
     done
   in
@@ -242,7 +238,12 @@ let run_assignment nest ~(per_proc : Codegen.box array array)
         cursors
     done
   done;
-  { stats = m.stats; distinct_total = !distinct; nprocs; steps }
+  {
+    stats = m.stats;
+    distinct_total = Intmath.Bitset.cardinal seen;
+    nprocs;
+    steps;
+  }
 
 let run (schedule : Codegen.schedule) config =
   run_assignment schedule.Codegen.nest

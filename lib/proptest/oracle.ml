@@ -544,7 +544,6 @@ let check_resilient (c : Gen.case) =
         {
           Resilient.policy = Resilient.Retry { attempts = 3; backoff_ms = 1 };
           deadline_ms;
-          stall_poll_ms = 2;
         }
       in
       let report, buffer =

@@ -1,3 +1,4 @@
+open Intmath
 open Loopir
 open Machine
 
@@ -141,14 +142,14 @@ let reexecution_safe c =
   | writes -> (
       let write_spans = Array.of_list (List.map (span space) writes) in
       let reads = List.filter (meets write_spans) (Array.to_list c.reads) in
-      let written = Measure.touched ~universe:(total_elements c) in
+      let written = Bitset.create ~universe:(total_elements c) in
       iter_box space (fun p ->
-          List.iter (fun r -> Measure.touch written (addr r p)) writes);
+          List.iter (fun r -> Bitset.add written (addr r p)) writes);
       let exception Clash in
       match
         iter_box space (fun p ->
             List.iter
-              (fun r -> if Measure.mem written (addr r p) then raise Clash)
+              (fun r -> if Bitset.mem written (addr r p) then raise Clash)
               reads)
       with
       | () -> true
@@ -157,10 +158,10 @@ let reexecution_safe c =
 (* The instrumented body additionally records every element address in
    one of the domain's sets: the one for its reference's kind. *)
 let observe_point c ~reads ~writes ~accumulates p =
-  Array.iter (fun r -> Measure.touch reads (addr r p)) c.reads;
+  Array.iter (fun r -> Bitset.add reads (addr r p)) c.reads;
   Array.iter
     (fun (r, accumulate) ->
-      Measure.touch (if accumulate then accumulates else writes) (addr r p))
+      Bitset.add (if accumulate then accumulates else writes) (addr r p))
     c.writes
 
 type tile = box array
@@ -275,9 +276,9 @@ type instrumented = {
   distinct_total : int;
   checksum : float;
   buffer : float array;
-  read_sets : Measure.touched array;
-  write_sets : Measure.touched array;
-  accumulate_sets : Measure.touched array;
+  read_sets : Bitset.t array;
+  write_sets : Bitset.t array;
+  accumulate_sets : Bitset.t array;
 }
 
 let measure ?mode:_ pool c work ~steps =
@@ -285,7 +286,7 @@ let measure ?mode:_ pool c work ~steps =
   let nprocs = Pool.size pool in
   let universe = total_elements c in
   let storage = alloc c in
-  let sets () = Array.init nprocs (fun _ -> Measure.touched ~universe) in
+  let sets () = Array.init nprocs (fun _ -> Bitset.create ~universe) in
   let read_sets = sets () and write_sets = sets () in
   let accumulate_sets = sets () in
   let seconds = Array.make nprocs 0.0 in
@@ -301,11 +302,11 @@ let measure ?mode:_ pool c work ~steps =
   {
     footprints =
       Array.init nprocs (fun p ->
-          Measure.union_count
+          Bitset.union_count
             [| read_sets.(p); write_sets.(p); accumulate_sets.(p) |]);
     iterations;
     distinct_total =
-      Measure.union_count
+      Bitset.union_count
         (Array.concat [ read_sets; write_sets; accumulate_sets ]);
     checksum = checksum storage;
     buffer = storage;
@@ -369,7 +370,7 @@ let observed_steps work ~steps = if static work then min steps 1 else steps
 let observed pool c work ~observe ~steps =
   let nprocs = Pool.size pool in
   let universe = total_elements c in
-  let sets () = Array.init nprocs (fun _ -> Measure.touched ~universe) in
+  let sets () = Array.init nprocs (fun _ -> Bitset.create ~universe) in
   let reads = sets () and writes = sets () in
   pass ~trace:Trace.disabled ~barriers:true pool work ~steps
     ~box:(fun p -> observe ~reads:reads.(p) ~writes:writes.(p))

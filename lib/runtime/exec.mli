@@ -86,7 +86,7 @@ val reexecution_safe : compiled -> bool
     different arrays never overlap (their {!Machine.Layout} frames are
     disjoint).  When no write meets a read this way the answer is
     [true] after O(references) work and no enumeration.  Otherwise the
-    exact fallback sets a bit ({!Measure.touched}) for every address of
+    exact fallback sets a bit ({!Intmath.Bitset}) for every address of
     the writes that meet a read span, over the whole iteration space,
     and probes it with the reads that meet one of those writes' spans. *)
 
@@ -165,9 +165,9 @@ type instrumented = {
   distinct_total : int;  (** all the sets' union count *)
   checksum : float;
   buffer : storage;  (** the operands the pass ran on, for value checks *)
-  read_sets : Measure.touched array;  (** per domain: elements it loads *)
-  write_sets : Measure.touched array;  (** per domain: its [Write] stores *)
-  accumulate_sets : Measure.touched array;  (** per domain: its [l$] adds *)
+  read_sets : Intmath.Bitset.t array;  (** per domain: elements it loads *)
+  write_sets : Intmath.Bitset.t array;  (** per domain: its [Write] stores *)
+  accumulate_sets : Intmath.Bitset.t array;  (** per domain: its [l$] adds *)
 }
 
 val measure :
@@ -175,7 +175,7 @@ val measure :
 (** One instrumented (untimed) execution of exactly [steps] steps on
     fresh operands, on the interpreter; its checksum and buffer are
     those of that execution.  Each domain records every address it
-    touches in its {!Measure.touched} set for the reference's kind;
+    touches in its {!Intmath.Bitset} set for the reference's kind;
     footprints count their unions exactly.  Every step ends at a
     barrier.  No run path calls it: it is the reference the observing
     pass of {!run} is checked against (fuzz oracle 3, {!Validate}), and
@@ -224,7 +224,8 @@ val observed_steps : work -> steps:int -> int
 val run :
   trace:Trace.t ->
   box:(storage -> box -> unit) ->
-  observe:(reads:Measure.touched -> writes:Measure.touched -> box -> unit) ->
+  observe:
+    (reads:Intmath.Bitset.t -> writes:Intmath.Bitset.t -> box -> unit) ->
   Pool.t ->
   compiled ->
   work ->

@@ -1,3 +1,4 @@
+open Intmath
 open Loopir
 
 type box = Exec.box
@@ -23,7 +24,7 @@ type plan = {
       (** [rstep.(k).(i)]: read [i]'s address delta along traversal axis [k] *)
   wstep : int array array;  (** the same for the writes *)
   row : Exec.storage row;
-  observe_row : (Measure.touched * Measure.touched) row;
+  observe_row : (Bitset.t * Bitset.t) row;
 }
 
 let order p = Array.copy p.order
@@ -371,12 +372,12 @@ let row_of shape (reads : Exec.cref array) writes ~rd ~wd : Exec.storage row =
    passes over the [n] points, in the read set for a read and the write
    set for a write or accumulate, and no load or store. *)
 let observe_row ~(rd : int array) ~(wd : int array) :
-    (Measure.touched * Measure.touched) row =
+    (Bitset.t * Bitset.t) row =
   let touch_run touched n (a : int array) (delta : int array) =
     for i = 0 to Array.length a - 1 do
       let a0 = Array.unsafe_get a i and d = Array.unsafe_get delta i in
       for j = 0 to n - 1 do
-        Measure.touch touched (a0 + (j * d))
+        Bitset.add touched (a0 + (j * d))
       done
     done
   in

@@ -72,7 +72,7 @@ val run_box : plan -> Exec.storage -> box -> unit
     before any box runs). *)
 
 val observe :
-  plan -> reads:Measure.touched -> writes:Measure.touched -> box -> unit
+  plan -> reads:Intmath.Bitset.t -> writes:Intmath.Bitset.t -> box -> unit
 (** Add every element address the box's iterations reference: one bit
     per reference per point, in {!run_box}'s traversal order and from
     its cursors, with no load or store.  A read's addresses go to

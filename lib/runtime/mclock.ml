@@ -6,49 +6,3 @@
 let now_ns () = Monotonic_clock.now ()
 
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
-(* The guard keeps the last value handed out in an atomic float box.
-   [read] publishes max(source, floor): a source that steps backwards
-   (a replayed wall clock, an adversarial test source) is clamped to the
-   floor, so time as seen through the clock never runs backwards.  The
-   CAS loop only retries when another domain raised the floor
-   concurrently - with the default monotonic source it is all fast
-   path. *)
-type t = { source : unit -> float; floor : float Atomic.t }
-
-let create ?(source = now) () = { source; floor = Atomic.make neg_infinity }
-
-let rec read c =
-  let v = c.source () in
-  let floor = Atomic.get c.floor in
-  if v <= floor then floor
-  else if Atomic.compare_and_set c.floor floor v then v
-  else read c
-
-module Deadline = struct
-  type d = {
-    clock : t;
-    mutable at : float;  (** absolute clock reading the deadline expires at *)
-    fired : bool Atomic.t;
-  }
-
-  let check after =
-    if not (Float.is_finite after) || after < 0.0 then
-      invalid_arg "Mclock.Deadline: after must be finite and >= 0"
-
-  let arm clock ~after =
-    check after;
-    { clock; at = read clock +. after; fired = Atomic.make false }
-
-  let expired d = read d.clock > d.at
-
-  (* The latch, not the clock, guarantees exactly-once: even if the
-     underlying source steps back past the deadline and forward again,
-     the CAS admits a single winner. *)
-  let fire d = expired d && Atomic.compare_and_set d.fired false true
-
-  let reset d ~after =
-    check after;
-    d.at <- read d.clock +. after;
-    Atomic.set d.fired false
-end

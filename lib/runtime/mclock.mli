@@ -22,50 +22,3 @@ val now_ns : unit -> int64
 val now : unit -> float
 (** {!now_ns} in seconds.  Strictly for differences; never compare with
     [Unix.gettimeofday]. *)
-
-(** {2 Guarded clocks}
-
-    A {!t} wraps a time source with a monotonicity guard: {!read} never
-    returns less than any earlier {!read} of the same clock, even if the
-    underlying source steps backwards, and the guard is atomic so
-    concurrent readers on different domains agree on the floor.  The
-    default source is {!now} (already monotonic; the guard then costs
-    one atomic load + CAS-free fast path).  An injectable [source]
-    exists so tests can replay a recorded or adversarial clock - e.g. a
-    wall clock stepping backwards mid-stall - against deadline logic. *)
-
-type t
-
-val create : ?source:(unit -> float) -> unit -> t
-(** A fresh guarded clock over [source] (default {!now}). *)
-
-val read : t -> float
-(** The source's current time, clamped to be non-decreasing across all
-    reads of this clock (from any domain). *)
-
-(** {2 One-shot deadlines}
-
-    The idiom the watchdog and the regression tests share: a deadline
-    armed at a start instant that {e fires exactly once}, no matter how
-    the underlying source misbehaves or how many domains poll it. *)
-
-module Deadline : sig
-  type d
-
-  val arm : t -> after:float -> d
-  (** A deadline [after] seconds from the clock's current reading.
-      [after] must be finite and non-negative. *)
-
-  val expired : d -> bool
-  (** Whether the clock has passed the deadline.  Once true, stays true
-      (the guarded clock cannot move back below the deadline). *)
-
-  val fire : d -> bool
-  (** [true] on the first call that observes the deadline expired, and
-      on no other call ever - including concurrent callers, of which
-      exactly one wins. *)
-
-  val reset : d -> after:float -> unit
-  (** Re-arm [after] seconds from now, clearing the fired latch: the
-      watchdog's "progress observed, push the deadline out" step. *)
-end

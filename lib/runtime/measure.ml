@@ -1,72 +1,6 @@
+open Intmath
+
 type mode = Exact
-
-(* Each instrument is owned by one domain but all of them are allocated
-   by the coordinating domain, back to back on the heap.  A guard region
-   on both sides of the payload keeps the bytes two domains hammer from
-   ever sharing a cache line, so the instrumented pass does not serialize
-   on false sharing at the object boundaries. *)
-let pad = 128
-
-(* Bit [i] of the set is bit [i land 7] of [bits.[pad + i lsr 3]]. *)
-type touched = { bits : Bytes.t; universe : int }
-
-let touched ~universe =
-  if universe < 0 then invalid_arg "Measure.touched: negative universe";
-  { bits = Bytes.make (((universe + 7) / 8) + (2 * pad)) '\000'; universe }
-
-let touch { bits; _ } i =
-  let byte = pad + (i lsr 3) and mask = 1 lsl (i land 7) in
-  let old = Char.code (Bytes.unsafe_get bits byte) in
-  if old land mask = 0 then
-    Bytes.unsafe_set bits byte (Char.unsafe_chr (old lor mask))
-
-let mem { bits; _ } i =
-  Char.code (Bytes.unsafe_get bits (pad + (i lsr 3))) land (1 lsl (i land 7))
-  <> 0
-
-let popcount_byte = Array.init 256 (fun b ->
-    let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
-    go b 0)
-
-(* Ones in the bit-or of [ts]' payloads, byte by byte. *)
-let ones ts =
-  let total = ref 0 in
-  for j = pad to pad + ((ts.(0).universe + 7) / 8) - 1 do
-    let byte = ref 0 in
-    for k = 0 to Array.length ts - 1 do
-      byte := !byte lor Char.code (Bytes.unsafe_get ts.(k).bits j)
-    done;
-    total := !total + popcount_byte.(!byte)
-  done;
-  !total
-
-let touched_count t = ones [| t |]
-
-let same_universe what ts =
-  if Array.exists (fun t -> t.universe <> ts.(0).universe) ts then
-    invalid_arg ("Measure." ^ what ^ ": mismatched sets")
-
-let union_count ts =
-  if Array.length ts = 0 then 0
-  else begin
-    same_universe "union_count" ts;
-    ones ts
-  end
-
-let union ts =
-  if Array.length ts = 0 then invalid_arg "Measure.union: no sets";
-  same_universe "union" ts;
-  let u = Bytes.copy ts.(0).bits in
-  Array.iter
-    (fun t ->
-      for j = pad to Bytes.length u - pad - 1 do
-        Bytes.unsafe_set u j
-          (Char.unsafe_chr
-             (Char.code (Bytes.unsafe_get u j)
-             lor Char.code (Bytes.unsafe_get t.bits j)))
-      done)
-    ts;
-  { bits = u; universe = ts.(0).universe }
 
 type sharing = {
   footprints : int array;
@@ -88,27 +22,33 @@ let sharing ~reads ~writes =
   let footprints = Array.make n 0 and flow_in = Array.make n 0 in
   let distinct = ref 0 and crossing = ref 0 in
   if n > 0 then begin
-    same_universe "sharing" (Array.append reads writes);
-    let byte t j = Char.code (Bytes.unsafe_get t.bits j) in
-    for j = pad to pad + ((reads.(0).universe + 7) / 8) - 1 do
+    let universe = reads.(0).Bitset.universe in
+    if
+      Array.exists
+        (fun (t : Bitset.t) -> t.universe <> universe)
+        (Array.append reads writes)
+    then invalid_arg "Measure.sharing: mismatched sets";
+    let byte (t : Bitset.t) j = Char.code (Bytes.unsafe_get t.bits j) in
+    let popcount b = Char.code (String.unsafe_get Bitset.popcount b) in
+    for j = Bitset.pad to Bitset.pad + ((universe + 7) / 8) - 1 do
       let w1 = ref 0 and w2 = ref 0 and t1 = ref 0 and t2 = ref 0 in
       for p = 0 to n - 1 do
         let wp = byte writes.(p) j in
         let tp = byte reads.(p) j lor wp in
-        footprints.(p) <- footprints.(p) + popcount_byte.(tp);
+        footprints.(p) <- footprints.(p) + popcount tp;
         w2 := !w2 lor (!w1 land wp);
         w1 := !w1 lor wp;
         t2 := !t2 lor (!t1 land tp);
         t1 := !t1 lor tp
       done;
-      distinct := !distinct + popcount_byte.(!t1);
+      distinct := !distinct + popcount !t1;
       let cross = !w1 land !t2 in
       if cross <> 0 then begin
-        crossing := !crossing + popcount_byte.(cross);
+        crossing := !crossing + popcount cross;
         for p = 0 to n - 1 do
           let others = !w2 lor (!w1 land lnot (byte writes.(p) j)) in
           flow_in.(p) <-
-            flow_in.(p) + popcount_byte.(byte reads.(p) j land others)
+            flow_in.(p) + popcount (byte reads.(p) j land others)
         done
       end
     done

@@ -3,42 +3,16 @@
     measured analogue of the cumulative footprints Theorems 2/4 predict
     and {!Machine.Sim} counts exactly.
 
-    Footprints are counted exactly by {!touched} sets per domain: one
-    bit per element of the {!Machine.Layout} address range, so a set
-    costs [universe / 8] bytes.  The same sets, split into reads and
-    writes, tell which elements cross domains ({!sharing}) and so
-    whether a run's steps need a barrier.
-
-    Each per-domain set pads its payload with a cache-line-sized guard
-    region on both sides, so instruments allocated back to back never
-    share a line between two writing domains (no false sharing in the
-    observing pass). *)
+    Footprints are counted exactly by {!Intmath.Bitset} sets per
+    domain: one bit per element of the {!Machine.Layout} address range,
+    so a set costs [universe / 8] bytes.  The same sets, split into
+    reads and writes, tell which elements cross domains ({!sharing})
+    and so whether a run's steps need a barrier. *)
 
 type mode =
   | Exact
       (** the only instrument.  The type stays only until its last
           readers drop it *)
-
-type touched
-
-val touched : universe:int -> touched
-(** An empty set over addresses [0 .. universe - 1]. *)
-
-val touch : touched -> int -> unit
-(** Add an address; it must lie in the set's universe (unchecked). *)
-
-val mem : touched -> int -> bool
-(** Whether the set holds an address of its universe (unchecked). *)
-
-val touched_count : touched -> int
-
-val union_count : touched array -> int
-(** Cardinality of the union.  [0] for an empty array; raises
-    [Invalid_argument] unless every set has the same universe. *)
-
-val union : touched array -> touched
-(** A fresh set holding the union.  Raises [Invalid_argument] on an
-    empty array or mismatched universes. *)
 
 (** {2 What crosses domains}
 
@@ -58,7 +32,8 @@ type sharing = {
   crossing : int;  (** elements that cross domains *)
 }
 
-val sharing : reads:touched array -> writes:touched array -> sharing
+val sharing :
+  reads:Intmath.Bitset.t array -> writes:Intmath.Bitset.t array -> sharing
 (** What the rows [reads.(p)], [writes.(p)] hold and share, counted in
     one byte-wise pass.  Raises [Invalid_argument] unless there are as
     many read rows as write rows over one universe. *)

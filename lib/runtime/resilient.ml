@@ -36,10 +36,13 @@ let policy_of_string s =
         (Printf.sprintf
            "unknown fault policy %S (fail-fast | retry[:N[:MS]] | degrade)" s)
 
-type config = { policy : policy; deadline_ms : int; stall_poll_ms : int }
+type config = { policy : policy; deadline_ms : int }
 
-let default_config =
-  { policy = default_retry; deadline_ms = 1000; stall_poll_ms = 5 }
+let default_config = { policy = default_retry; deadline_ms = 1000 }
+
+(* Injected stalls re-check for an aborted attempt this often, so a
+   watchdog verdict wakes the sleeper promptly. *)
+let stall_poll_seconds = 0.005
 
 type partitioned = { tiles : Exec.tile array; owners : int array }
 
@@ -135,12 +138,11 @@ let abort_locked g ~reason =
   end
 
 let interruptible_stall ctx ms =
-  let slice = float_of_int (max 1 ctx.cfg.stall_poll_ms) /. 1000.0 in
   let until = Mclock.now () +. (float_of_int ms /. 1000.0) in
   let rec loop () =
     let remain = until -. Mclock.now () in
     if remain > 0.0 && not (Atomic.get ctx.g.aborted) then begin
-      Unix.sleepf (Float.min slice remain);
+      Unix.sleepf (Float.min stall_poll_seconds remain);
       loop ()
     end
   in
@@ -291,13 +293,13 @@ let watcher ctx =
   let g = ctx.g in
   let after = float_of_int ctx.cfg.deadline_ms /. 1000.0 in
   let snap = Array.map Atomic.get ctx.hb in
-  let dl = Mclock.Deadline.arm (Mclock.create ()) ~after in
+  let due = ref (Mclock.now () +. after) in
   let silent q =
     (g.phase.(q) = Running || g.phase.(q) = Helping)
     && Atomic.get ctx.hb.(q) = snap.(q)
   in
   let probe () =
-    if Mclock.Deadline.fire dl then begin
+    if Mclock.now () > !due then begin
       Mutex.protect g.m (fun () ->
           let step = Atomic.get g.epoch + 1 in
           if (not (Atomic.get g.aborted)) && step <= ctx.steps then
@@ -312,7 +314,7 @@ let watcher ctx =
                         step %d"
                        q ctx.cfg.deadline_ms step));
       Array.iteri (fun q h -> snap.(q) <- Atomic.get h) ctx.hb;
-      Mclock.Deadline.reset dl ~after
+      due := Mclock.now () +. after
     end
   in
   (Float.min after 1.0, probe)

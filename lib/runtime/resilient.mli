@@ -51,14 +51,10 @@ type config = {
   deadline_ms : int;
       (** watchdog: a straggler whose heartbeat is silent this long is
           declared timed out; at least 1 *)
-  stall_poll_ms : int;
-      (** granularity at which injected stalls re-check for an aborted
-          attempt, so a watchdog verdict wakes the sleeper promptly *)
 }
 
 val default_config : config
-(** [Retry {attempts = 3; backoff_ms = 25}], 1000 ms deadline, 5 ms
-    stall poll. *)
+(** [Retry {attempts = 3; backoff_ms = 25}], 1000 ms deadline. *)
 
 type partitioned = {
   tiles : Exec.tile array;  (** tile id -> its boxes, in order *)

@@ -1,3 +1,4 @@
+open Intmath
 open Loopir
 open Partition
 open Machine
@@ -46,8 +47,8 @@ let classify layout { Exec.read_sets; write_sets; accumulate_sets; _ } =
   for a = 0 to Layout.total_elements layout - 1 do
     let writers = ref 0 and plain = ref false in
     for p = 0 to nprocs - 1 do
-      let w = Measure.mem write_sets.(p) a in
-      if w || Measure.mem accumulate_sets.(p) a then begin
+      let w = Bitset.mem write_sets.(p) a in
+      if w || Bitset.mem accumulate_sets.(p) a then begin
         incr writers;
         plain := !plain || w
       end
@@ -55,7 +56,7 @@ let classify layout { Exec.read_sets; write_sets; accumulate_sets; _ } =
     if !writers >= 2 then flag (if !plain then races else contended) a
   done;
   let writes =
-    Array.map2 (fun w a -> Measure.union [| w; a |]) write_sets accumulate_sets
+    Array.map2 (fun w a -> Bitset.union [| w; a |]) write_sets accumulate_sets
   in
   {
     races = List.sort compare !races;

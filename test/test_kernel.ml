@@ -75,7 +75,7 @@ let test_strides_match_address () =
    address at every point, the set [Exec.measure] records. *)
 let interpreted_set compiled boxes =
   let set =
-    Runtime.Measure.touched ~universe:(Runtime.Exec.total_elements compiled)
+    Intmath.Bitset.create ~universe:(Runtime.Exec.total_elements compiled)
   in
   let addrs =
     List.map (Runtime.Exec.address compiled) (Runtime.Exec.nest compiled).Nest.body
@@ -83,22 +83,22 @@ let interpreted_set compiled boxes =
   List.iter
     (fun b ->
       Runtime.Exec.iter_box b (fun p ->
-          List.iter (fun addr -> Runtime.Measure.touch set (addr p)) addrs))
+          List.iter (fun addr -> Intmath.Bitset.add set (addr p)) addrs))
     boxes;
   set
 
 let observed_set plan compiled boxes =
   let set =
-    Runtime.Measure.touched ~universe:(Runtime.Exec.total_elements compiled)
+    Intmath.Bitset.create ~universe:(Runtime.Exec.total_elements compiled)
   in
   List.iter (Runtime.Kernel.observe plan ~reads:set ~writes:set) boxes;
   set
 
 (* Two sets are equal iff each has as many elements as their union. *)
 let same_set label a b =
-  let n = Runtime.Measure.touched_count a in
-  check (label ^ ": count") (Runtime.Measure.touched_count b) n;
-  check (label ^ ": union") n (Runtime.Measure.union_count [| a; b |])
+  let n = Intmath.Bitset.cardinal a in
+  check (label ^ ": count") (Intmath.Bitset.cardinal b) n;
+  check (label ^ ": union") n (Intmath.Bitset.union_count [| a; b |])
 
 (* ------------------------------------------------------------------ *)
 (* Traversal order                                                     *)
@@ -200,7 +200,7 @@ let test_empty_box_is_noop () =
   List.iter (Runtime.Kernel.run_box plan storage) empty;
   checkb "empty boxes leave operands untouched" true (storage = before);
   check "empty boxes observe nothing" 0
-    (Runtime.Measure.touched_count (observed_set plan compiled empty));
+    (Intmath.Bitset.cardinal (observed_set plan compiled empty));
   check "empty volume" 0 (Runtime.Exec.box_volume [| (3, 2); (1, 6) |])
 
 let test_degenerate_and_partial_boxes () =
@@ -292,7 +292,7 @@ let test_box_allocates_only_cursors () =
           ("run", Runtime.Kernel.run_box plan (Runtime.Exec.alloc compiled));
           ( "observed",
             let set =
-              Runtime.Measure.touched
+              Intmath.Bitset.create
                 ~universe:(Runtime.Exec.total_elements compiled)
             in
             Runtime.Kernel.observe plan ~reads:set ~writes:set );
@@ -348,8 +348,8 @@ let test_observe_gallery_tiles () =
             (fun p o -> same_set (label (string_of_int p)) o interpreted.(p))
             observed;
           check (label "union")
-            (Runtime.Measure.union_count interpreted)
-            (Runtime.Measure.union_count observed))
+            (Intmath.Bitset.union_count interpreted)
+            (Intmath.Bitset.union_count observed))
         (List.concat_map
            (fun nprocs ->
              (nprocs, false)

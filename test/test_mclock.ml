@@ -1,26 +1,9 @@
-(* Tests for the monotonic clock: raw readings never decrease, the
-   guarded clock clamps a backward-stepping source, and a stall deadline
-   crossing a simulated clock step fires exactly once - the regression
-   the Unix.gettimeofday -> Mclock migration is guarded by. *)
+(* Tests for the monotonic clock: raw readings never decrease - the
+   property the Unix.gettimeofday -> Mclock migration is guarded by. *)
 
 module Mclock = Runtime.Mclock
 
 let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
-
-(* A scripted time source: returns the next value in the list, holding
-   the last one forever.  Lets a test replay an adversarial wall clock
-   (NTP step, leap smear) deterministically. *)
-let scripted values =
-  let remaining = ref values in
-  let last = ref (match values with v :: _ -> v | [] -> 0.0) in
-  fun () ->
-    (match !remaining with
-    | v :: rest ->
-        last := v;
-        remaining := rest
-    | [] -> ());
-    !last
 
 let test_now_monotonic () =
   let prev = ref (Mclock.now ()) in
@@ -33,114 +16,9 @@ let test_now_monotonic () =
   let b = Mclock.now_ns () in
   checkb "now_ns non-decreasing" true (Int64.compare b a >= 0)
 
-let test_guard_clamps_backward_step () =
-  let c =
-    Mclock.create ~source:(scripted [ 10.0; 11.0; 5.0; 6.0; 12.0 ]) ()
-  in
-  checkb "first read" true (Mclock.read c = 10.0);
-  checkb "advance" true (Mclock.read c = 11.0);
-  (* The source steps back 6 s; the guard holds the floor. *)
-  checkb "clamped at floor" true (Mclock.read c = 11.0);
-  checkb "still clamped" true (Mclock.read c = 11.0);
-  checkb "resumes once source passes the floor" true (Mclock.read c = 12.0)
-
-(* The headline regression: a deadline armed before a backwards clock
-   step must fire exactly once, never re-arm.  Under the old
-   gettimeofday arithmetic ([start + budget] vs a re-read wall clock)
-   the backwards step made [now - start > budget] flip back to false
-   after the deadline had already been observed expired. *)
-let test_deadline_fires_once_across_clock_step () =
-  let c =
-    Mclock.create
-      ~source:
-        (scripted
-           [
-             100.0;  (* arm reads this: deadline = 100.5 *)
-             100.6;  (* expired *)
-             99.0;  (* the clock steps back 1.6 s mid-stall... *)
-             99.1;  (* ...and crawls forward again *)
-             100.7;
-             200.0;
-           ])
-      ()
-  in
-  let d = Mclock.Deadline.arm c ~after:0.5 in
-  checkb "first poll fires" true (Mclock.Deadline.fire d);
-  (* Every subsequent poll - during and after the backwards step - must
-     see the latch consumed. *)
-  let refires = ref 0 in
-  for _ = 1 to 50 do
-    if Mclock.Deadline.fire d then incr refires
-  done;
-  checki "fires exactly once" 0 !refires;
-  checkb "stays expired" true (Mclock.Deadline.expired d)
-
-let test_deadline_not_early () =
-  let c = Mclock.create ~source:(scripted [ 0.0; 0.1; 0.2; 5.0 ]) () in
-  let d = Mclock.Deadline.arm c ~after:1.0 in
-  checkb "not expired at 0.1" false (Mclock.Deadline.fire d);
-  checkb "not expired at 0.2" false (Mclock.Deadline.fire d);
-  checkb "fires at 5.0" true (Mclock.Deadline.fire d);
-  checkb "consumed" false (Mclock.Deadline.fire d)
-
-let test_deadline_reset_rearms () =
-  (* arm reads 0.0; fire reads 10.0; reset reads 10.0 (re-arm at 15.0);
-     expired reads 12.0; the two fires read 20.0. *)
-  let c =
-    Mclock.create ~source:(scripted [ 0.0; 10.0; 10.0; 12.0; 20.0; 20.0 ]) ()
-  in
-  let d = Mclock.Deadline.arm c ~after:1.0 in
-  checkb "fires" true (Mclock.Deadline.fire d);
-  Mclock.Deadline.reset d ~after:5.0;
-  checkb "re-armed, not yet expired" false (Mclock.Deadline.expired d);
-  checkb "fires again after reset" true (Mclock.Deadline.fire d);
-  checkb "consumed again" false (Mclock.Deadline.fire d)
-
-let test_deadline_concurrent_single_winner () =
-  (* 4 domains hammer one expired deadline; exactly one fire wins. *)
-  let c = Mclock.create () in
-  let d = Mclock.Deadline.arm c ~after:0.0 in
-  let wins = Atomic.make 0 in
-  let domains =
-    Array.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 1000 do
-              if Mclock.Deadline.fire d then Atomic.incr wins
-            done))
-  in
-  Array.iter Domain.join domains;
-  checki "one winner" 1 (Atomic.get wins)
-
-let test_arm_rejects_garbage () =
-  let c = Mclock.create () in
-  let bad after =
-    match Mclock.Deadline.arm c ~after with
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  in
-  checkb "negative" true (bad (-1.0));
-  checkb "nan" true (bad Float.nan);
-  checkb "inf" true (bad Float.infinity)
-
 let () =
   Alcotest.run "mclock"
     [
       ( "clock",
-        [
-          Alcotest.test_case "now is monotonic" `Quick test_now_monotonic;
-          Alcotest.test_case "guard clamps a backward step" `Quick
-            test_guard_clamps_backward_step;
-        ] );
-      ( "deadline",
-        [
-          Alcotest.test_case "fires exactly once across a clock step" `Quick
-            test_deadline_fires_once_across_clock_step;
-          Alcotest.test_case "does not fire early" `Quick
-            test_deadline_not_early;
-          Alcotest.test_case "reset re-arms" `Quick test_deadline_reset_rearms;
-          Alcotest.test_case "concurrent polls: one winner" `Quick
-            test_deadline_concurrent_single_winner;
-          Alcotest.test_case "arm rejects non-finite budgets" `Quick
-            test_arm_rejects_garbage;
-        ] );
+        [ Alcotest.test_case "now is monotonic" `Quick test_now_monotonic ] );
     ]

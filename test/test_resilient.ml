@@ -33,8 +33,7 @@ let run ?policy ?(deadline_ms = 1000) ?plan ?tile ?trace nest ~nprocs =
   in
   let resilience =
     {
-      Resilient.default_config with
-      deadline_ms;
+      Resilient.deadline_ms;
       policy =
         Option.value ~default:Resilient.default_config.Resilient.policy policy;
     }

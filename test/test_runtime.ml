@@ -185,24 +185,24 @@ let test_deques_cover_and_steal () =
 (* ------------------------------------------------------------------ *)
 
 let touched_of ~universe l =
-  let t = Runtime.Measure.touched ~universe in
-  List.iter (Runtime.Measure.touch t) l;
+  let t = Intmath.Bitset.create ~universe in
+  List.iter (Intmath.Bitset.add t) l;
   t
 
 let test_touched_exact () =
   check "exact distinct count" 4
-    (Runtime.Measure.touched_count
+    (Intmath.Bitset.cardinal
        (touched_of ~universe:1000 [ 3; 7; 3; 999; 7; 0 ]));
   (* Beyond 2^24 elements, where an estimate once replaced the count. *)
   let universe = (1 lsl 24) + 64 in
   let a = touched_of ~universe [ 0; 1 lsl 24; universe - 1; 0; universe - 1 ]
   and b = touched_of ~universe [ 1 lsl 24; 5; 5 ] in
-  check "exact count over 2^24 elements" 3 (Runtime.Measure.touched_count a);
+  check "exact count over 2^24 elements" 3 (Intmath.Bitset.cardinal a);
   check "exact union over 2^24 elements" 4
-    (Runtime.Measure.union_count [| a; b |]);
+    (Intmath.Bitset.union_count [| a; b |]);
   checkb "union of different universes rejected" true
     (match
-       Runtime.Measure.union_count
+       Intmath.Bitset.union_count
          [| touched_of ~universe:1000 [ 1 ]; touched_of ~universe:1001 [ 1 ] |]
      with
     | _ -> false
@@ -210,7 +210,7 @@ let test_touched_exact () =
 
 let test_union_count () =
   check "union of overlapping sets" 5
-    (Runtime.Measure.union_count
+    (Intmath.Bitset.union_count
        [|
          touched_of ~universe:64 [ 1; 2; 3 ];
          touched_of ~universe:64 [ 3; 4; 5 ];
@@ -233,7 +233,7 @@ let test_sharing () =
   Alcotest.(check (array int))
     "flow-in" [| 0; 1; 1 |] s.Runtime.Measure.flow_in;
   check "union of the writes" 4
-    (Runtime.Measure.touched_count (Runtime.Measure.union writes));
+    (Intmath.Bitset.cardinal (Intmath.Bitset.union writes));
   let alone =
     Runtime.Measure.sharing ~reads:[| set [ 3 ] |] ~writes:[| set [ 3 ] |]
   in

@@ -25,6 +25,15 @@ val create : universe:int -> t
 val add : t -> int -> unit
 (** Add an element; it must lie in the universe (unchecked). *)
 
+val add_run : t -> int -> stride:int -> count:int -> unit
+(** [add_run t start ~stride ~count] adds the [count] elements
+    [start + j * stride], [j = 0 .. count - 1]: the addresses one
+    reference's cursor passes over a row of [count] points.  Any stride
+    is accepted: [0] adds [start] alone, a negative one is the same run
+    walked up from its far end, and [1] sets whole bytes at a time.  A
+    [count <= 0] adds nothing.  Every element must lie in the universe
+    (unchecked).  Equal to folding {!add} over the run. *)
+
 val mem : t -> int -> bool
 (** Whether the set holds an element of its universe (unchecked). *)
 

@@ -702,13 +702,17 @@ let check_kernel (c : Gen.case) =
    interpreter's all-steps [Exec.measure] over the same work, finds no
    race, no contended accumulate and no cross read.  Whenever it skips
    them, its checksum must be that of [Exec.measure] - the interpreter
-   with a barrier every step - bit for bit. *)
+   with a barrier every step - bit for bit.  It runs three repeats, and
+   must skip the reset between them exactly when
+   [Exec.reexecution_safe] holds: its rows then hold no element both
+   read and written, and nothing accumulates. *)
 let check_barrier_free ~pools (c : Gen.case) =
   let compiled = Exec.compile c.nest in
   let steps = Exec.steps_of_nest c.nest in
   let plan = Kernel.plan compiled in
   let layout = Layout.of_nest c.nest in
   let elements = List.fold_left (fun acc (_, n) -> acc + n) 0 in
+  let safe = lazy (Exec.reexecution_safe compiled) in
   let at nprocs () =
     let pool = Pools.get pools nprocs in
     let work =
@@ -720,10 +724,17 @@ let check_barrier_free ~pools (c : Gen.case) =
     let want = k.Validate.races = [] && k.contended = [] && not k.cross_read in
     let r =
       Exec.run ~trace:Trace.disabled ~box:(Kernel.run_box plan)
-        ~observe:(Kernel.observe plan) pool compiled work ~steps ~repeats:1
+        ~observe:(Kernel.observe plan) pool compiled work ~steps ~repeats:3
     in
     let free = r.Measure.barriers = Measure.Barrier_free in
-    if free <> want then
+    let reused = r.Measure.repeat_buffer = Measure.Reused in
+    if reused <> Lazy.force safe then
+      fail "barrier-free-agree"
+        "tile %s on %d procs: Exec.run skips the reset between repeats %b, \
+         but Exec.reexecution_safe is %b"
+        (tile_str (Tile.rect c.tile))
+        nprocs reused (Lazy.force safe)
+    else if free <> want then
       fail "barrier-free-agree"
         "tile %s on %d procs: Exec.run barrier-free %b, but Validate finds \
          %d racing and %d contended elements, cross read %b"

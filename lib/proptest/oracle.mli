@@ -31,8 +31,10 @@
       rectangular tile, [Runtime.Exec.run] skips its step barriers
       exactly when [Runtime.Validate.classify] on the interpreter's
       sets finds no race, no contended accumulate and no cross read,
-      and a barrier-free run's checksum is the interpreter's with a
-      barrier every step, bit for bit.
+      and a barrier-free run's checksum, over three timed repeats, is
+      the interpreter's with a barrier every step, bit for bit; the
+      repeats skip their buffer reset exactly when
+      [Runtime.Exec.reexecution_safe] holds of the nest.
 
     A fault can be injected to prove the harness detects and shrinks real
     bugs: [Spread_off_by_one] perturbs the class spread/translation vector

@@ -316,26 +316,31 @@ let measure ?mode:_ pool c work ~steps =
   }
 
 (* The fastest of [repeats] timed passes, with the checksum of the
-   storage that pass produced.  Every repeat runs on the one buffer,
-   reset to the initial operands before it. *)
-let timed ~box ~trace ~barriers pool c work ~steps ~repeats =
+   storage it produced.  Every repeat runs on the one buffer.  Under
+   [Reset_each] the buffer is reset to the initial operands before every
+   repeat but the first and summed after each.  Under [Reused] every
+   repeat leaves the same buffer whatever it starts from, so there is
+   nothing to reset and the buffer is summed once, after the last. *)
+let timed ~box ~trace ~barriers ~repeat_buffer pool c work ~steps ~repeats =
   let nprocs = Pool.size pool in
+  let each = repeat_buffer = Measure.Reset_each in
   let storage = alloc c in
   let box = box storage in
   let best = ref (infinity, [||], [||], 0.0) in
   for rep = 1 to repeats do
-    if rep > 1 then reset storage;
+    if each && rep > 1 then reset storage;
     let seconds = Array.make nprocs 0.0 in
     let iterations = Array.make nprocs 0 in
     let t0 = Mclock.now () in
     pass ~trace ~barriers pool work ~steps ~box:(fun _ -> box) ~seconds
       ~iterations;
     let wall = Mclock.now () -. t0 in
-    let sum = checksum storage in
+    let sum = if each then checksum storage else Float.nan in
     let best_wall, _, _, _ = !best in
     if wall < best_wall then best := (wall, seconds, iterations, sum)
   done;
-  !best
+  let wall, seconds, iterations, sum = !best in
+  (wall, seconds, iterations, if each then sum else checksum storage)
 
 (* Checked once, before any pass: the box bodies address operands
    unchecked. *)
@@ -346,7 +351,8 @@ let check_timed c work ~repeats =
 let time_with ~box ~trace pool c work ~steps ~repeats =
   check_timed c work ~repeats;
   let wall, seconds, iterations, _ =
-    timed ~box ~trace ~barriers:true pool c work ~steps ~repeats
+    timed ~box ~trace ~barriers:true ~repeat_buffer:Measure.Reset_each pool c
+      work ~steps ~repeats
   in
   (wall, seconds, iterations)
 
@@ -380,23 +386,32 @@ let observed pool c work ~observe ~steps =
 (* Static work touches the same elements every step, so when no element
    crosses domains in the observed step none crosses in any: each
    element is then accessed by one domain only, in the order it had
-   with barriers, or only read, and the steps need no barrier. *)
+   with barriers, or only read, and the steps need no barrier.  When no
+   element is both read and written and nothing accumulates, every
+   write stores a value computed from operands no iteration writes:
+   a repeat leaves the same buffer whatever it starts from, so the
+   repeats need no reset. *)
 let run ~trace ~box ~observe pool c work ~steps ~repeats =
   check_timed c work ~repeats;
   let reads, writes =
     observed pool c work ~observe ~steps:(observed_steps work ~steps)
   in
-  let { Measure.footprints; distinct; flow_in; crossing } =
+  let { Measure.footprints; distinct; flow_in; crossing; read_written } =
     Measure.sharing ~reads ~writes
   in
   let barriers =
     if static work && crossing = 0 then Measure.Barrier_free
     else Measure.Every_step crossing
   in
+  let repeat_buffer =
+    if read_written = 0 && Array.for_all (fun (_, acc) -> not acc) c.writes
+    then Measure.Reused
+    else Measure.Reset_each
+  in
   let wall, seconds, iterations, checksum =
     timed ~box ~trace
       ~barriers:(barriers <> Measure.Barrier_free)
-      pool c work ~steps ~repeats
+      ~repeat_buffer pool c work ~steps ~repeats
   in
   (* The observing pass runs untraced (its cost is not the run's), but
      its footprints feed the bytes-touched counter: distinct elements
@@ -411,6 +426,7 @@ let run ~trace ~box ~observe pool c work ~steps ~repeats =
     checksum;
     flow_in;
     barriers;
+    repeat_buffer;
   }
 
 let sequential c ~steps =

@@ -173,7 +173,7 @@ type instrumented = {
 val measure :
   ?mode:Measure.mode -> Pool.t -> compiled -> work -> steps:int -> instrumented
 (** One instrumented (untimed) execution of exactly [steps] steps on
-    fresh operands, on the interpreter; its checksum and buffer are
+    fresh operands ({!alloc}'s, whatever the nest), on the interpreter; its checksum and buffer are
     those of that execution.  Each domain records every address it
     touches in its {!Intmath.Bitset} set for the reference's kind;
     footprints count their unions exactly.  Every step ends at a
@@ -209,7 +209,8 @@ val time :
     (minimum-of-N wall-clock, all timestamps on {!Mclock}).  The
     repeats share one buffer, reset to the initial operands by a plain
     loop before every repeat but the first, so each starts from the
-    values {!alloc} gives.  A live [trace] records barrier waits, steps,
+    values {!alloc} gives, whatever the nest (unlike {!run}, which
+    skips the reset where it cannot change the buffer).  A live [trace] records barrier waits, steps,
     and tile/chunk claims of {e every} repeat. *)
 
 val observed_steps : work -> steps:int -> int
@@ -240,20 +241,31 @@ val run :
     box run as [observe ~reads:reads.(p) ~writes:writes.(p)] on domain
     [p]'s two sets ({!Kernel.observe}): no operands, loads, stores or
     checksum.  The footprints are each domain's union of the two, and
-    {!Measure.sharing} of the rows gives the per-domain flow-in and the
-    elements that cross domains.  The footprints also feed the trace's
-    elements-touched counter.
+    {!Measure.sharing} of the rows gives the per-domain flow-in, the
+    elements that cross domains and the elements both read and written.
+    The footprints also feed the trace's elements-touched counter.
 
-    The timed pass runs all [steps] steps, is traced, and gives the wall
-    time, iterations and checksum: the sum of the buffer the fastest
-    repeat's box bodies produced.  When the work is static and no
+    The timed pass runs all [steps] steps, [repeats] times on one
+    buffer, is traced, and gives the wall time and iterations of the
+    fastest repeat and the checksum of the buffer it leaves.  When no
+    element is both read and written and no write accumulates
+    ({!Measure.Reused}), the repeats run back to back with no reset
+    between them and the buffer is summed once, after the last: every
+    write then stores a value computed from elements no iteration
+    writes, so each repeat stores the same values whatever the buffer
+    held before it, and every repeat leaves a buffer bit-identical to
+    the first's.  Every other nest - one that reads what it writes, or
+    accumulates - has its buffer reset to the initial operands before
+    every repeat but the first and summed after each
+    ({!Measure.Reset_each}), as {!time} does.  When the work is static and no
     element crosses domains ({!Measure.Barrier_free}), its steps run
     with no barrier and no [Barrier] span: each domain runs its steps
     back to back.  The buffer is bit-identical to a run with barriers,
     since every written element is accessed by one domain only, in the
     order it had with them, and every other element is only read.  All
     other work ends every step at a barrier.  {!time} and {!time_with}
-    observe nothing; they and {!measure} keep a barrier every step. *)
+    observe nothing; they and {!measure} keep a barrier every step, and
+    {!time} and {!time_with} a reset before every repeat. *)
 
 val sequential : compiled -> steps:int -> storage
 (** Reference execution: every iteration in lexicographic order on the

@@ -368,22 +368,21 @@ let row_of shape (reads : Exec.cref array) writes ~rd ~wd : Exec.storage row =
       let acc = Array.map snd writes in
       fun data n ra wa -> inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ra wa
 
-(* The observing row: the bit of every address each reference's cursor
+(* The observing row: the run of addresses each reference's cursor
    passes over the [n] points, in the read set for a read and the write
-   set for a write or accumulate, and no load or store. *)
+   set for a write or accumulate, and no load or store.  One
+   [Bitset.add_run] per reference, not one [add] per point. *)
+let touch_runs touched n (a : int array) (delta : int array) =
+  for i = 0 to Array.length a - 1 do
+    Bitset.add_run touched (Array.unsafe_get a i)
+      ~stride:(Array.unsafe_get delta i) ~count:n
+  done
+
 let observe_row ~(rd : int array) ~(wd : int array) :
     (Bitset.t * Bitset.t) row =
-  let touch_run touched n (a : int array) (delta : int array) =
-    for i = 0 to Array.length a - 1 do
-      let a0 = Array.unsafe_get a i and d = Array.unsafe_get delta i in
-      for j = 0 to n - 1 do
-        Bitset.add touched (a0 + (j * d))
-      done
-    done
-  in
-  fun (reads, writes) n ra wa ->
-    touch_run reads n ra rd;
-    touch_run writes n wa wd
+ fun (reads, writes) n ra wa ->
+  touch_runs reads n ra rd;
+  touch_runs writes n wa wd
 
 let plan ?(force_generic = false) ?order compiled =
   let nest = Exec.nest compiled in

@@ -73,9 +73,11 @@ val run_box : plan -> Exec.storage -> box -> unit
 
 val observe :
   plan -> reads:Intmath.Bitset.t -> writes:Intmath.Bitset.t -> box -> unit
-(** Add every element address the box's iterations reference: one bit
-    per reference per point, in {!run_box}'s traversal order and from
-    its cursors, with no load or store.  A read's addresses go to
+(** Add every element address the box's iterations reference, from
+    {!run_box}'s cursors in its traversal order, with no load or store:
+    each innermost row adds, per reference, the run of addresses its
+    cursor passes as one {!Intmath.Bitset.add_run} (a unit stride fills
+    whole bytes), not one bit per point.  A read's addresses go to
     [reads], a write's or accumulate's to [writes]; a caller that wants
     one set passes it twice.  [reads] is the interpreter's read set
     over the same box ({!Exec.measure}), [writes] the union of its

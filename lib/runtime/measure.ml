@@ -7,10 +7,12 @@ type sharing = {
   distinct : int;
   flow_in : int array;
   crossing : int;
+  read_written : int;
 }
 
-(* One pass over the payload bytes.  Per byte, [w1]/[t1] hold the bits
-   some domain writes/touches and [w2]/[t2] the bits two or more do.  An
+(* One pass over the payload bytes.  Per byte, [r1]/[w1]/[t1] hold the
+   bits some domain reads/writes/touches and [w2]/[t2] the bits two or
+   more write/touch; [r1 land w1] are the bits read and written.  An
    element crosses iff some domain writes it and two or more touch it
    ([w1 land t2]); the bits written by a domain other than [p] are
    [w2 lor (w1 land lnot w_p)].  A byte where nothing crosses has no
@@ -20,7 +22,7 @@ let sharing ~reads ~writes =
   let n = Array.length reads in
   if Array.length writes <> n then invalid_arg "Measure.sharing: row counts";
   let footprints = Array.make n 0 and flow_in = Array.make n 0 in
-  let distinct = ref 0 and crossing = ref 0 in
+  let distinct = ref 0 and crossing = ref 0 and read_written = ref 0 in
   if n > 0 then begin
     let universe = reads.(0).Bitset.universe in
     if
@@ -31,10 +33,12 @@ let sharing ~reads ~writes =
     let byte (t : Bitset.t) j = Char.code (Bytes.unsafe_get t.bits j) in
     let popcount b = Char.code (String.unsafe_get Bitset.popcount b) in
     for j = Bitset.pad to Bitset.pad + ((universe + 7) / 8) - 1 do
-      let w1 = ref 0 and w2 = ref 0 and t1 = ref 0 and t2 = ref 0 in
+      let r1 = ref 0 and w1 = ref 0 and w2 = ref 0 in
+      let t1 = ref 0 and t2 = ref 0 in
       for p = 0 to n - 1 do
-        let wp = byte writes.(p) j in
-        let tp = byte reads.(p) j lor wp in
+        let rp = byte reads.(p) j and wp = byte writes.(p) j in
+        let tp = rp lor wp in
+        r1 := !r1 lor rp;
         footprints.(p) <- footprints.(p) + popcount tp;
         w2 := !w2 lor (!w1 land wp);
         w1 := !w1 lor wp;
@@ -42,6 +46,7 @@ let sharing ~reads ~writes =
         t1 := !t1 lor tp
       done;
       distinct := !distinct + popcount !t1;
+      read_written := !read_written + popcount (!r1 land !w1);
       let cross = !w1 land !t2 in
       if cross <> 0 then begin
         crossing := !crossing + popcount cross;
@@ -53,9 +58,17 @@ let sharing ~reads ~writes =
       end
     done
   end;
-  { footprints; distinct = !distinct; flow_in; crossing = !crossing }
+  {
+    footprints;
+    distinct = !distinct;
+    flow_in;
+    crossing = !crossing;
+    read_written = !read_written;
+  }
 
 type barriers = Barrier_free | Every_step of int
+
+type repeat_buffer = Reset_each | Reused
 
 type domain_stat = {
   domain : int;
@@ -74,6 +87,7 @@ type raw = {
   checksum : float;
   flow_in : int array;
   barriers : barriers;
+  repeat_buffer : repeat_buffer;
 }
 
 type report = {
@@ -89,6 +103,7 @@ type report = {
   distinct_total : int;
   checksum : float;
   barriers : barriers;
+  repeat_buffer : repeat_buffer;
 }
 
 let report ~name ~policy ~steps ~repeats ~total_elements ?predicted_per_domain
@@ -115,6 +130,7 @@ let report ~name ~policy ~steps ~repeats ~total_elements ?predicted_per_domain
     distinct_total = raw.distinct_total;
     checksum = raw.checksum;
     barriers = raw.barriers;
+    repeat_buffer = raw.repeat_buffer;
   }
 
 let max_footprint r =
@@ -153,4 +169,8 @@ let pp_report ppf r =
   | Every_step n ->
       Format.fprintf ppf "step barriers: every step (%d %s)@," n
         (if n = 1 then "element crosses" else "elements cross"));
+  Format.fprintf ppf "repeats: %s@,"
+    (match r.repeat_buffer with
+    | Reused -> "no reset (no element is both read and written)"
+    | Reset_each -> "reset before each");
   Format.fprintf ppf "checksum: %s@]" (Json.to_string (Json.Float r.checksum))

@@ -30,12 +30,16 @@ type sharing = {
   distinct : int;  (** [|⋃_p (R_p ∪ W_p)|] *)
   flow_in : int array;  (** per domain: [|R_p ∩ ⋃_{q≠p} W_q|] *)
   crossing : int;  (** elements that cross domains *)
+  read_written : int;
+      (** [|(⋃_p R_p) ∩ (⋃_p W_p)|]: elements some domain reads and some
+          domain writes *)
 }
 
 val sharing :
   reads:Intmath.Bitset.t array -> writes:Intmath.Bitset.t array -> sharing
 (** What the rows [reads.(p)], [writes.(p)] hold and share, counted in
-    one byte-wise pass.  Raises [Invalid_argument] unless there are as
+    one byte-wise pass.  [read_written = 0] says the flow from writes to
+    reads is empty: no element's value is both produced and consumed.  Raises [Invalid_argument] unless there are as
     many read rows as write rows over one universe. *)
 
 type barriers =
@@ -46,6 +50,15 @@ type barriers =
       (** one barrier ends every step; the elements that cross domains
           over the observed steps ([0] when only dealing the work at run
           time keeps the barriers) *)
+
+type repeat_buffer =
+  | Reset_each
+      (** the timed repeats' one buffer is reset to the initial operands
+          before every repeat but the first *)
+  | Reused
+      (** no element is both read and written and no write accumulates,
+          so every repeat leaves the same buffer whatever it starts from:
+          the repeats run on it back to back, with no reset *)
 
 type domain_stat = {
   domain : int;
@@ -65,6 +78,7 @@ type raw = {
       (** sum over the operand buffer the best timed repeat produced *)
   flow_in : int array;  (** per domain, {!sharing} of the observing pass *)
   barriers : barriers;  (** what ended the timed pass's steps *)
+  repeat_buffer : repeat_buffer;  (** what the timed repeats started from *)
 }
 (** What {!Exec} hands back; {!report} decorates it. *)
 
@@ -83,6 +97,7 @@ type report = {
   distinct_total : int;
   checksum : float;
   barriers : barriers;
+  repeat_buffer : repeat_buffer;
 }
 
 val report :
@@ -101,5 +116,7 @@ val pp_report : Format.formatter -> report -> unit
 (** Table: one row per domain (time, iterations, footprint, flow-in),
     then the totals and the model prediction side by side, the step
     barriers ([step barriers: none (no element crosses domains)] or
-    [step barriers: every step (N elements cross)]), and the checksum
+    [step barriers: every step (N elements cross)]), what the repeats
+    started from ([repeats: no reset (no element is both read and
+    written)] or [repeats: reset before each]), and the checksum
     as the shortest decimal that reads back to the same double. *)

@@ -259,6 +259,57 @@ let prop_mpoly_leibniz =
            (Mpoly.mul (Mpoly.partial 0 p) q)
            (Mpoly.mul p (Mpoly.partial 0 q))))
 
+(* ------------------------------------------------------------------ *)
+(* Bitset                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [Bitset.add_run] against folding [Bitset.add] over the same run, byte
+   for byte, guard regions included: every stride in -9..9 and count in
+   0..70 that fits each universe, from both edges of the range of fitting
+   starts (the universe's first and last elements) and from random ones
+   (runs that start and end mid-byte), plus runs of exactly one byte. *)
+let test_bitset_add_run () =
+  let rng = Random.State.make [| 27 |] in
+  let agree universe start ~stride ~count =
+    let run = Bitset.create ~universe and folded = Bitset.create ~universe in
+    Bitset.add_run run start ~stride ~count;
+    for j = 0 to count - 1 do
+      Bitset.add folded (start + (j * stride))
+    done;
+    let label =
+      Printf.sprintf "universe %d, start %d, stride %d, count %d" universe
+        start stride count
+    in
+    checkb (label ^ ": = folded add") true
+      (Bytes.equal run.Bitset.bits folded.Bitset.bits);
+    let len = Bytes.length run.Bitset.bits in
+    checkb (label ^ ": guard bytes zero") true
+      (Bytes.for_all (( = ) '\000') (Bytes.sub run.Bitset.bits 0 Bitset.pad)
+      && Bytes.for_all (( = ) '\000')
+           (Bytes.sub run.Bitset.bits (len - Bitset.pad) Bitset.pad))
+  in
+  List.iter
+    (fun universe ->
+      for stride = -9 to 9 do
+        for count = 0 to 70 do
+          let span = abs stride * max 0 (count - 1) in
+          if span < universe then begin
+            (* Fitting starts: the run stays in [0, universe - 1]. *)
+            let lo = if stride < 0 then span else 0 in
+            let hi = if stride < 0 then universe - 1 else universe - 1 - span in
+            List.iter
+              (fun start -> agree universe start ~stride ~count)
+              (lo :: hi
+              :: List.init 3 (fun _ -> lo + Random.State.int rng (hi - lo + 1)))
+          end
+        done
+      done;
+      for byte = 0 to (universe / 8) - 1 do
+        agree universe (8 * byte) ~stride:1 ~count:8;
+        agree universe ((8 * byte) + 7) ~stride:(-1) ~count:8
+      done)
+    [ 1; 7; 8; 9; 64; 200; 701 ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -303,4 +354,5 @@ let () =
           Alcotest.test_case "cancellation" `Quick test_mpoly_zero_and_cancel;
         ] );
       ("properties", props);
+      ("bitset", [ Alcotest.test_case "add_run = folded add" `Quick test_bitset_add_run ]);
     ]

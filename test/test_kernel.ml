@@ -490,19 +490,17 @@ let test_shared_body () =
           { space = Nest.bounds nest; chunk = (fun ~remaining:_ -> 1) } );
     ]
 
-(* The repeats of one timed call share one buffer, reset to the initial
-   operands before each: on matmul, whose accumulates would carry one
-   repeat's sums into the next, the first box of every repeat must find
-   [Exec.alloc]'s values, and the whole call applies [box] once. *)
-let test_repeats_reset_buffer () =
-  let nest = Programs.matmul ~n:8 () in
+(* The repeats of one [Exec.run] on one domain, with [box] instrumented:
+   how often it was applied to a buffer, how many boxes ran, whether
+   each repeat's first box found [Exec.alloc]'s values, and the run. *)
+let instrumented_repeats nest ~repeats =
   let compiled = Runtime.Exec.compile nest in
   let plan = Runtime.Kernel.plan compiled in
   let initial = Runtime.Exec.alloc compiled in
   let boxes =
     Scheduling.of_schedule (Driver.schedule (Driver.analyze ~nprocs:1 nest))
   in
-  let per_repeat = Array.length boxes.(0) and repeats = 3 in
+  let per_repeat = Array.length boxes.(0) in
   let buffers = ref 0 and calls = ref 0 and fresh = ref [] in
   let box s =
     incr buffers;
@@ -519,15 +517,48 @@ let test_repeats_reset_buffer () =
           (Runtime.Exec.static_of_assignment boxes)
           ~steps:1 ~repeats)
   in
-  check "one buffer per call" 1 !buffers;
-  check "boxes run" (repeats * per_repeat) !calls;
-  Alcotest.(check (list bool))
-    "every repeat starts from the initial operands"
-    (List.init repeats (fun _ -> true))
-    (List.rev !fresh);
-  checkb "checksum = sequential interpreter" true
+  check (nest.Nest.name ^ ": one buffer per call") 1 !buffers;
+  check (nest.Nest.name ^ ": boxes run") (repeats * per_repeat) !calls;
+  checkb (nest.Nest.name ^ ": checksum = sequential interpreter") true
     (Float.equal r.Runtime.Measure.checksum
-       (Runtime.Exec.checksum (Runtime.Exec.sequential compiled ~steps:1)))
+       (Runtime.Exec.checksum (Runtime.Exec.sequential compiled ~steps:1)));
+  (List.rev !fresh, r)
+
+(* The repeats of one timed call share one buffer, reset to the initial
+   operands before each when a repeat's result depends on what it
+   starts from: on matmul, whose accumulates would carry one repeat's
+   sums into the next, and on relax_inplace, which reads what it
+   writes, the first box of every repeat must find [Exec.alloc]'s
+   values, and the whole call applies [box] once. *)
+let test_repeats_reset_buffer () =
+  let repeats = 3 in
+  List.iter
+    (fun nest ->
+      let fresh, r = instrumented_repeats nest ~repeats in
+      Alcotest.(check (list bool))
+        (nest.Nest.name ^ ": every repeat starts from the initial operands")
+        (List.init repeats (fun _ -> true))
+        fresh;
+      checkb (nest.Nest.name ^ ": reset before each") true
+        (r.Runtime.Measure.repeat_buffer = Runtime.Measure.Reset_each))
+    [ Programs.matmul ~n:8 (); Programs.relax_inplace ~n:8 () ]
+
+(* A nest that never reads what it writes leaves the same buffer
+   whatever a repeat starts from, so its repeats run on one buffer with
+   no reset: only the first starts from [Exec.alloc]'s values, and the
+   checksum, taken once after the last, is still the interpreter's. *)
+let test_write_only_reuses_buffer () =
+  let repeats = 3 in
+  List.iter
+    (fun nest ->
+      let fresh, r = instrumented_repeats nest ~repeats in
+      Alcotest.(check (list bool))
+        (nest.Nest.name ^ ": only the first repeat starts from alloc")
+        (true :: List.init (repeats - 1) (fun _ -> false))
+        fresh;
+      checkb (nest.Nest.name ^ ": no reset") true
+        (r.Runtime.Measure.repeat_buffer = Runtime.Measure.Reused))
+    [ Programs.example3 ~n:12 (); Programs.stencil5 ~n:16 () ]
 
 (* Every box of [Driver.execute] runs through the kernel: the policy
    names its shape, and the checksum is the interpreter's. *)
@@ -616,5 +647,7 @@ let () =
             test_driver_runs_kernel;
           Alcotest.test_case "Resilient.execute = sequential" `Quick
             test_resilient_matches_sequential;
+          Alcotest.test_case "a write-only nest reuses one buffer" `Quick
+            test_write_only_reuses_buffer;
         ] );
     ]

@@ -238,6 +238,14 @@ let test_sharing () =
     Runtime.Measure.sharing ~reads:[| set [ 3 ] |] ~writes:[| set [ 3 ] |]
   in
   check "one domain: nothing crosses" 0 alone.Runtime.Measure.crossing;
+  check "one domain: read and written" 1 alone.Runtime.Measure.read_written;
+  check "read by one domain or its writer, written by one" 3
+    s.Runtime.Measure.read_written;
+  check "nothing read is written" 0
+    (Runtime.Measure.sharing
+       ~reads:[| set [ 0; 1 ]; set [ 1; 2 ] |]
+       ~writes:[| set [ 7 ]; set [ 8; 19 ] |])
+      .Runtime.Measure.read_written;
   checkb "row counts must agree" true
     (match Runtime.Measure.sharing ~reads ~writes:[| set [] |] with
     | _ -> false

@@ -232,11 +232,12 @@ let run_cmd =
   in
   let validate_arg =
     let doc =
-      "Also validate the compile-time tiles, whatever the policy: \
-       write-race freedom, runtime-vs-simulator footprint agreement, and \
-       value determinism.  Of the run itself, fail unless its footprints \
-       equal the validated ones (tiled policy) and, for a deterministic \
-       nest, its checksum equals the sequential interpreter's."
+      "Also validate the compile-time tiles, whatever the policy, without \
+       executing them again: write-race freedom and runtime-vs-simulator \
+       footprint agreement from the kernel's cursor walk, and, for a \
+       deterministic nest, the run's operands against the sequential \
+       interpreter's, element by element.  Exit 2 unless the verdict is OK \
+       and (tiled policy) the run's footprints equal the validated ones."
     in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
@@ -332,7 +333,7 @@ let run_cmd =
         let resilient =
           fault_plan <> None || fault_policy <> None || report_json <> None
         in
-        let failure = ref None and checksum = ref Float.nan in
+        let failure = ref None and operands = ref [||] in
         let footprints = ref None in
         if resilient then begin
           let resilience =
@@ -345,7 +346,7 @@ let run_cmd =
                   fault_policy;
             }
           in
-          let report, _buffer =
+          let report, buffer =
             Loopart.Driver.execute_resilient ~config ~resilience
               ?plan:fault_plan ~tile a
           in
@@ -360,12 +361,12 @@ let run_cmd =
           | None -> ());
           if not report.Runtime.Report.completed then
             failure := Some "resilient run did not complete (see report above)";
-          checksum := report.Runtime.Report.checksum
+          operands := buffer
         end
         else begin
           let report = Loopart.Driver.execute ~config ~tile a in
           Format.printf "%a@." Runtime.Measure.pp_report report;
-          checksum := report.Runtime.Measure.checksum;
+          operands := report.Runtime.Measure.operands;
           footprints :=
             Some
               (Array.map
@@ -392,12 +393,13 @@ let run_cmd =
         | _ -> ());
         (match !failure with Some msg -> failwith msg | None -> ());
         if validate then begin
-          let v = Loopart.Driver.validate ~tile a in
+          let steps = Runtime.Exec.steps_of_nest ?override:steps nest in
+          let v = Loopart.Driver.validate ~tile a ~steps ~operands:!operands in
           Format.printf "%a@." Runtime.Validate.pp v;
-          (* Under the compile-time tiles the run's footprints, observed
-             through the kernel, must be the validator's, counted by the
-             interpreter over the same assignment.  Another policy ran a
-             different schedule from the one validated. *)
+          (* Under the compile-time tiles the run's footprints must be the
+             validator's: the same cursor walk over the same boxes.
+             Another policy ran a different schedule from the one
+             validated. *)
           (match (policy, !footprints) with
           | Loopart.Driver.Tiled, Some run ->
               let same = run = v.Runtime.Validate.measured_footprints in
@@ -408,16 +410,10 @@ let run_cmd =
           | _ ->
               Format.printf
                 "note: the validation above is of the compile-time tiles, \
-                 not of this run's schedule; of this run only the checksum \
-                 is checked (deterministic nests)@.");
-          if v.Runtime.Validate.deterministic then begin
-            let steps = Runtime.Exec.steps_of_nest ?override:steps nest in
-            let compiled = Runtime.Exec.compile nest in
-            let seq = Runtime.Exec.sequential compiled ~steps in
-            let same = Float.equal !checksum (Runtime.Exec.checksum seq) in
-            Format.printf "checksum = sequential checksum: %b@." same;
-            if not same then failwith "checksum differs from the sequential run"
-          end
+                 not of this run's schedule; of this run only the operands \
+                 are checked (deterministic nests)@.");
+          if not (Runtime.Validate.ok v) then
+            failwith "validation failed (see the verdict above)"
         end)
   in
   Cmd.v

@@ -136,7 +136,8 @@ let execute_resilient ?(config = default_exec_config)
   Runtime.Resilient.execute ~config:resilience ?plan ?trace:config.trace
     ~compiled ~steps ~partition ~nprocs:a.nprocs ()
 
-let validate ?tile a = Runtime.Validate.check_schedule (schedule ?tile a)
+let validate ?tile a ~steps ~operands =
+  Runtime.Validate.check_schedule (schedule ?tile a) ~steps ~operands
 
 let simulate_aligned ?tile ?(geometry = Cache.Infinite) a =
   let sched = schedule ?tile a in

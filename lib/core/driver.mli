@@ -89,10 +89,10 @@ val execute :
     those tiles cut into pieces ([Work_steal]), or the index ranges a
     self-scheduler claims, decoded into boxes.  The timed pass runs
     every box through {!Runtime.Kernel.run_box}, and the report's
-    policy names the kernel shape.  The checksum is that of the buffer
-    the fastest timed pass produced.  The footprints come from
-    {!Runtime.Kernel.observe} walking the same work with the kernel's
-    cursors and no operands:
+    policy names the kernel shape.  The report's [operands] are the
+    buffer the last timed repeat left, and its checksum their sum.  The
+    footprints come from {!Runtime.Kernel.observe} walking the same work
+    with the kernel's cursors and no operands:
     one step of it under [Tiled], where each domain touches the same
     elements every step, and every step under the other policies,
     which deal work at run time ({!Runtime.Exec.observed_steps}). *)
@@ -111,10 +111,18 @@ val execute_resilient :
     processor count.  [config.repeats] is
     ignored (a resilient run is a single monitored execution). *)
 
-val validate : ?tile:Tile.t -> analysis -> Runtime.Validate.verdict
-(** Run the tiled schedule through both {!Machine.Sim} and the runtime
-    and check write-race freedom, footprint agreement and value
-    determinism. *)
+val validate :
+  ?tile:Tile.t ->
+  analysis ->
+  steps:int ->
+  operands:Runtime.Exec.storage ->
+  Runtime.Validate.verdict
+(** {!Runtime.Validate.check_schedule} of the tiled schedule: write-race
+    freedom and footprint agreement from the simulator and the kernel's
+    cursor walk, which execute nothing, and value determinism from
+    [operands], the buffer a run of [steps] steps left - a report's
+    [operands] ({!execute}) or the buffer {!execute_resilient}
+    returns. *)
 
 val report : Format.formatter -> analysis -> unit
 (** Human-readable compiler report: classes, polynomials, chosen

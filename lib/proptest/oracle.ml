@@ -720,7 +720,10 @@ let check_barrier_free ~pools (c : Gen.case) =
         (Codegen.tiles (Codegen.make c.nest (Tile.rect c.tile) ~nprocs))
     in
     let inst = Exec.measure pool compiled work ~steps in
-    let k = Validate.classify layout inst in
+    let k =
+      Validate.classify layout ~reads:inst.Exec.read_sets
+        ~writes:inst.Exec.write_sets ~accumulates:inst.Exec.accumulate_sets
+    in
     let want = k.Validate.races = [] && k.contended = [] && not k.cross_read in
     let r =
       Exec.run ~trace:Trace.disabled ~box:(Kernel.run_box plan)

@@ -275,7 +275,6 @@ type instrumented = {
   iterations : int array;
   distinct_total : int;
   checksum : float;
-  buffer : float array;
   read_sets : Bitset.t array;
   write_sets : Bitset.t array;
   accumulate_sets : Bitset.t array;
@@ -309,38 +308,34 @@ let measure ?mode:_ pool c work ~steps =
       Bitset.union_count
         (Array.concat [ read_sets; write_sets; accumulate_sets ]);
     checksum = checksum storage;
-    buffer = storage;
     read_sets;
     write_sets;
     accumulate_sets;
   }
 
-(* The fastest of [repeats] timed passes, with the checksum of the
-   storage it produced.  Every repeat runs on the one buffer.  Under
-   [Reset_each] the buffer is reset to the initial operands before every
-   repeat but the first and summed after each.  Under [Reused] every
-   repeat leaves the same buffer whatever it starts from, so there is
-   nothing to reset and the buffer is summed once, after the last. *)
+(* The fastest of [repeats] timed passes, and the buffer the last one
+   left.  Every repeat runs on the one buffer.  Under [Reset_each] the
+   buffer is reset to the initial operands before every repeat but the
+   first.  Under [Reused] every repeat leaves the same buffer whatever it
+   starts from, so there is nothing to reset. *)
 let timed ~box ~trace ~barriers ~repeat_buffer pool c work ~steps ~repeats =
   let nprocs = Pool.size pool in
-  let each = repeat_buffer = Measure.Reset_each in
   let storage = alloc c in
   let box = box storage in
-  let best = ref (infinity, [||], [||], 0.0) in
+  let best = ref (infinity, [||], [||]) in
   for rep = 1 to repeats do
-    if each && rep > 1 then reset storage;
+    if repeat_buffer = Measure.Reset_each && rep > 1 then reset storage;
     let seconds = Array.make nprocs 0.0 in
     let iterations = Array.make nprocs 0 in
     let t0 = Mclock.now () in
     pass ~trace ~barriers pool work ~steps ~box:(fun _ -> box) ~seconds
       ~iterations;
     let wall = Mclock.now () -. t0 in
-    let sum = if each then checksum storage else Float.nan in
-    let best_wall, _, _, _ = !best in
-    if wall < best_wall then best := (wall, seconds, iterations, sum)
+    let best_wall, _, _ = !best in
+    if wall < best_wall then best := (wall, seconds, iterations)
   done;
-  let wall, seconds, iterations, sum = !best in
-  (wall, seconds, iterations, if each then sum else checksum storage)
+  let wall, seconds, iterations = !best in
+  (wall, seconds, iterations, storage)
 
 (* Checked once, before any pass: the box bodies address operands
    unchecked. *)
@@ -371,15 +366,17 @@ let static = function
 let observed_steps work ~steps = if static work then min steps 1 else steps
 
 (* Each domain's read and write sets after [steps] steps of the work,
-   every box through [observe ~reads ~writes]: no operands, so no
-   loads, stores or checksum. *)
+   every box through [observe], with the write set passed for both
+   plain writes and accumulates: no operands, so no loads, stores or
+   checksum. *)
 let observed pool c work ~observe ~steps =
   let nprocs = Pool.size pool in
   let universe = total_elements c in
   let sets () = Array.init nprocs (fun _ -> Bitset.create ~universe) in
   let reads = sets () and writes = sets () in
   pass ~trace:Trace.disabled ~barriers:true pool work ~steps
-    ~box:(fun p -> observe ~reads:reads.(p) ~writes:writes.(p))
+    ~box:(fun p ->
+      observe ~reads:reads.(p) ~writes:writes.(p) ~accumulates:writes.(p))
     ~seconds:(Array.make nprocs 0.0) ~iterations:(Array.make nprocs 0);
   (reads, writes)
 
@@ -408,7 +405,7 @@ let run ~trace ~box ~observe pool c work ~steps ~repeats =
     then Measure.Reused
     else Measure.Reset_each
   in
-  let wall, seconds, iterations, checksum =
+  let wall, seconds, iterations, operands =
     timed ~box ~trace
       ~barriers:(barriers <> Measure.Barrier_free)
       ~repeat_buffer pool c work ~steps ~repeats
@@ -423,7 +420,8 @@ let run ~trace ~box ~observe pool c work ~steps ~repeats =
     iterations;
     footprints;
     distinct_total = distinct;
-    checksum;
+    checksum = checksum operands;
+    operands;
     flow_in;
     barriers;
     repeat_buffer;

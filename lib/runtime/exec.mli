@@ -164,7 +164,6 @@ type instrumented = {
   iterations : int array;
   distinct_total : int;  (** all the sets' union count *)
   checksum : float;
-  buffer : storage;  (** the operands the pass ran on, for value checks *)
   read_sets : Intmath.Bitset.t array;  (** per domain: elements it loads *)
   write_sets : Intmath.Bitset.t array;  (** per domain: its [Write] stores *)
   accumulate_sets : Intmath.Bitset.t array;  (** per domain: its [l$] adds *)
@@ -173,14 +172,15 @@ type instrumented = {
 val measure :
   ?mode:Measure.mode -> Pool.t -> compiled -> work -> steps:int -> instrumented
 (** One instrumented (untimed) execution of exactly [steps] steps on
-    fresh operands ({!alloc}'s, whatever the nest), on the interpreter; its checksum and buffer are
-    those of that execution.  Each domain records every address it
-    touches in its {!Intmath.Bitset} set for the reference's kind;
-    footprints count their unions exactly.  Every step ends at a
-    barrier.  No run path calls it: it is the reference the observing
-    pass of {!run} is checked against (fuzz oracle 3, {!Validate}), and
-    its checksum the one a barrier-free {!run} must reproduce (fuzz
-    oracle 9).  [mode] is ignored: it once chose the
+    fresh operands ({!alloc}'s, whatever the nest), on the interpreter;
+    its checksum is that of the buffer the execution leaves.  Each
+    domain records every address it touches in its {!Intmath.Bitset}
+    set for the reference's kind; footprints count their unions
+    exactly.  Every step ends at a barrier.  Nothing on the [Driver]
+    path calls it, {!Validate} included: it is the reference that
+    {!Kernel.observe}'s rows are checked against (fuzz oracles 3 and 9,
+    test_kernel), and its checksum the one a barrier-free {!run} must
+    reproduce (fuzz oracle 9).  [mode] is ignored: it once chose the
     instrument and stays only until its last readers drop it. *)
 
 val time_with :
@@ -226,7 +226,11 @@ val run :
   trace:Trace.t ->
   box:(storage -> box -> unit) ->
   observe:
-    (reads:Intmath.Bitset.t -> writes:Intmath.Bitset.t -> box -> unit) ->
+    (reads:Intmath.Bitset.t ->
+    writes:Intmath.Bitset.t ->
+    accumulates:Intmath.Bitset.t ->
+    box ->
+    unit) ->
   Pool.t ->
   compiled ->
   work ->
@@ -238,36 +242,37 @@ val run :
 
     The observing pass comes first.  It steps through the work for
     {!observed_steps} steps - one for static work - untraced, with each
-    box run as [observe ~reads:reads.(p) ~writes:writes.(p)] on domain
-    [p]'s two sets ({!Kernel.observe}): no operands, loads, stores or
-    checksum.  The footprints are each domain's union of the two, and
+    box run as [observe ~reads:reads.(p) ~writes:writes.(p)
+    ~accumulates:writes.(p)] on domain [p]'s two sets
+    ({!Kernel.observe}; the run needs only the union of plain writes
+    and accumulates): no operands, loads, stores or checksum.  The
+    footprints are each domain's union of the two, and
     {!Measure.sharing} of the rows gives the per-domain flow-in, the
     elements that cross domains and the elements both read and written.
     The footprints also feed the trace's elements-touched counter.
 
     The timed pass runs all [steps] steps, [repeats] times on one
     buffer, is traced, and gives the wall time and iterations of the
-    fastest repeat and the checksum of the buffer it leaves.  When no
-    element is both read and written and no write accumulates
-    ({!Measure.Reused}), the repeats run back to back with no reset
-    between them and the buffer is summed once, after the last: every
-    write then stores a value computed from elements no iteration
-    writes, so each repeat stores the same values whatever the buffer
-    held before it, and every repeat leaves a buffer bit-identical to
-    the first's.  Every other nest - one that reads what it writes, or
-    accumulates - has its buffer reset to the initial operands before
-    every repeat but the first and summed after each
-    ({!Measure.Reset_each}), as {!time} does.  When the work is static and no
-    element crosses domains ({!Measure.Barrier_free}), its steps run
+    fastest repeat.  The buffer the last repeat leaves is the report's
+    [operands], summed once into its checksum.  When no element is both
+    read and written and no write accumulates ({!Measure.Reused}), the
+    repeats run back to back with no reset between them: every write
+    then stores a value computed from elements no iteration writes, so
+    each repeat stores the same values whatever the buffer held before
+    it, and every repeat leaves a buffer bit-identical to the first's.
+    Every other nest - one that reads what it writes, or accumulates -
+    has its buffer reset to the initial operands before every repeat
+    but the first ({!Measure.Reset_each}), as {!time} does.  When the
+    work is static and no element crosses domains ({!Measure.Barrier_free}), its steps run
     with no barrier and no [Barrier] span: each domain runs its steps
     back to back.  The buffer is bit-identical to a run with barriers,
     since every written element is accessed by one domain only, in the
     order it had with them, and every other element is only read.  All
     other work ends every step at a barrier.  {!time} and {!time_with}
-    observe nothing; they and {!measure} keep a barrier every step, and
-    {!time} and {!time_with} a reset before every repeat. *)
+    observe and sum nothing; they and {!measure} keep a barrier every
+    step, and {!time} and {!time_with} a reset before every repeat. *)
 
 val sequential : compiled -> steps:int -> storage
 (** Reference execution: every iteration in lexicographic order on the
     calling domain, over fresh operands; returns them.  The
-    ground truth for {!Validate}'s determinism check. *)
+    ground truth for {!Validate}'s value check. *)

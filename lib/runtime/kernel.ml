@@ -10,7 +10,7 @@ let shape_name = function Stencil5 -> "stencil5" | Generic -> "generic"
 (* [row x n ra wa] runs [n] points of the innermost axis from the
    running addresses [ra] (reads) and [wa] (writes), and leaves both
    arrays as it found them: [x] is the operand buffer for the executing
-   rows and the touched set for the observing one. *)
+   rows and the touched sets for the observing one. *)
 type 'a row = 'a -> int -> int array -> int array -> unit
 
 type plan = {
@@ -24,7 +24,7 @@ type plan = {
       (** [rstep.(k).(i)]: read [i]'s address delta along traversal axis [k] *)
   wstep : int array array;  (** the same for the writes *)
   row : Exec.storage row;
-  observe_row : (Bitset.t * Bitset.t) row;
+  observe_row : (Bitset.t * Bitset.t * Bitset.t) row;
 }
 
 let order p = Array.copy p.order
@@ -369,20 +369,21 @@ let row_of shape (reads : Exec.cref array) writes ~rd ~wd : Exec.storage row =
       fun data n ra wa -> inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ra wa
 
 (* The observing row: the run of addresses each reference's cursor
-   passes over the [n] points, in the read set for a read and the write
-   set for a write or accumulate, and no load or store.  One
-   [Bitset.add_run] per reference, not one [add] per point. *)
-let touch_runs touched n (a : int array) (delta : int array) =
-  for i = 0 to Array.length a - 1 do
-    Bitset.add_run touched (Array.unsafe_get a i)
-      ~stride:(Array.unsafe_get delta i) ~count:n
+   passes over the [n] points, in the read, write or accumulate set by
+   the reference's kind, and no load or store.  One [Bitset.add_run]
+   per reference, not one [add] per point. *)
+let observe_row ~(rd : int array) ~(wd : int array) ~(acc : bool array) :
+    (Bitset.t * Bitset.t * Bitset.t) row =
+ fun (reads, writes, accumulates) n ra wa ->
+  for i = 0 to Array.length ra - 1 do
+    Bitset.add_run reads (Array.unsafe_get ra i)
+      ~stride:(Array.unsafe_get rd i) ~count:n
+  done;
+  for i = 0 to Array.length wa - 1 do
+    Bitset.add_run
+      (if Array.unsafe_get acc i then accumulates else writes)
+      (Array.unsafe_get wa i) ~stride:(Array.unsafe_get wd i) ~count:n
   done
-
-let observe_row ~(rd : int array) ~(wd : int array) :
-    (Bitset.t * Bitset.t) row =
- fun (reads, writes) n ra wa ->
-  touch_runs reads n ra rd;
-  touch_runs writes n wa wd
 
 let plan ?(force_generic = false) ?order compiled =
   let nest = Exec.nest compiled in
@@ -409,7 +410,7 @@ let plan ?(force_generic = false) ?order compiled =
   let rstep = along reads and wstep = along (Array.map fst writes) in
   let rd = rstep.(nesting - 1) and wd = wstep.(nesting - 1) in
   let row = row_of shape reads writes ~rd ~wd in
-  let observe_row = observe_row ~rd ~wd in
+  let observe_row = observe_row ~rd ~wd ~acc:(Array.map snd writes) in
   { compiled; reads; writes; order; reorderable; shape; rstep; wstep; row;
     observe_row }
 
@@ -473,10 +474,10 @@ let traverse p (row : 'a row) (x : 'a) (b : box) =
 
 let run_box p (data : Exec.storage) (b : box) = traverse p p.row data b
 
-(* The pair is built once per application to the sets, so a box still
+(* The triple is built once per application to the sets, so a box still
    allocates only its cursors. *)
-let observe p ~reads ~writes =
-  let sets = (reads, writes) in
+let observe p ~reads ~writes ~accumulates =
+  let sets = (reads, writes, accumulates) in
   fun (b : box) -> traverse p p.observe_row sets b
 
 (* ------------------------------------------------------------------ *)

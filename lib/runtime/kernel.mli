@@ -10,9 +10,10 @@
     box corner, and executes the box with incremental bumps only; every
     run path executes its boxes here.  The same cursor walk also
     observes a box ({!observe}): it sets the bit of every address the
-    cursors pass, with no operand, in a read set or a write set - which
-    is how {!Exec.run} counts a run's footprints and decides whether
-    its steps need a barrier.  Plus:
+    cursors pass, with no operand, in a read, write or accumulate set -
+    which is how {!Exec.run} counts a run's footprints and decides
+    whether its steps need a barrier, and how {!Validate} classifies a
+    partition.  Plus:
 
     - {b traversal order}: when a conservative safety analysis proves
       reordering bit-exact (injective write maps, at most one
@@ -72,16 +73,22 @@ val run_box : plan -> Exec.storage -> box -> unit
     before any box runs). *)
 
 val observe :
-  plan -> reads:Intmath.Bitset.t -> writes:Intmath.Bitset.t -> box -> unit
+  plan ->
+  reads:Intmath.Bitset.t ->
+  writes:Intmath.Bitset.t ->
+  accumulates:Intmath.Bitset.t ->
+  box ->
+  unit
 (** Add every element address the box's iterations reference, from
     {!run_box}'s cursors in its traversal order, with no load or store:
     each innermost row adds, per reference, the run of addresses its
     cursor passes as one {!Intmath.Bitset.add_run} (a unit stride fills
     whole bytes), not one bit per point.  A read's addresses go to
-    [reads], a write's or accumulate's to [writes]; a caller that wants
-    one set passes it twice.  [reads] is the interpreter's read set
-    over the same box ({!Exec.measure}), [writes] the union of its
-    write and accumulate sets.  An empty box adds nothing.  Like
+    [reads], a plain write's to [writes] and an accumulate's to
+    [accumulates]: over the same box, the interpreter's read, write and
+    accumulate sets ({!Exec.measure}).  A caller that wants fewer sets
+    passes one several times ({!Exec.run} passes its write row as both
+    [writes] and [accumulates]).  An empty box adds nothing.  Like
     {!run_box}, a box allocates only its two cursor arrays once
     [observe] is applied to its sets, and is not checked: one outside
     [Nest.bounds] sets bits past the sets. *)

@@ -85,6 +85,7 @@ type raw = {
   footprints : int array;
   distinct_total : int;
   checksum : float;
+  operands : float array;
   flow_in : int array;
   barriers : barriers;
   repeat_buffer : repeat_buffer;
@@ -102,6 +103,7 @@ type report = {
   wall_seconds : float;
   distinct_total : int;
   checksum : float;
+  operands : float array;
   barriers : barriers;
   repeat_buffer : repeat_buffer;
 }
@@ -129,6 +131,7 @@ let report ~name ~policy ~steps ~repeats ~total_elements ?predicted_per_domain
     wall_seconds = raw.wall_seconds;
     distinct_total = raw.distinct_total;
     checksum = raw.checksum;
+    operands = raw.operands;
     barriers = raw.barriers;
     repeat_buffer = raw.repeat_buffer;
   }

@@ -74,8 +74,8 @@ type raw = {
   iterations : int array;
   footprints : int array;
   distinct_total : int;  (** union footprint over all domains *)
-  checksum : float;
-      (** sum over the operand buffer the best timed repeat produced *)
+  checksum : float;  (** sum of [operands], in index order *)
+  operands : float array;  (** the buffer the last timed repeat left *)
   flow_in : int array;  (** per domain, {!sharing} of the observing pass *)
   barriers : barriers;  (** what ended the timed pass's steps *)
   repeat_buffer : repeat_buffer;  (** what the timed repeats started from *)
@@ -96,6 +96,8 @@ type report = {
   wall_seconds : float;
   distinct_total : int;
   checksum : float;
+  operands : float array;
+      (** the run's buffer, for {!Validate}'s value check *)
   barriers : barriers;
   repeat_buffer : repeat_buffer;
 }

@@ -34,8 +34,8 @@ type conflicts = {
    address order counts per array.  A read of an element that another
    domain writes or accumulates (a non-empty flow-in) makes the order
    visible. *)
-let classify layout { Exec.read_sets; write_sets; accumulate_sets; _ } =
-  let nprocs = Array.length write_sets in
+let classify layout ~reads ~writes ~accumulates =
+  let nprocs = Array.length writes in
   let races = ref [] and contended = ref [] in
   let flag counts a =
     let name, _ = Layout.element_of layout a in
@@ -47,8 +47,8 @@ let classify layout { Exec.read_sets; write_sets; accumulate_sets; _ } =
   for a = 0 to Layout.total_elements layout - 1 do
     let writers = ref 0 and plain = ref false in
     for p = 0 to nprocs - 1 do
-      let w = Bitset.mem write_sets.(p) a in
-      if w || Bitset.mem accumulate_sets.(p) a then begin
+      let w = Bitset.mem writes.(p) a in
+      if w || Bitset.mem accumulates.(p) a then begin
         incr writers;
         plain := !plain || w
       end
@@ -56,14 +56,14 @@ let classify layout { Exec.read_sets; write_sets; accumulate_sets; _ } =
     if !writers >= 2 then flag (if !plain then races else contended) a
   done;
   let writes =
-    Array.map2 (fun w a -> Bitset.union [| w; a |]) write_sets accumulate_sets
+    Array.map2 (fun w a -> Bitset.union [| w; a |]) writes accumulates
   in
   {
     races = List.sort compare !races;
     contended = List.sort compare !contended;
     cross_read =
       Array.exists (fun n -> n > 0)
-        (Measure.sharing ~reads:read_sets ~writes).Measure.flow_in;
+        (Measure.sharing ~reads ~writes).Measure.flow_in;
   }
 
 let reduction_arrays (cost : Cost.t) =
@@ -75,7 +75,7 @@ let reduction_arrays (cost : Cost.t) =
     cost.Cost.classes
   |> List.sort_uniq compare
 
-let check_schedule (schedule : Codegen.schedule) =
+let check_schedule (schedule : Codegen.schedule) ~steps ~operands =
   let nest = schedule.Codegen.nest in
   let assignment = Scheduling.of_schedule schedule in
   let nprocs = Array.length assignment in
@@ -89,44 +89,46 @@ let check_schedule (schedule : Codegen.schedule) =
       { Sim.default with Sim.seq_steps = Some 1 }
   in
   let sim_footprints = Sim.footprints sim in
-  Pool.with_pool nprocs (fun pool ->
-      let inst =
-        Exec.measure pool compiled
-          (Exec.static_of_assignment assignment)
-          ~steps:1
-      in
-      let { races = write_races; contended = shared_accumulates; cross_read }
-          =
-        classify (Layout.of_nest nest) inst
-      in
-      let race_free = write_races = [] in
-      let deterministic =
-        race_free && shared_accumulates = [] && not cross_read
-      in
-      let measured_footprints = inst.Exec.footprints in
-      let footprints_agree = measured_footprints = sim_footprints in
-      let values_match =
-        if deterministic then
-          Some (inst.Exec.buffer = Exec.sequential compiled ~steps:1)
-        else None
-      in
-      {
-        nest_name = nest.Nest.name;
-        nprocs;
-        policy = "tiled";
-        sim_footprints;
-        measured_footprints;
-        footprints_agree;
-        predicted_per_tile =
-          Some (Cost.misses_per_tile cost schedule.Codegen.tile);
-        measured_max = Array.fold_left max 0 measured_footprints;
-        write_races;
-        shared_accumulates;
-        reduction_arrays = reduction_arrays cost;
-        race_free;
-        deterministic;
-        values_match;
-      })
+  (* Each owner's boxes through the kernel's cursors, on this domain:
+     the rows of one step of the tiled run, with no operands. *)
+  let observe = Kernel.observe (Kernel.plan compiled) in
+  let universe = Exec.total_elements compiled in
+  let rows () = Array.init nprocs (fun _ -> Bitset.create ~universe) in
+  let reads = rows () and writes = rows () and accumulates = rows () in
+  Array.iteri
+    (fun p boxes ->
+      Array.iter
+        (observe ~reads:reads.(p) ~writes:writes.(p)
+           ~accumulates:accumulates.(p))
+        boxes)
+    assignment;
+  let { races = write_races; contended = shared_accumulates; cross_read } =
+    classify (Layout.of_nest nest) ~reads ~writes ~accumulates
+  in
+  let race_free = write_races = [] in
+  let deterministic = race_free && shared_accumulates = [] && not cross_read in
+  let measured_footprints =
+    Array.init nprocs (fun p ->
+        Bitset.union_count [| reads.(p); writes.(p); accumulates.(p) |])
+  in
+  {
+    nest_name = nest.Nest.name;
+    nprocs;
+    policy = "tiled";
+    sim_footprints;
+    measured_footprints;
+    footprints_agree = measured_footprints = sim_footprints;
+    predicted_per_tile = Some (Cost.misses_per_tile cost schedule.Codegen.tile);
+    measured_max = Array.fold_left max 0 measured_footprints;
+    write_races;
+    shared_accumulates;
+    reduction_arrays = reduction_arrays cost;
+    race_free;
+    deterministic;
+    values_match =
+      (if deterministic then Some (operands = Exec.sequential compiled ~steps)
+       else None);
+  }
 
 let ok v =
   v.race_free && v.footprints_agree
@@ -142,26 +144,24 @@ let pp ppf v =
       Format.fprintf ppf "  model predicted %d per tile; measured max %d@,"
         predicted v.measured_max
   | None -> Format.fprintf ppf "  measured max footprint %d@," v.measured_max);
+  let per_array counts =
+    String.concat ""
+      (List.map (fun (a, n) -> Printf.sprintf " %s(%d elements)" a n) counts)
+  in
   (match v.write_races with
   | [] -> Format.fprintf ppf "  write races: none@,"
-  | races ->
-      Format.fprintf ppf "  WRITE RACES:%s@,"
-        (String.concat ""
-           (List.map
-              (fun (a, n) -> Printf.sprintf " %s(%d elements)" a n)
-              races)));
+  | races -> Format.fprintf ppf "  WRITE RACES:%s@," (per_array races));
   (match v.shared_accumulates with
   | [] -> ()
   | shared ->
       Format.fprintf ppf "  contended atomic accumulates:%s%s@,"
-        (String.concat ""
-           (List.map
-              (fun (a, n) -> Printf.sprintf " %s(%d elements)" a n)
-              shared))
+        (per_array shared)
         (match v.reduction_arrays with
         | [] -> ""
         | rs -> " - predicted by cost classes " ^ String.concat "," rs));
-  (match v.values_match with
-  | Some b -> Format.fprintf ppf "  deterministic: values match sequential: %b@," b
-  | None -> Format.fprintf ppf "  nondeterministic order (by design): value check skipped@,");
+  Format.fprintf ppf "  %s@,"
+    (match v.values_match with
+    | Some b -> Printf.sprintf "deterministic: values match sequential: %b" b
+    | None when not v.race_free -> "value check skipped: write races"
+    | None -> "nondeterministic order (by design): value check skipped");
   Format.fprintf ppf "  verdict: %s@]" (if ok v then "OK" else "FAILED")

@@ -1,7 +1,8 @@
 (** Closing the loop between the analytic model, the deterministic
     simulator and the real multicore runtime.
 
-    For a schedule this module checks, on the tiles it runs:
+    For a schedule this module checks, on the tiles it runs, without
+    executing anything:
 
     - {b write-race freedom}: in a [Doall] pass, every element reached
       through a plain [Write] reference is written by at most one
@@ -10,21 +11,25 @@
       with the {!Partition.Cost} classes that predict them (written
       classes whose [G] has a null row, i.e. tiled reduction
       dimensions).
-    - {b footprint agreement}: the distinct elements each domain touches
-      in the real execution equal what {!Machine.Sim} counts for the
-      same assignment, and both sit against the Theorem 2/4 prediction.
+    - {b footprint agreement}: the distinct elements each domain's
+      boxes touch, as the runtime's cursors observe them, equal what
+      {!Machine.Sim} counts for the same assignment, and both sit
+      against the Theorem 2/4 prediction.
     - {b determinism / values}: when no element written by one processor
       is read or written by another, the parallel execution must produce
-      bit-identical operands to the sequential reference run, and we
-      verify that it does.
+      bit-identical operands to the sequential reference run: the
+      operands the caller's run left are compared with
+      {!Exec.sequential}'s at the run's steps.
 
-    The race and determinism checks are set algebra on the three sets
-    per domain [p] that one instrumented pass ({!Exec.measure}) records:
-    [R_p] (reads), [W_p] (plain writes) and [A_p] (accumulates).  An
-    element is {e multi} when two or more domains hold it in [W_p ∪ A_p],
-    and {e plain} when some [W_p] holds it.  A write race is multi ∧
-    plain, a contended accumulate multi ∧ ¬plain, and a cross read a
-    non-empty [R_p ∩ ⋃_{q≠p} (W_q ∪ A_q)] for some [p].  Flagged
+    The race and determinism checks are set algebra on three rows per
+    domain [p]: [R_p] (reads), [W_p] (plain writes) and [A_p]
+    (accumulates).  {!check_schedule} fills them by walking each
+    owner's boxes through {!Kernel.observe}, the cursor walk the run
+    reports its footprints from, on the calling domain: no pool,
+    interpreter or operands.  An element is {e multi} when two or more
+    domains hold it in [W_p ∪ A_p], and {e plain} when some [W_p] holds
+    it.  A write race is multi ∧ plain, a contended accumulate multi ∧
+    ¬plain, and a cross read a non-empty [R_p ∩ ⋃_{q≠p} (W_q ∪ A_q)] for some [p].  Flagged
     elements are attributed to arrays by {!Machine.Layout.element_of}.
     The sets take [3 · P · (universe / 8 + 256)] bytes, whatever the
     number of iterations. *)
@@ -55,7 +60,8 @@ type verdict = {
       (** additionally no cross-processor read-after-write: parallel
           values must equal the sequential reference run *)
   values_match : bool option;
-      (** [Some] iff [deterministic]: the bit-exact comparison result *)
+      (** [Some] iff [deterministic]: whether the run's operands equal
+          the sequential reference's *)
 }
 
 type conflicts = {
@@ -66,22 +72,36 @@ type conflicts = {
           read sets against [W_p ∪ A_p] *)
 }
 
-val classify : Machine.Layout.t -> Exec.instrumented -> conflicts
-(** The set algebra above over one instrumented pass's sets, the
-    arrays sorted by name.  The pass's steps need a barrier exactly when
-    some conflict is found: an element crosses domains
-    ({!Measure.sharing}) iff it races, is contended or is cross-read. *)
+val classify :
+  Machine.Layout.t ->
+  reads:Intmath.Bitset.t array ->
+  writes:Intmath.Bitset.t array ->
+  accumulates:Intmath.Bitset.t array ->
+  conflicts
+(** The set algebra above over the rows [reads.(p)], [writes.(p)] and
+    [accumulates.(p)] of whichever pass produced them ({!Kernel.observe}
+    or {!Exec.measure}), the arrays sorted by name.  The pass's steps
+    need a barrier exactly when some conflict is found: an element
+    crosses domains ({!Measure.sharing}) iff it races, is contended or
+    is cross-read. *)
 
-val check_schedule : Codegen.schedule -> verdict
+val check_schedule :
+  Codegen.schedule -> steps:int -> operands:Exec.storage -> verdict
 (** Validate the compile-time tiled assignment of a schedule,
-    {!Scheduling.of_schedule}, on a pool sized to its processor count,
-    created and shut down here.  The simulator and the runtime both run
-    the boxes as given, the runtime as one tile per domain
-    ({!Exec.static_of_assignment}) in one instrumented step, whose sets
-    answer every other check. *)
+    {!Scheduling.of_schedule}.  The simulator runs its boxes for one
+    step, and {!Kernel.observe} walks each owner's boxes once on the
+    calling domain; those rows answer the race and determinism checks,
+    and their union per domain is the footprint compared with the
+    simulator's.  When the partition is deterministic, [values_match]
+    compares [operands], the buffer a run of the nest left after
+    [steps] steps, with {!Exec.sequential}[ ~steps] element by
+    element. *)
 
 val ok : verdict -> bool
 (** Sound and model-consistent: race-free, footprints agree with the
     simulator, and values match whenever determinism requires them to. *)
 
 val pp : Format.formatter -> verdict -> unit
+(** The verdict, one check a line.  Where the value check was skipped,
+    the line says why: [value check skipped: write races], or a
+    nondeterministic order (contended accumulates or cross reads). *)

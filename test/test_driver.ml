@@ -296,17 +296,22 @@ let test_barrier_decision () =
 
 (* The decision is Validate's, over the same tiles: a run skips its
    barriers exactly when the validator finds the nest deterministic
-   (no race, no contended accumulate, no cross read). *)
+   (no race, no contended accumulate, no cross read), and the verdict
+   on the run's own operands is OK. *)
 let test_barriers_follow_validate () =
   List.iter
     (fun (name, nest) ->
       List.iter
         (fun nprocs ->
           let a = Driver.analyze ~nprocs nest in
-          let free, _ = run_barriers ~policy:Driver.Tiled a in
-          checkb
-            (Printf.sprintf "%s on %d domains" name nprocs)
-            (Driver.validate a).Runtime.Validate.deterministic free)
+          let free, r = run_barriers ~policy:Driver.Tiled a in
+          let v =
+            Driver.validate a ~steps:r.Runtime.Measure.steps
+              ~operands:r.Runtime.Measure.operands
+          in
+          let label = Printf.sprintf "%s on %d domains" name nprocs in
+          checkb label v.Runtime.Validate.deterministic free;
+          checkb (label ^ ": the run's verdict") true (Runtime.Validate.ok v))
         [ 2; 3 ])
     Programs.all
 

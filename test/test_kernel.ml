@@ -91,7 +91,9 @@ let observed_set plan compiled boxes =
   let set =
     Intmath.Bitset.create ~universe:(Runtime.Exec.total_elements compiled)
   in
-  List.iter (Runtime.Kernel.observe plan ~reads:set ~writes:set) boxes;
+  List.iter
+    (Runtime.Kernel.observe plan ~reads:set ~writes:set ~accumulates:set)
+    boxes;
   set
 
 (* Two sets are equal iff each has as many elements as their union. *)
@@ -295,7 +297,8 @@ let test_box_allocates_only_cursors () =
               Intmath.Bitset.create
                 ~universe:(Runtime.Exec.total_elements compiled)
             in
-            Runtime.Kernel.observe plan ~reads:set ~writes:set );
+            Runtime.Kernel.observe plan ~reads:set ~writes:set
+              ~accumulates:set );
         ])
     [
       Programs.stencil5 ~n:8 ();
@@ -356,6 +359,66 @@ let test_observe_gallery_tiles () =
              :: (if Nest.nesting nest = 2 then [ (nprocs, true) ] else []))
            [ 2; 3; 4 ]))
     Programs.all
+
+(* One row per kind of reference: per domain, over the boxes of its
+   assignment, the observer's read, write and accumulate rows are
+   exactly [Exec.measure]'s read, write and accumulate sets, on nests
+   with plain writes only, accumulates only, and both.  A row is empty
+   exactly when the body has no reference of its kind. *)
+let test_observe_three_rows () =
+  let mixed =
+    let open Dsl in
+    let i = var 0 and j = var 1 in
+    nest ~name:"mixed"
+      [ doall "i" 1 8; doall "j" 1 8 ]
+      [ write "A" [ i ]; accumulate "S" [ i + j ]; read "X" [ i; j ] ]
+  in
+  let nprocs = 2 in
+  List.iter
+    (fun nest ->
+      let compiled = Runtime.Exec.compile nest in
+      let plan = Runtime.Kernel.plan compiled in
+      let assignment =
+        Scheduling.of_schedule (Driver.schedule (Driver.analyze ~nprocs nest))
+      in
+      let inst =
+        Runtime.Pool.with_pool nprocs (fun pool ->
+            Runtime.Exec.measure pool compiled
+              (Runtime.Exec.static_of_assignment assignment)
+              ~steps:1)
+      in
+      let has accumulate =
+        Array.exists
+          (fun (_, a) -> a = accumulate)
+          (Runtime.Exec.writes compiled)
+      in
+      let row () =
+        Intmath.Bitset.create ~universe:(Runtime.Exec.total_elements compiled)
+      in
+      Array.iteri
+        (fun p boxes ->
+          let reads = row () and writes = row () and accumulates = row () in
+          Array.iter
+            (Runtime.Kernel.observe plan ~reads ~writes ~accumulates)
+            boxes;
+          let label kind =
+            Printf.sprintf "%s, domain %d, %s" nest.Nest.name p kind
+          in
+          same_set (label "reads") reads inst.Runtime.Exec.read_sets.(p);
+          same_set (label "writes") writes inst.Runtime.Exec.write_sets.(p);
+          same_set (label "accumulates") accumulates
+            inst.Runtime.Exec.accumulate_sets.(p);
+          checkb (label "plain writes held") (has false)
+            (Intmath.Bitset.cardinal writes > 0);
+          checkb (label "accumulates held") (has true)
+            (Intmath.Bitset.cardinal accumulates > 0))
+        assignment)
+    [
+      Programs.matmul ~n:8 ();
+      Programs.diag_accumulate ~n:12 ();
+      Programs.stencil5 ~n:16 ();
+      mixed;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)
@@ -627,6 +690,8 @@ let () =
         [
           Alcotest.test_case "gallery tiles at P = 2, 3, 4" `Quick
             test_observe_gallery_tiles;
+          Alcotest.test_case "reads, writes and accumulates" `Quick
+            test_observe_three_rows;
         ] );
       ( "values",
         [

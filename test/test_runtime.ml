@@ -265,11 +265,21 @@ let agreement_nests =
     ("stencil5", Programs.stencil5 ~n:17 ~steps:2 ());
   ]
 
+(* Run the nest once under the compile-time tiles (of [tile] when
+   given) and validate that run. *)
+let validate_run ?tile a =
+  let r =
+    Driver.execute ~config:{ Driver.default_exec_config with repeats = 1 }
+      ?tile a
+  in
+  Driver.validate ?tile a ~steps:r.Runtime.Measure.steps
+    ~operands:r.Runtime.Measure.operands
+
 let test_runtime_agrees_with_sim () =
   List.iter
     (fun (name, nest) ->
       let a = Driver.analyze ~nprocs:4 nest in
-      let v = Driver.validate a in
+      let v = validate_run a in
       checkb
         (Printf.sprintf "%s: runtime footprints = simulator footprints" name)
         true v.Runtime.Validate.footprints_agree;
@@ -294,7 +304,7 @@ let test_tiled_prediction_matches_measurement () =
 
 let test_values_match_sequential () =
   let a = Driver.analyze ~nprocs:4 (Programs.example2 ~n:40 ()) in
-  let v = Driver.validate a in
+  let v = validate_run a in
   checkb "race free" true v.Runtime.Validate.race_free;
   checkb "deterministic" true v.Runtime.Validate.deterministic;
   Alcotest.(check (option bool))
@@ -306,7 +316,7 @@ let test_reduction_contention_is_reported () =
      legal shared accumulate, flagged but not a race. *)
   let nest = Programs.diag_accumulate ~n:16 () in
   let a = Driver.analyze ~nprocs:4 nest in
-  let v = Driver.validate a in
+  let v = validate_run a in
   checkb "accumulates are not write races" true v.Runtime.Validate.race_free;
   checkb "contended accumulates reported" true
     (v.Runtime.Validate.shared_accumulates <> [])
@@ -315,7 +325,7 @@ let test_reduction_contention_is_reported () =
    that splits [j] leaves both domains writing every [A[i]]. *)
 let test_positive_verdicts_are_exact () =
   let n = 8 and split = Tile.rect [| 8; 4 |] in
-  let validate nest = Driver.validate ~tile:split (Driver.analyze ~nprocs:2 nest) in
+  let validate nest = validate_run ~tile:split (Driver.analyze ~nprocs:2 nest) in
   let counts = Alcotest.(check (list (pair string int))) in
   let v =
     validate
@@ -326,6 +336,10 @@ let test_positive_verdicts_are_exact () =
   counts "no accumulates" [] v.Runtime.Validate.shared_accumulates;
   checkb "not race free" false v.Runtime.Validate.race_free;
   checkb "verdict fails" false (Runtime.Validate.ok v);
+  checkb "races say why the value check was skipped" true
+    (List.mem "  value check skipped: write races"
+       (String.split_on_char '\n'
+          (Format.asprintf "%a" Runtime.Validate.pp v)));
   (* A plain write and an accumulate colliding on different arrays:
      S[i+j] is reached by both domains for i+j in 6 .. 12. *)
   let v =
@@ -356,7 +370,7 @@ let test_positive_verdicts_are_exact () =
     v.Runtime.Validate.shared_accumulates;
   (* relax_inplace writes only its own tile but reads its neighbours'. *)
   let v =
-    Driver.validate
+    validate_run
       (Driver.analyze ~nprocs:4 (Programs.relax_inplace ~n:19 ~steps:2 ()))
   in
   checkb "cross reads are race free" true v.Runtime.Validate.race_free;
@@ -364,6 +378,30 @@ let test_positive_verdicts_are_exact () =
     v.Runtime.Validate.deterministic;
   Alcotest.(check (option bool)) "value check skipped" None
     v.Runtime.Validate.values_match
+
+(* The value check reads the operands the run left: a deterministic
+   run's buffer matches the sequential reference, and the same buffer
+   with one element changed fails the verdict. *)
+let test_value_check_reads_operands () =
+  let a = Driver.analyze ~nprocs:2 (Programs.stencil5 ~n:17 ~steps:2 ()) in
+  let r =
+    Driver.execute ~config:{ Driver.default_exec_config with repeats = 1 } a
+  in
+  let validate operands =
+    Driver.validate a ~steps:r.Runtime.Measure.steps ~operands
+  in
+  let v = validate r.Runtime.Measure.operands in
+  checkb "deterministic" true v.Runtime.Validate.deterministic;
+  Alcotest.(check (option bool))
+    "the run's operands match" (Some true) v.Runtime.Validate.values_match;
+  checkb "verdict ok" true (Runtime.Validate.ok v);
+  let changed = Array.copy r.Runtime.Measure.operands in
+  let k = Array.length changed / 2 in
+  changed.(k) <- changed.(k) +. 1.0;
+  let v = validate changed in
+  Alcotest.(check (option bool))
+    "one element changed" (Some false) v.Runtime.Validate.values_match;
+  checkb "verdict fails" false (Runtime.Validate.ok v)
 
 let test_dynamic_policies_execute_everything () =
   let nest = Programs.example2 ~n:40 () in
@@ -498,6 +536,8 @@ let () =
             test_positive_verdicts_are_exact;
           Alcotest.test_case "dynamic policies execute everything" `Quick
             test_dynamic_policies_execute_everything;
+          Alcotest.test_case "value check reads the run's operands" `Quick
+            test_value_check_reads_operands;
         ] );
       ( "work",
         [

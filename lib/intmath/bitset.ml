@@ -55,42 +55,12 @@ let popcount =
       let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
       Char.chr (go b 0))
 
-(* Ones in the bit-or of [ts]' payloads, byte by byte. *)
-let ones ts =
+let cardinal t =
   let total = ref 0 in
-  for j = pad to pad + ((ts.(0).universe + 7) / 8) - 1 do
-    let byte = ref 0 in
-    for k = 0 to Array.length ts - 1 do
-      byte := !byte lor Char.code (Bytes.unsafe_get ts.(k).bits j)
-    done;
-    total := !total + Char.code (String.unsafe_get popcount !byte)
+  for j = pad to pad + ((t.universe + 7) / 8) - 1 do
+    total :=
+      !total
+      + Char.code
+          (String.unsafe_get popcount (Char.code (Bytes.unsafe_get t.bits j)))
   done;
   !total
-
-let cardinal t = ones [| t |]
-
-let same_universe what ts =
-  if Array.exists (fun t -> t.universe <> ts.(0).universe) ts then
-    invalid_arg ("Bitset." ^ what ^ ": mismatched sets")
-
-let union_count ts =
-  if Array.length ts = 0 then 0
-  else begin
-    same_universe "union_count" ts;
-    ones ts
-  end
-
-let union ts =
-  if Array.length ts = 0 then invalid_arg "Bitset.union: no sets";
-  same_universe "union" ts;
-  let u = Bytes.copy ts.(0).bits in
-  Array.iter
-    (fun t ->
-      for j = pad to Bytes.length u - pad - 1 do
-        Bytes.unsafe_set u j
-          (Char.unsafe_chr
-             (Char.code (Bytes.unsafe_get u j)
-             lor Char.code (Bytes.unsafe_get t.bits j)))
-      done)
-    ts;
-  { bits = u; universe = ts.(0).universe }

@@ -38,11 +38,6 @@ val mem : t -> int -> bool
 (** Whether the set holds an element of its universe (unchecked). *)
 
 val cardinal : t -> int
-
-val union_count : t array -> int
-(** Cardinality of the union.  [0] for an empty array; raises
-    [Invalid_argument] unless every set has the same universe. *)
-
-val union : t array -> t
-(** A fresh set holding the union.  Raises [Invalid_argument] on an
-    empty array or mismatched universes. *)
+(** The number of elements.  Counts over several sets (unions, what
+    they share) are [Runtime.Measure.sharing]'s, in one pass over all
+    of them. *)

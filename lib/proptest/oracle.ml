@@ -699,13 +699,15 @@ let check_kernel (c : Gen.case) =
 (* The case's rectangular tile scheduled on 2 and 3 real domains, run
    the way [Driver.execute] runs it.  [Exec.run] must skip its step
    barriers exactly when [Validate.classify], on the sets of the
-   interpreter's all-steps [Exec.measure] over the same work, finds no
-   race, no contended accumulate and no cross read.  Whenever it skips
-   them, its checksum must be that of [Exec.measure] - the interpreter
-   with a barrier every step - bit for bit.  It runs three repeats, and
-   must skip the reset between them exactly when
-   [Exec.reexecution_safe] holds: its rows then hold no element both
-   read and written, and nothing accumulates. *)
+   interpreter's all-steps [Exec.measure] over the same work, counts no
+   element crossing domains: no race, no contended accumulate and no
+   cross read.  Both sides classify with [Measure.sharing], so this
+   checks the kernel's observed rows against the interpreter's over
+   every step.  Whenever it skips them, its checksum must be that of
+   [Exec.measure] - the interpreter with a barrier every step - bit for
+   bit.  It runs three repeats, and must skip the reset between them
+   exactly when [Exec.reexecution_safe] holds: its rows then hold no
+   element both read and written, and nothing accumulates. *)
 let check_barrier_free ~pools (c : Gen.case) =
   let compiled = Exec.compile c.nest in
   let steps = Exec.steps_of_nest c.nest in
@@ -721,10 +723,11 @@ let check_barrier_free ~pools (c : Gen.case) =
     in
     let inst = Exec.measure pool compiled work ~steps in
     let k =
-      Validate.classify layout ~reads:inst.Exec.read_sets
-        ~writes:inst.Exec.write_sets ~accumulates:inst.Exec.accumulate_sets
+      Validate.classify layout
+        (Measure.sharing ~reads:inst.Exec.read_sets
+           ~writes:inst.Exec.write_sets ~accumulates:inst.Exec.accumulate_sets)
     in
-    let want = k.Validate.races = [] && k.contended = [] && not k.cross_read in
+    let want = k.Validate.crossing = 0 in
     let r =
       Exec.run ~trace:Trace.disabled ~box:(Kernel.run_box plan)
         ~observe:(Kernel.observe plan) pool compiled work ~steps ~repeats:3
@@ -740,9 +743,9 @@ let check_barrier_free ~pools (c : Gen.case) =
     else if free <> want then
       fail "barrier-free-agree"
         "tile %s on %d procs: Exec.run barrier-free %b, but Validate finds \
-         %d racing and %d contended elements, cross read %b"
+         %d racing and %d contended elements, %d crossing"
         (tile_str (Tile.rect c.tile))
-        nprocs free (elements k.races) (elements k.contended) k.cross_read
+        nprocs free (elements k.races) (elements k.contended) k.crossing
     else if
       free
       && Int64.bits_of_float r.Measure.checksum

@@ -29,9 +29,10 @@
       the plan's safety analysis forbids it;
     - {b barrier-free-agree}: on 2 and 3 real domains under the case's
       rectangular tile, [Runtime.Exec.run] skips its step barriers
-      exactly when [Runtime.Validate.classify] on the interpreter's
-      sets finds no race, no contended accumulate and no cross read,
-      and a barrier-free run's checksum, over three timed repeats, is
+      exactly when [Runtime.Validate.classify] of the interpreter's
+      sets counts no element crossing domains (the one classifier,
+      [Runtime.Measure.sharing], over the other row producer), and a
+      barrier-free run's checksum, over three timed repeats, is
       the interpreter's with a barrier every step, bit for bit; the
       repeats skip their buffer reset exactly when
       [Runtime.Exec.reexecution_safe] holds of the nest.

@@ -298,15 +298,14 @@ let measure ?mode:_ pool c work ~steps =
   pass ~trace:Trace.disabled ~barriers:true pool work ~steps
     ~box:(fun p b -> iter_box b (visit p))
     ~seconds ~iterations;
+  let s =
+    Measure.sharing ~reads:read_sets ~writes:write_sets
+      ~accumulates:accumulate_sets
+  in
   {
-    footprints =
-      Array.init nprocs (fun p ->
-          Bitset.union_count
-            [| read_sets.(p); write_sets.(p); accumulate_sets.(p) |]);
+    footprints = s.Measure.footprints;
     iterations;
-    distinct_total =
-      Bitset.union_count
-        (Array.concat [ read_sets; write_sets; accumulate_sets ]);
+    distinct_total = s.Measure.distinct;
     checksum = checksum storage;
     read_sets;
     write_sets;
@@ -365,20 +364,20 @@ let static = function
 
 let observed_steps work ~steps = if static work then min steps 1 else steps
 
-(* Each domain's read and write sets after [steps] steps of the work,
-   every box through [observe], with the write set passed for both
-   plain writes and accumulates: no operands, so no loads, stores or
-   checksum. *)
+(* What each domain's read, write and accumulate sets share after
+   [steps] steps of the work, every box through [observe]: no operands,
+   so no loads, stores or checksum. *)
 let observed pool c work ~observe ~steps =
   let nprocs = Pool.size pool in
   let universe = total_elements c in
   let sets () = Array.init nprocs (fun _ -> Bitset.create ~universe) in
-  let reads = sets () and writes = sets () in
+  let reads = sets () and writes = sets () and accumulates = sets () in
   pass ~trace:Trace.disabled ~barriers:true pool work ~steps
     ~box:(fun p ->
-      observe ~reads:reads.(p) ~writes:writes.(p) ~accumulates:writes.(p))
+      observe ~reads:reads.(p) ~writes:writes.(p)
+        ~accumulates:accumulates.(p))
     ~seconds:(Array.make nprocs 0.0) ~iterations:(Array.make nprocs 0);
-  (reads, writes)
+  Measure.sharing ~reads ~writes ~accumulates
 
 (* Static work touches the same elements every step, so when no element
    crosses domains in the observed step none crosses in any: each
@@ -390,11 +389,8 @@ let observed pool c work ~observe ~steps =
    repeats need no reset. *)
 let run ~trace ~box ~observe pool c work ~steps ~repeats =
   check_timed c work ~repeats;
-  let reads, writes =
+  let { Measure.footprints; distinct; flow_in; crossing; read_written; _ } =
     observed pool c work ~observe ~steps:(observed_steps work ~steps)
-  in
-  let { Measure.footprints; distinct; flow_in; crossing; read_written } =
-    Measure.sharing ~reads ~writes
   in
   let barriers =
     if static work && crossing = 0 then Measure.Barrier_free

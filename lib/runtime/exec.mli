@@ -138,10 +138,14 @@ type work =
           [fun ~remaining:_ -> 1] is cyclic, a constant is
           block-cyclic, [ceil remaining/P] is guided self-scheduling *)
 
-(** {!measure} and every timed call ({!time}, {!time_with}, {!run})
-    first check the work once, outside the timed region: each box (a
-    [Dynamic] work's [space]) must have the nest's depth and lie inside
-    [Nest.bounds], else [Invalid_argument]. *)
+val check_work : compiled -> work -> unit
+(** Raises [Invalid_argument] unless each box (a [Dynamic] work's
+    [space]) has the nest's depth and lies inside [Nest.bounds], and a
+    [Tiled] work has one owner per tile.  The box bodies ({!run_box},
+    {!Kernel.run_box}, {!Kernel.observe}) address operands unchecked, so
+    every path that runs boxes calls it once first, outside any timed
+    region: {!measure}, every timed call ({!time}, {!time_with}, {!run})
+    and each {!Resilient.execute} attempt. *)
 
 val of_tiles : (int * tile) array -> work
 (** [(owner, boxes)] tiles, as {!Partition.Codegen.tiles} returns them,
@@ -160,9 +164,9 @@ val steps_of_nest : ?override:int -> Nest.t -> int
     else 1. *)
 
 type instrumented = {
-  footprints : int array;  (** per domain, its three sets' union count *)
+  footprints : int array;  (** per domain, {!Measure.sharing}'s footprint *)
   iterations : int array;
-  distinct_total : int;  (** all the sets' union count *)
+  distinct_total : int;  (** {!Measure.sharing}'s distinct elements *)
   checksum : float;
   read_sets : Intmath.Bitset.t array;  (** per domain: elements it loads *)
   write_sets : Intmath.Bitset.t array;  (** per domain: its [Write] stores *)
@@ -175,9 +179,10 @@ val measure :
     fresh operands ({!alloc}'s, whatever the nest), on the interpreter;
     its checksum is that of the buffer the execution leaves.  Each
     domain records every address it touches in its {!Intmath.Bitset}
-    set for the reference's kind; footprints count their unions
-    exactly.  Every step ends at a barrier.  Nothing on the [Driver]
-    path calls it, {!Validate} included: it is the reference that
+    set for the reference's kind; [footprints] and [distinct_total] are
+    {!Measure.sharing}'s counts of the three sets.  Every step ends at
+    a barrier.  Nothing on the [Driver] path calls it, {!Validate}
+    included: it is the reference that
     {!Kernel.observe}'s rows are checked against (fuzz oracles 3 and 9,
     test_kernel), and its checksum the one a barrier-free {!run} must
     reproduce (fuzz oracle 9).  [mode] is ignored: it once chose the
@@ -243,13 +248,12 @@ val run :
     The observing pass comes first.  It steps through the work for
     {!observed_steps} steps - one for static work - untraced, with each
     box run as [observe ~reads:reads.(p) ~writes:writes.(p)
-    ~accumulates:writes.(p)] on domain [p]'s two sets
-    ({!Kernel.observe}; the run needs only the union of plain writes
-    and accumulates): no operands, loads, stores or checksum.  The
-    footprints are each domain's union of the two, and
-    {!Measure.sharing} of the rows gives the per-domain flow-in, the
-    elements that cross domains and the elements both read and written.
-    The footprints also feed the trace's elements-touched counter.
+    ~accumulates:accumulates.(p)] on domain [p]'s three sets
+    ({!Kernel.observe}): no operands, loads, stores or checksum.
+    {!Measure.sharing} of the rows, the classifier {!Validate} reads
+    too, gives the footprints, the per-domain flow-in, the elements
+    that cross domains and the elements both read and written.  The
+    footprints also feed the trace's elements-touched counter.
 
     The timed pass runs all [steps] steps, [repeats] times on one
     buffer, is traced, and gives the wall time and iterations of the

@@ -87,8 +87,9 @@ val observe :
     [reads], a plain write's to [writes] and an accumulate's to
     [accumulates]: over the same box, the interpreter's read, write and
     accumulate sets ({!Exec.measure}).  A caller that wants fewer sets
-    passes one several times ({!Exec.run} passes its write row as both
-    [writes] and [accumulates]).  An empty box adds nothing.  Like
+    may pass one several times; {!Exec.run} and {!Validate} pass three
+    and classify them with {!Measure.sharing}.  An empty box adds
+    nothing.  Like
     {!run_box}, a box allocates only its two cursor arrays once
     [observe] is applied to its sets, and is not checked: one outside
     [Nest.bounds] sets bits past the sets. *)

@@ -8,40 +8,53 @@ type sharing = {
   flow_in : int array;
   crossing : int;
   read_written : int;
+  races : int list;
+  contended : int list;
 }
 
-(* One pass over the payload bytes.  Per byte, [r1]/[w1]/[t1] hold the
-   bits some domain reads/writes/touches and [w2]/[t2] the bits two or
-   more write/touch; [r1 land w1] are the bits read and written.  An
-   element crosses iff some domain writes it and two or more touch it
+(* One pass over the payload bytes.  A domain's written bits [x_p] are
+   its plain writes and accumulates together.  Per byte, [r1]/[w1]/[t1]
+   hold the bits some domain reads/writes/touches and [w2]/[t2] the bits
+   two or more write/touch; [r1 land w1] are the bits read and written.
+   An element crosses iff some domain writes it and two or more touch it
    ([w1 land t2]); the bits written by a domain other than [p] are
-   [w2 lor (w1 land lnot w_p)].  A byte where nothing crosses has no
-   flow-in either, since a flow-in bit is touched by its reader and its
-   writer, so only those bytes are read a second time. *)
-let sharing ~reads ~writes =
+   [w2 lor (w1 land lnot x_p)].  A byte where nothing crosses has no
+   flow-in and no multi-writer element either, so only crossing bytes
+   are read a second time, and only bytes with [w2 <> 0] a third, to
+   split [w2] by whether some domain plain-writes the bit. *)
+let sharing ~reads ~writes ~accumulates =
   let n = Array.length reads in
-  if Array.length writes <> n then invalid_arg "Measure.sharing: row counts";
+  if Array.length writes <> n || Array.length accumulates <> n then
+    invalid_arg "Measure.sharing: row counts";
   let footprints = Array.make n 0 and flow_in = Array.make n 0 in
   let distinct = ref 0 and crossing = ref 0 and read_written = ref 0 in
+  let races = ref [] and contended = ref [] in
   if n > 0 then begin
     let universe = reads.(0).Bitset.universe in
     if
       Array.exists
         (fun (t : Bitset.t) -> t.universe <> universe)
-        (Array.append reads writes)
+        (Array.concat [ reads; writes; accumulates ])
     then invalid_arg "Measure.sharing: mismatched sets";
     let byte (t : Bitset.t) j = Char.code (Bytes.unsafe_get t.bits j) in
+    let written p j = byte writes.(p) j lor byte accumulates.(p) j in
     let popcount b = Char.code (String.unsafe_get Bitset.popcount b) in
+    (* Consed in address order: the lists are reversed at the end. *)
+    let push l j bits =
+      for b = 0 to 7 do
+        if bits land (1 lsl b) <> 0 then l := (((j - Bitset.pad) * 8) + b) :: !l
+      done
+    in
     for j = Bitset.pad to Bitset.pad + ((universe + 7) / 8) - 1 do
       let r1 = ref 0 and w1 = ref 0 and w2 = ref 0 in
       let t1 = ref 0 and t2 = ref 0 in
       for p = 0 to n - 1 do
-        let rp = byte reads.(p) j and wp = byte writes.(p) j in
-        let tp = rp lor wp in
+        let rp = byte reads.(p) j and xp = written p j in
+        let tp = rp lor xp in
         r1 := !r1 lor rp;
         footprints.(p) <- footprints.(p) + popcount tp;
-        w2 := !w2 lor (!w1 land wp);
-        w1 := !w1 lor wp;
+        w2 := !w2 lor (!w1 land xp);
+        w1 := !w1 lor xp;
         t2 := !t2 lor (!t1 land tp);
         t1 := !t1 lor tp
       done;
@@ -51,10 +64,18 @@ let sharing ~reads ~writes =
       if cross <> 0 then begin
         crossing := !crossing + popcount cross;
         for p = 0 to n - 1 do
-          let others = !w2 lor (!w1 land lnot (byte writes.(p) j)) in
+          let others = !w2 lor (!w1 land lnot (written p j)) in
           flow_in.(p) <-
             flow_in.(p) + popcount (byte reads.(p) j land others)
-        done
+        done;
+        if !w2 <> 0 then begin
+          let plain = ref 0 in
+          for p = 0 to n - 1 do
+            plain := !plain lor byte writes.(p) j
+          done;
+          push races j (!w2 land !plain);
+          push contended j (!w2 land lnot !plain)
+        end
       end
     done
   end;
@@ -64,6 +85,8 @@ let sharing ~reads ~writes =
     flow_in;
     crossing = !crossing;
     read_written = !read_written;
+    races = List.rev !races;
+    contended = List.rev !contended;
   }
 
 type barriers = Barrier_free | Every_step of int

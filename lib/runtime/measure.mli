@@ -6,8 +6,9 @@
     Footprints are counted exactly by {!Intmath.Bitset} sets per
     domain: one bit per element of the {!Machine.Layout} address range,
     so a set costs [universe / 8] bytes.  The same sets, split into
-    reads and writes, tell which elements cross domains ({!sharing})
-    and so whether a run's steps need a barrier. *)
+    reads, plain writes and accumulates, tell which elements cross
+    domains ({!sharing}): whether a run's steps need a barrier, and
+    which elements race. *)
 
 type mode =
   | Exact
@@ -16,31 +17,47 @@ type mode =
 
 (** {2 What crosses domains}
 
-    Given per domain [p] the elements it reads, [R_p], and the elements
-    it writes or accumulates, [W_p], an element {e crosses domains} when
-    one domain writes it and another reads or writes it.  Exactly then
-    the order of two domains' accesses to it is visible in the result,
-    so a step needs a barrier only when some element crosses.  The
-    read half of it is the flow-in set of Ferry, Derrien and
-    Rajopadhye: [R_p ∩ ⋃_{q≠p} W_q], what [p] reads that another domain
-    produced. *)
+    Given per domain [p] the elements it reads, [R_p], plainly writes,
+    [W_p], and accumulates, [A_p], its written elements are
+    [X_p = W_p ∪ A_p].  An element {e crosses domains} when one domain
+    writes it and another reads or writes it.  Exactly then the order
+    of two domains' accesses to it is visible in the result, so a step
+    needs a barrier only when some element crosses.  An element in two
+    or more [X_p] is a write race when some [W_p] holds it, else a
+    contended accumulate (atomic, Appendix A's [l$]).  The read half of
+    crossing is the flow-in set of Ferry, Derrien and Rajopadhye:
+    [R_p ∩ ⋃_{q≠p} X_q], what [p] reads that another domain produced.
+    An element crosses iff it races, is contended or is in some
+    domain's flow-in. *)
 
 type sharing = {
-  footprints : int array;  (** per domain: [|R_p ∪ W_p|] *)
-  distinct : int;  (** [|⋃_p (R_p ∪ W_p)|] *)
-  flow_in : int array;  (** per domain: [|R_p ∩ ⋃_{q≠p} W_q|] *)
+  footprints : int array;  (** per domain: [|R_p ∪ X_p|] *)
+  distinct : int;  (** [|⋃_p (R_p ∪ X_p)|] *)
+  flow_in : int array;  (** per domain: [|R_p ∩ ⋃_{q≠p} X_q|] *)
   crossing : int;  (** elements that cross domains *)
   read_written : int;
-      (** [|(⋃_p R_p) ∩ (⋃_p W_p)|]: elements some domain reads and some
+      (** [|(⋃_p R_p) ∩ (⋃_p X_p)|]: elements some domain reads and some
           domain writes *)
+  races : int list;
+      (** ascending addresses in two or more [X_p] and some [W_p] *)
+  contended : int list;
+      (** ascending addresses in two or more [X_p] and no [W_p] *)
 }
 
 val sharing :
-  reads:Intmath.Bitset.t array -> writes:Intmath.Bitset.t array -> sharing
-(** What the rows [reads.(p)], [writes.(p)] hold and share, counted in
-    one byte-wise pass.  [read_written = 0] says the flow from writes to
-    reads is empty: no element's value is both produced and consumed.  Raises [Invalid_argument] unless there are as
-    many read rows as write rows over one universe. *)
+  reads:Intmath.Bitset.t array ->
+  writes:Intmath.Bitset.t array ->
+  accumulates:Intmath.Bitset.t array ->
+  sharing
+(** What the rows [reads.(p)], [writes.(p)] and [accumulates.(p)] hold
+    and share, counted in one byte-wise pass: the only classifier of
+    observer rows, for the run's barrier and reset rules ({!Exec.run})
+    and the validator's verdict ({!Validate.classify}) alike.  Addresses
+    are listed only from bytes where two domains write, so a pass with
+    none pays one test per byte for them.  [read_written = 0] says the
+    flow from writes to reads is empty: no element's value is both
+    produced and consumed.  Raises [Invalid_argument] unless there are
+    as many rows of each kind, over one universe. *)
 
 type barriers =
   | Barrier_free

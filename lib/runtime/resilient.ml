@@ -323,11 +323,13 @@ let watcher ctx =
 (* Attempt driver                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The boxes run through {!Kernel.run_box}, which addresses operands
+   unchecked: the partition is checked as the work it is. *)
 let make_ctx cfg plan kplan compiled steps (p : partitioned) ~size ~recover
     ~trace =
+  Exec.check_work compiled
+    (Exec.Tiled { tiles = p.tiles; owners = p.owners; steal = true });
   let ntiles = Array.length p.tiles in
-  if Array.length p.owners <> ntiles then
-    invalid_arg "Resilient: owners/tiles length mismatch";
   let storage = Exec.alloc compiled in
   let exec_tile =
     let box = Kernel.run_box kplan storage in
@@ -381,8 +383,11 @@ let attempt_record ~attempt_no ~nprocs ~backoff_ms ~t0 ?(events = [])
     wall_seconds = Mclock.now () -. t0;
   }
 
-let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
-    ~attempt_no ~backoff_ms ~opening =
+(* One attempt on the job's pool, spawned by the first attempt whose
+   partition is good: domains [me < size] run {!job}, the rest return
+   at once. *)
+let run_attempt cfg plan kplan compiled steps pool ~partition ~size ~recover
+    ~trace ~attempt_no ~backoff_ms ~opening =
   let t0 = Mclock.now () in
   let attempt ?(events = []) =
     attempt_record ~attempt_no ~nprocs:size ~backoff_ms ~t0
@@ -399,8 +404,8 @@ let run_attempt cfg plan kplan compiled steps ~partition ~size ~recover ~trace
       | ctx ->
           let g = ctx.g in
           (try
-             Pool.with_pool size (fun pool ->
-                 Pool.run ~watch:(watcher ctx) pool (fun me _ -> job ctx me))
+             Pool.run ~watch:(watcher ctx) (Lazy.force pool) (fun me _ ->
+                 if me < size then job ctx me)
            with exn ->
              Mutex.protect g.m (fun () ->
                  abort_locked g
@@ -477,7 +482,15 @@ let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
   let tile_retry = Exec.reexecution_safe compiled in
   let recover = config.policy <> Fail_fast && tile_retry in
   let attempts_rev = ref [] in
+  (* Every attempt shares one pool: {!Pool.run} returns only once every
+     worker has, and an injected stall polls the abort flag.  Spawning
+     it only once the first partition and operands are built keeps the
+     peak resident set where one pool per attempt had it, and the job's
+     wall time includes joining it. *)
+  let pool = lazy (Pool.create nprocs) in
+  let shutdown () = if Lazy.is_val pool then Pool.shutdown (Lazy.force pool) in
   let finish ~completed ~final_nprocs ~buffer ~checksum ~cover =
+    shutdown ();
     ( {
         Report.name = (Exec.nest compiled).Loopir.Nest.name;
         policy = policy_to_string config.policy;
@@ -513,8 +526,9 @@ let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
     | (size, backoff_ms, opening) :: rest -> (
         if backoff_ms > 0 then Unix.sleepf (float_of_int backoff_ms /. 1000.0);
         let att, success =
-          run_attempt config plan kplan compiled steps ~partition ~size ~recover
-            ~trace ~attempt_no:(List.length !attempts_rev) ~backoff_ms ~opening
+          run_attempt config plan kplan compiled steps pool ~partition ~size
+            ~recover ~trace ~attempt_no:(List.length !attempts_rev) ~backoff_ms
+            ~opening
         in
         attempts_rev := att :: !attempts_rev;
         match success with
@@ -522,4 +536,5 @@ let execute ?(config = default_config) ?(plan = Fault.none) ?kernels:_
             finish ~completed:true ~final_nprocs:size ~buffer ~checksum ~cover
         | None -> run rest)
   in
-  run (attempt_list config.policy nprocs)
+  Fun.protect ~finally:shutdown (fun () ->
+      run (attempt_list config.policy nprocs))

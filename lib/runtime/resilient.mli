@@ -80,8 +80,13 @@ val execute :
   Report.t * float array
 (** Run [steps] outer iterations of the nest under the policy, starting
     on [nprocs] domains partitioned by [partition ~nprocs] (called again
-    with smaller counts when degrading; an owner outside the pool fails
-    the attempt as a bad partition).  Every box runs through
+    with smaller counts when degrading).  The job spawns one pool of
+    [nprocs] domains, at its first attempt whose partition is good, and
+    runs every attempt on it: an attempt on [k] domains runs on domains
+    [0 .. k - 1] and the others return at once.  Each attempt first checks its partition with
+    {!Exec.check_work}: a box outside [Nest.bounds], a tile without an
+    owner or an owner outside the attempt's domains fails the attempt
+    as [bad partition: ...] before any box runs.  Every box runs through
     {!Kernel.run_box}; [kernels] is ignored, kept until its last callers
     drop it.  With [trace], workers record tile and re-execution spans,
     gate waits, steals, watchdog verdicts and fault counters into it

@@ -23,47 +23,26 @@ type verdict = {
 type conflicts = {
   races : (string * int) list;
   contended : (string * int) list;
-  cross_read : bool;
+  crossing : int;
 }
 
-(* Every element of the operand space, classified by the domains whose
-   sets hold it.  An element reached by two or more domains through
-   write-like references is contended: a write race when some domain
-   writes it through a plain [Write], else a shared accumulate.  An
-   array's addresses are contiguous, so counting runs of one name in
-   address order counts per array.  A read of an element that another
-   domain writes or accumulates (a non-empty flow-in) makes the order
-   visible. *)
-let classify layout ~reads ~writes ~accumulates =
-  let nprocs = Array.length writes in
-  let races = ref [] and contended = ref [] in
-  let flag counts a =
-    let name, _ = Layout.element_of layout a in
-    counts :=
-      match !counts with
-      | (n, k) :: rest when n = name -> (n, k + 1) :: rest
-      | l -> (name, 1) :: l
-  in
-  for a = 0 to Layout.total_elements layout - 1 do
-    let writers = ref 0 and plain = ref false in
-    for p = 0 to nprocs - 1 do
-      let w = Bitset.mem writes.(p) a in
-      if w || Bitset.mem accumulates.(p) a then begin
-        incr writers;
-        plain := !plain || w
-      end
-    done;
-    if !writers >= 2 then flag (if !plain then races else contended) a
-  done;
-  let writes =
-    Array.map2 (fun w a -> Bitset.union [| w; a |]) writes accumulates
+(* An array's addresses are contiguous and [sharing] lists addresses in
+   ascending order, so counting runs of one name counts per array. *)
+let classify layout (s : Measure.sharing) =
+  let per_array addresses =
+    List.fold_left
+      (fun counts a ->
+        let name, _ = Layout.element_of layout a in
+        match counts with
+        | (n, k) :: rest when n = name -> (n, k + 1) :: rest
+        | l -> (name, 1) :: l)
+      [] addresses
+    |> List.sort compare
   in
   {
-    races = List.sort compare !races;
-    contended = List.sort compare !contended;
-    cross_read =
-      Array.exists (fun n -> n > 0)
-        (Measure.sharing ~reads ~writes).Measure.flow_in;
+    races = per_array s.races;
+    contended = per_array s.contended;
+    crossing = s.crossing;
   }
 
 let reduction_arrays (cost : Cost.t) =
@@ -102,15 +81,10 @@ let check_schedule (schedule : Codegen.schedule) ~steps ~operands =
            ~accumulates:accumulates.(p))
         boxes)
     assignment;
-  let { races = write_races; contended = shared_accumulates; cross_read } =
-    classify (Layout.of_nest nest) ~reads ~writes ~accumulates
-  in
-  let race_free = write_races = [] in
-  let deterministic = race_free && shared_accumulates = [] && not cross_read in
-  let measured_footprints =
-    Array.init nprocs (fun p ->
-        Bitset.union_count [| reads.(p); writes.(p); accumulates.(p) |])
-  in
+  let s = Measure.sharing ~reads ~writes ~accumulates in
+  let k = classify (Layout.of_nest nest) s in
+  let deterministic = k.crossing = 0 in
+  let measured_footprints = s.Measure.footprints in
   {
     nest_name = nest.Nest.name;
     nprocs;
@@ -120,10 +94,10 @@ let check_schedule (schedule : Codegen.schedule) ~steps ~operands =
     footprints_agree = measured_footprints = sim_footprints;
     predicted_per_tile = Some (Cost.misses_per_tile cost schedule.Codegen.tile);
     measured_max = Array.fold_left max 0 measured_footprints;
-    write_races;
-    shared_accumulates;
+    write_races = k.races;
+    shared_accumulates = k.contended;
     reduction_arrays = reduction_arrays cost;
-    race_free;
+    race_free = k.races = [];
     deterministic;
     values_match =
       (if deterministic then Some (operands = Exec.sequential compiled ~steps)

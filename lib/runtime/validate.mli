@@ -21,18 +21,17 @@
       operands the caller's run left are compared with
       {!Exec.sequential}'s at the run's steps.
 
-    The race and determinism checks are set algebra on three rows per
-    domain [p]: [R_p] (reads), [W_p] (plain writes) and [A_p]
-    (accumulates).  {!check_schedule} fills them by walking each
-    owner's boxes through {!Kernel.observe}, the cursor walk the run
-    reports its footprints from, on the calling domain: no pool,
-    interpreter or operands.  An element is {e multi} when two or more
-    domains hold it in [W_p ∪ A_p], and {e plain} when some [W_p] holds
-    it.  A write race is multi ∧ plain, a contended accumulate multi ∧
-    ¬plain, and a cross read a non-empty [R_p ∩ ⋃_{q≠p} (W_q ∪ A_q)] for some [p].  Flagged
-    elements are attributed to arrays by {!Machine.Layout.element_of}.
-    The sets take [3 · P · (universe / 8 + 256)] bytes, whatever the
-    number of iterations. *)
+    The race and determinism checks read three rows per domain [p]:
+    [R_p] (reads), [W_p] (plain writes) and [A_p] (accumulates).
+    {!check_schedule} fills them by walking each owner's boxes through
+    {!Kernel.observe}, the cursor walk the run reports its footprints
+    from, on the calling domain: no pool, interpreter or operands.
+    {!Measure.sharing}, the classifier {!Exec.run}'s barrier rule reads,
+    lists the write races and contended accumulates and counts the
+    elements that cross domains; {!classify} only attributes the listed
+    elements to arrays by {!Machine.Layout.element_of}.  The sets take
+    [3 · P · (universe / 8 + 256)] bytes, whatever the number of
+    iterations. *)
 
 open Partition
 
@@ -57,45 +56,42 @@ type verdict = {
           (written class with a tiled null dimension) *)
   race_free : bool;  (** [write_races = []] *)
   deterministic : bool;
-      (** additionally no cross-processor read-after-write: parallel
-          values must equal the sequential reference run *)
+      (** no element crosses domains: no race, no contended accumulate
+          and no cross-processor read-after-write, exactly the test that
+          lets {!Exec.run} drop its step barriers.  Parallel values must
+          then equal the sequential reference run's *)
   values_match : bool option;
       (** [Some] iff [deterministic]: whether the run's operands equal
           the sequential reference's *)
 }
 
 type conflicts = {
-  races : (string * int) list;  (** array -> elements, multi ∧ plain *)
-  contended : (string * int) list;  (** array -> elements, multi ∧ ¬plain *)
-  cross_read : bool;
-      (** some domain's flow-in is non-empty: {!Measure.sharing} of the
-          read sets against [W_p ∪ A_p] *)
+  races : (string * int) list;
+      (** array -> elements in two or more [W_p ∪ A_p] and some [W_p] *)
+  contended : (string * int) list;
+      (** array -> elements in two or more [W_p ∪ A_p] and no [W_p] *)
+  crossing : int;
+      (** elements that cross domains: raced, contended, or read by one
+          domain and written by another ({!Measure.sharing}) *)
 }
 
-val classify :
-  Machine.Layout.t ->
-  reads:Intmath.Bitset.t array ->
-  writes:Intmath.Bitset.t array ->
-  accumulates:Intmath.Bitset.t array ->
-  conflicts
-(** The set algebra above over the rows [reads.(p)], [writes.(p)] and
-    [accumulates.(p)] of whichever pass produced them ({!Kernel.observe}
-    or {!Exec.measure}), the arrays sorted by name.  The pass's steps
-    need a barrier exactly when some conflict is found: an element
-    crosses domains ({!Measure.sharing}) iff it races, is contended or
-    is cross-read. *)
+val classify : Machine.Layout.t -> Measure.sharing -> conflicts
+(** The {!Measure.sharing} of the rows of whichever pass produced them
+    ({!Kernel.observe} or {!Exec.measure}), with its race and contended
+    addresses counted per array, the arrays sorted by name.  The pass's
+    steps need a barrier exactly when [crossing > 0]. *)
 
 val check_schedule :
   Codegen.schedule -> steps:int -> operands:Exec.storage -> verdict
 (** Validate the compile-time tiled assignment of a schedule,
     {!Scheduling.of_schedule}.  The simulator runs its boxes for one
     step, and {!Kernel.observe} walks each owner's boxes once on the
-    calling domain; those rows answer the race and determinism checks,
-    and their union per domain is the footprint compared with the
-    simulator's.  When the partition is deterministic, [values_match]
-    compares [operands], the buffer a run of the nest left after
-    [steps] steps, with {!Exec.sequential}[ ~steps] element by
-    element. *)
+    calling domain.  One {!Measure.sharing} of those rows answers the
+    race and determinism checks and gives the per-domain footprints
+    compared with the simulator's.  When the partition is
+    deterministic, [values_match] compares [operands], the buffer a run
+    of the nest left after [steps] steps, with
+    {!Exec.sequential}[ ~steps] element by element. *)
 
 val ok : verdict -> bool
 (** Sound and model-consistent: race-free, footprints agree with the

@@ -277,6 +277,54 @@ let test_degrade_to_sequential () =
   checkb "bit-identical to sequential" true
     (buffers_equal buffer (ground_truth nest))
 
+(* A partition with a box outside the iteration space fails every
+   attempt as a bad partition before any box runs: the kernels address
+   operands unchecked, so running it would write far past the buffer. *)
+let test_out_of_space_partition () =
+  let nest = Programs.stencil5 ~n:16 () in
+  let compiled = Runtime.Exec.compile nest in
+  let steps = Runtime.Exec.steps_of_nest nest in
+  let partition ~nprocs =
+    let a = Driver.analyze ~nprocs nest in
+    let p =
+      Resilient.tiles_of_schedule (Driver.schedule ~tile:(Driver.best_tile a) a)
+    in
+    let shift (b : Runtime.Exec.box) =
+      Array.mapi
+        (fun k (lo, hi) -> if k = 0 then (lo + 4000, hi + 4000) else (lo, hi))
+        b
+    in
+    p.Resilient.tiles.(0) <- Array.map shift p.Resilient.tiles.(0);
+    p
+  in
+  let execute policy =
+    Resilient.execute
+      ~config:{ Resilient.default_config with Resilient.policy }
+      ~compiled ~steps ~partition ~nprocs:1 ()
+  in
+  let bad_partition (a : Report.attempt) =
+    match a.Report.outcome with
+    | Report.Failed reason ->
+        String.starts_with ~prefix:"bad partition: Invalid_argument" reason
+    | Report.Completed -> false
+  in
+  let report, _ =
+    execute (Resilient.Retry { attempts = 2; backoff_ms = 0 })
+  in
+  checkb "retry: not completed" false report.Report.completed;
+  checkb "retry: every attempt a bad partition" true
+    (List.for_all bad_partition report.Report.attempts);
+  let report, buffer = execute Resilient.Degrade in
+  checkb "degrade: completed" true report.Report.completed;
+  checki "degrade: on the sequential fallback" 0 report.Report.final_nprocs;
+  checkb "degrade: parallel attempts were bad partitions" true
+    (List.for_all bad_partition
+       (List.filter
+          (fun (a : Report.attempt) -> a.Report.nprocs > 0)
+          report.Report.attempts));
+  checkb "degrade: bit-identical to sequential" true
+    (buffers_equal buffer (Runtime.Exec.sequential compiled ~steps))
+
 (* Regression: a wildcard site's claim ordinal is re-dealt every
    attempt, and degrade re-partitions re-reach it with a smaller pool -
    the armed-flag CAS must still make each plan entry fire at most once
@@ -471,6 +519,8 @@ let () =
             test_accumulate_retries_whole_attempt;
           Alcotest.test_case "degrade to sequential" `Quick
             test_degrade_to_sequential;
+          Alcotest.test_case "boxes outside the space refused" `Quick
+            test_out_of_space_partition;
           Alcotest.test_case "wildcard sites fire once across degrades" `Quick
             test_wildcard_sites_fire_once_across_degrades;
         ] );

@@ -189,6 +189,17 @@ let touched_of ~universe l =
   List.iter (Intmath.Bitset.add t) l;
   t
 
+(* [|⋃ sets|], as the runtime counts it: the distinct elements of
+   {!Runtime.Measure.sharing} with the sets as read rows. *)
+let union_count (sets : Intmath.Bitset.t array) =
+  let none =
+    Array.map
+      (fun (s : Intmath.Bitset.t) -> Intmath.Bitset.create ~universe:s.universe)
+      sets
+  in
+  (Runtime.Measure.sharing ~reads:sets ~writes:none ~accumulates:none)
+    .Runtime.Measure.distinct
+
 let test_touched_exact () =
   check "exact distinct count" 4
     (Intmath.Bitset.cardinal
@@ -198,11 +209,10 @@ let test_touched_exact () =
   let a = touched_of ~universe [ 0; 1 lsl 24; universe - 1; 0; universe - 1 ]
   and b = touched_of ~universe [ 1 lsl 24; 5; 5 ] in
   check "exact count over 2^24 elements" 3 (Intmath.Bitset.cardinal a);
-  check "exact union over 2^24 elements" 4
-    (Intmath.Bitset.union_count [| a; b |]);
-  checkb "union of different universes rejected" true
+  check "exact union over 2^24 elements" 4 (union_count [| a; b |]);
+  checkb "rows of different universes rejected" true
     (match
-       Intmath.Bitset.union_count
+       union_count
          [| touched_of ~universe:1000 [ 1 ]; touched_of ~universe:1001 [ 1 ] |]
      with
     | _ -> false
@@ -210,46 +220,137 @@ let test_touched_exact () =
 
 let test_union_count () =
   check "union of overlapping sets" 5
-    (Intmath.Bitset.union_count
+    (union_count
        [|
          touched_of ~universe:64 [ 1; 2; 3 ];
          touched_of ~universe:64 [ 3; 4; 5 ];
        |])
 
 (* Three domains over 20 elements, across a byte boundary.  Element 3
-   is written by 0 and read by 1, 12 written by 0 and 1, 5 written by 1
-   and read by 2: those three cross.  17 is written and read by 2 alone
-   and 9 is only read, so they do not.  Domain 1 reads 3 from domain 0
-   and domain 2 reads 5 from domain 1: one flow-in element each. *)
+   is written by 0 and read by 1, 12 written by 0 and 1 (a race), 14
+   accumulated by 0 and 2 (contended), 5 written by 1 and read by 2:
+   those four cross.  17 is written and read by 2 alone and 9 is only
+   read, so they do not.  Domain 1 reads 3 from domain 0 and domain 2
+   reads 5 from domain 1: one flow-in element each. *)
 let test_sharing () =
   let set = touched_of ~universe:20 in
+  let none = [| set []; set []; set [] |] in
   let reads = [| set [ 1; 2; 9 ]; set [ 3; 4 ]; set [ 5; 9; 17 ] |]
-  and writes = [| set [ 3; 12 ]; set [ 5; 12 ]; set [ 17 ] |] in
-  let s = Runtime.Measure.sharing ~reads ~writes in
+  and writes = [| set [ 3; 12 ]; set [ 5; 12 ]; set [ 17 ] |]
+  and accumulates = [| set [ 14 ]; set []; set [ 14 ] |] in
+  let s = Runtime.Measure.sharing ~reads ~writes ~accumulates in
   Alcotest.(check (array int))
-    "footprints" [| 5; 4; 3 |] s.Runtime.Measure.footprints;
-  check "distinct" 8 s.Runtime.Measure.distinct;
-  check "elements that cross" 3 s.Runtime.Measure.crossing;
+    "footprints" [| 6; 4; 4 |] s.Runtime.Measure.footprints;
+  check "distinct" 9 s.Runtime.Measure.distinct;
+  check "elements that cross" 4 s.Runtime.Measure.crossing;
   Alcotest.(check (array int))
     "flow-in" [| 0; 1; 1 |] s.Runtime.Measure.flow_in;
-  check "union of the writes" 4
-    (Intmath.Bitset.cardinal (Intmath.Bitset.union writes));
-  let alone =
-    Runtime.Measure.sharing ~reads:[| set [ 3 ] |] ~writes:[| set [ 3 ] |]
-  in
-  check "one domain: nothing crosses" 0 alone.Runtime.Measure.crossing;
-  check "one domain: read and written" 1 alone.Runtime.Measure.read_written;
+  Alcotest.(check (list int)) "races" [ 12 ] s.Runtime.Measure.races;
+  Alcotest.(check (list int)) "contended" [ 14 ] s.Runtime.Measure.contended;
   check "read by one domain or its writer, written by one" 3
     s.Runtime.Measure.read_written;
+  let mixed =
+    Runtime.Measure.sharing ~reads:none
+      ~writes:[| set [ 3 ]; set []; set [] |]
+      ~accumulates:[| set []; set [ 3 ]; set [] |]
+  in
+  Alcotest.(check (list int))
+    "an accumulate meeting a plain write races" [ 3 ]
+    mixed.Runtime.Measure.races;
+  Alcotest.(check (list int)) "so it is not contended" []
+    mixed.Runtime.Measure.contended;
+  let alone =
+    Runtime.Measure.sharing ~reads:[| set [ 3 ] |] ~writes:[| set [] |]
+      ~accumulates:[| set [ 3 ] |]
+  in
+  check "one domain: nothing crosses" 0 alone.Runtime.Measure.crossing;
+  check "one domain: read and accumulated" 1
+    alone.Runtime.Measure.read_written;
   check "nothing read is written" 0
     (Runtime.Measure.sharing
        ~reads:[| set [ 0; 1 ]; set [ 1; 2 ] |]
-       ~writes:[| set [ 7 ]; set [ 8; 19 ] |])
+       ~writes:[| set [ 7 ]; set [ 8; 19 ] |]
+       ~accumulates:[| set [ 4 ]; set [] |])
       .Runtime.Measure.read_written;
   checkb "row counts must agree" true
-    (match Runtime.Measure.sharing ~reads ~writes:[| set [] |] with
+    (match
+       Runtime.Measure.sharing ~reads ~writes ~accumulates:[| set [] |]
+     with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* The classification {!Runtime.Measure.sharing} makes in one byte
+   pass, element by element: per address, which domains read, plainly
+   write and accumulate it. *)
+let reference_sharing ~reads ~writes ~accumulates =
+  let n = Array.length reads in
+  let universe = if n = 0 then 0 else reads.(0).Intmath.Bitset.universe in
+  let footprints = Array.make n 0 and flow_in = Array.make n 0 in
+  let distinct = ref 0 and crossing = ref 0 and read_written = ref 0 in
+  let races = ref [] and contended = ref [] in
+  for a = universe - 1 downto 0 do
+    let r p = Intmath.Bitset.mem reads.(p) a
+    and w p = Intmath.Bitset.mem writes.(p) a in
+    let x p = w p || Intmath.Bitset.mem accumulates.(p) a in
+    let t p = r p || x p in
+    let count f = List.length (List.filter f (List.init n Fun.id)) in
+    let writers = count x and touchers = count t in
+    Array.iteri (fun p f -> if t p then footprints.(p) <- f + 1) footprints;
+    Array.iteri
+      (fun p f ->
+        if r p && List.exists (fun q -> q <> p && x q) (List.init n Fun.id)
+        then flow_in.(p) <- f + 1)
+      flow_in;
+    if touchers > 0 then incr distinct;
+    if writers > 0 && touchers >= 2 then incr crossing;
+    if writers > 0 && count r > 0 then incr read_written;
+    if writers >= 2 then
+      if count w > 0 then races := a :: !races
+      else contended := a :: !contended
+  done;
+  {
+    Runtime.Measure.footprints;
+    distinct = !distinct;
+    flow_in;
+    crossing = !crossing;
+    read_written = !read_written;
+    races = !races;
+    contended = !contended;
+  }
+
+(* Random rows over one to four domains, on universes that end inside,
+   at and just past a byte, and on one random size above 200.  Each
+   row's density is drawn apart, so empty rows, sparse rows that rarely
+   meet and dense rows that race and contend all occur. *)
+let test_sharing_reference () =
+  let rng = Random.State.make [| 29 |] in
+  let row universe =
+    let density = [| 0.0; 0.05; 0.3; 0.8 |].(Random.State.int rng 4) in
+    touched_of ~universe
+      (List.filter
+         (fun _ -> Random.State.float rng 1.0 < density)
+         (List.init universe Fun.id))
+  in
+  let ints = Alcotest.(array int) and addrs = Alcotest.(list int) in
+  List.iter
+    (fun universe ->
+      for trial = 1 to 40 do
+        let n = 1 + Random.State.int rng 4 in
+        let rows () = Array.init n (fun _ -> row universe) in
+        let reads = rows () and writes = rows () and accumulates = rows () in
+        let got = Runtime.Measure.sharing ~reads ~writes ~accumulates
+        and want = reference_sharing ~reads ~writes ~accumulates in
+        let label f = Printf.sprintf "universe %d, P=%d, trial %d: %s"
+            universe n trial f in
+        Alcotest.check ints (label "footprints") want.footprints got.footprints;
+        check (label "distinct") want.distinct got.distinct;
+        Alcotest.check ints (label "flow-in") want.flow_in got.flow_in;
+        check (label "crossing") want.crossing got.crossing;
+        check (label "read_written") want.read_written got.read_written;
+        Alcotest.check addrs (label "races") want.races got.races;
+        Alcotest.check addrs (label "contended") want.contended got.contended
+      done)
+    [ 1; 7; 8; 9; 63; 201 + Random.State.int rng 800 ]
 
 (* ------------------------------------------------------------------ *)
 (* Runtime vs simulator: the validation protocol                       *)
@@ -521,6 +622,8 @@ let () =
           Alcotest.test_case "exact counters" `Quick test_touched_exact;
           Alcotest.test_case "union cardinality" `Quick test_union_count;
           Alcotest.test_case "what crosses domains" `Quick test_sharing;
+          Alcotest.test_case "one pass = element-wise reference" `Quick
+            test_sharing_reference;
         ] );
       ( "validation",
         [

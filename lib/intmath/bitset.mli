@@ -8,15 +8,14 @@
     domains never share a line (no false sharing).  The record is
     [private] so that a pass over many sets (the runtime's
     [Measure.sharing]) can read payload bytes directly: bit [i] is bit [i land 7] of
-    [Bytes.get bits (pad + i lsr 3)]. *)
+    [Bytes.get bits (pad + i lsr 3)].  Elements lie in the universe, so
+    the guard region stays zero and such a pass may read whole 64-bit
+    words that run past the payload's last byte. *)
 
 type t = private { bits : Bytes.t; universe : int }
 
 val pad : int
 (** Bytes of guard region before (and after) the payload. *)
-
-val popcount : string
-(** [Char.code popcount.[b]] is the number of set bits in byte [b]. *)
 
 val create : universe:int -> t
 (** An empty set over [0 .. universe - 1].  Raises [Invalid_argument]

@@ -3,10 +3,6 @@ open Loopir
 
 type box = Exec.box
 
-type shape = Stencil5 | Generic
-
-let shape_name = function Stencil5 -> "stencil5" | Generic -> "generic"
-
 (* [row x n ra wa] runs [n] points of the innermost axis from the
    running addresses [ra] (reads) and [wa] (writes), and leaves both
    arrays as it found them: [x] is the operand buffer for the executing
@@ -19,7 +15,7 @@ type plan = {
   writes : (Exec.cref * bool) array;
   order : int array;  (** traversal order, outermost first *)
   reorderable : bool;
-  shape : shape;
+  unit : bool;  (** the row runs an unrolled loop with literal [+ 1] bumps *)
   rstep : int array array;
       (** [rstep.(k).(i)]: read [i]'s address delta along traversal axis [k] *)
   wstep : int array array;  (** the same for the writes *)
@@ -29,7 +25,7 @@ type plan = {
 
 let order p = Array.copy p.order
 let reorderable p = p.reorderable
-let shape p = shape_name p.shape
+let shape p = if p.unit then "unit-stride" else "generic"
 
 (* ------------------------------------------------------------------ *)
 (* Traversal-order safety analysis                                     *)
@@ -138,16 +134,6 @@ let is_permutation o n =
       k >= 0 && k < n && not seen.(k) && (seen.(k) <- true; true))
     o
 
-let detect_shape (reads : Exec.cref array) writes =
-  match (Array.length reads, writes) with
-  | 5, [| (_, false) |]
-    when Array.for_all (fun (r : Exec.cref) -> r.Exec.m = reads.(0).Exec.m) reads
-    ->
-      (* Equal index maps let the five reads share one cursor with
-         constant offsets - the defining property of a stencil. *)
-      Stencil5
-  | _ -> Generic
-
 (* ------------------------------------------------------------------ *)
 (* Box execution                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -158,29 +144,17 @@ let detect_shape (reads : Exec.cref array) writes =
    semantics bit for bit: reads summed in body order, [+. 1.0], stores
    (or in-place adds) through every write in body order. *)
 
-(* The five reads share one index map (shape precondition), so their
-   mutual offsets are the differences of their [c]: one bumped cursor
-   and four fixed displacements replace five address streams. *)
-let inner_stencil5 (data : Exec.storage) ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 b0 w0 =
-  let b = ref b0 and w = ref w0 in
-  for _ = 1 to n do
-    let base = !b in
-    Array.unsafe_set data !w
-      (Array.unsafe_get data base
-      +. Array.unsafe_get data (base + o1)
-      +. Array.unsafe_get data (base + o2)
-      +. Array.unsafe_get data (base + o3)
-      +. Array.unsafe_get data (base + o4)
-      +. 1.0);
-    b := base + d;
-    w := !w + dw
-  done
-
 (* Store or accumulate [v] at [a]; inlined, so a constant [is_acc]
    leaves only one of the two. *)
 let[@inline] store ~is_acc (data : Exec.storage) a v =
   if is_acc then Array.unsafe_set data a (Array.unsafe_get data a +. v)
   else Array.unsafe_set data a v
+
+(* Advance a cursor by its delta [d], or by a literal 1 on a unit-stride
+   row.  The test must sit here, at the use: bound once outside the loop
+   ([let d = if unit then 1 else ...]) the constant lands in a register
+   and is spilled like any other delta. *)
+let[@inline] adv ~unit x d = if unit then x + 1 else x + d
 
 (* Move running addresses [n] steps along [delta]. *)
 let bump (a : int array) (delta : int array) n =
@@ -211,37 +185,40 @@ let inner_generic1 (data : Exec.storage) ~n ~nr ~(rd : int array) ~dw
   done;
   bump ra rd (-n)
 
-(* Arity-unrolled single-write variants: same shape-agnostic bumped
-   cursors, but held in registers instead of the cursor array once the
-   read count is known.  Kills the per-read loop control and the cursor
-   array traffic, which dominate [inner_generic1] for short bodies.
-   {!unrolled} inlines each one per store kind. *)
+(* Arity-unrolled single-write variants: the cursors held in locals
+   instead of the cursor array once the read count is known, which kills
+   the per-read loop control and the cursor array traffic that dominate
+   [inner_generic1] for short bodies.  {!unrolled} inlines each one per
+   store kind and per [unit]: with literal bumps every cursor stays in a
+   register, while the strided arities 4 and 5 run out of registers and
+   keep cursors and deltas on the stack. *)
 let[@inline] inner_gen1 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
-    (ra : int array) w0 =
-  let r0 = ref ra.(0) and w = ref w0 in
+    ~unit (ra : int array) (wa : int array) =
+  let r0 = ref ra.(0) and w = ref wa.(0) in
   let d0 = rd.(0) in
   for _ = 1 to n do
     let v = Array.unsafe_get data !r0 +. 1.0 in
     store ~is_acc data !w v;
-    r0 := !r0 + d0;
-    w := !w + dw
+    r0 := adv ~unit !r0 d0;
+    w := adv ~unit !w dw
   done
 
 let[@inline] inner_gen2 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
-    (ra : int array) w0 =
-  let r0 = ref ra.(0) and r1 = ref ra.(1) and w = ref w0 in
+    ~unit (ra : int array) (wa : int array) =
+  let r0 = ref ra.(0) and r1 = ref ra.(1) and w = ref wa.(0) in
   let d0 = rd.(0) and d1 = rd.(1) in
   for _ = 1 to n do
     let v = Array.unsafe_get data !r0 +. Array.unsafe_get data !r1 +. 1.0 in
     store ~is_acc data !w v;
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    w := !w + dw
+    r0 := adv ~unit !r0 d0;
+    r1 := adv ~unit !r1 d1;
+    w := adv ~unit !w dw
   done
 
 let[@inline] inner_gen3 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
-    (ra : int array) w0 =
-  let r0 = ref ra.(0) and r1 = ref ra.(1) and r2 = ref ra.(2) and w = ref w0 in
+    ~unit (ra : int array) (wa : int array) =
+  let r0 = ref ra.(0) and r1 = ref ra.(1) and r2 = ref ra.(2) in
+  let w = ref wa.(0) in
   let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) in
   for _ = 1 to n do
     let v =
@@ -249,19 +226,19 @@ let[@inline] inner_gen3 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
       +. Array.unsafe_get data !r2 +. 1.0
     in
     store ~is_acc data !w v;
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    r2 := !r2 + d2;
-    w := !w + dw
+    r0 := adv ~unit !r0 d0;
+    r1 := adv ~unit !r1 d1;
+    r2 := adv ~unit !r2 d2;
+    w := adv ~unit !w dw
   done
 
 let[@inline] inner_gen4 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
-    (ra : int array) w0 =
+    ~unit (ra : int array) (wa : int array) =
   let r0 = ref ra.(0)
   and r1 = ref ra.(1)
   and r2 = ref ra.(2)
   and r3 = ref ra.(3)
-  and w = ref w0 in
+  and w = ref wa.(0) in
   let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) and d3 = rd.(3) in
   for _ = 1 to n do
     let v =
@@ -269,21 +246,21 @@ let[@inline] inner_gen4 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
       +. Array.unsafe_get data !r2 +. Array.unsafe_get data !r3 +. 1.0
     in
     store ~is_acc data !w v;
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    r2 := !r2 + d2;
-    r3 := !r3 + d3;
-    w := !w + dw
+    r0 := adv ~unit !r0 d0;
+    r1 := adv ~unit !r1 d1;
+    r2 := adv ~unit !r2 d2;
+    r3 := adv ~unit !r3 d3;
+    w := adv ~unit !w dw
   done
 
 let[@inline] inner_gen5 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
-    (ra : int array) w0 =
+    ~unit (ra : int array) (wa : int array) =
   let r0 = ref ra.(0)
   and r1 = ref ra.(1)
   and r2 = ref ra.(2)
   and r3 = ref ra.(3)
   and r4 = ref ra.(4)
-  and w = ref w0 in
+  and w = ref wa.(0) in
   let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) and d3 = rd.(3) and d4 = rd.(4) in
   for _ = 1 to n do
     let v =
@@ -292,39 +269,57 @@ let[@inline] inner_gen5 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
       +. Array.unsafe_get data !r4 +. 1.0
     in
     store ~is_acc data !w v;
-    r0 := !r0 + d0;
-    r1 := !r1 + d1;
-    r2 := !r2 + d2;
-    r3 := !r3 + d3;
-    r4 := !r4 + d4;
-    w := !w + dw
+    r0 := adv ~unit !r0 d0;
+    r1 := adv ~unit !r1 d1;
+    r2 := adv ~unit !r2 d2;
+    r3 := adv ~unit !r3 d3;
+    r4 := adv ~unit !r4 d4;
+    w := adv ~unit !w dw
   done
 
-(* Each unrolled loop inlined twice, so the accumulate test folds away:
-   left inside the loop it cost matmul about 20% (2-core x86-64). *)
-let unrolled ~nr ~is_acc ~rd ~dw : Exec.storage row option =
-  let pick acc set = Some (if is_acc then acc else set) in
+(* Each unrolled loop inlined four times, so the accumulate and unit
+   tests fold away: the accumulate test left inside the loop cost matmul
+   about 20% (2-core x86-64). *)
+let unrolled ~nr ~is_acc ~unit ~rd ~dw : Exec.storage row option =
+  let pick acc_unit acc set_unit set =
+    Some
+      (match (is_acc, unit) with
+      | true, true -> acc_unit
+      | true, false -> acc
+      | false, true -> set_unit
+      | false, false -> set)
+  in
   match nr with
   | 1 ->
       pick
-        (fun d n ra wa -> inner_gen1 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
-        (fun d n ra wa -> inner_gen1 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
+        (fun x n r w -> inner_gen1 ~is_acc:true ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen1 ~is_acc:true ~unit:false x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen1 ~is_acc:false ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen1 ~is_acc:false ~unit:false x ~n ~rd ~dw r w)
   | 2 ->
       pick
-        (fun d n ra wa -> inner_gen2 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
-        (fun d n ra wa -> inner_gen2 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
+        (fun x n r w -> inner_gen2 ~is_acc:true ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen2 ~is_acc:true ~unit:false x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen2 ~is_acc:false ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen2 ~is_acc:false ~unit:false x ~n ~rd ~dw r w)
   | 3 ->
       pick
-        (fun d n ra wa -> inner_gen3 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
-        (fun d n ra wa -> inner_gen3 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
+        (fun x n r w -> inner_gen3 ~is_acc:true ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen3 ~is_acc:true ~unit:false x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen3 ~is_acc:false ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen3 ~is_acc:false ~unit:false x ~n ~rd ~dw r w)
   | 4 ->
       pick
-        (fun d n ra wa -> inner_gen4 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
-        (fun d n ra wa -> inner_gen4 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
+        (fun x n r w -> inner_gen4 ~is_acc:true ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen4 ~is_acc:true ~unit:false x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen4 ~is_acc:false ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen4 ~is_acc:false ~unit:false x ~n ~rd ~dw r w)
   | 5 ->
       pick
-        (fun d n ra wa -> inner_gen5 ~is_acc:true d ~n ~rd ~dw ra wa.(0))
-        (fun d n ra wa -> inner_gen5 ~is_acc:false d ~n ~rd ~dw ra wa.(0))
+        (fun x n r w -> inner_gen5 ~is_acc:true ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen5 ~is_acc:true ~unit:false x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen5 ~is_acc:false ~unit:true x ~n ~rd ~dw r w)
+        (fun x n r w -> inner_gen5 ~is_acc:false ~unit:false x ~n ~rd ~dw r w)
   | _ -> None
 
 let inner_generic (data : Exec.storage) ~n ~nr ~nw ~(rd : int array)
@@ -346,27 +341,27 @@ let inner_generic (data : Exec.storage) ~n ~nr ~nw ~(rd : int array)
   bump ra rd (-n);
   bump wa wd (-n)
 
-(* The innermost loop for a shape, from the innermost deltas [rd] and
-   [wd]. *)
-let row_of shape (reads : Exec.cref array) writes ~rd ~wd : Exec.storage row =
-  let nr = Array.length reads and nw = Array.length writes in
-  match shape with
-  | Stencil5 ->
-      let d = rd.(0) and dw = wd.(0) in
-      let off i = reads.(i).Exec.c - reads.(0).Exec.c in
-      let o1 = off 1 and o2 = off 2 and o3 = off 3 and o4 = off 4 in
-      fun data n ra wa ->
-        inner_stencil5 data ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 ra.(0) wa.(0)
-  | Generic when nw = 1 -> (
-      let dw = wd.(0) and is_acc = snd writes.(0) in
-      match unrolled ~nr ~is_acc ~rd ~dw with
-      | Some row -> row
-      | None ->
-          fun data n ra wa ->
-            inner_generic1 data ~n ~nr ~rd ~dw ~is_acc ra wa.(0))
-  | Generic ->
-      let acc = Array.map snd writes in
-      fun data n ra wa -> inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ra wa
+(* Whether a row takes the unit-stride loop: a single write and 1 to 5
+   reads (an unrolled arity), every one advancing by exactly +1 along
+   the innermost axis. *)
+let unit_stride ~rd ~wd =
+  let nr = Array.length rd in
+  Array.length wd = 1 && nr >= 1 && nr <= 5
+  && Array.for_all (fun d -> d = 1) rd
+  && wd.(0) = 1
+
+(* The innermost loop from the innermost deltas [rd] and [wd]. *)
+let row_of ~unit writes ~rd ~wd : Exec.storage row =
+  let nr = Array.length rd and nw = Array.length wd in
+  if nw = 1 then
+    let dw = wd.(0) and is_acc = snd writes.(0) in
+    match unrolled ~nr ~is_acc ~unit ~rd ~dw with
+    | Some row -> row
+    | None ->
+        fun data n ra wa -> inner_generic1 data ~n ~nr ~rd ~dw ~is_acc ra wa.(0)
+  else
+    let acc = Array.map snd writes in
+    fun data n ra wa -> inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ra wa
 
 (* The observing row: the run of addresses each reference's cursor
    passes over the [n] points, in the read, write or accumulate set by
@@ -401,7 +396,6 @@ let plan ?(force_generic = false) ?order compiled =
         Array.copy o
     | None -> choose_order ~nesting ~reorderable reads writes extents
   in
-  let shape = if force_generic then Generic else detect_shape reads writes in
   (* Per-reference deltas permuted into traversal order, once per plan:
      a box then costs only its two cursor arrays. *)
   let along crefs =
@@ -409,9 +403,10 @@ let plan ?(force_generic = false) ?order compiled =
   in
   let rstep = along reads and wstep = along (Array.map fst writes) in
   let rd = rstep.(nesting - 1) and wd = wstep.(nesting - 1) in
-  let row = row_of shape reads writes ~rd ~wd in
+  let unit = (not force_generic) && unit_stride ~rd ~wd in
+  let row = row_of ~unit writes ~rd ~wd in
   let observe_row = observe_row ~rd ~wd ~acc:(Array.map snd writes) in
-  { compiled; reads; writes; order; reorderable; shape; rstep; wstep; row;
+  { compiled; reads; writes; order; reorderable; unit; rstep; wstep; row;
     observe_row }
 
 (* Per-axis address delta of each body reference, in original axis

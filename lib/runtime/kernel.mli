@@ -21,10 +21,14 @@
       besides identical maps), the axis with the most unit-stride
       references is rotated innermost so the inner loop walks arrays
       contiguously;
-    - {b shape specialization}: the 5-point stencil shares one cursor
-      among its five reads; every other single-write body of 1 to 5
-      reads runs a loop with its cursors unrolled into registers, and
-      anything else the array-cursor loop.
+    - {b row specialization}: a single-write body of 1 to 5 reads runs
+      a loop unrolled to its arity, with one local cursor per reference.
+      When the write and every read advance by exactly [+1] along the
+      innermost traversal axis (stencil5, example3, relax_inplace,
+      diag_accumulate, whatever the pattern), the loop bumps them by a
+      literal [1] and keeps every cursor in a register; otherwise it
+      bumps them by their deltas.  Anything else runs the array-cursor
+      loop.
 
     Value semantics are the interpreter's, bit for bit: reads summed in
     body order, [+. 1.0], the result stored or added through every
@@ -39,9 +43,9 @@ type plan
 
 val plan : ?force_generic:bool -> ?order:int array -> Exec.compiled -> plan
 (** Lower a compiled nest, fixing the traversal-order deltas and the
-    inner loop once.  [force_generic] disables the stencil
-    specialization (benchmark baseline for isolating the incremental
-    addressing win).  [order] overrides the traversal order ({e
+    inner loop once.  [force_generic] disables the unit-stride loops:
+    every row bumps its cursors by their deltas (benchmark baseline for
+    the literal bumps, and their cross-check in the tests).  [order] overrides the traversal order ({e
     bypassing} the safety analysis - test/bench use only); it must be a
     permutation of the axes, outermost first. *)
 
@@ -56,7 +60,9 @@ val reorderable : plan -> bool
     whose reads overlap their writes are the canonical [false]. *)
 
 val shape : plan -> string
-(** The specialization picked: ["stencil5"] or ["generic"]. *)
+(** The row loop picked: ["unit-stride"] when the rows bump their
+    cursors by a literal [1] (see the module preamble), else
+    ["generic"]. *)
 
 val strides : plan -> (Reference.t * int array) list
 (** Each body reference with its per-axis address deltas [m] (original

@@ -12,16 +12,37 @@ type sharing = {
   contended : int list;
 }
 
-(* One pass over the payload bytes.  A domain's written bits [x_p] are
-   its plain writes and accumulates together.  Per byte, [r1]/[w1]/[t1]
-   hold the bits some domain reads/writes/touches and [w2]/[t2] the bits
-   two or more write/touch; [r1 land w1] are the bits read and written.
-   An element crosses iff some domain writes it and two or more touch it
-   ([w1 land t2]); the bits written by a domain other than [p] are
-   [w2 lor (w1 land lnot x_p)].  A byte where nothing crosses has no
-   flow-in and no multi-writer element either, so only crossing bytes
-   are read a second time, and only bytes with [w2 <> 0] a third, to
-   split [w2] by whether some domain plain-writes the bit. *)
+(* Set bits of a 64-bit word, by halving sums (no table, no loop). *)
+let[@inline] popcount (x : int64) =
+  let open Int64 in
+  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
+  let x =
+    add (logand x 0x3333333333333333L)
+      (logand (shift_right_logical x 2) 0x3333333333333333L)
+  in
+  let x = logand (add x (shift_right_logical x 4)) 0x0f0f0f0f0f0f0f0fL in
+  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+
+(* The eight payload bytes from byte [j] as one little-endian word:
+   element [8 * (j - pad) + b] is bit [b].  A row's last word may reach
+   up to seven bytes into the guard region, which holds no element. *)
+let[@inline] word (t : Bitset.t) j = Bytes.get_int64_le t.bits j
+
+(* Domain [p]'s written bits at [j]: its plain writes and accumulates. *)
+let[@inline] written writes accumulates p j =
+  Int64.logor (word writes.(p) j) (word accumulates.(p) j)
+
+(* One pass over the payload, a 64-bit word at a time.  A domain's
+   written bits [x_p] are its plain writes and accumulates together.
+   Per word, [r1]/[w1]/[t1] hold the bits some domain reads/writes/
+   touches and [w2]/[t2] the bits two or more write/touch; [r1 land w1]
+   are the bits read and written.  An element crosses iff some domain
+   writes it and two or more touch it ([w1 land t2]); the bits written
+   by a domain other than [p] are [w2 lor (w1 land lnot x_p)].  A word
+   where nothing crosses has no flow-in and no multi-writer element
+   either, so only crossing words are read a second time, and only
+   words with [w2 <> 0] a third, to split [w2] by whether some domain
+   plain-writes the bit. *)
 let sharing ~reads ~writes ~accumulates =
   let n = Array.length reads in
   if Array.length writes <> n || Array.length accumulates <> n then
@@ -36,45 +57,50 @@ let sharing ~reads ~writes ~accumulates =
         (fun (t : Bitset.t) -> t.universe <> universe)
         (Array.concat [ reads; writes; accumulates ])
     then invalid_arg "Measure.sharing: mismatched sets";
-    let byte (t : Bitset.t) j = Char.code (Bytes.unsafe_get t.bits j) in
-    let written p j = byte writes.(p) j lor byte accumulates.(p) j in
-    let popcount b = Char.code (String.unsafe_get Bitset.popcount b) in
+    let open Int64 in
     (* Consed in address order: the lists are reversed at the end. *)
     let push l j bits =
-      for b = 0 to 7 do
-        if bits land (1 lsl b) <> 0 then l := (((j - Bitset.pad) * 8) + b) :: !l
+      for b = 0 to 63 do
+        if logand bits (shift_left 1L b) <> 0L then
+          l := (((j - Bitset.pad) * 8) + b) :: !l
       done
     in
-    for j = Bitset.pad to Bitset.pad + ((universe + 7) / 8) - 1 do
-      let r1 = ref 0 and w1 = ref 0 and w2 = ref 0 in
-      let t1 = ref 0 and t2 = ref 0 in
+    for k = 0 to ((universe + 63) / 64) - 1 do
+      let j = Bitset.pad + (8 * k) in
+      let r1 = ref 0L and w1 = ref 0L and w2 = ref 0L in
+      let t1 = ref 0L and t2 = ref 0L in
       for p = 0 to n - 1 do
-        let rp = byte reads.(p) j and xp = written p j in
-        let tp = rp lor xp in
-        r1 := !r1 lor rp;
-        footprints.(p) <- footprints.(p) + popcount tp;
-        w2 := !w2 lor (!w1 land xp);
-        w1 := !w1 lor xp;
-        t2 := !t2 lor (!t1 land tp);
-        t1 := !t1 lor tp
+        let rp = word reads.(p) j and xp = written writes accumulates p j in
+        let tp = logor rp xp in
+        if tp <> 0L then begin
+          r1 := logor !r1 rp;
+          footprints.(p) <- footprints.(p) + popcount tp;
+          w2 := logor !w2 (logand !w1 xp);
+          w1 := logor !w1 xp;
+          t2 := logor !t2 (logand !t1 tp);
+          t1 := logor !t1 tp
+        end
       done;
-      distinct := !distinct + popcount !t1;
-      read_written := !read_written + popcount (!r1 land !w1);
-      let cross = !w1 land !t2 in
-      if cross <> 0 then begin
-        crossing := !crossing + popcount cross;
-        for p = 0 to n - 1 do
-          let others = !w2 lor (!w1 land lnot (written p j)) in
-          flow_in.(p) <-
-            flow_in.(p) + popcount (byte reads.(p) j land others)
-        done;
-        if !w2 <> 0 then begin
-          let plain = ref 0 in
+      if !t1 <> 0L then begin
+        distinct := !distinct + popcount !t1;
+        read_written := !read_written + popcount (logand !r1 !w1);
+        let cross = logand !w1 !t2 in
+        if cross <> 0L then begin
+          crossing := !crossing + popcount cross;
           for p = 0 to n - 1 do
-            plain := !plain lor byte writes.(p) j
+            let x = written writes accumulates p j in
+            let others = logor !w2 (logand !w1 (lognot x)) in
+            flow_in.(p) <-
+              flow_in.(p) + popcount (logand (word reads.(p) j) others)
           done;
-          push races j (!w2 land !plain);
-          push contended j (!w2 land lnot !plain)
+          if !w2 <> 0L then begin
+            let plain = ref 0L in
+            for p = 0 to n - 1 do
+              plain := logor !plain (word writes.(p) j)
+            done;
+            push races j (logand !w2 !plain);
+            push contended j (logand !w2 (lognot !plain))
+          end
         end
       end
     done

@@ -50,11 +50,12 @@ val sharing :
   accumulates:Intmath.Bitset.t array ->
   sharing
 (** What the rows [reads.(p)], [writes.(p)] and [accumulates.(p)] hold
-    and share, counted in one byte-wise pass: the only classifier of
+    and share, counted in one pass that reads 64 bits of each row per
+    load and counts them by halving sums: the only classifier of
     observer rows, for the run's barrier and reset rules ({!Exec.run})
     and the validator's verdict ({!Validate.classify}) alike.  Addresses
-    are listed only from bytes where two domains write, so a pass with
-    none pays one test per byte for them.  [read_written = 0] says the
+    are listed only from words where two domains write, so a pass with
+    none pays one test per word for them.  [read_written = 0] says the
     flow from writes to reads is empty: no element's value is both
     produced and consumed.  Raises [Invalid_argument] unless there are
     as many rows of each kind, over one universe. *)

@@ -170,9 +170,9 @@ let test_matmul_rotates_unit_axis_innermost () =
 (* Shape selection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let shape_of ?force_generic nest =
+let shape_of ?force_generic ?order nest =
   Runtime.Kernel.shape
-    (Runtime.Kernel.plan ?force_generic (Runtime.Exec.compile nest))
+    (Runtime.Kernel.plan ?force_generic ?order (Runtime.Exec.compile nest))
 
 (* The gallery has no plain 1-read body, so build the canonical copy
    nest. *)
@@ -183,13 +183,34 @@ let copy_nest =
     [ doall "i" 1 8; doall "j" 1 8 ]
     [ write "A" [ i; j ]; read "B" [ j; i ] ]
 
+(* A row is unit-stride when its single write and its 1 to 5 reads all
+   advance by +1 along the innermost traversal axis, whatever the
+   pattern: plain, in place or accumulating.  Strided references, more
+   than five reads, [force_generic] or an order that puts a strided
+   axis innermost leave the generic loops. *)
 let test_shapes () =
-  checks "stencil5" "stencil5" (shape_of (Programs.stencil5 ~n:8 ()));
-  checks "matmul is generic" "generic" (shape_of (Programs.matmul ~n:6 ()));
-  checks "copy is generic" "generic" (shape_of copy_nest);
-  checks "example9 is generic" "generic" (shape_of (Programs.example9 ~n:8 ()));
+  List.iter
+    (fun nest ->
+      checks (nest.Nest.name ^ " is unit-stride") "unit-stride" (shape_of nest))
+    [
+      Programs.stencil5 ~n:8 ();
+      Programs.example3 ~n:8 ();
+      Programs.relax_inplace ~n:8 ();
+      Programs.diag_accumulate ~n:8 ();
+    ];
+  List.iter
+    (fun nest ->
+      checks (nest.Nest.name ^ " is generic") "generic" (shape_of nest))
+    [
+      Programs.matmul ~n:6 ();
+      Programs.example9 ~n:8 ();
+      Programs.transpose_like ~n:8 ();
+      copy_nest;
+    ];
   checks "forced generic" "generic"
-    (shape_of ~force_generic:true (Programs.stencil5 ~n:8 ()))
+    (shape_of ~force_generic:true (Programs.stencil5 ~n:8 ()));
+  checks "stencil5 with i innermost" "generic"
+    (shape_of ~order:[| 1; 0 |] (Programs.stencil5 ~n:8 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate and partial boxes                                        *)
@@ -442,9 +463,11 @@ let same_bits a b =
 (* Every gallery nest, plus the copy nest, through the kernel over the
    whole space - with the default plan and with [force_generic] - must
    leave the interpreter's buffer bit for bit.  Between them the nests
-   reach the stencil loop, the unrolled arities 1 (plain and
-   accumulate) to 5 and the single-write array-cursor loop; no gallery
-   body has two writes, so the multi-write loop is left to oracle 8. *)
+   reach the unit-stride loops of arities 1 (accumulate) to 5, the
+   strided unrolled arities 1 (plain and accumulate) to 5 - every
+   unrolled body is strided under [force_generic] - and the single-write
+   array-cursor loop; no gallery body has two writes, so the multi-write
+   loop is left to oracle 8.  Random unit-stride bodies are below. *)
 let test_gallery_values () =
   List.iter
     (fun (name, nest) ->
@@ -461,6 +484,79 @@ let test_gallery_values () =
             (same_bits (Runtime.Kernel.sequential plan ~steps) reference))
         [ false; true ])
     (("copy2d", copy_nest) :: Programs.all)
+
+(* Random bodies whose single write and 1 to 5 reads all advance by +1
+   along the innermost axis - a plain write to a fresh array, an
+   accumulate (into a full-rank or a 1-D array) and an in-place write
+   whose reads hit the written array - over random boxes with partial,
+   1-point and empty innermost rows.  The unit-stride plan, the
+   [force_generic] plan (the strided loop of the same arity) and the
+   interpreter must leave the same buffer bit for bit.  The fuzz
+   campaign reaches a unit row rarely, and never at arities 4 and 5. *)
+let test_random_unit_stride () =
+  let rng = Random.State.make [| 30 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let between lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let hit = Hashtbl.create 16 in
+  for case = 1 to 300 do
+    let d = between 2 3 and nr = between 1 5 in
+    let last = d - 1 in
+    let kind = pick [| `Plain; `Accumulate; `Accumulate_1d; `In_place |] in
+    let nest =
+      let open Dsl in
+      let innermost c = var last + int c in
+      let full c = List.init d (fun k -> var k + int (c k)) in
+      let off () = between (-1) 1 in
+      let write_ref =
+        match kind with
+        | `Plain | `In_place -> write "A" (full (fun _ -> 0))
+        | `Accumulate -> accumulate "A" (full (fun _ -> 0))
+        | `Accumulate_1d -> accumulate "A" [ innermost 0 ]
+      in
+      let read_ref () =
+        match (kind, Random.State.int rng 2) with
+        | `In_place, _ -> read "A" (full (fun _ -> off ()))
+        | _, 0 -> read "B" (full (fun _ -> off ()))
+        | _ -> read "C" [ innermost (off ()) ]
+      in
+      nest ~name:(Printf.sprintf "unit%d" case)
+        (List.init d (fun k ->
+             doall (Printf.sprintf "i%d" k) 1 (between 2 7)))
+        (write_ref :: List.init nr (fun _ -> read_ref ()))
+    in
+    let label = Printf.sprintf "case %d (%s)" case nest.Nest.name in
+    let compiled = Runtime.Exec.compile nest in
+    let unit = Runtime.Kernel.plan compiled
+    and strided = Runtime.Kernel.plan ~force_generic:true compiled in
+    checks (label ^ ": unit plan") "unit-stride" (Runtime.Kernel.shape unit);
+    checks (label ^ ": forced plan") "generic" (Runtime.Kernel.shape strided);
+    Hashtbl.replace hit (nr, kind) ();
+    let bounds = Nest.bounds nest in
+    let box () =
+      Array.mapi
+        (fun k (lo, hi) ->
+          let a = between lo hi in
+          if k < last then (a, between a hi)
+          else
+            match Random.State.int rng 4 with
+            | 0 -> (a, a)
+            | 1 -> (a, a - 1)
+            | _ -> (a, between a hi))
+        bounds
+    in
+    let boxes = bounds :: List.init 3 (fun _ -> box ()) in
+    let through run_box =
+      let storage = Runtime.Exec.alloc compiled in
+      List.iter (run_box storage) boxes;
+      storage
+    in
+    let reference = through (Runtime.Exec.run_box compiled) in
+    checkb (label ^ ": unit = interpreter") true
+      (same_bits (through (Runtime.Kernel.run_box unit)) reference);
+    checkb (label ^ ": strided = interpreter") true
+      (same_bits (through (Runtime.Kernel.run_box strided)) reference)
+  done;
+  check "every arity and write kind reached" 20 (Hashtbl.length hit)
 
 (* The kernel's checksum is the sum of the interpreter's buffer. *)
 let test_kernel_checksum () =
@@ -642,7 +738,7 @@ let test_driver_runs_kernel () =
       ~config:{ Driver.default_exec_config with repeats = 1; steps = Some 1 }
       a
   in
-  checks "policy names the kernel" "compile-time tiles + stencil5 kernel"
+  checks "policy names the kernel" "compile-time tiles + unit-stride kernel"
     r.Runtime.Measure.policy;
   checkb "checksum = sequential interpreter" true
     (Float.equal r.Runtime.Measure.checksum
@@ -708,6 +804,8 @@ let () =
             test_gallery_values;
           Alcotest.test_case "kernel checksum = interpreter sum" `Quick
             test_kernel_checksum;
+          Alcotest.test_case "random unit-stride bodies" `Quick
+            test_random_unit_stride;
         ] );
       ( "parallel",
         [

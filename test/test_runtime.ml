@@ -279,7 +279,7 @@ let test_sharing () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-(* The classification {!Runtime.Measure.sharing} makes in one byte
+(* The classification {!Runtime.Measure.sharing} makes in one word
    pass, element by element: per address, which domains read, plainly
    write and accumulate it. *)
 let reference_sharing ~reads ~writes ~accumulates =
@@ -319,7 +319,8 @@ let reference_sharing ~reads ~writes ~accumulates =
   }
 
 (* Random rows over one to four domains, on universes that end inside,
-   at and just past a byte, and on one random size above 200.  Each
+   at and just past a byte and a 64-bit word, and on one random size
+   above 200.  Each
    row's density is drawn apart, so empty rows, sparse rows that rarely
    meet and dense rows that race and contend all occur. *)
 let test_sharing_reference () =
@@ -350,7 +351,7 @@ let test_sharing_reference () =
         Alcotest.check addrs (label "races") want.races got.races;
         Alcotest.check addrs (label "contended") want.contended got.contended
       done)
-    [ 1; 7; 8; 9; 63; 201 + Random.State.int rng 800 ]
+    [ 1; 7; 8; 9; 63; 64; 65; 129; 201 + Random.State.int rng 800 ]
 
 (* ------------------------------------------------------------------ *)
 (* Runtime vs simulator: the validation protocol                       *)

@@ -52,6 +52,17 @@ let gen_g rng ~depth ~dims =
       (* non-unimodular skew: entries up to +-3 *)
       Imat.make depth dims (fun _ _ -> Prng.choose rng [| 0; 1; 1; -1; 2; 3; -3 |])
 
+(* [G] with its last column [e_u] and the rest of row [u] zero: the
+   innermost subscript becomes [var u + c] and no other subscript moves
+   with [u], so the reference's address advances by exactly +1 along
+   loop [u] (layouts are row-major). *)
+let unit_row g ~depth ~dims =
+  let u = depth - 1 and last = dims - 1 in
+  Imat.make depth dims (fun i j ->
+      if j = last then if i = u then 1 else 0
+      else if i = u then 0
+      else Imat.get g i j)
+
 let gen_kind rng =
   let r = Prng.int rng 100 in
   if r < 55 then Reference.Read else if r < 85 then Reference.Write
@@ -79,7 +90,11 @@ let generate ~seed ~id =
   in
   let narrays = Prng.range rng 1 2 in
   let dims_of = Array.init narrays (fun _ -> Prng.range rng 1 3) in
-  let nrefs = Prng.range rng 1 4 in
+  let nrefs = Prng.range rng 1 6 in
+  (* Cases whose every innermost subscript is [var u + c] reach the
+     kernel's unit-stride rows (oracle 8) whenever the body has one
+     write-like reference and at most five reads. *)
+  let rows = Prng.chance rng ~pct:40 in
   let seen_g : (int, Imat.t list) Hashtbl.t = Hashtbl.create 4 in
   let refs =
     List.init nrefs (fun _ ->
@@ -98,6 +113,7 @@ let generate ~seed ~id =
             g
           end
         in
+        let g = if rows then unit_row g ~depth ~dims else g in
         let offset = Array.init dims (fun _ -> Prng.range rng (-3) 3) in
         make_ref (gen_kind rng) array_names.(a) (Affine.make g offset))
   in

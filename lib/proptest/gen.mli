@@ -1,8 +1,12 @@
 (** Random affine loop-nest generation for the differential fuzzer.
 
     A {!case} is everything one oracle run needs: a nest (depth 1-3, small
-    rectangular bounds, 1-4 references with random [(G, a)] index
-    functions), a rectangular tile shape and a processor count.  The [G]
+    rectangular bounds, 1-6 references with random [(G, a)] index
+    functions), a rectangular tile shape and a processor count.  In
+    about two cases in five every innermost subscript is [var u + c]
+    for the innermost loop [u], which no other subscript reads: such
+    a body with one write-like reference and 1 to 5 reads runs the
+    kernel's unit-stride rows.  The [G]
     matrices deliberately cover the paper's awkward corners: singular and
     dependent-column matrices, zero rows (reduction-style references),
     rank-1 projections like [A[i+j]], and non-unimodular skews - plus

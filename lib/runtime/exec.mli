@@ -68,6 +68,11 @@ val alloc : compiled -> storage
 val checksum : storage -> float
 (** The sum of the buffer in index order. *)
 
+val same_bits : storage -> storage -> bool
+(** Whether two buffers hold the same bits, element by element: unlike
+    [=], [0.0] and [-0.0] differ and a NaN equals itself.  How every
+    value check compares buffers ({!Validate}, the kernel tests). *)
+
 val plain_write_addresses : compiled -> Ivec.t -> int list
 (** Addresses stored through non-accumulate writes at an iteration (the
     safe targets for an injected corruption: re-executing the iteration
@@ -198,8 +203,9 @@ val time_with :
   repeats:int ->
   float * float array * int array
 (** {!time} with every box run by [box storage] - {!run_box} for the
-    interpreter, {!Kernel.run_box} for the strided kernels.  [box] is
-    applied to the call's one buffer once. *)
+    interpreter, {!Kernel.run_box} for the strided kernels.  Every
+    domain applies [box] to the call's one buffer once per pass, on
+    itself, and runs its boxes through its own body. *)
 
 val time :
   ?trace:Trace.t ->

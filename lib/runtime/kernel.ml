@@ -151,10 +151,11 @@ let[@inline] store ~is_acc (data : Exec.storage) a v =
   else Array.unsafe_set data a v
 
 (* Advance a cursor by its delta [d], or by a literal 1 on a unit-stride
-   row.  The test must sit here, at the use: bound once outside the loop
-   ([let d = if unit then 1 else ...]) the constant lands in a register
-   and is spilled like any other delta. *)
+   row; [adv2] by two steps.  The test must sit here, at the use: bound
+   once outside the loop ([let d = if unit then 1 else ...]) the
+   constant lands in a register and is spilled like any other delta. *)
 let[@inline] adv ~unit x d = if unit then x + 1 else x + d
+let[@inline] adv2 ~unit x d = if unit then x + 2 else x + d + d
 
 (* Move running addresses [n] steps along [delta]. *)
 let bump (a : int array) (delta : int array) n =
@@ -191,91 +192,134 @@ let inner_generic1 (data : Exec.storage) ~n ~nr ~(rd : int array) ~dw
    [inner_generic1] for short bodies.  {!unrolled} inlines each one per
    store kind and per [unit]: with literal bumps every cursor stays in a
    register, while the strided arities 4 and 5 run out of registers and
-   keep cursors and deltas on the stack. *)
+   keep cursors and deltas on the stack.  Each trip runs two points, then
+   an odd row one more ([n <= 0] runs none).  The second point's
+   addresses sit in its loads' indices, [adv] of cursors bound immutably
+   at the trip's start, so on a unit row its [+ 1] folds into the load
+   displacement: a mutable cursor, or an address passed through a
+   helper's arguments, is first copied to a register.  Its loads follow
+   the first point's store, which an in-place row or an accumulate with
+   [dw = 0] reads back. *)
 let[@inline] inner_gen1 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     ~unit (ra : int array) (wa : int array) =
-  let r0 = ref ra.(0) and w = ref wa.(0) in
-  let d0 = rd.(0) in
-  for _ = 1 to n do
-    let v = Array.unsafe_get data !r0 +. 1.0 in
-    store ~is_acc data !w v;
-    r0 := adv ~unit !r0 d0;
-    w := adv ~unit !w dw
-  done
+  let r0 = ref (Array.unsafe_get ra 0) and w = ref (Array.unsafe_get wa 0) in
+  let d0 = Array.unsafe_get rd 0 in
+  for _ = 1 to n asr 1 do
+    let a0 = !r0 and a = !w in
+    store ~is_acc data a (Array.unsafe_get data a0 +. 1.0);
+    store ~is_acc data (adv ~unit a dw)
+      (Array.unsafe_get data (adv ~unit a0 d0) +. 1.0);
+    r0 := adv2 ~unit a0 d0;
+    w := adv2 ~unit a dw
+  done;
+  if n > 0 && n land 1 = 1 then
+    store ~is_acc data !w (Array.unsafe_get data !r0 +. 1.0)
 
 let[@inline] inner_gen2 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     ~unit (ra : int array) (wa : int array) =
-  let r0 = ref ra.(0) and r1 = ref ra.(1) and w = ref wa.(0) in
-  let d0 = rd.(0) and d1 = rd.(1) in
-  for _ = 1 to n do
-    let v = Array.unsafe_get data !r0 +. Array.unsafe_get data !r1 +. 1.0 in
-    store ~is_acc data !w v;
-    r0 := adv ~unit !r0 d0;
-    r1 := adv ~unit !r1 d1;
-    w := adv ~unit !w dw
-  done
+  let r0 = ref (Array.unsafe_get ra 0) and r1 = ref (Array.unsafe_get ra 1) in
+  let w = ref (Array.unsafe_get wa 0) in
+  let d0 = Array.unsafe_get rd 0 and d1 = Array.unsafe_get rd 1 in
+  for _ = 1 to n asr 1 do
+    let a0 = !r0 and a1 = !r1 and a = !w in
+    store ~is_acc data a
+      (Array.unsafe_get data a0 +. Array.unsafe_get data a1 +. 1.0);
+    store ~is_acc data (adv ~unit a dw)
+      (Array.unsafe_get data (adv ~unit a0 d0)
+      +. Array.unsafe_get data (adv ~unit a1 d1) +. 1.0);
+    r0 := adv2 ~unit a0 d0;
+    r1 := adv2 ~unit a1 d1;
+    w := adv2 ~unit a dw
+  done;
+  if n > 0 && n land 1 = 1 then
+    store ~is_acc data !w
+      (Array.unsafe_get data !r0 +. Array.unsafe_get data !r1 +. 1.0)
 
 let[@inline] inner_gen3 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     ~unit (ra : int array) (wa : int array) =
-  let r0 = ref ra.(0) and r1 = ref ra.(1) and r2 = ref ra.(2) in
-  let w = ref wa.(0) in
-  let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) in
-  for _ = 1 to n do
-    let v =
-      Array.unsafe_get data !r0 +. Array.unsafe_get data !r1
-      +. Array.unsafe_get data !r2 +. 1.0
-    in
-    store ~is_acc data !w v;
-    r0 := adv ~unit !r0 d0;
-    r1 := adv ~unit !r1 d1;
-    r2 := adv ~unit !r2 d2;
-    w := adv ~unit !w dw
-  done
+  let r0 = ref (Array.unsafe_get ra 0) and r1 = ref (Array.unsafe_get ra 1) in
+  let r2 = ref (Array.unsafe_get ra 2) and w = ref (Array.unsafe_get wa 0) in
+  let d0 = Array.unsafe_get rd 0 and d1 = Array.unsafe_get rd 1 in
+  let d2 = Array.unsafe_get rd 2 in
+  for _ = 1 to n asr 1 do
+    let a0 = !r0 and a1 = !r1 and a2 = !r2 and a = !w in
+    store ~is_acc data a
+      (Array.unsafe_get data a0 +. Array.unsafe_get data a1
+      +. Array.unsafe_get data a2 +. 1.0);
+    store ~is_acc data (adv ~unit a dw)
+      (Array.unsafe_get data (adv ~unit a0 d0)
+      +. Array.unsafe_get data (adv ~unit a1 d1)
+      +. Array.unsafe_get data (adv ~unit a2 d2) +. 1.0);
+    r0 := adv2 ~unit a0 d0;
+    r1 := adv2 ~unit a1 d1;
+    r2 := adv2 ~unit a2 d2;
+    w := adv2 ~unit a dw
+  done;
+  if n > 0 && n land 1 = 1 then
+    store ~is_acc data !w
+      (Array.unsafe_get data !r0 +. Array.unsafe_get data !r1
+      +. Array.unsafe_get data !r2 +. 1.0)
 
 let[@inline] inner_gen4 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     ~unit (ra : int array) (wa : int array) =
-  let r0 = ref ra.(0)
-  and r1 = ref ra.(1)
-  and r2 = ref ra.(2)
-  and r3 = ref ra.(3)
-  and w = ref wa.(0) in
-  let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) and d3 = rd.(3) in
-  for _ = 1 to n do
-    let v =
-      Array.unsafe_get data !r0 +. Array.unsafe_get data !r1
-      +. Array.unsafe_get data !r2 +. Array.unsafe_get data !r3 +. 1.0
-    in
-    store ~is_acc data !w v;
-    r0 := adv ~unit !r0 d0;
-    r1 := adv ~unit !r1 d1;
-    r2 := adv ~unit !r2 d2;
-    r3 := adv ~unit !r3 d3;
-    w := adv ~unit !w dw
-  done
+  let r0 = ref (Array.unsafe_get ra 0) and r1 = ref (Array.unsafe_get ra 1) in
+  let r2 = ref (Array.unsafe_get ra 2) and r3 = ref (Array.unsafe_get ra 3) in
+  let w = ref (Array.unsafe_get wa 0) in
+  let d0 = Array.unsafe_get rd 0 and d1 = Array.unsafe_get rd 1 in
+  let d2 = Array.unsafe_get rd 2 and d3 = Array.unsafe_get rd 3 in
+  for _ = 1 to n asr 1 do
+    let a0 = !r0 and a1 = !r1 and a2 = !r2 and a3 = !r3 and a = !w in
+    store ~is_acc data a
+      (Array.unsafe_get data a0 +. Array.unsafe_get data a1
+      +. Array.unsafe_get data a2 +. Array.unsafe_get data a3 +. 1.0);
+    store ~is_acc data (adv ~unit a dw)
+      (Array.unsafe_get data (adv ~unit a0 d0)
+      +. Array.unsafe_get data (adv ~unit a1 d1)
+      +. Array.unsafe_get data (adv ~unit a2 d2)
+      +. Array.unsafe_get data (adv ~unit a3 d3) +. 1.0);
+    r0 := adv2 ~unit a0 d0;
+    r1 := adv2 ~unit a1 d1;
+    r2 := adv2 ~unit a2 d2;
+    r3 := adv2 ~unit a3 d3;
+    w := adv2 ~unit a dw
+  done;
+  if n > 0 && n land 1 = 1 then
+    store ~is_acc data !w
+      (Array.unsafe_get data !r0 +. Array.unsafe_get data !r1
+      +. Array.unsafe_get data !r2 +. Array.unsafe_get data !r3 +. 1.0)
 
 let[@inline] inner_gen5 (data : Exec.storage) ~n ~(rd : int array) ~dw ~is_acc
     ~unit (ra : int array) (wa : int array) =
-  let r0 = ref ra.(0)
-  and r1 = ref ra.(1)
-  and r2 = ref ra.(2)
-  and r3 = ref ra.(3)
-  and r4 = ref ra.(4)
-  and w = ref wa.(0) in
-  let d0 = rd.(0) and d1 = rd.(1) and d2 = rd.(2) and d3 = rd.(3) and d4 = rd.(4) in
-  for _ = 1 to n do
-    let v =
-      Array.unsafe_get data !r0 +. Array.unsafe_get data !r1
+  let r0 = ref (Array.unsafe_get ra 0) and r1 = ref (Array.unsafe_get ra 1) in
+  let r2 = ref (Array.unsafe_get ra 2) and r3 = ref (Array.unsafe_get ra 3) in
+  let r4 = ref (Array.unsafe_get ra 4) and w = ref (Array.unsafe_get wa 0) in
+  let d0 = Array.unsafe_get rd 0 and d1 = Array.unsafe_get rd 1 in
+  let d2 = Array.unsafe_get rd 2 and d3 = Array.unsafe_get rd 3 in
+  let d4 = Array.unsafe_get rd 4 in
+  for _ = 1 to n asr 1 do
+    let a0 = !r0 and a1 = !r1 and a2 = !r2 and a3 = !r3 and a4 = !r4 and a = !w in
+    store ~is_acc data a
+      (Array.unsafe_get data a0 +. Array.unsafe_get data a1
+      +. Array.unsafe_get data a2 +. Array.unsafe_get data a3
+      +. Array.unsafe_get data a4 +. 1.0);
+    store ~is_acc data (adv ~unit a dw)
+      (Array.unsafe_get data (adv ~unit a0 d0)
+      +. Array.unsafe_get data (adv ~unit a1 d1)
+      +. Array.unsafe_get data (adv ~unit a2 d2)
+      +. Array.unsafe_get data (adv ~unit a3 d3)
+      +. Array.unsafe_get data (adv ~unit a4 d4) +. 1.0);
+    r0 := adv2 ~unit a0 d0;
+    r1 := adv2 ~unit a1 d1;
+    r2 := adv2 ~unit a2 d2;
+    r3 := adv2 ~unit a3 d3;
+    r4 := adv2 ~unit a4 d4;
+    w := adv2 ~unit a dw
+  done;
+  if n > 0 && n land 1 = 1 then
+    store ~is_acc data !w
+      (Array.unsafe_get data !r0 +. Array.unsafe_get data !r1
       +. Array.unsafe_get data !r2 +. Array.unsafe_get data !r3
-      +. Array.unsafe_get data !r4 +. 1.0
-    in
-    store ~is_acc data !w v;
-    r0 := adv ~unit !r0 d0;
-    r1 := adv ~unit !r1 d1;
-    r2 := adv ~unit !r2 d2;
-    r3 := adv ~unit !r3 d3;
-    r4 := adv ~unit !r4 d4;
-    w := adv ~unit !w dw
-  done
+      +. Array.unsafe_get data !r4 +. 1.0)
 
 (* Each unrolled loop inlined four times, so the accumulate and unit
    tests fold away: the accumulate test left inside the loop cost matmul
@@ -432,7 +476,7 @@ let start (r : Exec.cref) (b : box) =
    last, so every level leaves them as it found them.  An empty axis
    runs nothing; an empty innermost one gives rows of [n <= 0].  [row]
    and [x] travel as two arguments, not one partial application, so a
-   box allocates nothing beyond its cursors. *)
+   box allocates nothing. *)
 let rec walk p (row : 'a row) (x : 'a) (b : box) n ra wa k =
   if k = Array.length p.order - 1 then row x n ra wa
   else begin
@@ -452,28 +496,34 @@ let rec walk p (row : 'a row) (x : 'a) (b : box) n ra wa k =
   end
 
 (* Seed one cursor per reference at the box corner and walk the box in
-   traversal order, running [row x] on every innermost row. *)
-let traverse p (row : 'a row) (x : 'a) (b : box) =
+   traversal order, running [row x] on every innermost row.  The two
+   cursor arrays are made once, when [traverse] is applied, and reseeded
+   by every box, so a box allocates nothing.  The rows address operands
+   through them unchecked, so the body refuses any domain but the one
+   that applied it: two domains sharing the arrays would corrupt
+   memory. *)
+let traverse p (row : 'a row) (x : 'a) =
   let d = Array.length p.order in
-  if Array.length b <> d then invalid_arg "Kernel: box arity mismatch";
   let nr = Array.length p.reads and nw = Array.length p.writes in
   let ra = Array.make nr 0 and wa = Array.make nw 0 in
-  for i = 0 to nr - 1 do
-    ra.(i) <- start p.reads.(i) b
-  done;
-  for i = 0 to nw - 1 do
-    wa.(i) <- start (fst p.writes.(i)) b
-  done;
-  let lo, hi = b.(p.order.(d - 1)) in
-  walk p row x b (hi - lo + 1) ra wa 0
+  let owner = (Domain.self () :> int) in
+  fun (b : box) ->
+    if (Domain.self () :> int) <> owner then
+      invalid_arg "Kernel: a box body called from another domain";
+    if Array.length b <> d then invalid_arg "Kernel: box arity mismatch";
+    for i = 0 to nr - 1 do
+      ra.(i) <- start p.reads.(i) b
+    done;
+    for i = 0 to nw - 1 do
+      wa.(i) <- start (fst p.writes.(i)) b
+    done;
+    let lo, hi = b.(p.order.(d - 1)) in
+    walk p row x b (hi - lo + 1) ra wa 0
 
-let run_box p (data : Exec.storage) (b : box) = traverse p p.row data b
+let run_box p (data : Exec.storage) = traverse p p.row data
 
-(* The triple is built once per application to the sets, so a box still
-   allocates only its cursors. *)
 let observe p ~reads ~writes ~accumulates =
-  let sets = (reads, writes, accumulates) in
-  fun (b : box) -> traverse p p.observe_row sets b
+  traverse p p.observe_row (reads, writes, accumulates)
 
 (* ------------------------------------------------------------------ *)
 (* Schedules and parallel execution                                    *)
@@ -487,8 +537,8 @@ let time ?(trace = Trace.disabled) pool p ~boxes ~steps ~repeats =
 
 let sequential p ~steps =
   let storage = Exec.alloc p.compiled in
-  let whole = Nest.bounds (Exec.nest p.compiled) in
+  let whole = Nest.bounds (Exec.nest p.compiled) and box = run_box p storage in
   for _step = 1 to steps do
-    run_box p storage whole
+    box whole
   done;
   storage

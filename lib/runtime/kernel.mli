@@ -27,7 +27,9 @@
       innermost traversal axis (stencil5, example3, relax_inplace,
       diag_accumulate, whatever the pattern), the loop bumps them by a
       literal [1] and keeps every cursor in a register; otherwise it
-      bumps them by their deltas.  Anything else runs the array-cursor
+      bumps them by their deltas.  Each trip of these loops runs two
+      points, the second's loads after the first's store, and an odd
+      row one point more.  Anything else runs the array-cursor
       loop.
 
     Value semantics are the interpreter's, bit for bit: reads summed in
@@ -72,11 +74,15 @@ val strides : plan -> (Reference.t * int array) list
 val run_box : plan -> Exec.storage -> box -> unit
 (** Execute every iteration of the box once (one parallel step's worth
     of one tile).  Degenerate axes (extent 1) are fine; an empty box
-    ([hi < lo] somewhere) is a no-op.  A box allocates only its two
-    cursor arrays, so domains may share one [run_box plan storage].
-    The box is not checked: one outside [Nest.bounds] reads and writes
-    past the operands ({!Exec.run} and {!Exec.measure} reject such work
-    before any box runs). *)
+    ([hi < lo] somewhere) is a no-op.  [run_box plan storage] makes the
+    body's two cursor arrays, so apply it once per domain and run every
+    box of that domain through it: a box then allocates nothing.  The
+    body belongs to the domain that applied it and raises
+    [Invalid_argument] when called from any other (two domains on one
+    pair of cursors would corrupt memory).  The box is not checked: one
+    outside [Nest.bounds] reads and writes past the operands
+    ({!Exec.run} and {!Exec.measure} reject such work before any box
+    runs). *)
 
 val observe :
   plan ->
@@ -95,9 +101,10 @@ val observe :
     accumulate sets ({!Exec.measure}).  A caller that wants fewer sets
     may pass one several times; {!Exec.run} and {!Validate} pass three
     and classify them with {!Measure.sharing}.  An empty box adds
-    nothing.  Like
-    {!run_box}, a box allocates only its two cursor arrays once
-    [observe] is applied to its sets, and is not checked: one outside
+    nothing.  Like {!run_box}, [observe plan ~reads ~writes
+    ~accumulates] makes the body's cursors, so apply it once per domain:
+    a box then allocates nothing, the body raises [Invalid_argument]
+    on any other domain, and the box is not checked: one outside
     [Nest.bounds] sets bits past the sets. *)
 
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
@@ -113,10 +120,10 @@ val time :
   repeats:int ->
   float * float array * int array
 (** {!Exec.time} over {!Exec.static_of_assignment}[ boxes] with every
-    box run by {!run_box}: domain [p] executes [boxes.(p)] in each of
-    [steps] steps of the shared loop ({!Sched}), on one buffer reset to
-    the initial operands before every repeat; the fastest of [repeats]
-    runs is reported. *)
+    box run by {!run_box}, one body per domain: domain [p] executes
+    [boxes.(p)] in each of [steps] steps of the shared loop ({!Sched}),
+    on one buffer reset to the initial operands before every repeat;
+    the fastest of [repeats] runs is reported. *)
 
 val sequential : plan -> steps:int -> Exec.storage
 (** The whole iteration space as one box on the calling domain, [steps]

@@ -88,7 +88,7 @@ type ctx = {
   cfg : config;
   plan : Fault.plan;
   storage : Exec.storage;
-  exec_tile : int -> unit;  (** run every point of the tile once *)
+  kplan : Kernel.plan;  (** each domain's {!job} applies {!Kernel.run_box} *)
   plain_writes : Ivec.t -> int list;
   steps : int;
   recover : bool;  (** tile-level crash recovery enabled *)
@@ -100,7 +100,11 @@ type ctx = {
   g : gate;
 }
 
-type dstate = { me : int; mutable claims : int }
+type dstate = {
+  me : int;
+  mutable claims : int;
+  exec_tile : int -> unit;  (** run every point of the tile once *)
+}
 
 let record g e = g.events_rev <- e :: g.events_rev
 
@@ -193,7 +197,7 @@ let run_tile ctx ds ~step t =
       | Fault.Stall ms -> interruptible_stall ctx ms));
   if Atomic.get g.aborted then raise Halt;
   Trace.begin_span ctx.trace ds.me Trace.Exec ~arg:t;
-  ctx.exec_tile t;
+  ds.exec_tile t;
   Trace.end_span ctx.trace ds.me;
   Atomic.incr ctx.done_count.(t);
   Atomic.incr ctx.hb.(ds.me)
@@ -269,9 +273,12 @@ let gate_enter ctx ds ~step =
 (* One domain's attempt: the shared step loop over the stolen tile
    queues, with {!run_tile} as the tile body and the gate as the step
    end.  A claimed tile's exception retires the domain or aborts the
-   attempt ({!crashed}). *)
+   attempt ({!crashed}).  The domain runs its tiles through its own
+   kernel body: one body's cursors serve one domain. *)
 let job ctx me =
-  let ds = { me; claims = 0 } in
+  let box = Kernel.run_box ctx.kplan ctx.storage in
+  let exec_tile t = Array.iter box ctx.tiles.(t) in
+  let ds = { me; claims = 0; exec_tile } in
   try
     Sched.run ~trace:ctx.trace ctx.source ~me ~steps:ctx.steps
       ~tile:(fun step t -> guarded ctx ds ~step t)
@@ -331,15 +338,11 @@ let make_ctx cfg plan kplan compiled steps (p : partitioned) ~size ~recover
     (Exec.Tiled { tiles = p.tiles; owners = p.owners; steal = true });
   let ntiles = Array.length p.tiles in
   let storage = Exec.alloc compiled in
-  let exec_tile =
-    let box = Kernel.run_box kplan storage in
-    fun t -> Array.iter box p.tiles.(t)
-  in
   {
     cfg;
     plan;
     storage;
-    exec_tile;
+    kplan;
     plain_writes = Exec.plain_write_addresses compiled;
     steps;
     recover;

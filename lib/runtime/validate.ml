@@ -100,7 +100,8 @@ let check_schedule (schedule : Codegen.schedule) ~steps ~operands =
     race_free = k.races = [];
     deterministic;
     values_match =
-      (if deterministic then Some (operands = Exec.sequential compiled ~steps)
+      (if deterministic then
+         Some (Exec.same_bits operands (Exec.sequential compiled ~steps))
        else None);
   }
 

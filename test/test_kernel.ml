@@ -11,6 +11,7 @@ open Loopart
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
+let same_bits = Runtime.Exec.same_bits
 
 let steps_of nest = Runtime.Exec.steps_of_nest nest
 
@@ -249,7 +250,8 @@ let test_degenerate_and_partial_boxes () =
         Printf.sprintf "%s over %d boxes" nest.Nest.name (List.length boxes)
       in
       List.iter (Runtime.Kernel.run_box plan storage) boxes;
-      checkb label true (storage = run_boxes_interp compiled boxes ~steps:1);
+      checkb label true
+        (same_bits storage (run_boxes_interp compiled boxes ~steps:1));
       same_set label
         (observed_set plan compiled boxes)
         (interpreted_set compiled boxes))
@@ -291,50 +293,80 @@ let test_box_outside_space_rejected () =
               { space = outside; chunk = (fun ~remaining:_ -> 1) } );
         ])
 
-(* Everything but the two running-address arrays is built by the plan:
-   a box, a 1-point one included, allocates exactly those (one header
-   word each), whatever the shape - whether it runs the box or only
-   observes it. *)
-let test_box_allocates_only_cursors () =
+(* A body's two cursor arrays are made when [run_box plan storage] or
+   [observe plan ~reads ~writes ~accumulates] is applied: 10,000 boxes
+   through one body, 1-point or full-row, allocate nothing beyond what
+   the [Gc.minor_words] probe itself allocates, whatever the shape -
+   whether the body runs the box or only observes it. *)
+let test_box_allocates_nothing () =
+  let probe () =
+    let before = Gc.minor_words () in
+    Gc.minor_words () -. before
+  in
+  let own = probe () in
   List.iter
     (fun nest ->
       let compiled = Runtime.Exec.compile nest in
       let plan = Runtime.Kernel.plan compiled in
-      let cursors =
-        Array.length (Runtime.Exec.reads compiled)
-        + Array.length (Runtime.Exec.writes compiled)
-        + 2
+      let set =
+        Intmath.Bitset.create ~universe:(Runtime.Exec.total_elements compiled)
       in
+      let point = Array.make (Nest.nesting nest) (2, 2) in
+      let row = Array.copy point in
+      row.(Nest.nesting nest - 1) <- (Nest.bounds nest).(Nest.nesting nest - 1);
       List.iter
         (fun (what, body) ->
           List.iter
-            (fun box ->
+            (fun (kind, box) ->
               body box;
               let before = Gc.minor_words () in
-              for _ = 1 to 100 do
+              for _ = 1 to 10_000 do
                 body box
               done;
-              check
-                (Printf.sprintf "%s: words per %s box" nest.Nest.name what)
-                (100 * cursors)
-                (int_of_float (Gc.minor_words () -. before)))
-            (List.map
-               (Array.make (Nest.nesting nest))
-               [ (2, 2); (2, 5) ]))
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "%s: words for 10,000 %s %s boxes"
+                   nest.Nest.name what kind)
+                own
+                (Gc.minor_words () -. before))
+            [ ("1-point", point); ("full-row", row) ])
         [
           ("run", Runtime.Kernel.run_box plan (Runtime.Exec.alloc compiled));
           ( "observed",
-            let set =
-              Intmath.Bitset.create
-                ~universe:(Runtime.Exec.total_elements compiled)
-            in
-            Runtime.Kernel.observe plan ~reads:set ~writes:set
-              ~accumulates:set );
+            Runtime.Kernel.observe plan ~reads:set ~writes:set ~accumulates:set
+          );
         ])
     [
       Programs.stencil5 ~n:8 ();
       Programs.matmul ~n:6 ();
       Programs.conv3x3 ~n:8 ();
+    ]
+
+(* A body's cursors serve the domain that applied it: called from a
+   second domain, a run or observing body raises [Invalid_argument]
+   before it touches a cursor, and still works on its own domain. *)
+let test_body_bound_to_domain () =
+  let nest = Programs.stencil5 ~n:8 () in
+  let compiled = Runtime.Exec.compile nest in
+  let plan = Runtime.Kernel.plan compiled in
+  let set =
+    Intmath.Bitset.create ~universe:(Runtime.Exec.total_elements compiled)
+  in
+  let whole = Nest.bounds nest in
+  List.iter
+    (fun (what, body) ->
+      let elsewhere =
+        Domain.join
+          (Domain.spawn (fun () ->
+               match body whole with
+               | () -> false
+               | exception Invalid_argument _ -> true))
+      in
+      checkb (what ^ ": refused on another domain") true elsewhere;
+      body whole)
+    [
+      ("run", Runtime.Kernel.run_box plan (Runtime.Exec.alloc compiled));
+      ( "observed",
+        Runtime.Kernel.observe plan ~reads:set ~writes:set ~accumulates:set );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -454,12 +486,6 @@ let test_observe_three_rows () =
 (* Values                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let same_bits a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
-
 (* Every gallery nest, plus the copy nest, through the kernel over the
    whole space - with the default plan and with [force_generic] - must
    leave the interpreter's buffer bit for bit.  Between them the nests
@@ -558,6 +584,15 @@ let test_random_unit_stride () =
   done;
   check "every arity and write kind reached" 20 (Hashtbl.length hit)
 
+(* Value checks compare bits: [=] on floats calls [0.0] and [-0.0]
+   equal and a NaN unequal to itself; [Exec.same_bits] says the
+   opposite, and lengths must agree. *)
+let test_same_bits () =
+  checkb "0.0 and -0.0 differ" false (same_bits [| 0.0 |] [| -0.0 |]);
+  checkb "a NaN equals itself" true (same_bits [| Float.nan |] [| Float.nan |]);
+  checkb "equal buffers" true (same_bits [| 1.0; 2.5 |] [| 1.0; 2.5 |]);
+  checkb "lengths differ" false (same_bits [| 1.0 |] [| 1.0; 1.0 |])
+
 (* The kernel's checksum is the sum of the interpreter's buffer. *)
 let test_kernel_checksum () =
   List.iter
@@ -624,12 +659,13 @@ let test_parallel_kernel_matches_sequential () =
         (Option.get !storage = Runtime.Exec.sequential compiled ~steps))
     [ (Programs.stencil5 ~n:16 (), 4); (Programs.example3 ~n:12 (), 3) ]
 
-(* One [run_box plan storage] shared by every domain of a 4-domain
-   pool, the way [Exec.time_with] and [Resilient] share it, over long
-   boxes (stencil5 tiles) and over the 1-point boxes of cyclic
-   self-scheduling.  A body that kept cursor state per partial
-   application would race here. *)
-let test_shared_body () =
+(* Every domain of a 4-domain pool applies [run_box plan storage] to
+   the call's one buffer, the way [Exec.time_with] and [Resilient] do,
+   and runs its boxes through its own body: over long boxes (stencil5
+   tiles) and over the 1-point boxes of cyclic self-scheduling, the
+   buffer is the interpreter's.  A body shared by the domains would
+   refuse all but one of them. *)
+let test_body_per_domain () =
   let nest = Programs.stencil5 ~n:256 ~steps:2 () in
   let nprocs = 4 and steps = 2 in
   let compiled = Runtime.Exec.compile nest in
@@ -638,18 +674,18 @@ let test_shared_body () =
   let tiles = Codegen.tiles (Driver.schedule (Driver.analyze ~nprocs nest)) in
   List.iter
     (fun (label, work) ->
-      let storage = ref None and bodies = ref 0 in
+      let storage = ref None and bodies = Atomic.make 0 in
       let box s =
         storage := Some s;
-        incr bodies;
+        Atomic.incr bodies;
         Runtime.Kernel.run_box plan s
       in
       Runtime.Pool.with_pool nprocs (fun pool ->
           ignore
             (Runtime.Exec.time_with ~box ~trace:Runtime.Trace.disabled pool
                compiled work ~steps ~repeats:1));
-      check (label ^ ": one body for all domains") 1 !bodies;
-      checkb (label ^ ": shared body = sequential interpreter") true
+      check (label ^ ": one body per domain") nprocs (Atomic.get bodies);
+      checkb (label ^ ": per-domain bodies = sequential interpreter") true
         (same_bits (Option.get !storage) reference))
     [
       ("tiled", Runtime.Exec.of_tiles tiles);
@@ -659,8 +695,8 @@ let test_shared_body () =
     ]
 
 (* The repeats of one [Exec.run] on one domain, with [box] instrumented:
-   how often it was applied to a buffer, how many boxes ran, whether
-   each repeat's first box found [Exec.alloc]'s values, and the run. *)
+   the buffers it was applied to, how many boxes ran, whether each
+   repeat's first box found [Exec.alloc]'s values, and the run. *)
 let instrumented_repeats nest ~repeats =
   let compiled = Runtime.Exec.compile nest in
   let plan = Runtime.Kernel.plan compiled in
@@ -669,9 +705,9 @@ let instrumented_repeats nest ~repeats =
     Scheduling.of_schedule (Driver.schedule (Driver.analyze ~nprocs:1 nest))
   in
   let per_repeat = Array.length boxes.(0) in
-  let buffers = ref 0 and calls = ref 0 and fresh = ref [] in
+  let buffers = ref [] and calls = ref 0 and fresh = ref [] in
   let box s =
-    incr buffers;
+    buffers := s :: !buffers;
     let run = Runtime.Kernel.run_box plan s in
     fun b ->
       if !calls mod per_repeat = 0 then fresh := same_bits s initial :: !fresh;
@@ -685,7 +721,8 @@ let instrumented_repeats nest ~repeats =
           (Runtime.Exec.static_of_assignment boxes)
           ~steps:1 ~repeats)
   in
-  check (nest.Nest.name ^ ": one buffer per call") 1 !buffers;
+  checkb (nest.Nest.name ^ ": one buffer per call") true
+    (List.for_all (fun s -> s == List.hd !buffers) !buffers);
   check (nest.Nest.name ^ ": boxes run") (repeats * per_repeat) !calls;
   checkb (nest.Nest.name ^ ": checksum = sequential interpreter") true
     (Float.equal r.Runtime.Measure.checksum
@@ -697,7 +734,7 @@ let instrumented_repeats nest ~repeats =
    starts from: on matmul, whose accumulates would carry one repeat's
    sums into the next, and on relax_inplace, which reads what it
    writes, the first box of every repeat must find [Exec.alloc]'s
-   values, and the whole call applies [box] once. *)
+   values, and every application of [box] gets the one buffer. *)
 let test_repeats_reset_buffer () =
   let repeats = 3 in
   List.iter
@@ -786,8 +823,10 @@ let () =
           Alcotest.test_case "empty box is a no-op" `Quick test_empty_box_is_noop;
           Alcotest.test_case "degenerate and partial boxes" `Quick
             test_degenerate_and_partial_boxes;
-          Alcotest.test_case "a box allocates only its cursors" `Quick
-            test_box_allocates_only_cursors;
+          Alcotest.test_case "a box allocates nothing" `Quick
+            test_box_allocates_nothing;
+          Alcotest.test_case "a body is bound to its domain" `Quick
+            test_body_bound_to_domain;
           Alcotest.test_case "a box outside the space is rejected" `Quick
             test_box_outside_space_rejected;
         ] );
@@ -806,13 +845,15 @@ let () =
             test_kernel_checksum;
           Alcotest.test_case "random unit-stride bodies" `Quick
             test_random_unit_stride;
+          Alcotest.test_case "buffers compare bit for bit" `Quick
+            test_same_bits;
         ] );
       ( "parallel",
         [
           Alcotest.test_case "pool kernel = sequential interpreter" `Quick
             test_parallel_kernel_matches_sequential;
-          Alcotest.test_case "one body shared by 4 domains" `Quick
-            test_shared_body;
+          Alcotest.test_case "one body per domain" `Quick
+            test_body_per_domain;
           Alcotest.test_case "repeats reset one buffer" `Quick
             test_repeats_reset_buffer;
           Alcotest.test_case "Driver.execute runs the kernel" `Quick

@@ -79,6 +79,41 @@ let test_generator_covers_shapes () =
   Alcotest.(check bool) "trip-count-1 tiles generated" true (!trip1 > 30);
   Alcotest.(check bool) "doseq nests generated" true (!seq > 20)
 
+(* Oracle 8 holds the kernel's unit-stride rows to the interpreter only
+   on the cases whose plan takes them: over the 500 cases of each CI
+   fuzz seed, every unrolled arity 1 to 5 must occur, with an odd and
+   with an even innermost extent (a row of pairs with and without its
+   one-point tail). *)
+let test_generator_reaches_unit_rows () =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun seed ->
+      for id = 0 to 499 do
+        let nest = (Gen.generate ~seed ~id).Gen.nest in
+        let compiled = Runtime.Exec.compile nest in
+        let plan = Runtime.Kernel.plan compiled in
+        if Runtime.Kernel.shape plan = "unit-stride" then begin
+          let order = Runtime.Kernel.order plan in
+          let inner =
+            (Loopir.Nest.extents nest).(order.(Array.length order - 1))
+          in
+          Hashtbl.replace seen
+            (Array.length (Runtime.Exec.reads compiled), inner land 1)
+            ()
+        end
+      done)
+    [ 42; 7; 1234 ];
+  for arity = 1 to 5 do
+    List.iter
+      (fun (parity, what) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "unit-stride arity %d, %s innermost extent" arity
+             what)
+          true
+          (Hashtbl.mem seen (arity, parity)))
+      [ (0, "even"); (1, "odd") ]
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Clean campaign                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -152,6 +187,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
           Alcotest.test_case "valid cases" `Quick test_generator_valid;
           Alcotest.test_case "shape coverage" `Quick test_generator_covers_shapes;
+          Alcotest.test_case "every unit-stride arity" `Quick
+            test_generator_reaches_unit_rows;
         ] );
       ( "oracles",
         [

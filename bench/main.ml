@@ -708,25 +708,22 @@ let e18 () =
   let nprocs = 16 in
   List.iter
     (fun (name, nest) ->
-      let cost = Cost.of_nest nest in
-      let tiled_sched =
-        Codegen.make nest (Rectangular.optimize cost ~nprocs).Rectangular.tile
-          ~nprocs
-      in
+      let a = Loopart.Driver.analyze ~nprocs nest in
       pf "@.%s:@." name;
       row4 "policy" "misses" "coh misses" "est. cycles";
       List.iter
-        (fun (policy, per_proc) ->
-          let r = Sim.run_assignment nest ~per_proc Sim.default in
+        (fun (policy, p) ->
+          let work = Loopart.Driver.work a p in
+          let r = Sim.run_work nest ~nprocs work Sim.default in
           row4 policy
             (soi r.Sim.stats.Stats.misses)
             (soi r.Sim.stats.Stats.coherence_misses)
             (Printf.sprintf "%.0f" (Timing.cycles r.Sim.stats ~nprocs params)))
         [
-          ("compile-time tiles", Scheduling.of_schedule tiled_sched);
-          ("guided self-sched [1]", Scheduling.guided_self_scheduling nest ~nprocs);
-          ("block-cyclic (8)", Scheduling.block_cyclic nest ~nprocs ~chunk:8);
-          ("cyclic", Scheduling.cyclic nest ~nprocs);
+          ("compile-time tiles", Loopart.Driver.Tiled);
+          ("guided self-sched [1]", Loopart.Driver.Guided);
+          ("block-cyclic (8)", Loopart.Driver.Block_cyclic 8);
+          ("cyclic", Loopart.Driver.Cyclic);
         ])
     [
       ("relax_inplace 64x64 (3 steps)",
@@ -754,18 +751,17 @@ let e19 () =
   pf "capacity blocking picks subtile %s (working set %d)@."
     (Tile.to_string sub) (Capacity.footprint cost sub);
   row4 "execution order" "misses" "replacement" "miss rate %";
-  let run per_proc =
-    Sim.run_assignment nest ~per_proc { Sim.default with Sim.geometry }
-  in
   List.iter
-    (fun (name, per_proc) ->
-      let r = run per_proc in
+    (fun (name, work) ->
+      let r =
+        Sim.run_work nest ~nprocs:16 work { Sim.default with Sim.geometry }
+      in
       row4 name
         (soi r.Sim.stats.Stats.misses)
         (soi r.Sim.stats.Stats.replacement_misses)
         (Printf.sprintf "%.1f" (100.0 *. Stats.miss_rate r.Sim.stats)))
     [
-      ("whole tile (thrashes)", Scheduling.of_schedule sched);
+      ("whole tile (thrashes)", Scheduling.of_tiles (Codegen.tiles sched));
       ("blocked by subtile", Capacity.blocked_iterations sched ~subtile:sub);
     ];
   pf "(the aspect ratio is unchanged - only the unit of execution \
@@ -1063,10 +1059,7 @@ let e22 () =
           let once =
             match path with
             | `Interp ->
-                let work =
-                  Runtime.Exec.static_of_assignment
-                    (Scheduling.of_schedule sched)
-                in
+                let work = Scheduling.of_tiles (Codegen.tiles sched) in
                 fun () ->
                   let w, _, _ =
                     Runtime.Exec.time pool compiled work ~steps ~repeats:1
@@ -1074,7 +1067,7 @@ let e22 () =
                   w
             | `Kernel force_generic ->
                 let plan = Runtime.Kernel.plan ~force_generic compiled in
-                let boxes = Scheduling.of_schedule sched in
+                let boxes = Scheduling.of_tiles (Codegen.tiles sched) in
                 fun () ->
                   let w, _, _ =
                     Runtime.Kernel.time pool plan ~boxes ~steps ~repeats:1

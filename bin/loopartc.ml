@@ -393,7 +393,7 @@ let run_cmd =
         | _ -> ());
         (match !failure with Some msg -> failwith msg | None -> ());
         if validate then begin
-          let steps = Runtime.Exec.steps_of_nest ?override:steps nest in
+          let steps = Loopir.Nest.steps ?override:steps nest in
           let v = Loopart.Driver.validate ~tile a ~steps ~operands:!operands in
           Format.printf "%a@." Runtime.Validate.pp v;
           (* Under the compile-time tiles the run's footprints must be the

@@ -67,34 +67,35 @@ let policy_name = function
   | Guided -> "guided self-scheduling"
   | Work_steal c -> Printf.sprintf "tiled + work stealing (chunk %d)" c
 
+let work ?tile a policy =
+  let tiles () = Codegen.tiles (schedule ?tile a) in
+  let dynamic chunk =
+    Scheduling.Dynamic { space = Nest.bounds a.nest; chunk }
+  in
+  match policy with
+  | Tiled -> Scheduling.of_tiles (tiles ())
+  | Work_steal chunk -> Scheduling.pieces ~chunk (tiles ())
+  | Cyclic -> dynamic (fun ~remaining:_ -> 1)
+  | Block_cyclic chunk ->
+      if chunk < 1 then invalid_arg "Driver.work: chunk < 1";
+      dynamic (fun ~remaining:_ -> chunk)
+  | Guided ->
+      dynamic (fun ~remaining -> Intmath.Int_math.ceil_div remaining a.nprocs)
+
 let execute ?(config = default_exec_config) ?tile a =
   let nest = a.nest in
-  let sched = schedule ?tile a in
-  let dynamic chunk =
-    Runtime.Exec.Dynamic { space = Nest.bounds nest; chunk }
-  in
-  let work, predicted =
-    match config.policy with
-    | Tiled ->
-        let tiles = Codegen.tiles sched in
-        let per_tile = Cost.misses_per_tile a.cost sched.Codegen.tile in
-        let tiles_per_proc =
-          Intmath.Int_math.ceil_div (Array.length tiles) a.nprocs
-        in
-        (Runtime.Exec.of_tiles tiles, Some (per_tile * tiles_per_proc))
-    | Work_steal chunk ->
-        (Runtime.Exec.pieces ~chunk (Codegen.tiles sched), None)
-    | Cyclic -> (dynamic (fun ~remaining:_ -> 1), None)
-    | Block_cyclic chunk ->
-        if chunk < 1 then invalid_arg "Driver.execute: chunk < 1";
-        (dynamic (fun ~remaining:_ -> chunk), None)
-    | Guided ->
-        ( dynamic (fun ~remaining ->
-              Intmath.Int_math.ceil_div remaining a.nprocs),
-          None )
+  let work = work ?tile a config.policy in
+  let predicted =
+    match (config.policy, work) with
+    | Tiled, Scheduling.Tiled { tiles; _ } ->
+        let tile = (schedule ?tile a).Codegen.tile in
+        Some
+          (Cost.misses_per_tile a.cost tile
+          * Intmath.Int_math.ceil_div (Array.length tiles) a.nprocs)
+    | _ -> None
   in
   let compiled = Runtime.Exec.compile nest in
-  let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
+  let steps = Nest.steps ?override:config.steps nest in
   (* The timed pass runs every step through the kernel and gives the
      checksum; the footprints come from the kernel's cursors observing
      the same work, with no operands, for one step when the work is
@@ -121,7 +122,7 @@ let execute_resilient ?(config = default_exec_config)
     ?(resilience = Runtime.Resilient.default_config) ?plan ?tile a =
   let nest = a.nest in
   let compiled = Runtime.Exec.compile nest in
-  let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
+  let steps = Nest.steps ?override:config.steps nest in
   let chosen = Option.value ~default:(best_tile a) tile in
   let partition ~nprocs =
     let tile =
@@ -131,7 +132,8 @@ let execute_resilient ?(config = default_exec_config)
            machine instead of squeezing the old tile onto it. *)
         (Rectangular.optimize a.cost ~nprocs).Rectangular.tile
     in
-    Runtime.Resilient.tiles_of_schedule (Codegen.make nest tile ~nprocs)
+    Scheduling.tiled ~steal:true
+      (Codegen.tiles (Codegen.make nest tile ~nprocs))
   in
   Runtime.Resilient.execute ~config:resilience ?plan ?trace:config.trace
     ~compiled ~steps ~partition ~nprocs:a.nprocs ()

@@ -80,14 +80,20 @@ type exec_config = {
 val default_exec_config : exec_config
 (** [Tiled], 3 repeats, the nest's own step count, no trace. *)
 
+val work : ?tile:Tile.t -> analysis -> exec_policy -> Scheduling.work
+(** What a policy runs on [analysis.nprocs] processors: the tiles of
+    {!schedule} ([Tiled]), those tiles cut into pieces ([Work_steal]),
+    or claims over the whole iteration space with the policy's chunk
+    (the others).  {!execute} runs it; the simulator reads the same
+    value.  Raises [Invalid_argument] for a chunk below 1. *)
+
 val execute :
   ?config:exec_config -> ?tile:Tile.t -> analysis -> Runtime.Measure.report
 (** Execute the nest on [analysis.nprocs] domains and measure per-domain
     wall-clock, iterations and distinct-elements footprints, alongside
     the Theorem 2/4 prediction when the policy is [Tiled].  Every
-    policy runs boxes: the tiles of {!Partition.Codegen.tiles} ([Tiled]),
-    those tiles cut into pieces ([Work_steal]), or the index ranges a
-    self-scheduler claims, decoded into boxes.  The timed pass runs
+    policy runs the boxes of its {!work}; a self-scheduler's claims are
+    decoded into boxes as they are made.  The timed pass runs
     every box through {!Runtime.Kernel.run_box}, and the report's
     policy names the kernel shape.  The report's [operands] are the
     buffer the last timed repeat left, and its checksum their sum.  The

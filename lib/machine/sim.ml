@@ -179,24 +179,11 @@ let cursor d (boxes : Codegen.box array) =
   (point, next)
 
 (* Compiled addresses check no bounds, so a point outside the iteration
-   space would silently alias another element: refuse such boxes. *)
-let check_boxes nest per_proc =
-  let bounds = Nest.bounds nest in
-  let inside (b : Codegen.box) =
-    Codegen.box_volume b = 0
-    || Array.length b = Array.length bounds
-       && Array.for_all2
-            (fun (lo, hi) (blo, bhi) -> blo <= lo && hi <= bhi)
-            b bounds
-  in
-  if not (Array.for_all (Array.for_all inside) per_proc) then
-    invalid_arg "Sim.run_assignment: box outside the iteration space"
-
-let run_assignment nest ~(per_proc : Codegen.box array array)
-    (config : config) =
-  let nprocs = Array.length per_proc in
-  if nprocs < 1 then invalid_arg "Sim.run_assignment: no processors";
-  check_boxes nest per_proc;
+   space would silently alias another element: [Scheduling.check]
+   refuses such boxes. *)
+let run_work nest ~nprocs work (config : config) =
+  Scheduling.check nest ~nprocs work;
+  let per_proc = Scheduling.per_proc ~nprocs work in
   let steps = Nest.steps ?override:config.seq_steps nest in
   let m = machine nest ~nprocs config in
   let layout = m.layout in
@@ -246,8 +233,8 @@ let run_assignment nest ~(per_proc : Codegen.box array array)
   }
 
 let run (schedule : Codegen.schedule) config =
-  run_assignment schedule.Codegen.nest
-    ~per_proc:(Scheduling.of_schedule schedule)
+  run_work schedule.Codegen.nest ~nprocs:schedule.Codegen.nprocs
+    (Scheduling.of_tiles (Codegen.tiles schedule))
     config
 
 let footprints (r : result) = Stats.touched r.stats

@@ -59,18 +59,16 @@ type result = {
 }
 
 val run : Codegen.schedule -> config -> result
-(** {!run_assignment} over {!Partition.Scheduling.of_schedule}: each
-    processor issues its tiles in tile-number order, as the generated
-    SPMD code and the runtime run them. *)
+(** {!run_work} over the schedule's tiles ({!Partition.Codegen.tiles}):
+    each processor issues its tiles in tile-number order, as the
+    generated SPMD code and the runtime run them. *)
 
-val run_assignment :
-  Loopir.Nest.t -> per_proc:Codegen.box array array -> config -> result
-(** Run an arbitrary per-processor assignment of boxes (e.g. the
-    run-time scheduling baselines of {!Partition.Scheduling}), each
-    processor's boxes in order and each box lexicographically, read
-    through a per-processor cursor.  Raises
-    [Invalid_argument] for a non-empty box outside the nest's iteration
-    space (empty boxes are skipped). *)
+val run_work : Loopir.Nest.t -> nprocs:int -> Scheduling.work -> config -> result
+(** Run any work on [nprocs] processors (e.g. a run-time policy's
+    claims, {!Partition.Scheduling}), each processor's boxes in the
+    order {!Partition.Scheduling.per_proc} gives and each box
+    lexicographically, read through a per-processor cursor.  Raises
+    [Invalid_argument] where {!Partition.Scheduling.check} does. *)
 
 type machine
 (** The simulated machine: the caches' line table and the event

@@ -49,5 +49,5 @@ let blocked_iterations (sched : Codegen.schedule) ~subtile =
     |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
     |> List.map snd |> Array.of_list
   in
-  Scheduling.by_owner ~nprocs:sched.Codegen.nprocs
+  Scheduling.of_tiles
     (Array.map (fun (o, boxes) -> (o, block boxes)) (Codegen.tiles sched))

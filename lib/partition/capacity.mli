@@ -21,13 +21,12 @@ val subtile : Cost.t -> Tile.t -> capacity:int -> Tile.t
     fits.  Raises [Invalid_argument] when even a single iteration's
     footprint exceeds the capacity, or on parallelepiped tiles. *)
 
-val blocked_iterations :
-  Codegen.schedule -> subtile:Tile.t -> Codegen.box array array
-(** {!Scheduling.of_schedule} with each tile reordered to complete one
-    subtile before starting the next: the tile is cut under [subtile]
+val blocked_iterations : Codegen.schedule -> subtile:Tile.t -> Scheduling.work
+(** The schedule's tiles ({!Codegen.tiles}), each reordered to complete
+    one subtile before starting the next: the tile is cut under [subtile]
     anchored at its lower corner, so where the sizes divide a tile
     yields exactly its whole subtiles.  Tiles keep their tile-number
     order; within a tile the subtiles follow the lexicographic order of
     their coordinates, each walked lexicographically.  Feed to
-    {!Machine.Sim.run_assignment} to observe the replacement-miss
+    {!Machine.Sim.run_work} to observe the replacement-miss
     reduction. *)

@@ -31,9 +31,9 @@ val owner : schedule -> Ivec.t -> int
     iterations. *)
 
 type box = (int * int) array
-(** Inclusive per-axis bounds, indexed by loop axis.  Every iteration
-    assignment is boxes: a tile's ({!tiles}), a processor's (its tiles,
-    {!Scheduling.of_schedule}) and a run-time policy's ({!Scheduling}). *)
+(** Inclusive per-axis bounds, indexed by loop axis.  All work is
+    boxes: a tile's ({!tiles}), a processor's and a run-time policy's
+    claims ({!Scheduling.work}). *)
 
 val iter_box : box -> (Ivec.t -> unit) -> unit
 (** Every point of the box in lexicographic order.  The point passed

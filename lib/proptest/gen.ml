@@ -117,6 +117,20 @@ let generate ~seed ~id =
         let offset = Array.init dims (fun _ -> Prng.range rng (-3) 3) in
         make_ref (gen_kind rng) array_names.(a) (Affine.make g offset))
   in
+  (* Half the unit-row cases with a write also read that write's
+     element one back along the innermost subscript: the value the
+     row's previous point stored.  The kernel's two-point trips must
+     then load the second point after storing the first (oracle 8). *)
+  let refs =
+    match List.find_opt Reference.is_write_like refs with
+    | Some w when rows && Prng.chance rng ~pct:50 ->
+        let offset = Array.copy (Affine.offset w.Reference.index) in
+        let last = Array.length offset - 1 in
+        offset.(last) <- offset.(last) - 1;
+        let back = Affine.make (Affine.g w.Reference.index) offset in
+        Reference.read w.Reference.array_name back :: refs
+    | Some _ | None -> refs
+  in
   let nest =
     Nest.make ~name:(Printf.sprintf "fuzz-%d-%d" seed id) ?seq loops refs
   in

@@ -6,7 +6,10 @@
     about two cases in five every innermost subscript is [var u + c]
     for the innermost loop [u], which no other subscript reads: such
     a body with one write-like reference and 1 to 5 reads runs the
-    kernel's unit-stride rows.  The [G]
+    kernel's unit-stride rows; half of those with a write-like
+    reference also read its element one back along the innermost
+    subscript (a seventh reference at most), the value the row's
+    previous point stored.  The [G]
     matrices deliberately cover the paper's awkward corners: singular and
     dependent-column matrices, zero rows (reduction-style references),
     rank-1 projections like [A[i+j]], and non-unimodular skews - plus

@@ -186,8 +186,8 @@ let check_cumulative ~fault (c : Gen.case) =
 (* Oracle 2: owner schedules cover the space exactly once              *)
 (* ------------------------------------------------------------------ *)
 
-let check_coverage (c : Gen.case) sched per_proc =
-  let total = Scheduling.total per_proc in
+let check_coverage (c : Gen.case) sched work =
+  let total = Scheduling.total work in
   if total <> Nest.iterations c.nest then
     fail "owner-cover" "schedules hold %d iterations, space has %d" total
       (Nest.iterations c.nest)
@@ -206,7 +206,7 @@ let check_coverage (c : Gen.case) sched per_proc =
             let o = owner pt in
             if o <> p && !misowned = None then
               misowned := Some (Array.copy pt, p, o)))
-      per_proc;
+      (Scheduling.per_proc ~nprocs:c.nprocs work);
     match (!dup, !misowned) with
     | Some pt, _ ->
         fail "owner-cover" "iteration %s scheduled twice" (ivec_str pt)
@@ -260,7 +260,7 @@ let sheared (c : Gen.case) =
 
 (* The schedule's tiles run as boxes, the way [Driver.execute] runs
    them: [Kernel.run_box] in the timed pass and [Kernel.observe] in the
-   observing one.  Each domain must touch the elements of its assignment
+   observing one.  Each domain must touch the elements of its tiles
    as many times, and the observer must count what the interpreter's
    all-steps [Exec.measure] counts.  Over more than one step,
    [Exec.run] observes one step of this static work and takes its
@@ -270,13 +270,13 @@ let sheared (c : Gen.case) =
    (stealing moves pieces between domains, so per-domain footprints
    vary from run to run and only the rule and the run's totals can be
    checked). *)
-let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
-    =
+let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched =
   let tiles = Codegen.tiles sched in
-  let work = Exec.of_tiles tiles in
+  let work = Scheduling.of_tiles tiles in
   let tiled = Exec.measure pool compiled work ~steps in
-  let brute, _ = brute_footprints c per_proc in
-  let want = Array.map (fun n -> steps * n) (Scheduling.loads per_proc) in
+  let nprocs = c.nprocs in
+  let brute, _ = brute_footprints c (Scheduling.per_proc ~nprocs work) in
+  let want = Array.map (fun n -> steps * n) (Scheduling.loads ~nprocs work) in
   let plan = Kernel.plan compiled in
   let run work =
     Exec.run ~trace:Trace.disabled ~box:(Kernel.run_box plan)
@@ -296,14 +296,14 @@ let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
   in
   if tiled.Exec.footprints <> brute || tiled.Exec.iterations <> want then
     fail "runtime-sim-agree"
-      "tiles of %s: footprints %s iterations %s; assignment: footprints %s \
+      "tiles of %s: footprints %s iterations %s; brute force: footprints %s \
        iterations %s"
       (tile_str sched.Codegen.tile)
       (ivec_str tiled.Exec.footprints)
       (ivec_str tiled.Exec.iterations)
       (ivec_str brute) (ivec_str want)
   else
-    let static = run work and stolen = Exec.pieces ~chunk:2 tiles in
+    let static = run work and stolen = Scheduling.pieces ~chunk:2 tiles in
     first_some
       [
         (fun () ->
@@ -341,16 +341,17 @@ let check_tiles pool compiled ~steps ~order_free (c : Gen.case) sched per_proc
           else check_checksum "stolen pieces" r);
       ]
 
-let check_runtime ~pools (c : Gen.case) sched sim per_proc =
+let check_runtime ~pools (c : Gen.case) sched sim work =
   let compiled = Exec.compile c.nest in
-  let steps = Exec.steps_of_nest c.nest in
+  let steps = Nest.steps c.nest in
   let pool = Pools.get pools c.nprocs in
-  let work = Exec.static_of_assignment per_proc in
   let inst = Exec.measure pool compiled work ~steps in
   let order_free =
     lazy (Exec.reexecution_safe compiled && writes_conflict_free c)
   in
-  let brute_per, brute_union = brute_footprints c per_proc in
+  let brute_per, brute_union =
+    brute_footprints c (Scheduling.per_proc ~nprocs:c.nprocs work)
+  in
   let sim_per = Sim.footprints sim in
   let mismatch = ref None in
   Array.iteri
@@ -364,7 +365,9 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
       fail "runtime-sim-agree"
         "proc %d footprint: brute=%d runtime-bitset=%d sim=%d" p bf rt sm
   | None ->
-      let want = Array.map (fun n -> steps * n) (Scheduling.loads per_proc) in
+      let want =
+        Array.map (fun n -> steps * n) (Scheduling.loads ~nprocs:c.nprocs work)
+      in
       if inst.Exec.iterations <> want then
         fail "runtime-sim-agree" "procs executed %s iterations, want %s"
           (ivec_str inst.Exec.iterations) (ivec_str want)
@@ -377,26 +380,27 @@ let check_runtime ~pools (c : Gen.case) sched sim per_proc =
       else
         first_some
           [
-            (fun () ->
-              check_tiles pool compiled ~steps ~order_free c sched per_proc);
+            (fun () -> check_tiles pool compiled ~steps ~order_free c sched);
             (fun () ->
               let sheared =
                 Codegen.make c.nest (sheared c) ~nprocs:c.nprocs
               in
-              check_tiles pool compiled ~steps ~order_free c sheared
-                (Scheduling.of_schedule sheared));
+              check_tiles pool compiled ~steps ~order_free c sheared);
           ]
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 4: simulator traffic invariant under processor relabeling    *)
 (* ------------------------------------------------------------------ *)
 
-let check_relabel (c : Gen.case) sim per_proc =
+let check_relabel (c : Gen.case) sim (tiled : Scheduling.tiled) =
   if c.nprocs < 2 then None
   else begin
-    let n = Array.length per_proc in
-    let relabeled = Array.init n (fun p -> per_proc.(n - 1 - p)) in
-    let sim' = Sim.run_assignment c.nest ~per_proc:relabeled Sim.default in
+    let owners = Array.map (fun o -> c.nprocs - 1 - o) tiled.owners in
+    let sim' =
+      Sim.run_work c.nest ~nprocs:c.nprocs
+        (Scheduling.Tiled { tiled with owners })
+        Sim.default
+    in
     let sorted r =
       let a = Array.copy (Stats.touched r.Sim.stats) in
       Array.sort compare a;
@@ -515,7 +519,7 @@ let check_resilient (c : Gen.case) =
   | None -> None
   | Some kind ->
       let compiled = Lazy.force compiled in
-      let steps = Exec.steps_of_nest c.nest in
+      let steps = Nest.steps c.nest in
       (* The orphan stall runs one whole-space tile: the domain that
          claims it crashes, and the survivor re-executing the orphan
          stalls while the calling domain watches - on 2 domains, a lone
@@ -525,7 +529,8 @@ let check_resilient (c : Gen.case) =
         else Tile.rect c.tile
       in
       let partition ~nprocs =
-        Resilient.tiles_of_schedule (Codegen.make c.nest tile ~nprocs)
+        Scheduling.tiled ~steal:true
+          (Codegen.tiles (Codegen.make c.nest tile ~nprocs))
       in
       let plan_str, deadline_ms =
         (* The stall far exceeds the deadline: completion proves the
@@ -628,7 +633,7 @@ let check_resilient (c : Gen.case) =
    scheduling order, which other oracles cover. *)
 let check_kernel_on (c : Gen.case) tile =
   let compiled = Exec.compile c.nest in
-  let steps = Exec.steps_of_nest c.nest in
+  let steps = Nest.steps c.nest in
   let sched = Codegen.make c.nest tile ~nprocs:c.nprocs in
   let boxes =
     Array.concat (List.map snd (Array.to_list (Codegen.tiles sched)))
@@ -710,7 +715,7 @@ let check_kernel (c : Gen.case) =
    element both read and written, and nothing accumulates. *)
 let check_barrier_free ~pools (c : Gen.case) =
   let compiled = Exec.compile c.nest in
-  let steps = Exec.steps_of_nest c.nest in
+  let steps = Nest.steps c.nest in
   let plan = Kernel.plan compiled in
   let layout = Layout.of_nest c.nest in
   let elements = List.fold_left (fun acc (_, n) -> acc + n) 0 in
@@ -718,7 +723,7 @@ let check_barrier_free ~pools (c : Gen.case) =
   let at nprocs () =
     let pool = Pools.get pools nprocs in
     let work =
-      Exec.of_tiles
+      Scheduling.of_tiles
         (Codegen.tiles (Codegen.make c.nest (Tile.rect c.tile) ~nprocs))
     in
     let inst = Exec.measure pool compiled work ~steps in
@@ -764,41 +769,39 @@ let check_barrier_free ~pools (c : Gen.case) =
 (* Putting it together                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The last processor with boxes loses its last iteration: its last box
-   is re-decoded without its final point. *)
-let apply_drop_fault fault per_proc =
+(* The last tile loses its last iteration: its last box is re-decoded
+   without its final point.  [Codegen.tiles] gives no empty tile. *)
+let apply_drop_fault fault (t : Scheduling.tiled) =
   match fault with
-  | Drop_iteration ->
-      let out = Array.copy per_proc in
-      let dropped = ref false in
-      for p = Array.length out - 1 downto 0 do
-        let n = Array.length out.(p) in
-        if (not !dropped) && n > 0 then begin
-          let last = out.(p).(n - 1) and kept = ref [] in
-          Codegen.iter_range last 0 (Codegen.box_volume last - 1) (fun b ->
-              kept := Array.copy b :: !kept);
-          out.(p) <-
-            Array.append
-              (Array.sub out.(p) 0 (n - 1))
-              (Array.of_list (List.rev !kept));
-          dropped := true
-        end
-      done;
-      out
-  | _ -> per_proc
+  | Drop_iteration when t.tiles <> [||] ->
+      let tiles = Array.copy t.tiles in
+      let i = Array.length tiles - 1 in
+      let n = Array.length tiles.(i) in
+      let last = tiles.(i).(n - 1) and kept = ref [] in
+      Codegen.iter_range last 0 (Codegen.box_volume last - 1) (fun b ->
+          kept := Array.copy b :: !kept);
+      tiles.(i) <-
+        Array.append (Array.sub tiles.(i) 0 (n - 1))
+          (Array.of_list (List.rev !kept));
+      { t with tiles }
+  | _ -> t
 
 let check ~fault ~pools (c : Gen.case) =
   try
     let sched = Codegen.make c.nest (Tile.rect c.tile) ~nprocs:c.nprocs in
-    let per_proc = apply_drop_fault fault (Scheduling.of_schedule sched) in
-    let sim = lazy (Sim.run_assignment c.nest ~per_proc Sim.default) in
+    let tiled =
+      apply_drop_fault fault
+        (Scheduling.tiled ~steal:false (Codegen.tiles sched))
+    in
+    let work = Scheduling.Tiled tiled in
+    let sim = lazy (Sim.run_work c.nest ~nprocs:c.nprocs work Sim.default) in
     first_some
       [
         (fun () -> check_single c);
         (fun () -> check_cumulative ~fault c);
-        (fun () -> check_coverage c sched per_proc);
-        (fun () -> check_runtime ~pools c sched (Lazy.force sim) per_proc);
-        (fun () -> check_relabel c (Lazy.force sim) per_proc);
+        (fun () -> check_coverage c sched work);
+        (fun () -> check_runtime ~pools c sched (Lazy.force sim) work);
+        (fun () -> check_relabel c (Lazy.force sim) tiled);
         (fun () -> check_optimizer c);
         (fun () -> check_resilient c);
         (fun () -> check_kernel c);

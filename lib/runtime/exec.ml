@@ -108,8 +108,6 @@ let plain_write_addresses c (p : int array) =
 type box = Partition.Codegen.box
 
 let iter_box = Partition.Codegen.iter_box
-let box_volume = Partition.Codegen.box_volume
-let iter_range = Partition.Codegen.iter_range
 
 let run_box c storage =
   let body p = exec c storage p in
@@ -176,74 +174,12 @@ let observe_point c ~reads ~writes ~accumulates p =
       Bitset.add (if accumulate then accumulates else writes) (addr r p))
     c.writes
 
-type tile = box array
-
-type work =
-  | Tiled of { tiles : tile array; owners : int array; steal : bool }
+type work = Partition.Scheduling.work =
+  | Tiled of Partition.Scheduling.tiled
   | Dynamic of { space : box; chunk : remaining:int -> int }
 
-let tiled ~steal (tiles : (int * tile) array) =
-  Tiled { tiles = Array.map snd tiles; owners = Array.map fst tiles; steal }
-
-let of_tiles tiles = tiled ~steal:false tiles
-
-let pieces ~chunk tiles =
-  if chunk < 1 then invalid_arg "Exec.pieces: chunk < 1";
-  let out = ref [] in
-  Array.iter
-    (fun (owner, boxes) ->
-      let piece = ref [] and filled = ref 0 in
-      let emit () =
-        if !piece <> [] then
-          out := (owner, Array.of_list (List.rev !piece)) :: !out;
-        piece := [];
-        filled := 0
-      in
-      Array.iter
-        (fun b ->
-          let range = iter_range b and n = box_volume b and at = ref 0 in
-          while !at < n do
-            let take = min (chunk - !filled) (n - !at) in
-            range !at (!at + take) (fun p -> piece := Array.copy p :: !piece);
-            at := !at + take;
-            filled := !filled + take;
-            if !filled = chunk then emit ()
-          done)
-        boxes;
-      emit ())
-    tiles;
-  tiled ~steal:true (Array.of_list (List.rev !out))
-
-let static_of_assignment (a : Partition.Scheduling.assignment) =
-  of_tiles (Array.mapi (fun p boxes -> (p, boxes)) a)
-
+let static_of_assignment (w : work) = w
 let steps_of_nest = Nest.steps
-
-(* Every box must lie inside the iteration space: the box bodies
-   ({!run_box}, [Kernel.run_box], [Kernel.observe]) address operands
-   unchecked, so a box outside it would read and write past its
-   arrays. *)
-let check_work c work =
-  let space = Nest.bounds c.nest in
-  let check_box (b : box) =
-    if Array.length b <> Array.length space then
-      invalid_arg "Exec: box arity mismatch";
-    for k = 0 to Array.length b - 1 do
-      let lo, hi = b.(k) and slo, shi = space.(k) in
-      if lo < slo || hi > shi then
-        invalid_arg
-          (Printf.sprintf
-             "Exec: box bounds %d..%d on axis %d outside the iteration \
-              space %d..%d"
-             lo hi k slo shi)
-    done
-  in
-  match work with
-  | Tiled { tiles; owners; _ } ->
-      if Array.length owners <> Array.length tiles then
-        invalid_arg "Exec: tiled work with owners/tiles length mismatch";
-      Array.iter (Array.iter check_box) tiles
-  | Dynamic { space; _ } -> check_box space
 
 (* One execution of the work ([steps] steps) through the shared loop.
    [box p] is domain [p]'s body for one box: a tile runs its boxes in
@@ -258,8 +194,10 @@ let pass ~trace ~barriers pool work ~steps ~box ~seconds ~iterations =
         let source = Sched.tiles ~steal ~nprocs:(Pool.size pool) owners in
         (tiles, (fun () _ _ _ -> ()), source)
     | Dynamic { space; chunk } ->
-        let source = Sched.shared ~total:(box_volume space) ~chunk in
-        ([||], (fun () -> iter_range space), source)
+        let source =
+          Sched.shared ~total:(Partition.Codegen.box_volume space) ~chunk
+        in
+        ([||], (fun () -> Partition.Codegen.iter_range space), source)
   in
   Pool.run pool (fun me barrier ->
       let box = box me and range = ranges () in
@@ -267,7 +205,7 @@ let pass ~trace ~barriers pool work ~steps ~box ~seconds ~iterations =
       let t0 = Mclock.now () in
       let run b =
         box b;
-        mine := !mine + box_volume b
+        mine := !mine + Partition.Codegen.box_volume b
       in
       let tile _step t = Array.iter run tiles.(t) in
       let chunk lo hi =
@@ -293,8 +231,8 @@ type instrumented = {
 }
 
 let measure ?mode:_ pool c work ~steps =
-  check_work c work;
   let nprocs = Pool.size pool in
+  Partition.Scheduling.check c.nest ~nprocs work;
   let universe = total_elements c in
   let storage = alloc c in
   let sets () = Array.init nprocs (fun _ -> Bitset.create ~universe) in
@@ -351,12 +289,12 @@ let timed ~box ~trace ~barriers ~repeat_buffer pool c work ~steps ~repeats =
 
 (* Checked once, before any pass: the box bodies address operands
    unchecked. *)
-let check_timed c work ~repeats =
-  check_work c work;
+let check_timed pool c work ~repeats =
+  Partition.Scheduling.check c.nest ~nprocs:(Pool.size pool) work;
   if repeats < 1 then invalid_arg "Exec.run/Exec.time: repeats < 1"
 
 let time_with ~box ~trace pool c work ~steps ~repeats =
-  check_timed c work ~repeats;
+  check_timed pool c work ~repeats;
   let wall, seconds, iterations, _ =
     timed ~box ~trace ~barriers:true ~repeat_buffer:Measure.Reset_each pool c
       work ~steps ~repeats
@@ -401,7 +339,7 @@ let observed pool c work ~observe ~steps =
    a repeat leaves the same buffer whatever it starts from, so the
    repeats need no reset. *)
 let run ~trace ~box ~observe pool c work ~steps ~repeats =
-  check_timed c work ~repeats;
+  check_timed pool c work ~repeats;
   let { Measure.footprints; distinct; flow_in; crossing; read_written; _ } =
     observed pool c work ~observe ~steps:(observed_steps work ~steps)
   in

@@ -95,26 +95,18 @@ val reexecution_safe : compiled -> bool
     the writes that meet a read span, over the whole iteration space,
     and probes it with the reads that meet one of those writes' spans. *)
 
-(** {2 Work: tiles with owners}
+(** {2 Work}
 
-    Compile-time work is one list of tiles, each owned by a domain -
-    the shape of the SPMD code {!Partition.Codegen.emit_pseudocode}
-    prints ([for t in my_tiles: for i = ...]).  Every pass steps
-    through it with the one loop in {!Sched}. *)
+    What runs where is one {!Partition.Scheduling.work}, re-exported
+    here: compile-time tiles with owners, or a self-scheduler's claims.
+    Every pass steps through it with the one loop in {!Sched}, after
+    {!Partition.Scheduling.check} (the box bodies - {!run_box},
+    {!Kernel.run_box}, {!Kernel.observe} - address operands
+    unchecked). *)
 
 type box = Partition.Codegen.box
 (** Inclusive per-axis bounds, indexed by loop axis - the loop bounds
     {!Partition.Codegen.tiles} produces. *)
-
-val iter_box : box -> (Ivec.t -> unit) -> unit
-(** {!Partition.Codegen.iter_box}. *)
-
-val box_volume : box -> int
-(** {!Partition.Codegen.box_volume}. *)
-
-val iter_range : box -> int -> int -> (box -> unit) -> unit
-(** {!Partition.Codegen.iter_range}: the at most [2d - 1] boxes of
-    positions [lo .. hi - 1] of a box's lexicographic order. *)
 
 val span : box -> cref -> int * int
 (** [(lo, hi)]: the least and greatest address the reference touches
@@ -128,45 +120,17 @@ val run_box : compiled -> storage -> box -> unit
     {!Kernel.run_box}, it does not check the box: one outside
     [Nest.bounds] reads and writes past the operands. *)
 
-type tile = box array
-(** The boxes a tile covers, in execution order. *)
-
-type work =
-  | Tiled of { tiles : tile array; owners : int array; steal : bool }
-      (** tile [t] runs on domain [owners.(t)], each domain's tiles in
-          order; with [steal], idle domains steal whole tiles from the
-          back of the fullest queue *)
+type work = Partition.Scheduling.work =
+  | Tiled of Partition.Scheduling.tiled
   | Dynamic of { space : box; chunk : remaining:int -> int }
-      (** self-scheduling over the lexicographic order of the iteration
-          space via a shared {!Pool.Counter}: each claimed index range
-          runs as the boxes {!iter_range} decodes it to.  Chunk
-          [fun ~remaining:_ -> 1] is cyclic, a constant is
-          block-cyclic, [ceil remaining/P] is guided self-scheduling *)
 
-val check_work : compiled -> work -> unit
-(** Raises [Invalid_argument] unless each box (a [Dynamic] work's
-    [space]) has the nest's depth and lies inside [Nest.bounds], and a
-    [Tiled] work has one owner per tile.  The box bodies ({!run_box},
-    {!Kernel.run_box}, {!Kernel.observe}) address operands unchecked, so
-    every path that runs boxes calls it once first, outside any timed
-    region: {!measure}, every timed call ({!time}, {!time_with}, {!run})
-    and each {!Resilient.execute} attempt. *)
-
-val of_tiles : (int * tile) array -> work
-(** [(owner, boxes)] tiles, as {!Partition.Codegen.tiles} returns them,
-    without stealing. *)
-
-val pieces : chunk:int -> (int * tile) array -> work
-(** Every tile cut into pieces of at most [chunk] iterations (its boxes'
-    points in order, re-boxed by {!iter_range}); each piece keeps its
-    tile's owner, and idle domains steal. *)
-
-val static_of_assignment : Partition.Scheduling.assignment -> work
-(** Domain [p] runs the boxes [a.(p)], in order, as one tile. *)
+val static_of_assignment : work -> work
+(** The work itself, under an old converter's name: kept only for the
+    pipeline benchmark's callers, and deleted with them. *)
 
 val steps_of_nest : ?override:int -> Nest.t -> int
-(** {!Loopir.Nest.steps}: [override], else the nest's [Doseq] extent,
-    else 1. *)
+(** {!Loopir.Nest.steps}, under its old name: kept only for the
+    pipeline benchmark's callers, and deleted with them. *)
 
 type instrumented = {
   footprints : int array;  (** per domain, {!Measure.sharing}'s footprint *)

@@ -529,11 +529,11 @@ let observe p ~reads ~writes ~accumulates =
 (* Schedules and parallel execution                                    *)
 (* ------------------------------------------------------------------ *)
 
-let boxes_of_schedule = Partition.Scheduling.of_schedule
+let boxes_of_schedule s = Partition.(Scheduling.of_tiles (Codegen.tiles s))
 
 let time ?(trace = Trace.disabled) pool p ~boxes ~steps ~repeats =
-  Exec.time_with ~box:(run_box p) ~trace pool p.compiled
-    (Exec.static_of_assignment boxes) ~steps ~repeats
+  Exec.time_with ~box:(run_box p) ~trace pool p.compiled boxes ~steps
+    ~repeats
 
 let sequential p ~steps =
   let storage = Exec.alloc p.compiled in

@@ -107,23 +107,23 @@ val observe :
     on any other domain, and the box is not checked: one outside
     [Nest.bounds] sets bits past the sets. *)
 
-val boxes_of_schedule : Partition.Codegen.schedule -> box array array
-(** {!Partition.Scheduling.of_schedule}, under its old name: kept only
-    for the pipeline benchmark's callers, and deleted with them. *)
+val boxes_of_schedule : Partition.Codegen.schedule -> Exec.work
+(** The schedule's tiles as work ({!Partition.Scheduling.of_tiles}),
+    under an old name: kept only for the pipeline benchmark's callers,
+    and deleted with them. *)
 
 val time :
   ?trace:Trace.t ->
   Pool.t ->
   plan ->
-  boxes:box array array ->
+  boxes:Exec.work ->
   steps:int ->
   repeats:int ->
   float * float array * int array
-(** {!Exec.time} over {!Exec.static_of_assignment}[ boxes] with every
-    box run by {!run_box}, one body per domain: domain [p] executes
-    [boxes.(p)] in each of [steps] steps of the shared loop ({!Sched}),
-    on one buffer reset to the initial operands before every repeat;
-    the fastest of [repeats] runs is reported. *)
+(** {!Exec.time} over the work [boxes] with every box run by {!run_box},
+    one body per domain, in each of [steps] steps of the shared loop
+    ({!Sched}), on one buffer reset to the initial operands before
+    every repeat; the fastest of [repeats] runs is reported. *)
 
 val sequential : plan -> steps:int -> Exec.storage
 (** The whole iteration space as one box on the calling domain, [steps]

@@ -44,11 +44,8 @@ let default_config = { policy = default_retry; deadline_ms = 1000 }
    watchdog verdict wakes the sleeper promptly. *)
 let stall_poll_seconds = 0.005
 
-type partitioned = { tiles : Exec.tile array; owners : int array }
-
-let tiles_of_schedule sched =
-  let tiles = Partition.Codegen.tiles sched in
-  { tiles = Array.map snd tiles; owners = Array.map fst tiles }
+let tiles_of_schedule s =
+  Partition.Scheduling.tiled ~steal:true (Partition.Codegen.tiles s)
 
 (* ------------------------------------------------------------------ *)
 (* Per-attempt machinery                                               *)
@@ -92,7 +89,7 @@ type ctx = {
   plain_writes : Ivec.t -> int list;
   steps : int;
   recover : bool;  (** tile-level crash recovery enabled *)
-  tiles : Exec.tile array;
+  tiles : Partition.Scheduling.tile array;
   source : Sched.source;  (** tiles by owner, with stealing *)
   hb : int Atomic.t array;  (** per domain: tiles, orphans taken, releases *)
   done_count : int Atomic.t array;  (** per-tile completions this step *)
@@ -155,7 +152,7 @@ let interruptible_stall ctx ms =
 (* Every point of a tile stores through the same plain writes, so the
    first point names a target whenever the tile has one. *)
 let corrupt_target ctx t =
-  match Array.find_opt (fun b -> Exec.box_volume b > 0) ctx.tiles.(t) with
+  match Array.find_opt (fun b -> Partition.Codegen.box_volume b > 0) ctx.tiles.(t) with
   | None -> None
   | Some b -> List.nth_opt (ctx.plain_writes (Array.map fst b)) 0
 
@@ -332,10 +329,9 @@ let watcher ctx =
 
 (* The boxes run through {!Kernel.run_box}, which addresses operands
    unchecked: the partition is checked as the work it is. *)
-let make_ctx cfg plan kplan compiled steps (p : partitioned) ~size ~recover
+let make_ctx cfg plan kplan compiled steps (p : Partition.Scheduling.tiled) ~size ~recover
     ~trace =
-  Exec.check_work compiled
-    (Exec.Tiled { tiles = p.tiles; owners = p.owners; steal = true });
+  Partition.Scheduling.check (Exec.nest compiled) ~nprocs:size (Exec.Tiled p);
   let ntiles = Array.length p.tiles in
   let storage = Exec.alloc compiled in
   {

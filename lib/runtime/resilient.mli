@@ -56,16 +56,11 @@ type config = {
 val default_config : config
 (** [Retry {attempts = 3; backoff_ms = 25}], 1000 ms deadline. *)
 
-type partitioned = {
-  tiles : Exec.tile array;  (** tile id -> its boxes, in order *)
-  owners : int array;  (** tile id -> preferred domain, below the pool size *)
-}
-(** Tile-granular work: the unit of claiming, stealing, completion
-    tracking and recovery. *)
-
-val tiles_of_schedule : Partition.Codegen.schedule -> partitioned
-(** The schedule's compile-time tiles and owners,
-    {!Partition.Codegen.tiles}. *)
+val tiles_of_schedule :
+  Partition.Codegen.schedule -> Partition.Scheduling.tiled
+(** {!Partition.Scheduling.tiled} over {!Partition.Codegen.tiles}, under
+    its old name: kept only for the pipeline benchmark's callers, and
+    deleted with them. *)
 
 val execute :
   ?config:config ->
@@ -74,17 +69,20 @@ val execute :
   ?trace:Trace.t ->
   compiled:Exec.compiled ->
   steps:int ->
-  partition:(nprocs:int -> partitioned) ->
+  partition:(nprocs:int -> Partition.Scheduling.tiled) ->
   nprocs:int ->
   unit ->
   Report.t * float array
 (** Run [steps] outer iterations of the nest under the policy, starting
     on [nprocs] domains partitioned by [partition ~nprocs] (called again
-    with smaller counts when degrading).  The job spawns one pool of
+    with smaller counts when degrading): tiles with owners, the unit of
+    claiming, stealing, completion tracking and recovery.  Every attempt
+    steals, whatever the partition's [steal] says: it is how a retired
+    domain's queue drains.  The job spawns one pool of
     [nprocs] domains, at its first attempt whose partition is good, and
     runs every attempt on it: an attempt on [k] domains runs on domains
     [0 .. k - 1] and the others return at once.  Each attempt first checks its partition with
-    {!Exec.check_work}: a box outside [Nest.bounds], a tile without an
+    {!Partition.Scheduling.check}: a box outside [Nest.bounds], a tile without an
     owner or an owner outside the attempt's domains fails the attempt
     as [bad partition: ...] before any box runs.  Every box runs through
     {!Kernel.run_box}; [kernels] is ignored, kept until its last callers

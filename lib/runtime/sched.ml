@@ -6,11 +6,7 @@ type source =
 let tiles ~steal ~nprocs owners =
   let by = Array.make nprocs [] in
   for t = Array.length owners - 1 downto 0 do
-    let o = owners.(t) in
-    if o < 0 || o >= nprocs then
-      invalid_arg
-        (Printf.sprintf "Sched: tile owner %d outside %d-domain pool" o nprocs);
-    by.(o) <- t :: by.(o)
+    by.(owners.(t)) <- t :: by.(owners.(t))
   done;
   let ids = Array.map Array.of_list by in
   if steal then

@@ -16,8 +16,8 @@ val tiles : steal:bool -> nprocs:int -> int array -> source
 (** Tile [t] belongs to domain [owners.(t)]; each domain runs its own
     tiles in order.  With [steal], a domain whose own queue is empty
     steals single tiles from the back of the fullest other queue
-    ({!Pool.Deques}).  Raises [Invalid_argument] for an owner outside
-    [0 .. nprocs - 1]. *)
+    ({!Pool.Deques}).  Every owner must lie in [0 .. nprocs - 1], as
+    {!Partition.Scheduling.check} makes sure. *)
 
 val shared : total:int -> chunk:(remaining:int -> int) -> source
 (** Self-scheduled chunks [\[lo, hi)] of one stream of [total] items,

@@ -56,16 +56,15 @@ let reduction_arrays (cost : Cost.t) =
 
 let check_schedule (schedule : Codegen.schedule) ~steps ~operands =
   let nest = schedule.Codegen.nest in
-  let assignment = Scheduling.of_schedule schedule in
-  let nprocs = Array.length assignment in
+  let nprocs = schedule.Codegen.nprocs in
+  let work = Scheduling.of_tiles (Codegen.tiles schedule) in
   let compiled = Exec.compile nest in
   let cost = Cost.of_nest nest in
   (* Footprints are per-Doall quantities: one outer step on both sides
      keeps the comparison exact and cheap (re-execution touches no new
      elements). *)
   let sim =
-    Sim.run_assignment nest ~per_proc:assignment
-      { Sim.default with Sim.seq_steps = Some 1 }
+    Sim.run_work nest ~nprocs work { Sim.default with Sim.seq_steps = Some 1 }
   in
   let sim_footprints = Sim.footprints sim in
   (* Each owner's boxes through the kernel's cursors, on this domain:
@@ -80,7 +79,7 @@ let check_schedule (schedule : Codegen.schedule) ~steps ~operands =
         (observe ~reads:reads.(p) ~writes:writes.(p)
            ~accumulates:accumulates.(p))
         boxes)
-    assignment;
+    (Scheduling.per_proc ~nprocs work);
   let s = Measure.sharing ~reads ~writes ~accumulates in
   let k = classify (Layout.of_nest nest) s in
   let deterministic = k.crossing = 0 in

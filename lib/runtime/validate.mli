@@ -13,7 +13,7 @@
       dimensions).
     - {b footprint agreement}: the distinct elements each domain's
       boxes touch, as the runtime's cursors observe them, equal what
-      {!Machine.Sim} counts for the same assignment, and both sit
+      {!Machine.Sim} counts for the same tiles, and both sit
       against the Theorem 2/4 prediction.
     - {b determinism / values}: when no element written by one processor
       is read or written by another, the parallel execution must produce
@@ -43,7 +43,7 @@ type verdict = {
   measured_footprints : int array;  (** runtime distinct elements/domain *)
   footprints_agree : bool;  (** exact equality, domain by domain *)
   predicted_per_tile : int option;
-      (** Theorem 2/4 cumulative footprint, when the assignment came
+      (** Theorem 2/4 cumulative footprint, when the work came
           from a tile the model can predict *)
   measured_max : int;
   write_races : (string * int) list;
@@ -83,10 +83,10 @@ val classify : Machine.Layout.t -> Measure.sharing -> conflicts
 
 val check_schedule :
   Codegen.schedule -> steps:int -> operands:Exec.storage -> verdict
-(** Validate the compile-time tiled assignment of a schedule,
-    {!Scheduling.of_schedule}.  The simulator runs its boxes for one
-    step, and {!Kernel.observe} walks each owner's boxes once on the
-    calling domain.  One {!Measure.sharing} of those rows answers the
+(** Validate the compile-time tiles of a schedule ({!Codegen.tiles}).
+    The simulator runs them for one step, and {!Kernel.observe} walks
+    each owner's boxes ({!Scheduling.per_proc}) once on the calling
+    domain.  One {!Measure.sharing} of those rows answers the
     race and determinism checks and gives the per-domain footprints
     compared with the simulator's.  When the partition is
     deterministic, [values_match] compares [operands], the buffer a run

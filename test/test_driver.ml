@@ -205,7 +205,7 @@ let test_execute_multistep () =
   let measured =
     Runtime.Pool.with_pool a.Driver.nprocs (fun pool ->
         Runtime.Exec.measure pool compiled
-          (Runtime.Exec.of_tiles (Codegen.tiles (Driver.schedule a)))
+          (Driver.work a Driver.Tiled)
           ~steps)
   in
   List.iter
@@ -398,7 +398,7 @@ let prop_schedule_covers_space =
   QCheck2.Test.make ~name:"schedule covers every iteration exactly once"
     ~count:60 gen_nest (fun nest ->
       let a = Driver.analyze ~nprocs:4 nest in
-      Scheduling.total (Scheduling.of_schedule (Driver.schedule a))
+      Scheduling.total (Driver.work a Driver.Tiled)
       = Nest.iterations nest)
 
 let random_props =

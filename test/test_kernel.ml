@@ -13,7 +13,7 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 let same_bits = Runtime.Exec.same_bits
 
-let steps_of nest = Runtime.Exec.steps_of_nest nest
+let steps_of nest = Nest.steps nest
 
 (* All permutations of [0 .. n-1]. *)
 let rec permutations = function
@@ -83,7 +83,7 @@ let interpreted_set compiled boxes =
   in
   List.iter
     (fun b ->
-      Runtime.Exec.iter_box b (fun p ->
+      Codegen.iter_box b (fun p ->
           List.iter (fun addr -> Intmath.Bitset.add set (addr p)) addrs))
     boxes;
   set
@@ -235,7 +235,7 @@ let test_empty_box_is_noop () =
   checkb "empty boxes leave operands untouched" true (storage = before);
   check "empty boxes observe nothing" 0
     (Intmath.Bitset.cardinal (observed_set plan compiled empty));
-  check "empty volume" 0 (Runtime.Exec.box_volume [| (3, 2); (1, 6) |])
+  check "empty volume" 0 (Codegen.box_volume [| (3, 2); (1, 6) |])
 
 let test_degenerate_and_partial_boxes () =
   (* Extent-1 axes, single-point boxes, and a partial cover must all
@@ -287,7 +287,7 @@ let test_box_outside_space_rejected () =
           raises ("Exec.measure, " ^ kind) (fun () ->
               Runtime.Exec.measure pool compiled work ~steps:1))
         [
-          ("tiled", Runtime.Exec.of_tiles [| (0, [| outside |]) |]);
+          ("tiled", Scheduling.of_tiles [| (0, [| outside |]) |]);
           ( "dynamic",
             Runtime.Exec.Dynamic
               { space = outside; chunk = (fun ~remaining:_ -> 1) } );
@@ -440,14 +440,10 @@ let test_observe_three_rows () =
     (fun nest ->
       let compiled = Runtime.Exec.compile nest in
       let plan = Runtime.Kernel.plan compiled in
-      let assignment =
-        Scheduling.of_schedule (Driver.schedule (Driver.analyze ~nprocs nest))
-      in
+      let work = Driver.work (Driver.analyze ~nprocs nest) Driver.Tiled in
       let inst =
         Runtime.Pool.with_pool nprocs (fun pool ->
-            Runtime.Exec.measure pool compiled
-              (Runtime.Exec.static_of_assignment assignment)
-              ~steps:1)
+            Runtime.Exec.measure pool compiled work ~steps:1)
       in
       let has accumulate =
         Array.exists
@@ -474,7 +470,7 @@ let test_observe_three_rows () =
             (Intmath.Bitset.cardinal writes > 0);
           checkb (label "accumulates held") (has true)
             (Intmath.Bitset.cardinal accumulates > 0))
-        assignment)
+        (Scheduling.per_proc ~nprocs work))
     [
       Programs.matmul ~n:8 ();
       Programs.diag_accumulate ~n:12 ();
@@ -620,7 +616,7 @@ let test_parallel_kernel_matches_sequential () =
       let sched = Driver.schedule a in
       let compiled = Runtime.Exec.compile nest in
       let plan = Runtime.Kernel.plan compiled in
-      let boxes = Scheduling.of_schedule sched in
+      let work = Scheduling.of_tiles (Codegen.tiles sched) in
       let steps = steps_of nest in
       (* Kernel.time counts the iterations; the same pass through
          Exec.time_with keeps the storage it allocates for the value
@@ -634,9 +630,8 @@ let test_parallel_kernel_matches_sequential () =
         Runtime.Pool.with_pool nprocs (fun pool ->
             ignore
               (Runtime.Exec.time_with ~box ~trace:Runtime.Trace.disabled pool
-                 compiled (Runtime.Exec.static_of_assignment boxes) ~steps
-                 ~repeats:1);
-            Runtime.Kernel.time pool plan ~boxes ~steps ~repeats:1)
+                 compiled work ~steps ~repeats:1);
+            Runtime.Kernel.time pool plan ~boxes:work ~steps ~repeats:1)
       in
       Array.iteri
         (fun p bs ->
@@ -644,10 +639,10 @@ let test_parallel_kernel_matches_sequential () =
             (Printf.sprintf "%s: domain %d ran its boxes every step"
                nest.Nest.name p)
             (steps
-            * Array.fold_left (fun acc b -> acc + Runtime.Exec.box_volume b) 0 bs
+            * Array.fold_left (fun acc b -> acc + Codegen.box_volume b) 0 bs
             )
             iterations.(p))
-        boxes;
+        (Scheduling.per_proc ~nprocs work);
       check
         (Printf.sprintf "%s: every iteration executed" nest.Nest.name)
         (steps * Array.fold_left ( * ) 1 (Nest.extents nest))
@@ -688,7 +683,7 @@ let test_body_per_domain () =
       checkb (label ^ ": per-domain bodies = sequential interpreter") true
         (same_bits (Option.get !storage) reference))
     [
-      ("tiled", Runtime.Exec.of_tiles tiles);
+      ("tiled", Scheduling.of_tiles tiles);
       ( "cyclic",
         Runtime.Exec.Dynamic
           { space = Nest.bounds nest; chunk = (fun ~remaining:_ -> 1) } );
@@ -701,10 +696,8 @@ let instrumented_repeats nest ~repeats =
   let compiled = Runtime.Exec.compile nest in
   let plan = Runtime.Kernel.plan compiled in
   let initial = Runtime.Exec.alloc compiled in
-  let boxes =
-    Scheduling.of_schedule (Driver.schedule (Driver.analyze ~nprocs:1 nest))
-  in
-  let per_repeat = Array.length boxes.(0) in
+  let work = Driver.work (Driver.analyze ~nprocs:1 nest) Driver.Tiled in
+  let per_repeat = Array.length (Scheduling.per_proc ~nprocs:1 work).(0) in
   let buffers = ref [] and calls = ref 0 and fresh = ref [] in
   let box s =
     buffers := s :: !buffers;
@@ -717,9 +710,8 @@ let instrumented_repeats nest ~repeats =
   let r =
     Runtime.Pool.with_pool 1 (fun pool ->
         Runtime.Exec.run ~trace:Runtime.Trace.disabled ~box
-          ~observe:(Runtime.Kernel.observe plan) pool compiled
-          (Runtime.Exec.static_of_assignment boxes)
-          ~steps:1 ~repeats)
+          ~observe:(Runtime.Kernel.observe plan) pool compiled work ~steps:1
+          ~repeats)
   in
   checkb (nest.Nest.name ^ ": one buffer per call") true
     (List.for_all (fun s -> s == List.hd !buffers) !buffers);

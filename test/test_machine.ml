@@ -509,8 +509,8 @@ let test_sim_issues_tile_order () =
     (fun (o, boxes) -> by.(o) <- by.(o) @ Array.to_list boxes)
     (Codegen.tiles sched);
   let tiled =
-    Sim.run_assignment sched.Codegen.nest
-      ~per_proc:(Array.map Array.of_list by)
+    Sim.run_work sched.Codegen.nest ~nprocs:2
+      (Scheduling.of_tiles (Array.mapi (fun p l -> (p, Array.of_list l)) by))
       Sim.default
   in
   let r = Sim.run sched Sim.default in
@@ -534,8 +534,8 @@ let test_sim_direct_mapped_sets () =
   let d = Layout.address l "A" [| 2; 3 |] - Layout.address l "A" [| 1; 1 |] in
   check "row-major distance" 5 d;
   let run sets =
-    Sim.run_assignment nest
-      ~per_proc:[| [| Loopir.Nest.bounds nest |] |]
+    Sim.run_work nest ~nprocs:1
+      (Scheduling.of_tiles [| (0, [| Loopir.Nest.bounds nest |]) |])
       { Sim.default with Sim.geometry = Cache.Finite { sets; ways = 1 } }
   in
   let same = run d and apart = run (d + 1) in
@@ -550,11 +550,17 @@ let test_sim_box_outside_space () =
   let nest = Loopart.Programs.example2 () in
   let bounds = Loopir.Nest.bounds nest in
   let run box =
-    Sim.run_assignment nest ~per_proc:[| [| box |] |] Sim.default
+    Sim.run_work nest ~nprocs:1 (Scheduling.of_tiles [| (0, [| box |]) |])
+      Sim.default
   in
   let past = Array.map (fun (_, hi) -> (hi + 1, hi + 1)) bounds in
+  let lo, hi = bounds.(0) in
   Alcotest.check_raises "one past the upper bound"
-    (Invalid_argument "Sim.run_assignment: box outside the iteration space")
+    (Invalid_argument
+       (Printf.sprintf
+          "Scheduling.check: box bounds %d..%d on axis 0 outside the \
+           iteration space %d..%d"
+          (hi + 1) (hi + 1) lo hi))
     (fun () -> ignore (run past));
   let empty = Array.map (fun (lo, _) -> (lo + 1, lo)) bounds in
   let r = run empty in

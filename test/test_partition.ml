@@ -19,6 +19,21 @@ let points_of boxes =
 (* Every iteration of the space, lexicographic. *)
 let lex_points nest = points_of [| Nest.bounds nest |]
 
+(* The schedule's tiles, and each processor's boxes of them. *)
+let tiled sched = Scheduling.of_tiles (Codegen.tiles sched)
+
+let per_proc sched =
+  Scheduling.per_proc ~nprocs:sched.Codegen.nprocs (tiled sched)
+
+(* Self-scheduled claims over the whole space, [chunk ~remaining] each. *)
+let dynamic nest chunk =
+  Scheduling.Dynamic { space = Nest.bounds nest; chunk }
+
+let cyclic nest = dynamic nest (fun ~remaining:_ -> 1)
+
+let gss nest ~nprocs =
+  dynamic nest (fun ~remaining -> Int_math.ceil_div remaining nprocs)
+
 (* ------------------------------------------------------------------ *)
 (* Tile                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -450,11 +465,12 @@ let test_skewed_search_value () =
 let test_codegen_rect () =
   let sched = Codegen.make ex2 (Tile.rect [| 100; 1 |]) ~nprocs:100 in
   check "tiles" 100 (Codegen.num_tiles sched);
-  let per = Scheduling.of_schedule sched in
-  check "procs" 100 (Array.length per);
-  Array.iter (fun n -> check "balanced" 100 n) (Scheduling.loads per);
+  check "procs" 100 (Array.length (per_proc sched));
+  Array.iter (fun n -> check "balanced" 100 n)
+    (Scheduling.loads ~nprocs:100 (tiled sched));
   (* Every iteration appears exactly once. *)
-  check "covers space" (Nest.iterations ex2) (Scheduling.total per);
+  check "covers space" (Nest.iterations ex2)
+    (Scheduling.total (tiled sched));
   let mn, mx, imb = Codegen.load_balance sched in
   check "min" 100 mn;
   check "max" 100 mx;
@@ -524,7 +540,7 @@ let test_codegen_tiles_pped () =
                 checkb (name ^ ": lexicographic") true
                   (compare (Array.map fst boxes.(b - 1)) (Array.map fst box)
                   < 0);
-              Runtime.Exec.iter_box box (fun p ->
+              Codegen.iter_box box (fun p ->
                   let key = Array.to_list p in
                   checkb (name ^ ": point in one box") false
                     (Hashtbl.mem seen key);
@@ -547,7 +563,7 @@ let test_codegen_tiles_pped () =
       check (name ^ ": every point covered") (Nest.iterations nest)
         (Hashtbl.length seen);
       let distinct = Hashtbl.create 16 in
-      Runtime.Exec.iter_box bounds (fun p ->
+      Codegen.iter_box bounds (fun p ->
           Hashtbl.replace distinct (id p) ());
       check (name ^ ": one entry per tile") (Hashtbl.length distinct)
         (Array.length tiles);
@@ -580,7 +596,7 @@ let test_codegen_tiles_alloc () =
     (Nest.iterations nest)
     (Array.fold_left
        (fun acc (_, boxes) ->
-         Array.fold_left (fun a b -> a + Runtime.Exec.box_volume b) acc boxes)
+         Array.fold_left (fun a b -> a + Codegen.box_volume b) acc boxes)
        0 tiles);
   let stencil =
     Codegen.make
@@ -589,11 +605,11 @@ let test_codegen_tiles_alloc () =
   in
   List.iter
     (fun (sched, boxes) ->
-      let a = allocated (fun () -> Scheduling.of_schedule sched) in
+      let a = allocated (fun () -> per_proc sched) in
       check "boxes per processor, summed" boxes
         (Array.fold_left (fun acc b -> acc + Array.length b) 0 a);
       check "every iteration once" (Nest.iterations sched.Codegen.nest)
-        (Scheduling.total a);
+        (Scheduling.total (tiled sched));
       ignore (allocated (fun () -> Codegen.load_balance sched)))
     [ (sched, 854); (stencil, 2) ]
 
@@ -607,8 +623,7 @@ let test_codegen_pped_partition () =
   let sched =
     Codegen.make nest (Tile.pped (Imat.of_rows [ [ 5; 0 ]; [ 2; 5 ] ])) ~nprocs:4
   in
-  let per = Scheduling.of_schedule sched in
-  check "pped covers space exactly once" 100 (Scheduling.total per)
+  check "pped covers space exactly once" 100 (Scheduling.total (tiled sched))
 
 let test_emit_pseudocode () =
   let sched = Codegen.make ex2 (Tile.rect [| 100; 1 |]) ~nprocs:100 in
@@ -703,7 +718,7 @@ let test_capacity_blocked_order () =
   let blocked = Capacity.blocked_iterations sched ~subtile:sub in
   (* Same iterations, tile by tile, each tile's ordered by (subtile cell
      anchored at the tile's corner, point). *)
-  let plain = Scheduling.of_schedule sched in
+  let plain = per_proc sched in
   let cell = Tile.tile_coords sub in
   let want = Array.make 4 [] in
   Array.iter
@@ -722,17 +737,17 @@ let test_capacity_blocked_order () =
         (List.sort compare l = List.sort compare (points_of plain.(p)));
       checkb "tile by tile, subtile by subtile, lexicographic within" true
         (l = want.(p)))
-    blocked;
+    (Scheduling.per_proc ~nprocs:4 blocked);
   (* Blocking reduces replacement misses on a small cache. *)
-  let run per_proc =
-    (Machine.Sim.run_assignment nest ~per_proc
+  let run work =
+    (Machine.Sim.run_work nest ~nprocs:4 work
        {
          Machine.Sim.default with
          Machine.Sim.geometry = Machine.Cache.Finite { sets = 16; ways = 4 };
        })
       .Machine.Sim.stats.Machine.Stats.replacement_misses
   in
-  checkb "blocked replaces less" true (run blocked <= run plain)
+  checkb "blocked replaces less" true (run blocked <= run (tiled sched))
 
 let test_capacity_whole_subtiles () =
   (* E19's setup: 1-based matmul 24^3 on 16 processors, one 6x6x24 tile
@@ -745,7 +760,10 @@ let test_capacity_whole_subtiles () =
   let sched = Codegen.make nest tile ~nprocs:16 in
   let sub = Capacity.subtile cost tile ~capacity:128 in
   checkb "6x6x6 subtile" true (Tile.equal sub (Tile.rect [| 6; 6; 6 |]));
-  let blocked = Capacity.blocked_iterations sched ~subtile:sub in
+  let blocked =
+    Scheduling.per_proc ~nprocs:16
+      (Capacity.blocked_iterations sched ~subtile:sub)
+  in
   Array.iter
     (fun (o, boxes) ->
       check "one tile per processor" 1 (Array.length boxes);
@@ -772,27 +790,29 @@ let test_scheduling_coverage () =
   let nest = Loopart.Programs.relax_inplace ~n:17 ~steps:1 () in
   let n_iters = Nest.iterations nest in
   List.iter
-    (fun (name, a) ->
-      check (name ^ " covers the space") n_iters (Scheduling.total a);
-      check (name ^ " uses 4 procs") 4 (Array.length a))
+    (fun (name, work) ->
+      check (name ^ " covers the space") n_iters (Scheduling.total work);
+      check (name ^ " deals to 4 procs") n_iters
+        (Array.fold_left ( + ) 0 (Scheduling.loads ~nprocs:4 work));
+      check (name ^ " uses 4 procs") 4
+        (Array.length (Scheduling.per_proc ~nprocs:4 work)))
     [
-      ("cyclic", Scheduling.cyclic nest ~nprocs:4);
-      ("block-cyclic", Scheduling.block_cyclic nest ~nprocs:4 ~chunk:5);
-      ("gss", Scheduling.guided_self_scheduling nest ~nprocs:4);
+      ("cyclic", cyclic nest);
+      ("block-cyclic", dynamic nest (fun ~remaining:_ -> 5));
+      ("gss", gss nest ~nprocs:4);
     ]
 
 let test_scheduling_cyclic_balance () =
   let nest = Loopart.Programs.relax_inplace ~n:17 ~steps:1 () in
-  let a = Scheduling.cyclic nest ~nprocs:4 in
-  check "cyclic is perfectly balanced" 64 (Scheduling.max_load a)
+  let loads = Scheduling.loads ~nprocs:4 (cyclic nest) in
+  check "cyclic is perfectly balanced" 64 (Array.fold_left max 0 loads)
 
 let test_scheduling_gss_decreasing () =
   (* GSS chunk sizes decrease: first grab is ceil(R/P). *)
   let nest = Loopart.Programs.relax_inplace ~n:17 ~steps:1 () in
-  let a = Scheduling.guided_self_scheduling nest ~nprocs:4 in
   (* 256 iterations: first chunk 64 goes to proc 0; its next grab is much
      smaller, so proc 0 holds more than a fair share overall but not all. *)
-  let load0 = (Scheduling.loads a).(0) in
+  let load0 = (Scheduling.loads ~nprocs:4 (gss nest ~nprocs:4)).(0) in
   checkb "first processor gets the big first chunk" true (load0 >= 64);
   checkb "but not everything" true (load0 < 256)
 
@@ -800,24 +820,25 @@ let test_scheduling_locality_ordering () =
   (* Tiles beat GSS beats cyclic on total footprint for a stencil. *)
   let nest = Loopart.Programs.relax_inplace ~n:33 ~steps:2 () in
   let cost = Cost.of_nest nest in
-  let tiled =
-    Scheduling.of_schedule
+  let tiles =
+    tiled
       (Codegen.make nest (Rectangular.optimize cost ~nprocs:4).Rectangular.tile
          ~nprocs:4)
   in
-  let footprint a =
-    let r = Machine.Sim.run_assignment nest ~per_proc:a Machine.Sim.default in
+  let footprint work =
+    let r = Machine.Sim.run_work nest ~nprocs:4 work Machine.Sim.default in
     Array.fold_left ( + ) 0 (Machine.Sim.footprints r)
   in
-  let f_tiled = footprint tiled in
-  let f_gss = footprint (Scheduling.guided_self_scheduling nest ~nprocs:4) in
-  let f_cyc = footprint (Scheduling.cyclic nest ~nprocs:4) in
+  let f_tiled = footprint tiles in
+  let f_gss = footprint (gss nest ~nprocs:4) in
+  let f_cyc = footprint (cyclic nest) in
   checkb "tiles <= gss" true (f_tiled <= f_gss);
   checkb "gss < cyclic" true (f_gss < f_cyc)
 
-(* Property: every run-time policy enumerates each iteration exactly
-   once - the right total AND no duplicates across processors - and
-   each processor runs its chunks of the lexicographic order in it. *)
+(* Property: every run-time policy's work, decoded by [per_proc],
+   enumerates each iteration exactly once - the right total AND no
+   duplicates across processors - and each processor runs its chunks of
+   the lexicographic order in it. *)
 let prop_scheduling_exact_cover =
   QCheck2.Test.make ~name:"run-time policies cover each iteration once"
     ~count:40
@@ -840,7 +861,8 @@ let prop_scheduling_exact_cover =
         done;
         Array.map List.rev out
       in
-      let exact_cover a chunk_of =
+      let exact_cover work chunk_of =
+        let a = Scheduling.per_proc ~nprocs work in
         let seen = Hashtbl.create 997 in
         let dup = ref false in
         Array.iter
@@ -852,15 +874,13 @@ let prop_scheduling_exact_cover =
           a;
         (not !dup)
         && Hashtbl.length seen = Nest.iterations nest
-        && Scheduling.total a = Nest.iterations nest
+        && Scheduling.total work = Nest.iterations nest
         && Array.length a = nprocs
         && Array.map points_of a = deal chunk_of
       in
-      exact_cover (Scheduling.cyclic nest ~nprocs) (fun _ -> 1)
-      && exact_cover (Scheduling.block_cyclic nest ~nprocs ~chunk) (fun _ ->
-             chunk)
-      && exact_cover (Scheduling.guided_self_scheduling nest ~nprocs)
-           (fun r -> Int_math.ceil_div r nprocs))
+      exact_cover (cyclic nest) (fun _ -> 1)
+      && exact_cover (dynamic nest (fun ~remaining:_ -> chunk)) (fun _ -> chunk)
+      && exact_cover (gss nest ~nprocs) (fun r -> Int_math.ceil_div r nprocs))
 
 let test_of_schedule_matches_owner () =
   (* The tiled assignment is each processor's tiles, in tile-number
@@ -873,7 +893,7 @@ let test_of_schedule_matches_owner () =
     (fun (nest, tile, nprocs) ->
       let name = Tile.to_string tile in
       let sched = Codegen.make nest tile ~nprocs in
-      let a = Scheduling.of_schedule sched in
+      let a = per_proc sched in
       let own = Codegen.owner sched and id = Codegen.tile_id sched in
       let tiles = Codegen.tiles sched in
       Array.iteri
@@ -897,7 +917,7 @@ let test_of_schedule_matches_owner () =
             (List.for_all (fun i -> own i = p) (points_of boxes)))
         a;
       check (name ^ ": covers the space") (Nest.iterations nest)
-        (Scheduling.total a);
+        (Scheduling.total (tiled sched));
       checkb (name ^ ": each point once") true
         (List.sort compare (List.concat_map points_of (Array.to_list a))
         = lex_points nest))

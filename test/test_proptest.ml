@@ -79,6 +79,28 @@ let test_generator_covers_shapes () =
   Alcotest.(check bool) "trip-count-1 tiles generated" true (!trip1 > 30);
   Alcotest.(check bool) "doseq nests generated" true (!seq > 20)
 
+(* The cases of the CI fuzz seeds (42, 7 and 1234 at [--count 500])
+   whose kernel plan takes the unit-stride rows, with their compiled
+   bodies and plans. *)
+let unit_plans =
+  lazy
+    (List.concat_map
+       (fun seed ->
+         List.filter_map
+           (fun id ->
+             let c = Gen.generate ~seed ~id in
+             let compiled = Runtime.Exec.compile c.Gen.nest in
+             let plan = Runtime.Kernel.plan compiled in
+             if Runtime.Kernel.shape plan = "unit-stride" then
+               Some (c, compiled, plan)
+             else None)
+           (List.init 500 Fun.id))
+       [ 42; 7; 1234 ])
+
+let innermost plan =
+  let order = Runtime.Kernel.order plan in
+  order.(Array.length order - 1)
+
 (* Oracle 8 holds the kernel's unit-stride rows to the interpreter only
    on the cases whose plan takes them: over the 500 cases of each CI
    fuzz seed, every unrolled arity 1 to 5 must occur, with an odd and
@@ -87,22 +109,12 @@ let test_generator_covers_shapes () =
 let test_generator_reaches_unit_rows () =
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun seed ->
-      for id = 0 to 499 do
-        let nest = (Gen.generate ~seed ~id).Gen.nest in
-        let compiled = Runtime.Exec.compile nest in
-        let plan = Runtime.Kernel.plan compiled in
-        if Runtime.Kernel.shape plan = "unit-stride" then begin
-          let order = Runtime.Kernel.order plan in
-          let inner =
-            (Loopir.Nest.extents nest).(order.(Array.length order - 1))
-          in
-          Hashtbl.replace seen
-            (Array.length (Runtime.Exec.reads compiled), inner land 1)
-            ()
-        end
-      done)
-    [ 42; 7; 1234 ];
+    (fun ((c : Gen.case), compiled, plan) ->
+      let inner = (Loopir.Nest.extents c.nest).(innermost plan) in
+      Hashtbl.replace seen
+        (Array.length (Runtime.Exec.reads compiled), inner land 1)
+        ())
+    (Lazy.force unit_plans);
   for arity = 1 to 5 do
     List.iter
       (fun (parity, what) ->
@@ -112,6 +124,41 @@ let test_generator_reaches_unit_rows () =
           true
           (Hashtbl.mem seen (arity, parity)))
       [ (0, "even"); (1, "odd") ]
+  done
+
+(* A unit row's two-point trip must load its second point after storing
+   its first.  Oracle 8 sees that order only where a read takes the
+   element the row's previous point stored - the write's reference one
+   back along the innermost subscript - and the case's tile holds two
+   points or more per row.  Every arity must meet such a case. *)
+let test_generator_reaches_recurrences () =
+  let seen = Hashtbl.create 8 in
+  let one_back (w : Loopir.Reference.t) (r : Loopir.Reference.t) =
+    let offset = Array.copy (Loopir.Affine.offset w.index) in
+    let last = Array.length offset - 1 in
+    offset.(last) <- offset.(last) - 1;
+    r.kind = Loopir.Reference.Read
+    && r.array_name = w.array_name
+    && Loopir.Affine.equal r.index
+         (Loopir.Affine.make (Loopir.Affine.g w.index) offset)
+  in
+  List.iter
+    (fun ((c : Gen.case), compiled, plan) ->
+      let body = c.nest.Loopir.Nest.body in
+      if
+        c.tile.(innermost plan) >= 2
+        && List.exists
+             (fun w ->
+               Loopir.Reference.is_write_like w
+               && List.exists (one_back w) body)
+             body
+      then Hashtbl.replace seen (Array.length (Runtime.Exec.reads compiled)) ())
+    (Lazy.force unit_plans);
+  for arity = 1 to 5 do
+    Alcotest.(check bool)
+      (Printf.sprintf "unit-stride arity %d reads the previous point's store"
+         arity)
+      true (Hashtbl.mem seen arity)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -189,6 +236,8 @@ let () =
           Alcotest.test_case "shape coverage" `Quick test_generator_covers_shapes;
           Alcotest.test_case "every unit-stride arity" `Quick
             test_generator_reaches_unit_rows;
+          Alcotest.test_case "unit rows reach in-place recurrences" `Quick
+            test_generator_reaches_recurrences;
         ] );
       ( "oracles",
         [

@@ -16,7 +16,7 @@ let stencil () = Programs.stencil5 ~n:17 ~steps:2 ()
 
 let ground_truth nest =
   let compiled = Runtime.Exec.compile nest in
-  Runtime.Exec.sequential compiled ~steps:(Runtime.Exec.steps_of_nest nest)
+  Runtime.Exec.sequential compiled ~steps:(Loopir.Nest.steps nest)
 
 let buffers_equal a b =
   Array.length a = Array.length b
@@ -283,18 +283,20 @@ let test_degrade_to_sequential () =
 let test_out_of_space_partition () =
   let nest = Programs.stencil5 ~n:16 () in
   let compiled = Runtime.Exec.compile nest in
-  let steps = Runtime.Exec.steps_of_nest nest in
+  let steps = Loopir.Nest.steps nest in
   let partition ~nprocs =
     let a = Driver.analyze ~nprocs nest in
     let p =
-      Resilient.tiles_of_schedule (Driver.schedule ~tile:(Driver.best_tile a) a)
+      Partition.Scheduling.tiled ~steal:true
+        (Partition.Codegen.tiles
+           (Driver.schedule ~tile:(Driver.best_tile a) a))
     in
     let shift (b : Runtime.Exec.box) =
       Array.mapi
         (fun k (lo, hi) -> if k = 0 then (lo + 4000, hi + 4000) else (lo, hi))
         b
     in
-    p.Resilient.tiles.(0) <- Array.map shift p.Resilient.tiles.(0);
+    p.tiles.(0) <- Array.map shift p.tiles.(0);
     p
   in
   let execute policy =
@@ -368,10 +370,10 @@ let hashed_reexecution_safe c =
      ||
      let space = Loopir.Nest.bounds (Exec.nest c) in
      let written = Hashtbl.create 4096 in
-     Exec.iter_box space (fun p ->
+     Partition.Codegen.iter_box space (fun p ->
          Array.iter (fun (r, _) -> Hashtbl.replace written (addr r p) ()) writes);
      let clash = ref false in
-     Exec.iter_box space (fun p ->
+     Partition.Codegen.iter_box space (fun p ->
          Array.iter
            (fun r -> if Hashtbl.mem written (addr r p) then clash := true)
            reads);
@@ -384,7 +386,7 @@ let check_agreement name nest =
   let space = Loopir.Nest.bounds nest in
   let exact_span r =
     let lo = ref max_int and hi = ref min_int in
-    Exec.iter_box space (fun p ->
+    Partition.Codegen.iter_box space (fun p ->
         let a = addr r p in
         lo := min !lo a;
         hi := max !hi a);

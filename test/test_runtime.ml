@@ -538,7 +538,7 @@ let test_dynamic_policies_execute_everything () =
 let points_of_boxes boxes =
   let pts = ref [] in
   List.iter
-    (fun b -> Runtime.Exec.iter_box b (fun p -> pts := Array.copy p :: !pts))
+    (fun b -> Codegen.iter_box b (fun p -> pts := Array.copy p :: !pts))
     boxes;
   List.rev !pts
 
@@ -548,7 +548,7 @@ let test_iter_range_decodes () =
   let b = [| (2, 4); (-1, 2); (5, 7) |] in
   let all = Array.of_list (points_of_boxes [ b ]) in
   let n = Array.length all in
-  let range = Runtime.Exec.iter_range b in
+  let range = Codegen.iter_range b in
   for lo = 0 to n do
     for hi = lo to n do
       let boxes = ref [] in
@@ -563,8 +563,8 @@ let test_iter_range_decodes () =
   done
 
 let test_static_tiles () =
-  (* Each domain's boxes become one tile, owned by it, as given and in
-     order: nothing is merged, reordered or dropped. *)
+  (* One tile per domain, owned by it, decodes to each domain's boxes as
+     given and in order: nothing is merged, reordered or dropped. *)
   let a =
     [|
       [| [| (1, 1); (1, 3) |]; [| (2, 2); (1, 1) |]; [| (1, 1); (4, 5) |] |];
@@ -572,11 +572,39 @@ let test_static_tiles () =
       [| [| (3, 4); (0, 2) |] |];
     |]
   in
-  match Runtime.Exec.static_of_assignment a with
-  | Runtime.Exec.Tiled { tiles; owners; steal = false } ->
-      checkb "one tile per domain" true (owners = [| 0; 1; 2 |]);
-      checkb "the boxes as given, in order" true (tiles = a)
-  | _ -> Alcotest.fail "static tiled work"
+  let work = Scheduling.of_tiles (Array.mapi (fun p boxes -> (p, boxes)) a) in
+  checkb "the boxes as given, in order" true
+    (Scheduling.per_proc ~nprocs:3 work = a)
+
+(* The simulator deals a self-scheduler's claims round-robin
+   ([Scheduling.per_proc]); the runtime claims them from a shared
+   counter.  On one domain both must give the same boxes in the same
+   order: here recorded by the run's box body, policy by policy. *)
+let test_dealers_agree () =
+  let nest = Programs.relax_inplace ~n:13 ~steps:1 () in
+  let compiled = Runtime.Exec.compile nest in
+  let a = Driver.analyze ~nprocs:1 nest in
+  List.iter
+    (fun (name, policy) ->
+      let work = Driver.work a policy in
+      let ran = ref [] in
+      let box _storage b = ran := Array.copy b :: !ran in
+      ignore
+        (Runtime.Pool.with_pool 1 (fun pool ->
+             Runtime.Exec.run ~trace:Runtime.Trace.disabled ~box
+               ~observe:(fun ~reads:_ ~writes:_ ~accumulates:_ _ -> ())
+               pool compiled work ~steps:1 ~repeats:1));
+      checkb (name ^ ": the boxes the claims decode to") true
+        (Array.of_list (List.rev !ran)
+        = (Scheduling.per_proc ~nprocs:1 work).(0)))
+    Driver.
+      [
+        ("cyclic", Cyclic);
+        ("block-cyclic", Block_cyclic 7);
+        ("gss", Guided);
+        ("tiled", Tiled);
+        ("stolen pieces", Work_steal 5);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Codegen.load_balance regression (satellite)                         *)
@@ -649,6 +677,7 @@ let () =
             test_iter_range_decodes;
           Alcotest.test_case "boxes: one tile per domain" `Quick
             test_static_tiles;
+          Alcotest.test_case "the dealers agree" `Quick test_dealers_agree;
         ] );
       ( "codegen regression",
         [

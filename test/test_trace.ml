@@ -98,7 +98,7 @@ let test_counters_match_tile_counts () =
   let a = Driver.analyze ~nprocs nest in
   let sched = Driver.schedule a in
   let ntiles = Partition.Codegen.num_tiles sched in
-  let steps = Runtime.Exec.steps_of_nest nest in
+  let steps = Loopir.Nest.steps nest in
   let trace = Trace.create ~domains:nprocs () in
   let config =
     {
@@ -172,9 +172,7 @@ let test_elements_touched_multistep () =
   let measured =
     Runtime.Pool.with_pool nprocs (fun pool ->
         Runtime.Exec.measure pool compiled
-          (Runtime.Exec.of_tiles
-             (Partition.Codegen.tiles (Driver.schedule a)))
-          ~steps)
+          (Driver.work a Driver.Tiled) ~steps)
   in
   let trace = Trace.create ~domains:nprocs () in
   let config =
@@ -266,11 +264,10 @@ let test_overhead_budget () =
   let nest = Programs.stencil5 ~n:128 ~steps:2 () in
   let nprocs = 2 and reps = 7 in
   let a = Driver.analyze ~nprocs nest in
-  let sched = Driver.schedule a in
   let compiled = Runtime.Exec.compile nest in
   let plan = Runtime.Kernel.plan compiled in
-  let boxes = Partition.Scheduling.of_schedule sched in
-  let steps = Runtime.Exec.steps_of_nest nest in
+  let boxes = Driver.work a Driver.Tiled in
+  let steps = Loopir.Nest.steps nest in
   Runtime.Pool.with_pool nprocs (fun pool ->
       let once trace () =
         let w, _, _ =
